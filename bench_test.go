@@ -7,6 +7,7 @@ package gofmm
 // sampling) and micro-benchmarks of the linalg substrate.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -306,15 +307,6 @@ func matvecBenchSetup(b *testing.B, pooled bool) (*core.Hierarchical, *linalg.Ma
 	return h, linalg.GaussianMatrix(rng, p.K.Dim(), 4)
 }
 
-func BenchmarkEvaluatorReuse(b *testing.B) {
-	h, W := matvecBenchSetup(b, false)
-	ev := h.NewEvaluator(4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.Matvec(W)
-	}
-}
-
 func BenchmarkMatvecFreshBuffers(b *testing.B) {
 	h, W := matvecBenchSetup(b, false)
 	h.Cfg.Exec = core.Sequential
@@ -324,19 +316,25 @@ func BenchmarkMatvecFreshBuffers(b *testing.B) {
 	}
 }
 
-// BenchmarkMatvecPooled is the steady-state zero-allocation path: a pooled
-// evaluator writing into a caller-owned output. The allocs/op report is the
-// PR 3 acceptance metric (target: ≤10 in steady state).
+// BenchmarkMatvecPooled is the steady-state zero-allocation path: a
+// compiled, pooled operator replaying its plan into a caller-owned output
+// through MatvecInto (0 allocs/op with telemetry off).
 func BenchmarkMatvecPooled(b *testing.B) {
 	h, W := matvecBenchSetup(b, true)
-	ev := h.NewEvaluator(4)
-	defer ev.Close()
-	U := linalg.NewMatrix(W.Rows, 4)
-	ev.MatvecInto(W, U)
+	ctx := context.Background()
+	if _, err := h.CompilePlanCtx(ctx); err != nil {
+		b.Fatal(err)
+	}
+	U := linalg.NewMatrix(W.Rows, W.Cols)
+	if err := h.MatvecInto(ctx, W, U); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev.MatvecInto(W, U)
+		if err := h.MatvecInto(ctx, W, U); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

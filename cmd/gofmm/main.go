@@ -68,9 +68,8 @@ func run(args []string, out io.Writer) error {
 		pool      = fs.Bool("pool", false, "pool evaluation/solve scratch buffers (workspace.* counters)")
 		structure = fs.Bool("structure", false, "print the leaf-level block structure (Figure 2 style)")
 		dotFile   = fs.String("dot", "", "write the evaluation dependency DAG (Figure 3) to this file in DOT format")
-		saveFile  = fs.String("save", "", "serialize the compressed form to this file after compression")
 		storeFile = fs.String("store", "", "write a gofmm.store/v1 operator store (flat arena + compiled plan, servable by gofmmd -store-dir) to this file after compression")
-		loadFile  = fs.String("load", "", "load a previously saved compression instead of compressing")
+		loadFile  = fs.String("load", "", "load an operator store written by -store (reattaching the matrix oracle) instead of compressing")
 		traceFile = fs.String("trace", "", "write a Chrome trace-event JSON (load in Perfetto / chrome://tracing) to this file")
 		metrics   = fs.String("metrics", "", "write the telemetry metrics snapshot (counters, histograms, spans) as JSON to this file")
 		report    = fs.Bool("report", false, "print the telemetry phase/metric report after the run")
@@ -237,39 +236,22 @@ func run(args []string, out io.Writer) error {
 
 	var h *core.Hierarchical
 	if *loadFile != "" {
-		f, ferr := os.Open(*loadFile)
-		if ferr != nil {
-			return ferr
-		}
-		h, err = core.ReadFrom(f, p.K)
-		f.Close()
+		h, _, err = core.LoadFrom(*loadFile, core.LoadOptions{
+			Exec: cfg.Exec, NumWorkers: cfg.NumWorkers,
+			Workspace: cfg.Workspace, Telemetry: cfg.Telemetry,
+		})
 		if err != nil {
 			return err
 		}
-		h.Cfg.Exec = cfg.Exec
-		h.Cfg.NumWorkers = cfg.NumWorkers
-		h.Cfg.Telemetry = cfg.Telemetry
-		h.Cfg.Workspace = cfg.Workspace
+		if err := h.AttachOracle(p.K); err != nil {
+			return err
+		}
 		fmt.Fprintf(out, "loaded compressed form from %s\n", *loadFile)
 	} else {
 		h, err = core.CompressCtx(ctx, p.K, cfg)
 		if err != nil {
 			return err
 		}
-	}
-	if *saveFile != "" {
-		f, ferr := os.Create(*saveFile)
-		if ferr != nil {
-			return ferr
-		}
-		if _, err := h.WriteTo(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "saved compressed form to %s\n", *saveFile)
 	}
 	if *storeFile != "" {
 		// Compile first so the store carries the replayable plan and a

@@ -73,14 +73,14 @@ func TestRunErrors(t *testing.T) {
 
 func TestRunSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	path := dir + "/k.gofmm"
+	path := dir + "/k.store"
 	var sb strings.Builder
 	if err := run([]string{"-matrix", "K09", "-n", "128", "-m", "32", "-s", "16",
-		"-r", "1", "-exec", "seq", "-save", path}, &sb); err != nil {
+		"-r", "1", "-exec", "seq", "-store", path}, &sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "saved compressed form") {
-		t.Fatalf("save message missing:\n%s", sb.String())
+	if !strings.Contains(sb.String(), "operator store to") {
+		t.Fatalf("store message missing:\n%s", sb.String())
 	}
 	sb.Reset()
 	if err := run([]string{"-matrix", "K09", "-n", "128", "-m", "32", "-s", "16",

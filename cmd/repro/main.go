@@ -58,7 +58,7 @@ func cli(args []string, w io.Writer) error {
 		return err
 	}
 
-	// The pr3/pr4 benchmark paths thread this recorder into their core.Config
+	// The pr4/pr8/pr9 benchmark paths thread this recorder into their core.Config
 	// so the debug server has live counters and histograms to expose; the
 	// other subcommands still get /healthz, /debug/pprof and the flight
 	// recorder's manual-dump endpoint.
@@ -103,7 +103,7 @@ func cli(args []string, w io.Writer) error {
 	known := map[string]bool{"fig1": true, "fig2": true, "fig3": true, "fig4": true,
 		"fig5": true, "fig6": true, "fig7": true,
 		"table3": true, "table4": true, "table5": true, "scaling": true,
-		"pr3": true, "pr4": true, "pr8": true, "pr9": true}
+		"pr4": true, "pr8": true, "pr9": true}
 	run := func(name string) error {
 		fmt.Fprintf(w, "\n== %s ==\n", name)
 		var rows []experiments.Result
@@ -174,18 +174,6 @@ func cli(args []string, w io.Writer) error {
 			rows = experiments.Table4(w, sizes, *seed)
 		case "table5":
 			rows = experiments.Table5(w, size(2048, 512), *seed)
-		case "pr3":
-			// Hot-path kernel microbenchmarks (register-tiled GEMM, pooled
-			// matvec) — the record feeds the CI performance-regression gate.
-			rr := pr3Bench(w, size(4096, 1024), *seed, rec)
-			if *benchDir != "" {
-				path, err := rr.WriteBenchFile(*benchDir)
-				if err != nil {
-					return err
-				}
-				fmt.Fprintf(w, "wrote run record to %s\n", path)
-			}
-			return nil
 		case "pr4":
 			// Batched multi-RHS evaluation: Matmat vs looped Matvec throughput
 			// across block widths, and BatchEvaluator coalescing — feeds the
@@ -268,5 +256,5 @@ func cli(args []string, w io.Writer) error {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: repro <fig1|fig2|fig3|fig4|fig5|fig6|fig7|table3|table4|table5|scaling|pr3|pr4|pr8|pr9|all> [-n N] [-quick] [-seed S] [-debug-addr HOST:PORT] [-debug-linger D]`)
+	fmt.Fprintln(os.Stderr, `usage: repro <fig1|fig2|fig3|fig4|fig5|fig6|fig7|table3|table4|table5|scaling|pr4|pr8|pr9|all> [-n N] [-quick] [-seed S] [-debug-addr HOST:PORT] [-debug-linger D]`)
 }

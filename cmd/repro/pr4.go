@@ -21,7 +21,9 @@ import (
 // concurrent single-vector traffic. The headline gate metric is
 // batched_x_speedup_r16: Matmat at r=16 must deliver ≥3× the matvecs/sec of
 // 16 sequential Matvec calls (the GEMM-vs-GEMV shaped passes are where the
-// win comes from). Best-of-R wall-clock, same rationale as pr3Bench.
+// win comes from). Best-of-R wall-clock: every source of noise (scheduler,
+// turbo, page faults) only ever slows a run down, so the minimum is the
+// right statistic for a throughput gate.
 func pr4Bench(w io.Writer, n int, seed int64, rec *telemetry.Recorder) *telemetry.RunRecord {
 	rr := telemetry.NewRunRecord("pr4")
 	rr.Params["n"] = n

@@ -23,7 +23,7 @@ import (
 // plan_allocs_per_op ≤ interp_allocs_per_op (replay must not allocate more
 // than the tree walk it replaces). The record also reports how close the
 // replay gets to raw GEMM throughput (gemm_fraction_r16). Best-of-R
-// wall-clock, same rationale as pr3Bench.
+// wall-clock, same rationale as pr4Bench.
 func pr8Bench(w io.Writer, n int, seed int64, rec *telemetry.Recorder) *telemetry.RunRecord {
 	rr := telemetry.NewRunRecord("pr8")
 	rr.Params["n"] = n

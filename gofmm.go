@@ -331,13 +331,6 @@ type WorkspaceStats = workspace.Stats
 // NewWorkspacePool returns an empty workspace pool.
 func NewWorkspacePool() *WorkspacePool { return workspace.New() }
 
-// Evaluator owns reusable evaluation workspaces for repeated matvecs with a
-// fixed number of right-hand sides (the iterative-solver workload). Obtain
-// one with Hierarchical.NewEvaluator(r); MatvecInto then performs no heap
-// allocation in steady state. Close returns its buffers to the configured
-// workspace pool.
-type Evaluator = core.Evaluator
-
 // --- Batched evaluation --------------------------------------------------
 
 // BatchEvaluator coalesces concurrent single-vector Matvec requests from
@@ -382,21 +375,24 @@ type Counting = core.CountingSPD
 // NewCounting wraps K with an entry counter.
 func NewCounting(K SPD) *Counting { return core.NewCounting(K) }
 
-// Save serializes a compressed representation (structure, skeletons,
-// interpolation matrices, interaction lists, cached blocks — not the matrix
-// oracle itself).
+// Save writes a compressed representation to w in the operator-store
+// format (gofmm.store/v1): structure, skeletons, interpolation matrices,
+// interaction lists, cached blocks in both precisions and the installed
+// compiled plan — not the matrix oracle itself. It is the stream form of
+// (*Hierarchical).SaveTo; LoadOperator reads the same bytes from a file.
 func Save(h *Hierarchical, w io.Writer) error {
-	_, err := h.WriteTo(w)
+	_, err := h.WriteStore(w)
 	return err
 }
 
-// Load reconstructs a compressed representation written by Save, attaching
-// it to the entry oracle K (the same matrix). Executor fields of the loaded
-// Cfg default to sequential; adjust before calling Matvec if desired.
-// Passing a nil oracle is allowed: the loaded operator evaluates from its
-// cached blocks alone and returns a typed error from any path that would
-// need fresh K(i,j) entries.
-func Load(r io.Reader, K SPD) (*Hierarchical, error) { return core.ReadFrom(r, K) }
+// Load reads a compressed representation written by Save (or SaveTo) and
+// attaches it to the entry oracle K, which must have the stored dimension
+// (a mismatch wraps ErrInvalidInput). Executor fields of the loaded Cfg
+// default to sequential; adjust before calling Matvec if desired. Passing a
+// nil oracle is allowed: the loaded operator evaluates from its cached
+// blocks alone and returns a typed error from any path that would need
+// fresh K(i,j) entries.
+func Load(r io.Reader, K SPD) (*Hierarchical, error) { return core.ReadStore(r, K) }
 
 // LoadOptions configures LoadOperator. See core.LoadOptions.
 type LoadOptions = core.LoadOptions

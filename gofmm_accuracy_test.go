@@ -6,11 +6,13 @@ package gofmm
 // headroom over measured values — they catch a kernel or compression
 // regression that degrades accuracy, not run-to-run noise. The same table
 // doubles as the pooled-correctness gate: attaching a workspace pool (and
-// using the reusable Evaluator) must reproduce the unpooled result to 1e-14,
-// because pooling only changes where buffers come from, never which kernels
-// run or in what order.
+// evaluating into a caller-owned output with MatvecInto, interpreted and
+// compiled) must reproduce the unpooled result, because pooling only
+// changes where buffers come from, never which kernels run or in what
+// order.
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -96,11 +98,23 @@ func TestAccuracyGoldenTable(t *testing.T) {
 			if d := maxAbsDiffMat(U, Up); d > 1e-14*scale {
 				t.Errorf("pooled Matvec deviates from unpooled by %.3e (allow %.3e)", d, 1e-14*scale)
 			}
-			ev := h.NewEvaluator(W.Cols)
-			defer ev.Close()
-			Ue := ev.Matvec(W)
+			Ue := linalg.NewMatrix(W.Rows, W.Cols)
+			if err := h.MatvecInto(context.Background(), W, Ue); err != nil {
+				t.Fatal(err)
+			}
 			if d := maxAbsDiffMat(U, Ue); d > 1e-14*scale {
-				t.Errorf("pooled Evaluator deviates from unpooled by %.3e (allow %.3e)", d, 1e-14*scale)
+				t.Errorf("pooled MatvecInto deviates from unpooled by %.3e (allow %.3e)", d, 1e-14*scale)
+			}
+			// The compiled replay reorders no accumulation but writes with
+			// beta 0 where the interpreter zeroes and adds: equal to rounding.
+			if _, err := h.CompilePlan(); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.MatvecInto(context.Background(), W, Ue); err != nil {
+				t.Fatal(err)
+			}
+			if d := relFrobErr(Ue, U); d > 1e-13 {
+				t.Errorf("pooled compiled MatvecInto deviates from unpooled by %.3e (allow 1e-13)", d)
 			}
 		})
 	}

@@ -75,7 +75,7 @@ func TestSaveLoadThroughPublicAPI(t *testing.T) {
 	if err := Save(H, &buf); err != nil {
 		t.Fatal(err)
 	}
-	H2, err := Load(&buf, p.K)
+	H2, err := Load(bytes.NewReader(buf.Bytes()), p.K)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,6 +83,21 @@ func TestSaveLoadThroughPublicAPI(t *testing.T) {
 	W := linalg.GaussianMatrix(rng, p.K.Dim(), 2)
 	if !linalg.EqualApprox(H.Matvec(W), H2.Matvec(W), 0) {
 		t.Fatal("loaded form gives a different matvec")
+	}
+	// A cached operator also loads oracle-free, bit for bit.
+	H3, err := Load(bytes.NewReader(buf.Bytes()), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if H3.HasOracle() || !linalg.EqualApprox(H.Matvec(W), H3.Matvec(W), 0) {
+		t.Fatal("oracle-free load differs")
+	}
+	wrong, err := testmat.Generate("K09", 100, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(bytes.NewReader(buf.Bytes()), wrong.K); !errors.Is(err, ErrInvalidInput) {
+		t.Fatalf("wrong-dimension oracle: got %v, want ErrInvalidInput", err)
 	}
 }
 

@@ -2,8 +2,8 @@
 //
 //  1. a *workspace.Scope created with NewScope must be released in the
 //     creating function (plain or deferred Release) unless it escapes —
-//     the NewEvaluator pattern stores the scope in the returned struct and
-//     Close releases it later;
+//     a constructor may store the scope in the struct it returns and
+//     release it later from that struct's Close;
 //  2. a matrix obtained from Scope.Matrix must not outlive its scope's
 //     Release: returning it, storing it into a struct field, or sending it
 //     on a channel requires Scope.Keep first, otherwise the pool will hand

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -44,11 +45,23 @@ func TestSinglePrecisionCacheAccuracyAndMemory(t *testing.T) {
 	if float64(b32) > 0.75*float64(b64) {
 		t.Fatalf("fp32 cache saved too little: %d vs %d bytes", b32, b64)
 	}
-	// Evaluator path must honor the fp32 cache too.
-	ev := h32.NewEvaluator(3)
-	Uev := ev.Matvec(W)
-	if !linalg.EqualApprox(Uev, U32, 0) {
-		t.Fatal("evaluator fp32 path differs from Matvec")
+	// MatvecInto must honor the fp32 cache on both engines: bit-identical
+	// to Matvec when interpreted, within replay rounding when compiled.
+	Uin := linalg.NewMatrix(n, 3)
+	if err := h32.MatvecInto(context.Background(), W, Uin); err != nil {
+		t.Fatal(err)
+	}
+	if !linalg.EqualApprox(Uin, U32, 0) {
+		t.Fatal("interpreted MatvecInto fp32 path differs from Matvec")
+	}
+	if _, err := h32.CompilePlan(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h32.MatvecInto(context.Background(), W, Uin); err != nil {
+		t.Fatal(err)
+	}
+	if d := linalg.RelFrobDiff(Uin, U32); d > 1e-13 {
+		t.Fatalf("compiled MatvecInto fp32 path differs from Matvec by %g", d)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"gofmm/internal/linalg"
+	"gofmm/internal/plan"
 	"gofmm/internal/resilience"
 	"gofmm/internal/sched"
 	"gofmm/internal/telemetry"
@@ -79,10 +80,7 @@ func (h *Hierarchical) Matvec(W *linalg.Matrix) *linalg.Matrix {
 // executors, within) the four phases, and a panic in any task body surfaces
 // as a *resilience.PanicError instead of escaping.
 func (h *Hierarchical) MatvecCtx(ctx context.Context, W *linalg.Matrix) (*linalg.Matrix, error) {
-	if p := h.evalPlan.Load(); p != nil {
-		return h.replayBlock(ctx, p, W, "matvec")
-	}
-	return h.evalBlock(ctx, W, "matvec")
+	return h.evalNew(ctx, h.evalPlan.Load(), W, "matvec")
 }
 
 // InterpMatvecCtx is MatvecCtx pinned to the tree interpreter: it bypasses
@@ -90,7 +88,65 @@ func (h *Hierarchical) MatvecCtx(ctx context.Context, W *linalg.Matrix) (*linalg
 // reference path — the oracle the plan equivalence suite compares against —
 // and is also useful for A/B benchmarks (see `repro pr8`).
 func (h *Hierarchical) InterpMatvecCtx(ctx context.Context, W *linalg.Matrix) (*linalg.Matrix, error) {
-	return h.evalBlock(ctx, W, "matvec")
+	return h.evalNew(ctx, nil, W, "matvec")
+}
+
+// MatvecInto computes U ≈ K·W into the caller's n×r output U, where r is
+// W.Cols; W and U must not overlap. With a compiled plan installed
+// (CompilePlanCtx, Config.CompilePlan, or a store that carried one) it
+// replays the plan straight into U, and with telemetry off a steady-state
+// call allocates nothing: the replay arena comes from the plan's state
+// cache (or Config.Workspace). On an uncompiled operator it runs the tree
+// interpreter and allocates exactly as MatvecCtx does, minus the output.
+// Errors are those of MatvecCtx, plus ErrInvalidInput for a nil or
+// mis-shaped U.
+func (h *Hierarchical) MatvecInto(ctx context.Context, W, U *linalg.Matrix) error {
+	if U == nil {
+		return fmt.Errorf("%w: core: matvec output is nil", resilience.ErrInvalidInput)
+	}
+	if err := h.checkBlock(W, U, "matvec"); err != nil {
+		return err
+	}
+	return h.evalInto(ctx, h.evalPlan.Load(), W, U, "matvec")
+}
+
+// evalNew validates W, allocates the n×W.Cols output and evaluates into it.
+func (h *Hierarchical) evalNew(ctx context.Context, p *plan.Plan, W *linalg.Matrix, op string) (*linalg.Matrix, error) {
+	if err := h.checkBlock(W, nil, op); err != nil {
+		return nil, err
+	}
+	U := linalg.NewMatrix(h.K.Dim(), W.Cols)
+	if err := h.evalInto(ctx, p, W, U, op); err != nil {
+		return nil, err
+	}
+	return U, nil
+}
+
+// evalInto evaluates a validated block into U by replaying p, or through
+// the tree interpreter when p is nil.
+func (h *Hierarchical) evalInto(ctx context.Context, p *plan.Plan, W, U *linalg.Matrix, op string) error {
+	if p != nil {
+		return h.replayBlock(ctx, p, W, U, op)
+	}
+	return h.evalBlock(ctx, W, U, op)
+}
+
+// checkBlock validates the n×r weights of a block evaluation and, when U
+// is non-nil, the caller-supplied n×r output.
+func (h *Hierarchical) checkBlock(W, U *linalg.Matrix, op string) error {
+	n := h.K.Dim()
+	if W == nil {
+		return fmt.Errorf("%w: core: %s weights are nil", resilience.ErrInvalidInput, op)
+	}
+	if W.Rows != n {
+		return fmt.Errorf("%w: core: %s with %d rows, matrix dim %d",
+			resilience.ErrInvalidInput, op, W.Rows, n)
+	}
+	if U != nil && (U.Rows != n || U.Cols != W.Cols) {
+		return fmt.Errorf("%w: core: %s into a %d×%d output, want %d×%d",
+			resilience.ErrInvalidInput, op, U.Rows, U.Cols, n, W.Cols)
+	}
+	return nil
 }
 
 // noteEval records the cost of the evaluation that just finished into
@@ -114,11 +170,13 @@ func (h *Hierarchical) LastEval() (seconds, flops float64) {
 	return h.Stats.EvalTime, h.Stats.EvalFlops
 }
 
-// evalBlock is the shared four-pass block evaluation behind MatvecCtx and
-// MatmatCtx: one symbolic traversal and one workspace scope serve the whole
-// n×r block, so the per-pass kernels are r-wide GEMMs. op names the
-// telemetry span and counters ("matvec" or "matmat").
-func (h *Hierarchical) evalBlock(ctx context.Context, W *linalg.Matrix, op string) (U *linalg.Matrix, err error) {
+// evalBlock is the tree interpreter behind MatvecCtx, MatmatCtx and
+// MatvecInto on an operator without a compiled plan: one symbolic traversal
+// and one workspace scope serve the whole n×r block, so the per-pass
+// kernels are r-wide GEMMs, and the result lands in the caller's U (already
+// validated by checkBlock). op names the telemetry span and counters
+// ("matvec" or "matmat").
+func (h *Hierarchical) evalBlock(ctx context.Context, W, U *linalg.Matrix, op string) (err error) {
 	rec := h.Cfg.Telemetry
 	tid, _ := telemetry.TraceIDFrom(ctx)
 	// Backstop: no panic escapes the public entry points. The crash is
@@ -127,22 +185,15 @@ func (h *Hierarchical) evalBlock(ctx context.Context, W *linalg.Matrix, op strin
 		if r := recover(); r != nil {
 			perr := &resilience.PanicError{Label: op, Value: r, Stack: debug.Stack()}
 			rec.ReportCrash(op, tid, perr)
-			U, err = nil, perr
+			err = perr
 		}
 	}()
 	n := h.K.Dim()
-	if W == nil {
-		return nil, fmt.Errorf("%w: core: %s weights are nil", resilience.ErrInvalidInput, op)
-	}
-	if W.Rows != n {
-		return nil, fmt.Errorf("%w: core: %s with %d rows, matrix dim %d",
-			resilience.ErrInvalidInput, op, W.Rows, n)
-	}
 	if err := h.requireEvalOracle(op); err != nil {
-		return nil, err
+		return err
 	}
 	if err := resilience.FromContext(ctx); err != nil {
-		return nil, err
+		return err
 	}
 	start := time.Now()
 	root := rec.StartSpan(op)
@@ -163,8 +214,8 @@ func (h *Hierarchical) evalBlock(ctx context.Context, W *linalg.Matrix, op strin
 		down:  make([]*linalg.Matrix, len(t.Nodes)),
 		pool:  pool,
 	}
-	// Release everything back to the pool on every exit path; the returned U
-	// below is always freshly allocated, never pooled.
+	// Release everything back to the pool on every exit path; U belongs to
+	// the caller and is never pooled.
 	defer st.release()
 	W.RowsGatherInto(t.Perm, st.Wt)
 	switch h.Cfg.Exec {
@@ -208,10 +259,10 @@ func (h *Hierarchical) evalBlock(ctx context.Context, W *linalg.Matrix, op strin
 		if errors.As(err, &perr) || errors.Is(err, resilience.ErrStalled) {
 			rec.ReportCrash(op, tid, err)
 		}
-		return nil, err
+		return err
 	}
 	st.Ufar.AddScaled(1, st.Unear)
-	U = st.Ufar.RowsGather(t.IPerm)
+	st.Ufar.RowsGatherInto(t.IPerm, U)
 	secs := time.Since(start).Seconds()
 	if d := root.End(); d > 0 {
 		secs = d.Seconds()
@@ -223,7 +274,7 @@ func (h *Hierarchical) evalBlock(ctx context.Context, W *linalg.Matrix, op strin
 		rec.Gauge(op + ".rhs").Set(float64(W.Cols))
 		rec.Histogram(op + ".latency_ms").Observe(time.Since(start).Seconds() * 1e3)
 	}
-	return U, nil
+	return nil
 }
 
 // n2s computes the skeleton weights w̃α = P_α̃α w_α (leaf) or

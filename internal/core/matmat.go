@@ -32,10 +32,7 @@ func (h *Hierarchical) MatmatCtx(ctx context.Context, X *linalg.Matrix) (*linalg
 	if rec := h.Cfg.Telemetry; rec != nil && X != nil {
 		rec.Histogram("matmat.width").Observe(float64(X.Cols))
 	}
-	if p := h.evalPlan.Load(); p != nil {
-		return h.replayBlock(ctx, p, X, "matmat")
-	}
-	return h.evalBlock(ctx, X, "matmat")
+	return h.evalNew(ctx, h.evalPlan.Load(), X, "matmat")
 }
 
 // InterpMatmatCtx is MatmatCtx pinned to the tree interpreter, bypassing any
@@ -44,5 +41,5 @@ func (h *Hierarchical) InterpMatmatCtx(ctx context.Context, X *linalg.Matrix) (*
 	if rec := h.Cfg.Telemetry; rec != nil && X != nil {
 		rec.Histogram("matmat.width").Observe(float64(X.Cols))
 	}
-	return h.evalBlock(ctx, X, "matmat")
+	return h.evalNew(ctx, nil, X, "matmat")
 }

@@ -3,12 +3,14 @@ package core
 import (
 	"errors"
 	"fmt"
+
+	"gofmm/internal/resilience"
 )
 
-// The nil-oracle contract. An operator loaded from the store (or from a v2
-// stream with a nil oracle) serves evaluations from its persisted blocks
-// alone: the compiled plan and the fully-cached interpreter never touch
-// K's entries. Paths that must sample fresh entries — interpreting with
+// The nil-oracle contract. An operator loaded from the store without an
+// oracle (LoadFrom, or ReadStore with a nil K) serves evaluations from its
+// persisted blocks alone: the compiled plan and the fully-cached
+// interpreter never touch K's entries. Paths that must sample fresh entries — interpreting with
 // uncached blocks, compiling a plan that would gather, building an HSS
 // factorization — fail fast with ErrNoOracle instead of computing garbage.
 
@@ -32,7 +34,7 @@ func (o noOracle) At(i, j int) float64 {
 
 // HasOracle reports whether the operator carries a live entry oracle.
 // Operators built by Compress always do; operators loaded by LoadFrom (or
-// ReadFrom with a nil K) do not, until AttachOracle provides one.
+// ReadStore with a nil K) do not, until AttachOracle provides one.
 func (h *Hierarchical) HasOracle() bool {
 	_, bare := h.K.(noOracle)
 	return !bare
@@ -40,14 +42,15 @@ func (h *Hierarchical) HasOracle() bool {
 
 // AttachOracle installs a live entry oracle on a loaded operator, restoring
 // the oracle-requiring paths (uncached interpretation, plan compilation
-// with gathering, HSS factorization). The oracle's dimension must match.
+// with gathering, HSS factorization). The oracle's dimension must match;
+// a mismatch wraps both resilience.ErrInvalidInput and ErrNoOracle.
 func (h *Hierarchical) AttachOracle(K SPD) error {
 	if K == nil {
 		return fmt.Errorf("%w: nil oracle", ErrNoOracle)
 	}
 	if K.Dim() != h.N() {
-		return fmt.Errorf("core: oracle dimension %d does not match operator %d: %w",
-			K.Dim(), h.N(), ErrNoOracle)
+		return fmt.Errorf("%w: core: oracle dimension %d does not match operator %d: %w",
+			resilience.ErrInvalidInput, K.Dim(), h.N(), ErrNoOracle)
 	}
 	h.K = K
 	return nil

@@ -21,8 +21,8 @@ func (h *Hierarchical) CompilePlan() (*plan.Plan, error) {
 }
 
 // CompilePlanCtx compiles the N2S/S2S/S2N/L2L traversal into a flat,
-// replayable schedule and installs it: subsequent MatvecCtx/MatmatCtx calls
-// (and Evaluator/BatchEvaluator traffic) replay the plan instead of
+// replayable schedule and installs it: subsequent MatvecCtx/MatmatCtx/
+// MatvecInto calls (and BatchEvaluator traffic) replay the plan instead of
 // re-walking the tree. Compilation is idempotent — the first call builds,
 // later calls return the installed plan. The tree interpreter remains
 // available as the reference path through InterpMatvecCtx/InterpMatmatCtx
@@ -329,10 +329,12 @@ func (h *Hierarchical) lowerPlan() (*plan.Plan, error) {
 	return b.Build()
 }
 
-// replayBlock is the compiled counterpart of evalBlock: it validates,
-// spans and accounts identically, but evaluates by replaying the installed
-// plan instead of walking the tree.
-func (h *Hierarchical) replayBlock(ctx context.Context, p *plan.Plan, W *linalg.Matrix, op string) (U *linalg.Matrix, err error) {
+// replayBlock is the compiled counterpart of evalBlock: it spans and
+// accounts identically, but evaluates by replaying the installed plan into
+// the caller's U (already validated by checkBlock) instead of walking the
+// tree. With telemetry off it allocates nothing beyond what Execute draws
+// from the plan's state cache.
+func (h *Hierarchical) replayBlock(ctx context.Context, p *plan.Plan, W, U *linalg.Matrix, op string) (err error) {
 	rec := h.Cfg.Telemetry
 	tid, _ := telemetry.TraceIDFrom(ctx)
 	// Backstop: no panic escapes the public entry points (kernel bugs and
@@ -341,25 +343,19 @@ func (h *Hierarchical) replayBlock(ctx context.Context, p *plan.Plan, W *linalg.
 		if r := recover(); r != nil {
 			perr := &resilience.PanicError{Label: op, Value: r, Stack: debug.Stack()}
 			rec.ReportCrash(op, tid, perr)
-			U, err = nil, perr
+			err = perr
 		}
 	}()
-	n := h.K.Dim()
-	if W == nil {
-		return nil, fmt.Errorf("%w: core: %s weights are nil", resilience.ErrInvalidInput, op)
-	}
-	if W.Rows != n {
-		return nil, fmt.Errorf("%w: core: %s with %d rows, matrix dim %d",
-			resilience.ErrInvalidInput, op, W.Rows, n)
-	}
 	if err := resilience.FromContext(ctx); err != nil {
-		return nil, err
+		return err
 	}
 	start := time.Now()
 	root := rec.StartSpan(op)
 	defer root.End()
-	root.SetAttr(telemetry.AttrTraceID, tid)
-	root.SetAttr("plan.digest", p.DigestHex()[:12])
+	if root != nil {
+		root.SetAttr(telemetry.AttrTraceID, tid)
+		root.SetAttr("plan.digest", p.DigestHex()[:12])
+	}
 	workers := 1
 	if h.Cfg.Exec != Sequential {
 		workers = h.Cfg.workerCount()
@@ -372,7 +368,6 @@ func (h *Hierarchical) replayBlock(ctx context.Context, p *plan.Plan, W *linalg.
 	if c := h.Cfg.Chaos; c != nil && c.Config().TaskFail > 0 {
 		opts.Inject = c.TaskFail
 	}
-	U = linalg.NewMatrix(n, W.Cols)
 	if err = p.Execute(ctx, W, U, opts); err != nil {
 		root.SetAttr("error", err.Error())
 		root.End()
@@ -380,7 +375,7 @@ func (h *Hierarchical) replayBlock(ctx context.Context, p *plan.Plan, W *linalg.
 		if errors.As(err, &perr) || errors.Is(err, resilience.ErrStalled) {
 			rec.ReportCrash(op, tid, err)
 		}
-		return nil, err
+		return err
 	}
 	flops := p.FlopsPerCol() * float64(W.Cols)
 	atomic.StoreInt64(&h.evalFlops, int64(flops))
@@ -395,5 +390,5 @@ func (h *Hierarchical) replayBlock(ctx context.Context, p *plan.Plan, W *linalg.
 		rec.Gauge(op + ".rhs").Set(float64(W.Cols))
 		rec.Histogram(op + ".latency_ms").Observe(time.Since(start).Seconds() * 1e3)
 	}
-	return U, nil
+	return nil
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
 	"gofmm/internal/linalg"
+	"gofmm/internal/resilience"
 	"gofmm/internal/workspace"
 )
 
@@ -113,39 +115,164 @@ func TestCompileViaConfigAndDropPlan(t *testing.T) {
 	}
 }
 
-// TestEvaluatorReplaysPlan checks the Evaluator delegation: with a plan
-// installed the evaluator is a thin replay handle that agrees with the
-// interpreter-backed evaluator to 1e-13 (the replay uses beta-0 writes
-// where the interpreter zeroes then accumulates) and is bit-identical to
-// itself across replays.
+// matvecInto runs MatvecInto into a fresh n×k output and fails the test on
+// error.
+func matvecInto(t *testing.T, h *Hierarchical, W *linalg.Matrix) *linalg.Matrix {
+	t.Helper()
+	U := linalg.NewMatrix(W.Rows, W.Cols)
+	if err := h.MatvecInto(context.Background(), W, U); err != nil {
+		t.Fatal(err)
+	}
+	return U
+}
+
+// TestEvaluatorMatchesMatvec checks that the reusable evaluation path,
+// MatvecInto, agrees with Matvec bit for bit on both engines and with or
+// without a near-field budget.
+func TestEvaluatorMatchesMatvec(t *testing.T) {
+	for _, budget := range []float64{0, 0.15} {
+		h, _ := compressGauss(t, 400, Config{
+			LeafSize: 32, MaxRank: 24, Tol: 1e-6, Kappa: 8, Budget: budget,
+			Distance: Kernel, Exec: Sequential, Seed: 150, CacheBlocks: true,
+		})
+		rng := rand.New(rand.NewSource(151))
+		for _, compiled := range []bool{false, true} {
+			if compiled {
+				if _, err := h.CompilePlan(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for trial := 0; trial < 3; trial++ {
+				W := linalg.GaussianMatrix(rng, 400, 3)
+				want := h.Matvec(W)
+				got := matvecInto(t, h, W)
+				if !linalg.EqualApprox(got, want, 0) {
+					t.Fatalf("budget %g compiled=%v trial %d: MatvecInto differs (max |Δ| = %g)",
+						budget, compiled, trial, maxAbsDiff(got, want))
+				}
+			}
+		}
+	}
+}
+
+// TestEvaluatorRepeatedCallsIndependent checks that a different input in
+// between must not contaminate a repeat MatvecInto call, on either engine.
+func TestEvaluatorRepeatedCallsIndependent(t *testing.T) {
+	cfg := Config{
+		LeafSize: 32, MaxRank: 24, Tol: 1e-6, Kappa: 8, Budget: 0.1,
+		Distance: Kernel, Exec: Sequential, Seed: 152, CacheBlocks: true,
+		Workspace: workspace.New(),
+	}
+	h, _ := compressGauss(t, 300, cfg)
+	rng := rand.New(rand.NewSource(153))
+	W := linalg.GaussianMatrix(rng, 300, 2)
+	for _, compiled := range []bool{false, true} {
+		if compiled {
+			if _, err := h.CompilePlan(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		first := matvecInto(t, h, W)
+		matvecInto(t, h, linalg.GaussianMatrix(rng, 300, 2))
+		second := matvecInto(t, h, W)
+		if !linalg.EqualApprox(first, second, 0) {
+			t.Fatalf("compiled=%v: state leaked between MatvecInto calls", compiled)
+		}
+	}
+}
+
+// TestEvaluatorReplaysPlan checks that MatvecInto follows the installed
+// engine: compiled it agrees with the interpreter to 1e-13 (the replay uses
+// beta-0 writes where the interpreter zeroes then accumulates), and replays
+// into the same U are bit-identical to each other and to Matvec.
 func TestEvaluatorReplaysPlan(t *testing.T) {
 	cfg := planConfig()
 	cfg.Workspace = workspace.New()
 	h, _ := compressGauss(t, 256, cfg)
 	rng := rand.New(rand.NewSource(13))
 	W := linalg.GaussianMatrix(rng, 256, 2)
-	ref := h.NewEvaluator(2)
-	want := ref.Matvec(W)
-	ref.Close()
+	want := matvecInto(t, h, W)
 	if _, err := h.CompilePlan(); err != nil {
 		t.Fatal(err)
 	}
-	ev := h.NewEvaluator(2)
-	defer ev.Close()
-	got := linalg.NewMatrix(256, 2)
-	ev.MatvecInto(W, got)
+	got := matvecInto(t, h, W)
 	if d := linalg.RelFrobDiff(got, want); d > 1e-13 {
-		t.Fatalf("plan-backed evaluator differs from interpreter evaluator by %g", d)
+		t.Fatalf("compiled MatvecInto differs from the interpreter by %g", d)
 	}
-	// Replays must be bit-identical to each other.
 	again := linalg.NewMatrix(256, 2)
-	ev.MatvecInto(W, again)
-	for j := 0; j < 2; j++ {
-		a, b := got.Col(j), again.Col(j)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("evaluator replay not bit-identical at (%d,%d)", i, j)
+	if err := h.MatvecInto(context.Background(), W, again); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.MatvecInto(context.Background(), W, got); err != nil {
+		t.Fatal(err)
+	}
+	if !linalg.EqualApprox(got, again, 0) || !linalg.EqualApprox(got, h.Matvec(W), 0) {
+		t.Fatal("compiled MatvecInto replays are not bit-identical")
+	}
+}
+
+// TestMatvecIntoRejectsWrongShape pins the typed-error contract on both
+// engines: a nil or mis-shaped W or U returns ErrInvalidInput, never a
+// panic and never a partial write.
+func TestMatvecIntoRejectsWrongShape(t *testing.T) {
+	h, _ := compressGauss(t, 200, Config{
+		LeafSize: 32, Kappa: 8, Budget: 0, Distance: Kernel,
+		Exec: Sequential, Seed: 154, Tol: 1e-4, CacheBlocks: true,
+	})
+	ctx := context.Background()
+	W := linalg.NewMatrix(200, 2)
+	cases := []struct {
+		name string
+		W, U *linalg.Matrix
+	}{
+		{"nil W", nil, linalg.NewMatrix(200, 2)},
+		{"nil U", W, nil},
+		{"short W", linalg.NewMatrix(199, 2), linalg.NewMatrix(200, 2)},
+		{"short U", W, linalg.NewMatrix(199, 2)},
+		{"narrow U", W, linalg.NewMatrix(200, 1)},
+		{"wide U", W, linalg.NewMatrix(200, 3)},
+	}
+	for _, compiled := range []bool{false, true} {
+		if compiled {
+			if _, err := h.CompilePlan(); err != nil {
+				t.Fatal(err)
 			}
+		}
+		for _, tc := range cases {
+			if err := h.MatvecInto(ctx, tc.W, tc.U); !errors.Is(err, resilience.ErrInvalidInput) {
+				t.Errorf("compiled=%v %s: got %v, want ErrInvalidInput", compiled, tc.name, err)
+			}
+		}
+	}
+}
+
+// TestMatvecIntoAllocs is the zero-allocation contract of the replay
+// engine: on a compiled, pooled, Sequential operator with telemetry off, a
+// steady-state MatvecInto allocates nothing at any width.
+func TestMatvecIntoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector randomly drops sync.Pool entries")
+	}
+	cfg := planConfig()
+	cfg.Workspace = workspace.New()
+	cfg.CompilePlan = true
+	const n = 1024
+	h, _ := compressGauss(t, n, cfg)
+	if h.Plan() == nil {
+		t.Fatal("Config.CompilePlan did not install a plan")
+	}
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(14))
+	for _, r := range []int{1, 4, 16} {
+		W := linalg.GaussianMatrix(rng, n, r)
+		U := linalg.NewMatrix(n, r)
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := h.MatvecInto(ctx, W, U); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("r=%d: MatvecInto made %v allocs/op, want 0", r, allocs)
 		}
 	}
 }

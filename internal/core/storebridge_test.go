@@ -3,14 +3,17 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"gofmm/internal/linalg"
+	"gofmm/internal/resilience"
 	"gofmm/internal/store"
 )
 
@@ -166,47 +169,346 @@ func TestStoreLoadWithoutCachesNeedsOracle(t *testing.T) {
 	}
 }
 
-// ReadFrom with a nil oracle (the serving workflow) must evaluate from the
+// storeImage compresses a small operator and returns its WriteStore bytes
+// with the oracle it was compressed from.
+func storeImage(t *testing.T, n int, cfg Config) (*Hierarchical, []byte, SPD) {
+	t.Helper()
+	h, K := compressGauss(t, n, cfg)
+	var buf bytes.Buffer
+	sz, err := h.WriteStore(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sz != int64(buf.Len()) {
+		t.Fatalf("WriteStore reported %d bytes, buffer has %d", sz, buf.Len())
+	}
+	return h, buf.Bytes(), denseSPD{K}
+}
+
+// readStoreErr runs ReadStore on data and requires an error; a panic is
+// converted into a test failure rather than crashing the suite.
+func readStoreErr(t *testing.T, name string, data []byte, K SPD) (err error) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Errorf("%s: ReadStore panicked: %v", name, r)
+			err = errors.New("panicked")
+		}
+	}()
+	if _, err = ReadStore(bytes.NewReader(data), K); err == nil {
+		t.Errorf("%s: ReadStore accepted a malformed store", name)
+	}
+	return err
+}
+
+// requireSameMatvec checks that two operators produce bit-identical
+// products on a fixed random block.
+func requireSameMatvec(t *testing.T, want, got *Hierarchical, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	W := linalg.GaussianMatrix(rng, want.N(), 3)
+	U1 := want.Matvec(W)
+	U2, err := got.MatvecCtx(context.Background(), W)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !linalg.EqualApprox(U1, U2, 0) {
+		t.Fatalf("round-trip matvec differs (max |Δ| = %g)", maxAbsDiff(U1, U2))
+	}
+}
+
+// A cached operator streamed through WriteStore/ReadStore with its oracle
+// evaluates bit-identically and keeps its structure.
+func TestSerializeRoundTrip(t *testing.T) {
+	h, data, K := storeImage(t, 300, Config{
+		LeafSize: 32, MaxRank: 24, Tol: 1e-6, Kappa: 8, Budget: 0.1,
+		Distance: Kernel, Exec: Sequential, Seed: 101, CacheBlocks: true,
+	})
+	h2, err := ReadStore(bytes.NewReader(data), K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !h2.HasOracle() {
+		t.Fatal("ReadStore dropped the oracle it was given")
+	}
+	requireSameMatvec(t, h, h2, 102)
+	for id := range h.nodes {
+		if h.Rank(id) != h2.Rank(id) {
+			t.Fatalf("rank mismatch at node %d", id)
+		}
+		if len(h.NearList(id)) != len(h2.NearList(id)) || len(h.FarList(id)) != len(h2.FarList(id)) {
+			t.Fatalf("lists mismatch at node %d", id)
+		}
+	}
+}
+
+// An uncached operator needs its oracle back to evaluate: ReadStore with K
+// reattaches it, and the products are bit-identical.
+func TestSerializeWithoutCaches(t *testing.T) {
+	h, data, K := storeImage(t, 200, Config{
+		LeafSize: 32, MaxRank: 24, Tol: 1e-6, Kappa: 8, Budget: 0.1,
+		Distance: Angle, Exec: Sequential, Seed: 103, CacheBlocks: false,
+	})
+	h2, err := ReadStore(bytes.NewReader(data), K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameMatvec(t, h, h2, 104)
+}
+
+// The store persists fp32 caches as fp32, so a single-precision operator
+// round-trips bit for bit.
+func TestSerializeWithSingleCache(t *testing.T) {
+	h, data, K := storeImage(t, 300, Config{
+		LeafSize: 32, MaxRank: 24, Tol: 1e-7, Kappa: 8, Budget: 0.1,
+		Distance: Kernel, Exec: Sequential, Seed: 211, CacheBlocks: true,
+		CacheSingle: true,
+	})
+	h2, err := ReadStore(bytes.NewReader(data), K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !h2.Cfg.CacheSingle {
+		t.Fatal("CacheSingle lost in the round trip")
+	}
+	requireSameMatvec(t, h, h2, 212)
+}
+
+// ReadStore with a nil oracle (the serving workflow) must evaluate from the
 // cached blocks and type-fail the oracle-requiring paths.
 func TestReadFromNilOracle(t *testing.T) {
-	h, _ := compressGauss(t, 200, Config{
+	h, data, _ := storeImage(t, 200, Config{
 		LeafSize: 32, MaxRank: 24, Tol: 1e-5, Kappa: 8, Budget: 0.1,
 		Distance: Angle, Exec: Sequential, Seed: 11, CacheBlocks: true,
 	})
-	path := filepath.Join(t.TempDir(), "v2.bin")
-	fh, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.WriteTo(fh); err != nil {
-		t.Fatal(err)
-	}
-	if err := fh.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rd, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rd.Close()
-	h2, err := ReadFrom(rd, nil)
+	h2, err := ReadStore(bytes.NewReader(data), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h2.HasOracle() {
 		t.Fatal("nil-oracle load claims an oracle")
 	}
-	rng := rand.New(rand.NewSource(12))
-	W := linalg.GaussianMatrix(rng, 200, 2)
-	got, err := h2.MatvecCtx(context.Background(), W)
+	requireSameMatvec(t, h, h2, 12)
+	if err := h2.AttachOracle(nil); !errors.Is(err, ErrNoOracle) {
+		t.Fatalf("AttachOracle(nil): got %v", err)
+	}
+}
+
+func TestReadFromRejectsGarbage(t *testing.T) {
+	err := readStoreErr(t, "garbage", []byte("not a gofmm file at all"), nil)
+	if !errors.Is(err, resilience.ErrInvalidInput) {
+		t.Fatalf("expected ErrInvalidInput, got %v", err)
+	}
+}
+
+func TestReadFromTruncated(t *testing.T) {
+	_, data, K := storeImage(t, 200, Config{
+		LeafSize: 32, Kappa: 8, Budget: 0.1, Distance: Kernel,
+		Exec: Sequential, Seed: 108, Tol: 1e-5,
+	})
+	err := readStoreErr(t, "truncated", data[:len(data)/2], K)
+	if !errors.Is(err, resilience.ErrInvalidInput) {
+		t.Fatalf("expected ErrInvalidInput, got %v", err)
+	}
+}
+
+func TestReadFromTruncationAtEveryBoundary(t *testing.T) {
+	_, data, K := storeImage(t, 96, Config{
+		LeafSize: 32, Kappa: 8, Budget: 0.1, Distance: Kernel,
+		Exec: Sequential, Seed: 109, Tol: 1e-5,
+	})
+	// Every prefix through the header and section table, then a stride
+	// through the payload.
+	for cut := 0; cut < len(data); {
+		readStoreErr(t, "truncated", data[:cut], K)
+		if cut < 512 {
+			cut++
+		} else {
+			cut += 137
+		}
+	}
+}
+
+// Random byte flips anywhere in a valid image: any outcome except a panic
+// is acceptable (flips in alignment padding are not covered by checksums).
+func TestReadFromRandomCorruption(t *testing.T) {
+	_, data, K := storeImage(t, 96, Config{
+		LeafSize: 32, Kappa: 8, Budget: 0.1, Distance: Kernel,
+		Exec: Sequential, Seed: 111, Tol: 1e-5,
+	})
+	rng := rand.New(rand.NewSource(111))
+	for trial := 0; trial < 200; trial++ {
+		mut := append([]byte(nil), data...)
+		for k := 0; k < 1+rng.Intn(4); k++ {
+			mut[rng.Intn(len(mut))] ^= byte(1 + rng.Intn(255))
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("trial %d: ReadStore panicked on a corrupted store: %v", trial, r)
+				}
+			}()
+			_, _ = ReadStore(bytes.NewReader(mut), K)
+		}()
+	}
+}
+
+// Byte offsets of the meta section fields (storeSections writes them in
+// this order, every field an int64/float64 except the two trailing bools).
+const (
+	metaN    = 8
+	metaLeaf = 16
+	metaTol  = 64
+)
+
+// payloadFixture holds the decoded sections of a valid store, for tests that
+// re-encode the meta and topo payloads with bad values.
+type payloadFixture struct {
+	h        *Hierarchical
+	K        SPD
+	sections []store.Section
+	meta     []byte
+	topo     []byte
+	// The topo section opens with the matrix table (a count, then four
+	// int64s per record) followed by the length-prefixed permutation.
+	topoPermLen int
+	topoPerm0   int
+}
+
+const payloadN = 96
+
+func newPayloadFixture(t *testing.T) payloadFixture {
+	t.Helper()
+	h, K := compressGauss(t, payloadN, Config{
+		LeafSize: 32, Kappa: 8, Budget: 0.1, Distance: Kernel,
+		Exec: Sequential, Seed: 112, Tol: 1e-5, CacheBlocks: true,
+	})
+	sections, err := h.storeSections()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !linalg.EqualApprox(h.Matvec(W), got, 0) {
-		t.Fatal("oracle-free matvec differs")
+	f := payloadFixture{h: h, K: denseSPD{K}, sections: sections}
+	for _, s := range sections {
+		switch s.Kind {
+		case store.SecMeta:
+			f.meta = s.Data
+		case store.SecTopo:
+			f.topo = s.Data
+		}
 	}
-	if err := h2.AttachOracle(nil); !errors.Is(err, ErrNoOracle) {
-		t.Fatalf("AttachOracle(nil): got %v", err)
+	numRecs := int(binary.LittleEndian.Uint64(f.topo))
+	f.topoPermLen = 8 + 32*numRecs
+	f.topoPerm0 = f.topoPermLen + 8
+	return f
+}
+
+// patch64 returns a copy of src with the 8 bytes at off replaced by v.
+func patch64(src []byte, off int, v uint64) []byte {
+	out := append([]byte(nil), src...)
+	binary.LittleEndian.PutUint64(out[off:], v)
+	return out
+}
+
+// requireBadPayload swaps data in for the section of the given kind,
+// rewrites the container with fresh checksums, so only the payload parser
+// can reject it, and requires ErrBadFormat without a panic.
+func (f payloadFixture) requireBadPayload(t *testing.T, name string, kind store.SectionKind, data []byte) {
+	t.Helper()
+	mutated := make([]store.Section, len(f.sections))
+	for i, s := range f.sections {
+		if s.Kind == kind {
+			s.Data = data
+		}
+		mutated[i] = s
+	}
+	var buf bytes.Buffer
+	if _, err := store.Write(&buf, mutated); err != nil {
+		t.Fatal(err)
+	}
+	if err := readStoreErr(t, name, buf.Bytes(), f.K); !errors.Is(err, ErrBadFormat) {
+		t.Errorf("%s: got %v, want ErrBadFormat", name, err)
+	}
+}
+
+// Out-of-range header fields and permutation lengths or entries in an
+// otherwise valid store must fail with ErrBadFormat and never panic.
+func TestReadFromAdversarialHeaders(t *testing.T) {
+	f := newPayloadFixture(t)
+	i64 := func(v int64) uint64 { return uint64(v) }
+	cases := []struct {
+		name string
+		kind store.SectionKind
+		data []byte
+	}{
+		{"payload version", store.SecMeta, patch64(f.meta, 0, 99)},
+		{"zero dimension", store.SecMeta, patch64(f.meta, metaN, 0)},
+		{"negative dimension", store.SecMeta, patch64(f.meta, metaN, i64(-payloadN))},
+		{"huge dimension", store.SecMeta, patch64(f.meta, metaN, 1<<40)},
+		{"zero leaf", store.SecMeta, patch64(f.meta, metaLeaf, 0)},
+		{"leaf exceeds n", store.SecMeta, patch64(f.meta, metaLeaf, payloadN+1)},
+		{"NaN tolerance", store.SecMeta, patch64(f.meta, metaTol, math.Float64bits(math.NaN()))},
+		{"Inf tolerance", store.SecMeta, patch64(f.meta, metaTol, math.Float64bits(math.Inf(1)))},
+		{"short permutation", store.SecTopo, patch64(f.topo, f.topoPermLen, 3)},
+		{"huge permutation", store.SecTopo, patch64(f.topo, f.topoPermLen, 1<<40)},
+		{"negative permutation length", store.SecTopo, patch64(f.topo, f.topoPermLen, i64(-2))},
+		{"perm entry out of range", store.SecTopo, patch64(f.topo, f.topoPerm0, payloadN)},
+		{"negative perm entry", store.SecTopo, patch64(f.topo, f.topoPerm0, i64(-1))},
+	}
+	for _, tc := range cases {
+		f.requireBadPayload(t, tc.name, tc.kind, tc.data)
+	}
+}
+
+// A permutation whose entries are all in range but repeat one another is
+// not a permutation.
+func TestReadFromRejectsNonPermutation(t *testing.T) {
+	f := newPayloadFixture(t)
+	perm0 := binary.LittleEndian.Uint64(f.topo[f.topoPerm0:])
+	f.requireBadPayload(t, "duplicate perm entry", store.SecTopo, patch64(f.topo, f.topoPerm0+8, perm0))
+}
+
+// A matrix record claiming a 2^30×2^30 block must fail on the bound check
+// instead of attempting the allocation.
+func TestReadFromHugeMatrixClaim(t *testing.T) {
+	f := newPayloadFixture(t)
+	f.requireBadPayload(t, "huge matrix record", store.SecTopo,
+		patch64(patch64(f.topo, 16, 1<<30), 24, 1<<30))
+}
+
+// An oracle of the wrong dimension is rejected as invalid input.
+func TestReadFromRejectsWrongDimension(t *testing.T) {
+	_, data, _ := storeImage(t, 200, Config{
+		LeafSize: 32, Kappa: 8, Budget: 0, Distance: Kernel,
+		Exec: Sequential, Seed: 106, Tol: 1e-5,
+	})
+	rng := rand.New(rand.NewSource(107))
+	wrong := linalg.RandomSPD(rng, 50, 10)
+	if _, err := ReadStore(bytes.NewReader(data), denseSPD{wrong}); !errors.Is(err, resilience.ErrInvalidInput) {
+		t.Fatalf("wrong-dimension oracle: got %v, want ErrInvalidInput", err)
+	}
+}
+
+// The per-node denseFallback degradation flag survives a store round trip;
+// it is forced on one node so the field is exercised whether or not this
+// problem naturally degrades.
+func TestSerializeVersion2RoundTripsDenseFallback(t *testing.T) {
+	h, K := compressGauss(t, 128, Config{
+		LeafSize: 32, Kappa: 8, Budget: 0.1, Distance: Kernel,
+		Exec: Sequential, Seed: 112, Tol: 1e-5,
+	})
+	h.nodes[1].denseFallback = true
+	var buf bytes.Buffer
+	if _, err := h.WriteStore(&buf); err != nil {
+		t.Fatal(err)
+	}
+	h2, err := ReadStore(&buf, denseSPD{K})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := range h.nodes {
+		if h.nodes[id].denseFallback != h2.nodes[id].denseFallback {
+			t.Fatalf("denseFallback flag lost at node %d", id)
+		}
 	}
 }
 

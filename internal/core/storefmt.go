@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 )
@@ -21,9 +22,21 @@ import (
 // remaining in the section, so a corrupt length field can never cost more
 // memory than the (already size-validated) file itself.
 
-// storePayloadVersion versions the section payloads independently of the
-// container (bump when the byte layout inside a section changes).
-const storePayloadVersion = 1
+const (
+	// storePayloadVersion versions the section payloads independently of
+	// the container (bump when the byte layout inside a section changes).
+	storePayloadVersion = 1
+
+	// maxSerialDim bounds every dimension-like field in a payload. A
+	// corrupted or adversarial length field must produce ErrBadFormat, not
+	// a multi-gigabyte allocation.
+	maxSerialDim = 1 << 31
+)
+
+// ErrBadFormat is returned when a store's section payloads do not describe
+// a valid compressed operator (the container itself already passed the
+// internal/store checks).
+var ErrBadFormat = errors.New("core: bad serialization format")
 
 // matRec is one matrix-table entry: a precision tag (4 or 8), the matrix
 // shape, and its byte offset into the arena section of that precision.
@@ -136,7 +149,7 @@ func (r *secReader) boolean() bool {
 	return v == 1
 }
 
-// dim reads an int64 bounded like the v2 stream's dimension fields.
+// dim reads an int64 in [-1, maxSerialDim] (-1 encodes "absent").
 func (r *secReader) dim() int {
 	v := r.i64()
 	if v < -1 || v > maxSerialDim {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"math"
 
 	"gofmm/internal/linalg"
@@ -14,7 +15,8 @@ import (
 	"gofmm/internal/workspace"
 )
 
-// Loading a compressed operator from the on-disk store. Two disciplines:
+// Loading a compressed operator from the on-disk store. Three entry points
+// share one validator and one payload parser (decodeStore):
 //
 //   - LoadFrom with Mmap maps the file read-only and binds every constant
 //     matrix as a column-major view straight into the mapping — zero copies
@@ -24,11 +26,15 @@ import (
 //   - The portable path reads the file into memory and, when the host can
 //     reinterpret little-endian IEEE floats in place, still binds views into
 //     that buffer; otherwise (big-endian hosts) it decodes by copy.
+//   - ReadStore is the portable path over an io.Reader, optionally
+//     reattaching the entry oracle.
 //
-// Either way the container is validated section-by-section (magic, bounds,
-// alignment, sha256 checksums) by internal/store before a byte of payload is
-// parsed, and the payload parser bounds every allocation by the bytes
-// actually present — the hardened untrusted-input discipline of ReadFrom.
+// In every case the container is validated section-by-section (magic,
+// bounds, alignment, sha256 checksums) by internal/store before a byte of
+// payload is parsed, and the payload parser treats its input as untrusted:
+// every length is bounded by the bytes actually present, every index is
+// range-checked, and the permutation is verified to be a permutation before
+// the tree is rebuilt. Malformed payloads yield ErrBadFormat, never a panic.
 
 // LoadOptions configures LoadFrom. The zero value is a sequentialish
 // portable load: no mmap, Dynamic executor with one worker, no pooling, no
@@ -89,6 +95,39 @@ func LoadFrom(path string, opts LoadOptions) (*Hierarchical, *StoreInfo, error) 
 		opts.Telemetry.Counter("store.mmap_hits").Add(1)
 	}
 	return h, info, nil
+}
+
+// ReadStore reads an operator store written by WriteStore (or SaveTo) from
+// r. K is the optional entry oracle:
+//
+//   - Passing the matrix that was compressed (only its dimension can be
+//     validated; a mismatch wraps resilience.ErrInvalidInput) restores the
+//     full API, including the paths that sample fresh entries.
+//   - Passing nil loads the operator oracle-free, exactly as LoadFrom does:
+//     Matvec/Matmat work when every block they touch was persisted, and
+//     oracle-requiring paths return ErrNoOracle until AttachOracle.
+//
+// The returned operator runs the Sequential executor with one worker; set
+// Cfg.Exec and Cfg.NumWorkers before evaluating for a parallel one.
+func ReadStore(r io.Reader, K SPD) (*Hierarchical, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	f, err := store.Decode(data)
+	if err != nil {
+		return nil, err
+	}
+	h, _, err := decodeStore(f, LoadOptions{Exec: Sequential, NumWorkers: 1})
+	if err != nil {
+		return nil, err
+	}
+	if K != nil {
+		if err := h.AttachOracle(K); err != nil {
+			return nil, err
+		}
+	}
+	return h, nil
 }
 
 // arenaFloats64 views (or on big-endian hosts decodes) a float64 arena

@@ -12,8 +12,8 @@ import (
 	"gofmm/internal/store"
 )
 
-// Saving a compressed operator into the on-disk store (gofmm.store/v1).
-// Unlike the v2 io.Writer stream (WriteTo), the store packs every constant
+// Saving a compressed operator into the on-disk store (gofmm.store/v1),
+// the one persisted form of an operator. The store packs every constant
 // matrix — interpolation bases, cached near/far blocks in both precisions,
 // and the compiled plan's gathered operands — into one contiguous
 // 64-byte-aligned arena per precision, addressed by a flat table of
@@ -295,10 +295,10 @@ func (h *Hierarchical) storeSections() ([]store.Section, error) {
 	}, nil
 }
 
-// WriteStore writes the operator in store format (gofmm.store/v1) to w.
-// The store carries strictly more than the v2 stream: single-precision
-// cached blocks and the installed compiled plan survive the round trip, and
-// the layout supports the zero-copy mmap load path of LoadFrom.
+// WriteStore writes the operator in store format (gofmm.store/v1) to w:
+// the compressed representation, both cache precisions and the installed
+// compiled plan, but not the entry oracle. ReadStore reads it back from a
+// stream; SaveTo/LoadFrom add atomic files and the zero-copy mmap load.
 func (h *Hierarchical) WriteStore(w io.Writer) (int64, error) {
 	sections, err := h.storeSections()
 	if err != nil {
