@@ -348,24 +348,3 @@ func BenchmarkGemmMixed(b *testing.B) {
 		linalg.GemmMixed(1, A, B, 0, C)
 	}
 }
-
-func BenchmarkDistributedMatvec8Ranks(b *testing.B) {
-	p := experiments.GetProblem("K05", 1024, 1)
-	h, err := core.Compress(p.K, baseCfg())
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := Distribute(h, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	W := linalg.GaussianMatrix(rng, p.K.Dim(), 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Matvec(W); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(m.Stats.Bytes), "commBytes")
-}

@@ -22,15 +22,12 @@ import (
 	"log"
 	"log/slog"
 	"math/rand"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
 	"time"
 
 	"gofmm/internal/core"
-	"gofmm/internal/dist"
 	"gofmm/internal/linalg"
 	"gofmm/internal/resilience"
 	"gofmm/internal/spdmat"
@@ -73,7 +70,6 @@ func run(args []string, out io.Writer) error {
 		traceFile = fs.String("trace", "", "write a Chrome trace-event JSON (load in Perfetto / chrome://tracing) to this file")
 		metrics   = fs.String("metrics", "", "write the telemetry metrics snapshot (counters, histograms, spans) as JSON to this file")
 		report    = fs.Bool("report", false, "print the telemetry phase/metric report after the run")
-		pprofAddr = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the run's duration")
 
 		debugAddr   = fs.String("debug-addr", "", "serve the live introspection endpoints (/metrics Prometheus exposition, /healthz, /readyz, /debug/vars, /debug/pprof, /debug/spans NDJSON, POST /debug/flightrecord) on this address for the run's duration; shut down gracefully on completion or SIGINT")
 		debugLinger = fs.Duration("debug-linger", 0, "keep the -debug-addr server up this long after the run completes (so CI or a human can scrape post-run metrics); SIGINT ends the linger early")
@@ -84,31 +80,18 @@ func run(args []string, out io.Writer) error {
 		batchWindow = fs.Duration("batch-window", 250*time.Microsecond, "BatchEvaluator coalescing window (max delay before a flush)")
 		batchMax    = fs.Int("batch-max", 32, "BatchEvaluator maximum columns per flush")
 
-		ranks   = fs.Int("ranks", 0, "run the matvec on a P-rank simulated distributed machine (0 = shared memory)")
 		timeout = fs.Duration("timeout", 0, "overall deadline for compression and evaluation (0 = none)")
 		degrade = fs.String("degrade", "truncate", "tolerance-miss policy: truncate|dense|strict")
 
 		chaosSeed   = fs.Int64("chaos-seed", 1, "deterministic fault-injection seed")
 		chaosTask   = fs.Float64("chaos-task-fail", 0, "probability a scheduled task fails and is retried")
-		chaosDrop   = fs.Float64("chaos-msg-drop", 0, "probability a simulated-MPI message is dropped in flight")
-		chaosCorr   = fs.Float64("chaos-msg-corrupt", 0, "probability a message fails the receiver checksum")
-		chaosDelay  = fs.Float64("chaos-msg-delay", 0, "probability a message is delayed")
 		chaosPoison = fs.Float64("chaos-oracle-poison", 0, "probability an oracle entry reads as NaN")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	if *pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				log.Printf("pprof server: %v", err)
-			}
-		}()
-		fmt.Fprintf(out, "pprof listening on http://%s/debug/pprof/\n", *pprofAddr)
-	}
-	chaosEnabled := *chaosTask > 0 || *chaosDrop > 0 || *chaosCorr > 0 ||
-		*chaosDelay > 0 || *chaosPoison > 0
+	chaosEnabled := *chaosTask > 0 || *chaosPoison > 0
 	var rec *telemetry.Recorder
 	if *traceFile != "" || *metrics != "" || *report || chaosEnabled ||
 		*debugAddr != "" || *flightDir != "" || *logDest != "" {
@@ -138,11 +121,10 @@ func run(args []string, out io.Writer) error {
 	var chaos *resilience.Chaos
 	if chaosEnabled {
 		chaos = resilience.NewChaos(resilience.ChaosConfig{
-			Seed: *chaosSeed, TaskFail: *chaosTask, MsgDrop: *chaosDrop,
-			MsgCorrupt: *chaosCorr, MsgDelayProb: *chaosDelay, OraclePoison: *chaosPoison,
+			Seed: *chaosSeed, TaskFail: *chaosTask, OraclePoison: *chaosPoison,
 		}, rec)
-		fmt.Fprintf(out, "chaos: seed %d, task-fail %g, msg-drop %g, msg-corrupt %g, msg-delay %g, oracle-poison %g\n",
-			*chaosSeed, *chaosTask, *chaosDrop, *chaosCorr, *chaosDelay, *chaosPoison)
+		fmt.Fprintf(out, "chaos: seed %d, task-fail %g, oracle-poison %g\n",
+			*chaosSeed, *chaosTask, *chaosPoison)
 	}
 	// SIGINT cancels the run's context: evaluation aborts with a typed
 	// cancellation error and the debug server (if any) shuts down cleanly.
@@ -300,26 +282,7 @@ func run(args []string, out io.Writer) error {
 	rng := rand.New(rand.NewSource(*seed + 7))
 	W := linalg.GaussianMatrix(rng, dim, *r)
 	var U *linalg.Matrix
-	if *ranks > 0 {
-		machine, derr := dist.DistributeCtx(ctx, h, *ranks)
-		if derr != nil {
-			return derr
-		}
-		machine.Chaos = chaos
-		machine.Telemetry = rec
-		t0 := time.Now()
-		U, err = machine.MatvecCtx(ctx, W)
-		if err != nil {
-			return err
-		}
-		cs := machine.Stats
-		fmt.Fprintf(out, "distributed evaluation (%d ranks, %d rhs): %.4fs, %d messages, %d bytes\n",
-			*ranks, *r, time.Since(t0).Seconds(), cs.Messages, cs.Bytes)
-		if cs.Retries > 0 || cs.Drops > 0 {
-			fmt.Fprintf(out, "  message faults: %d dropped, %d retries, %d bytes redelivered\n",
-				cs.Drops, cs.Retries, cs.RedeliveredBytes)
-		}
-	} else if *batch > 0 {
+	if *batch > 0 {
 		// Batch-serving demo: the r right-hand sides arrive as concurrent
 		// single-vector requests from *batch clients; the evaluator coalesces
 		// them into Matmat flushes. Results are scattered back into U so the
@@ -385,10 +348,10 @@ func run(args []string, out io.Writer) error {
 
 	if chaos != nil {
 		inj := chaos.Injected()
-		fmt.Fprintf(out, "chaos summary: %d task failures, %d msg drops, %d msg corruptions, %d msg delays, %d poisoned reads\n",
-			inj["task_fail"], inj["msg_drop"], inj["msg_corrupt"], inj["msg_delay"], inj["oracle_poison"])
-		fmt.Fprintf(out, "  recovered: %d task retries, %d message retries\n",
-			rec.Counter("sched.task_retries").Value(), rec.Counter("dist.msg.retries").Value())
+		fmt.Fprintf(out, "chaos summary: %d task failures, %d poisoned reads\n",
+			inj["task_fail"], inj["oracle_poison"])
+		fmt.Fprintf(out, "  recovered: %d task retries\n",
+			rec.Counter("sched.task_retries").Value())
 	}
 
 	if *traceFile != "" {

@@ -20,6 +20,9 @@ func TestRunSmoke(t *testing.T) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}
 	}
+	if strings.Contains(out, "chaos") {
+		t.Fatalf("chaos output printed without chaos flags:\n%s", out)
+	}
 }
 
 func TestRunStructureFlag(t *testing.T) {
@@ -138,32 +141,16 @@ func TestRunTelemetryFlags(t *testing.T) {
 func TestRunChaosFlags(t *testing.T) {
 	var sb strings.Builder
 	err := run([]string{"-matrix", "K05", "-n", "512", "-m", "64", "-s", "64", "-r", "2",
-		"-budget", "0.03", "-workers", "4", "-ranks", "8",
-		"-chaos-seed", "3", "-chaos-task-fail", "0.05", "-chaos-msg-drop", "0.05"}, &sb)
+		"-budget", "0.03", "-workers", "4",
+		"-chaos-seed", "3", "-chaos-task-fail", "0.05"}, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"chaos: seed 3", "distributed evaluation (8 ranks",
-		"chaos summary:", "recovered:"} {
+	for _, want := range []string{"chaos: seed 3", "chaos summary:", "recovered:"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestRunDistributedNoChaos(t *testing.T) {
-	var sb strings.Builder
-	err := run([]string{"-matrix", "K09", "-n", "256", "-m", "32", "-s", "16", "-r", "1",
-		"-exec", "seq", "-ranks", "4"}, &sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "distributed evaluation (4 ranks") {
-		t.Fatalf("distributed path not taken:\n%s", sb.String())
-	}
-	if strings.Contains(sb.String(), "chaos") {
-		t.Fatal("chaos output printed without chaos flags")
 	}
 }
 

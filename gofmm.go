@@ -36,7 +36,6 @@ import (
 	"io"
 
 	"gofmm/internal/core"
-	"gofmm/internal/dist"
 	"gofmm/internal/hss"
 	"gofmm/internal/linalg"
 	"gofmm/internal/plan"
@@ -180,27 +179,6 @@ func FactorCtx(ctx context.Context, h *Hierarchical) (*Factorization, error) {
 	return hs.FactorCtx(ctx)
 }
 
-// Machine is a simulated distributed-memory execution of the compressed
-// operator: P virtual ranks own subtrees and exchange skeleton weights,
-// potentials and near-field halos through a counted message router — the
-// paper's stated future work on distributed algorithms, realized as a
-// deterministic simulation (see internal/dist).
-type Machine = dist.Machine
-
-// CommStats reports the simulated network traffic of a distributed matvec.
-type CommStats = dist.CommStats
-
-// Distribute prepares a P-rank simulated distributed machine (P must be a
-// power of two, at most the leaf count).
-func Distribute(h *Hierarchical, ranks int) (*Machine, error) {
-	return dist.Distribute(h, ranks)
-}
-
-// DistributeCtx is Distribute with cancellation support.
-func DistributeCtx(ctx context.Context, h *Hierarchical, ranks int) (*Machine, error) {
-	return dist.DistributeCtx(ctx, h, ranks)
-}
-
 // --- Resilience ---------------------------------------------------------
 
 // Typed error taxonomy. Every failure surfaced by the ctx-aware API wraps
@@ -214,10 +192,8 @@ var (
 	// ErrStalled is reported by the scheduler watchdog for deadlocked or
 	// hung DAG execution, together with the stuck task frontier.
 	ErrStalled = resilience.ErrStalled
-	// ErrTaskFailed marks a task (or message) whose retry budget ran out.
+	// ErrTaskFailed marks a scheduler task whose retry budget ran out.
 	ErrTaskFailed = resilience.ErrTaskFailed
-	// ErrMessageLost marks a simulated-MPI message lost in flight.
-	ErrMessageLost = resilience.ErrMessageLost
 	// ErrTolerance is returned under DegradeStrict when a node cannot reach
 	// the requested tolerance at MaxRank.
 	ErrTolerance = resilience.ErrTolerance
@@ -253,27 +229,23 @@ const (
 )
 
 // ChaosConfig configures the deterministic fault-injection harness:
-// seedable probabilities for task failures, simulated-MPI message drops,
-// corruption and delays, and oracle-entry poisoning.
+// seedable probabilities for scheduler task failures and oracle-entry
+// poisoning.
 type ChaosConfig = resilience.ChaosConfig
 
-// Chaos is a deterministic fault injector; attach via Config.Chaos and
-// Machine.Chaos. Nil is inert. Injection decisions are pure functions of
-// (seed, site), independent of goroutine interleaving.
+// Chaos is a deterministic fault injector; attach via Config.Chaos. Nil is
+// inert. Injection decisions are pure functions of (seed, site),
+// independent of goroutine interleaving.
 type Chaos = resilience.Chaos
 
 // NewChaos builds a fault injector recording injection counts to rec
 // (rec may be nil).
 func NewChaos(cfg ChaosConfig, rec *Recorder) *Chaos { return resilience.NewChaos(cfg, rec) }
 
-// Backoff is the bounded exponential backoff (with deterministic jitter)
-// used by the distributed router's retry loop.
-type Backoff = resilience.Backoff
-
-// Recorder is the telemetry sink for compression, evaluation, solver and
-// distributed runs: a hierarchical span tracer plus a registry of named
-// counters, gauges and histograms. Attach one via Config.Telemetry (nil
-// disables all recording at zero overhead), then export with
+// Recorder is the telemetry sink for compression, evaluation and solver
+// runs: a hierarchical span tracer plus a registry of named counters,
+// gauges and histograms. Attach one via Config.Telemetry (nil disables all
+// recording at zero overhead), then export with
 // WriteChromeTrace (Perfetto/chrome://tracing timeline), WriteMetricsJSON
 // (structured snapshot) or Report (human-readable phase tree).
 type Recorder = telemetry.Recorder
@@ -317,12 +289,12 @@ type RunRecord = telemetry.RunRecord
 func NewRunRecord(name string) *RunRecord { return telemetry.NewRunRecord(name) }
 
 // WorkspacePool is a size-classed buffer pool for the transient scratch of
-// Matvec, Factor, Solve and the distributed machine. Attach one via
-// Config.Workspace to make repeated evaluations allocation-free in steady
-// state; nil keeps the historical allocate-per-call behavior. Safe for
-// concurrent use. Pooling never changes results: pooled and unpooled paths
-// run the same kernels in the same order. Call AttachTelemetry to publish
-// hit/miss/bytes-reused counters ("workspace.*") to a Recorder.
+// Matvec, Factor and Solve. Attach one via Config.Workspace to make
+// repeated evaluations allocation-free in steady state; nil keeps the
+// historical allocate-per-call behavior. Safe for concurrent use. Pooling
+// never changes results: pooled and unpooled paths run the same kernels in
+// the same order. Call AttachTelemetry to publish hit/miss/bytes-reused
+// counters ("workspace.*") to a Recorder.
 type WorkspacePool = workspace.Pool
 
 // WorkspaceStats is a point-in-time snapshot of a pool's counters.

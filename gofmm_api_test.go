@@ -158,34 +158,3 @@ func TestKrylovOverCompressedOperator(t *testing.T) {
 		t.Fatalf("largest Ritz value %g for an SPD operator", evs[0])
 	}
 }
-
-func TestDistributeThroughPublicAPI(t *testing.T) {
-	p, err := testmat.Generate("K05", 512, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	H, err := Compress(p.K, Config{
-		LeafSize: 64, MaxRank: 32, Tol: 1e-6, Budget: 0.1,
-		Distance: Angle, Exec: Sequential, Seed: 5, CacheBlocks: false,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	M, err := Distribute(H, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(6))
-	W := linalg.GaussianMatrix(rng, p.K.Dim(), 2)
-	want := H.Matvec(W)
-	got, err := M.Matvec(W)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := linalg.RelFrobDiff(got, want); d > 1e-12 {
-		t.Fatalf("distributed differs by %g", d)
-	}
-	if M.Stats.Messages == 0 || M.Stats.Bytes == 0 {
-		t.Fatalf("no communication recorded: %+v", M.Stats)
-	}
-}

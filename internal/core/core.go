@@ -240,8 +240,8 @@ type Config struct {
 	// no-op on a nil recorder, so the hot paths carry no conditionals.
 	Telemetry *telemetry.Recorder
 	// Chaos, when non-nil and enabled, injects deterministic faults (task
-	// failures during skeletonization, oracle poisoning, message loss in
-	// dist) to exercise the recovery paths. Nil disables all injection.
+	// failures during skeletonization, oracle poisoning) to exercise the
+	// recovery paths. Nil disables all injection.
 	Chaos *resilience.Chaos
 	// Degrade selects what happens when a node cannot reach Tol at MaxRank
 	// (default DegradeTruncate, the historical behavior).
@@ -251,8 +251,8 @@ type Config struct {
 	// fails with ErrStalled naming the stuck frontier. 0 disables.
 	StallTimeout time.Duration
 	// Workspace, when non-nil, supplies the per-call scratch of Matvec (and
-	// of the HSS and dist layers that inherit this Config) from a size-classed
-	// buffer pool instead of the allocator, so steady-state evaluation traffic
+	// of the HSS layer that inherits this Config) from a size-classed buffer
+	// pool instead of the allocator, so steady-state evaluation traffic
 	// stops churning the GC. Nil keeps the historical allocate-per-call
 	// behavior. The pool is safe for concurrent use across evaluations.
 	Workspace *workspace.Pool

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"sync"
-	"time"
 
 	"gofmm/internal/telemetry"
 )
@@ -20,18 +19,6 @@ type ChaosConfig struct {
 	// (the engine retries it, so execution still completes unless the retry
 	// budget is exhausted).
 	TaskFail float64
-	// MsgDrop is the probability that a simulated-MPI message delivery is
-	// dropped (the router retransmits with backoff).
-	MsgDrop float64
-	// MsgCorrupt is the probability that a delivery arrives corrupted; the
-	// router's (simulated) checksum detects it and retransmits, so the
-	// observable effect is the same as a drop but counted separately.
-	MsgCorrupt float64
-	// MsgDelayProb is the probability that a delivery is delayed by MsgDelay.
-	MsgDelayProb float64
-	// MsgDelay is the injected per-message latency (default 200µs when
-	// MsgDelayProb > 0).
-	MsgDelay time.Duration
 	// OraclePoison is the probability that an entry-oracle read returns a
 	// poisoned (NaN) value — exercising the oracle-validation rejection path.
 	OraclePoison float64
@@ -55,9 +42,6 @@ type Chaos struct {
 // also bumps a "chaos.<kind>.injected" telemetry counter so chaos runs emit
 // auditable counts.
 func NewChaos(cfg ChaosConfig, rec *telemetry.Recorder) *Chaos {
-	if cfg.MsgDelay <= 0 {
-		cfg.MsgDelay = 200 * time.Microsecond
-	}
 	return &Chaos{
 		cfg:      cfg,
 		rec:      rec,
@@ -71,8 +55,7 @@ func (c *Chaos) Enabled() bool {
 	if c == nil {
 		return false
 	}
-	return c.cfg.TaskFail > 0 || c.cfg.MsgDrop > 0 || c.cfg.MsgCorrupt > 0 ||
-		c.cfg.MsgDelayProb > 0 || c.cfg.OraclePoison > 0
+	return c.cfg.TaskFail > 0 || c.cfg.OraclePoison > 0
 }
 
 // Config returns the harness configuration (zero on nil).
@@ -120,37 +103,9 @@ func (c *Chaos) TaskFail(label string) bool {
 	return c.roll("task_fail", "task."+label, c.cfg.TaskFail)
 }
 
-// MsgDrop decides whether the next message delivery at site is dropped.
-func (c *Chaos) MsgDrop(site string) bool {
-	if c == nil {
-		return false
-	}
-	return c.roll("msg_drop", "drop."+site, c.cfg.MsgDrop)
-}
-
-// MsgCorrupt decides whether the next delivery at site arrives corrupted.
-func (c *Chaos) MsgCorrupt(site string) bool {
-	if c == nil {
-		return false
-	}
-	return c.roll("msg_corrupt", "corrupt."+site, c.cfg.MsgCorrupt)
-}
-
-// MsgDelay returns the injected latency for the next delivery at site
-// (zero when the delay fault does not fire).
-func (c *Chaos) MsgDelay(site string) time.Duration {
-	if c == nil {
-		return 0
-	}
-	if c.roll("msg_delay", "delay."+site, c.cfg.MsgDelayProb) {
-		return c.cfg.MsgDelay
-	}
-	return 0
-}
-
 // PoisonOracle decides whether an entry-oracle read at site is poisoned,
-// returning the poisoned value when it fires. Unlike the message/task hooks
-// this decision is a pure hash of (seed, site) with no per-site stream: the
+// returning the poisoned value when it fires. Unlike the TaskFail hook this
+// decision is a pure hash of (seed, site) with no per-site stream: the
 // same site is poisoned on every read (the model is a corrupted value in the
 // backing store), and the per-entry site space can be huge without growing
 // any state.

@@ -1,20 +1,19 @@
 // Package resilience is the cross-cutting fault-tolerance layer of the
-// repository: a typed error taxonomy shared by every public entry point, a
-// deterministic seedable fault-injection harness (chaos hooks) that makes
-// recovery paths testable in CI, and a bounded exponential-backoff retry
-// policy used by the simulated-MPI message router.
+// repository: a typed error taxonomy shared by every public entry point and
+// a deterministic seedable fault-injection harness (chaos hooks) that makes
+// recovery paths testable in CI.
 //
-// The paper's runtime (§2.3) assumes every task and every message completes;
-// a production GOFMM service cannot. The two seams where hierarchical
-// pipelines are brittle — rank-revealing factorization that misses tolerance
-// and cross-rank communication — each get an explicit recovery path, and the
-// chaos harness exists so those paths run on every CI build rather than only
-// on the bad day.
+// The paper's runtime (§2.3) assumes every task completes; a production
+// GOFMM service cannot. The scheduler retries failed tasks, rank-revealing
+// factorizations that miss tolerance degrade by policy, and oracle
+// validation rejects poisoned entries; the chaos harness exists so those
+// recovery paths run on every CI build rather than only on the bad day.
 //
-// All injection decisions are drawn from per-site deterministic RNG streams
-// keyed by (seed, site), so a chaos run is reproducible regardless of
-// goroutine interleaving: the k-th decision at a given site is the same in
-// every run with the same seed.
+// Task-failure decisions are drawn from per-site deterministic RNG streams
+// keyed by (seed, site), and oracle poisoning is a pure hash of (seed,
+// site), so a chaos run is reproducible regardless of goroutine
+// interleaving: the k-th decision at a given site is the same in every run
+// with the same seed.
 package resilience
 
 import (
@@ -39,9 +38,6 @@ var (
 	// ErrTaskFailed is returned when a task keeps failing after exhausting
 	// its retry budget.
 	ErrTaskFailed = errors.New("resilience: task failed after retries")
-	// ErrMessageLost is returned when a simulated message is dropped or
-	// corrupted on every delivery attempt.
-	ErrMessageLost = errors.New("resilience: message lost after retries")
 	// ErrTolerance is returned (in strict mode) when an interpolative
 	// decomposition cannot reach the requested tolerance at MaxRank.
 	ErrTolerance = errors.New("resilience: tolerance not reached at maximum rank")
@@ -65,8 +61,7 @@ func (e *retryAfterError) Error() string {
 func (e *retryAfterError) Unwrap() error { return e.err }
 
 // WithRetryAfter attaches a retry hint to err: the serving layer maps it to
-// an HTTP Retry-After header, and Retry uses it as a delay floor in place
-// of blind exponential guessing. A nil err or non-positive hint returns err
+// an HTTP Retry-After header. A nil err or non-positive hint returns err
 // unchanged.
 func WithRetryAfter(err error, after time.Duration) error {
 	if err == nil || after <= 0 {

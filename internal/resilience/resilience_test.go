@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -16,11 +17,8 @@ func TestNilChaosIsInert(t *testing.T) {
 	if c.Enabled() {
 		t.Fatal("nil chaos reports enabled")
 	}
-	if c.TaskFail("x") || c.MsgDrop("x") || c.MsgCorrupt("x") {
+	if c.TaskFail("x") {
 		t.Fatal("nil chaos injected a fault")
-	}
-	if d := c.MsgDelay("x"); d != 0 {
-		t.Fatalf("nil chaos delay %v", d)
 	}
 	if _, ok := c.PoisonOracle("x"); ok {
 		t.Fatal("nil chaos poisoned")
@@ -64,26 +62,27 @@ func TestChaosDeterministicPerSite(t *testing.T) {
 
 func TestChaosCountsAndTelemetry(t *testing.T) {
 	rec := telemetry.New()
-	c := NewChaos(ChaosConfig{Seed: 7, MsgDrop: 0.5}, rec)
+	c := NewChaos(ChaosConfig{Seed: 7, TaskFail: 0.5}, rec)
 	hits := int64(0)
 	for i := 0; i < 400; i++ {
-		if c.MsgDrop("up") {
+		if c.TaskFail("up") {
 			hits++
 		}
 	}
 	if hits == 0 || hits == 400 {
-		t.Fatalf("p=0.5 produced %d/400 drops", hits)
+		t.Fatalf("p=0.5 produced %d/400 failures", hits)
 	}
-	if got := c.Injected()["msg_drop"]; got != hits {
+	if got := c.Injected()["task_fail"]; got != hits {
 		t.Fatalf("Injected()=%d, observed %d", got, hits)
 	}
-	if got := rec.Counter("chaos.msg_drop.injected").Value(); got != hits {
+	if got := rec.Counter("chaos.task_fail.injected").Value(); got != hits {
 		t.Fatalf("telemetry counter %d, observed %d", got, hits)
 	}
 }
 
 func TestChaosConcurrentUse(t *testing.T) {
-	c := NewChaos(ChaosConfig{Seed: 1, TaskFail: 0.2, MsgDrop: 0.2}, telemetry.New())
+	rec := telemetry.New()
+	c := NewChaos(ChaosConfig{Seed: 1, TaskFail: 0.2, OraclePoison: 0.2}, rec)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -92,61 +91,70 @@ func TestChaosConcurrentUse(t *testing.T) {
 			site := fmt.Sprintf("w%d", w)
 			for i := 0; i < 200; i++ {
 				c.TaskFail(site)
-				c.MsgDrop(site)
+				c.PoisonOracle(fmt.Sprintf("%s/%d", site, i))
 			}
 		}(w)
 	}
 	wg.Wait()
-}
-
-func TestBackoffBoundedAndDeterministic(t *testing.T) {
-	b := Backoff{Base: 100 * time.Microsecond, Max: time.Millisecond, Factor: 2, MaxRetries: 5}
-	prev := time.Duration(0)
-	for attempt := 0; attempt < 10; attempt++ {
-		d := b.Delay("s", attempt)
-		if d != b.Delay("s", attempt) {
-			t.Fatalf("jitter not deterministic at attempt %d", attempt)
+	for kind, n := range c.Injected() {
+		if got := rec.Counter("chaos." + kind + ".injected").Value(); got != n {
+			t.Fatalf("%s: telemetry counter %d, injector says %d", kind, got, n)
 		}
-		if d <= 0 || d > time.Duration(1.25*float64(time.Millisecond)) {
-			t.Fatalf("delay %v out of bounds at attempt %d", d, attempt)
-		}
-		if attempt > 0 && attempt < 3 && d < prev/4 {
-			t.Fatalf("delay shrank unexpectedly: %v after %v", d, prev)
-		}
-		prev = d
 	}
 }
 
-func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
-	b := Backoff{Base: time.Microsecond, Max: 10 * time.Microsecond}
-	calls := 0
-	attempts, err := Retry(context.Background(), b, "op", func(int) error {
-		calls++
-		if calls < 3 {
-			return errors.New("transient")
+// PoisonOracle models a corrupted backing store: its decision is a pure
+// hash of (seed, site), so a poisoned entry stays poisoned on every read,
+// the read order is irrelevant, and no per-site state accumulates.
+func TestPoisonOracleIsPureHashOfSeedAndSite(t *testing.T) {
+	const sites, p = 10000, 0.1
+	site := func(i int) string { return fmt.Sprintf("K[%d,%d]", i/100, i%100) }
+	rec := telemetry.New()
+	c := NewChaos(ChaosConfig{Seed: 5, OraclePoison: p}, rec)
+	read := func(c *Chaos, i int) bool {
+		v, ok := c.PoisonOracle(site(i))
+		if ok != math.IsNaN(v) {
+			t.Fatalf("site %d: poisoned=%v but value %v", i, ok, v)
 		}
-		return nil
-	})
-	if err != nil || attempts != 3 {
-		t.Fatalf("attempts=%d err=%v", attempts, err)
+		return ok
 	}
-}
 
-func TestRetryExhaustionIsTyped(t *testing.T) {
-	b := Backoff{Base: time.Microsecond, Max: 2 * time.Microsecond, MaxRetries: 2}
-	_, err := Retry(context.Background(), b, "op", func(int) error { return errors.New("always") })
-	if !errors.Is(err, ErrTaskFailed) {
-		t.Fatalf("want ErrTaskFailed, got %v", err)
+	forward := make([]bool, sites)
+	poisoned, reads := 0, int64(0)
+	for i := range forward {
+		forward[i] = read(c, i)
+		if again := read(c, i); again != forward[i] {
+			t.Fatalf("site %d: re-read changed the answer", i)
+		}
+		if forward[i] {
+			poisoned++
+			reads += 2
+		}
 	}
-}
+	if frac := float64(poisoned) / sites; frac < 0.08 || frac > 0.12 {
+		t.Fatalf("hit fraction %.4f at p=%g, want [0.08, 0.12]", frac, p)
+	}
+	if got := c.Injected()["oracle_poison"]; got != reads {
+		t.Fatalf("Injected()=%d, observed %d poisoned reads", got, reads)
+	}
+	if got := rec.Counter("chaos.oracle_poison.injected").Value(); got != reads {
+		t.Fatalf("telemetry counter %d, observed %d poisoned reads", got, reads)
+	}
 
-func TestRetryHonoursCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := Retry(ctx, Backoff{}, "op", func(int) error { return errors.New("never runs") })
-	if !errors.Is(err, ErrCancelled) {
-		t.Fatalf("want ErrCancelled, got %v", err)
+	reversed := NewChaos(ChaosConfig{Seed: 5, OraclePoison: p}, nil)
+	for i := sites - 1; i >= 0; i-- {
+		if read(reversed, i) != forward[i] {
+			t.Fatalf("site %d: answer depends on read order", i)
+		}
 	}
+
+	other := NewChaos(ChaosConfig{Seed: 6, OraclePoison: p}, nil)
+	for i := range forward {
+		if read(other, i) != forward[i] {
+			return
+		}
+	}
+	t.Fatal("seeds 5 and 6 poison exactly the same sites")
 }
 
 func TestFromContext(t *testing.T) {
@@ -162,6 +170,33 @@ func TestFromContext(t *testing.T) {
 	defer dcancel()
 	if err := FromContext(dctx); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("deadline: %v", err)
+	}
+}
+
+func TestWithRetryAfterRoundTrip(t *testing.T) {
+	base := errors.New("boom")
+	err := WithRetryAfter(base, 30*time.Millisecond)
+	if !errors.Is(err, base) {
+		t.Fatalf("WithRetryAfter broke errors.Is chain")
+	}
+	hint, ok := RetryAfterHint(err)
+	if !ok || hint != 30*time.Millisecond {
+		t.Fatalf("RetryAfterHint = %v, %v; want 30ms, true", hint, ok)
+	}
+	// Hints survive further wrapping.
+	wrapped := WithRetryAfter(base, 10*time.Millisecond)
+	outer := errors.Join(errors.New("context"), wrapped)
+	if hint, ok := RetryAfterHint(outer); !ok || hint != 10*time.Millisecond {
+		t.Fatalf("hint lost through wrapping: %v, %v", hint, ok)
+	}
+	if WithRetryAfter(nil, time.Second) != nil {
+		t.Fatalf("WithRetryAfter(nil) must stay nil")
+	}
+	if got := WithRetryAfter(base, 0); got != base {
+		t.Fatalf("non-positive hint must return err unchanged")
+	}
+	if _, ok := RetryAfterHint(base); ok {
+		t.Fatalf("hint reported on unhinted error")
 	}
 }
 

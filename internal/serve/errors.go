@@ -12,8 +12,8 @@
 //
 // Every rejection is a typed error from the taxonomy below, carrying a
 // resilience.WithRetryAfter hint that the HTTP layer maps to a Retry-After
-// header and resilience.Retry honors client-side. Nothing in the stack
-// queues unboundedly: a 4× overload flood sheds, it does not accumulate.
+// header. Nothing in the stack queues unboundedly: a 4× overload flood
+// sheds, it does not accumulate.
 package serve
 
 import (

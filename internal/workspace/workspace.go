@@ -1,10 +1,10 @@
 // Package workspace provides a size-classed buffer pool so the hot
-// evaluation paths (Matvec, HSS Factor/Solve, the distributed per-rank
-// matvec) reuse their per-call scratch instead of reallocating it. Buffers
-// are float64 slices handed out zeroed, filed into power-of-two size
-// classes, and backed by sync.Pool per class so idle memory is still
-// reclaimable by the GC. A nil *Pool is valid everywhere and degrades to
-// plain allocation, which keeps pooling strictly opt-in.
+// evaluation paths (Matvec, HSS Factor/Solve) reuse their per-call scratch
+// instead of reallocating it. Buffers are float64 slices handed out zeroed,
+// filed into power-of-two size classes, and backed by sync.Pool per class
+// so idle memory is still reclaimable by the GC. A nil *Pool is valid
+// everywhere and degrades to plain allocation, which keeps pooling strictly
+// opt-in.
 package workspace
 
 import (
@@ -172,7 +172,7 @@ func (p *Pool) Stats() Stats {
 }
 
 // Scope tracks a group of pooled matrices so a phase (an HSS factorization,
-// one distributed matvec) can release everything it borrowed with a single
+// one solve) can release everything it borrowed with a single
 // Release call, including on error paths via defer.
 type Scope struct {
 	pool *Pool
