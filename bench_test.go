@@ -337,14 +337,3 @@ func BenchmarkMatvecPooled(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkGemmMixed(b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	A := linalg.ToMatrix32(linalg.GaussianMatrix(rng, 256, 256))
-	B := linalg.GaussianMatrix(rng, 256, 64)
-	C := linalg.NewMatrix(256, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		linalg.GemmMixed(1, A, B, 0, C)
-	}
-}

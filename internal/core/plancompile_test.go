@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gofmm/internal/linalg"
+	"gofmm/internal/plan"
 	"gofmm/internal/resilience"
 	"gofmm/internal/workspace"
 )
@@ -23,23 +24,34 @@ func planConfig() Config {
 // TestCompiledPlanMatchesInterpreter is the lowering smoke test: the
 // compiled replay must reproduce the tree interpreter to near machine
 // precision on the same operator, across caching regimes (cached float64,
-// cached float32, uncached) and RHS widths.
+// cached float32, uncached) and RHS widths. The cached cases also run every
+// kernel-choice edge of the constant-operand entries (the GEMV-to-micro-
+// kernel crossover, ragged 6-column panels, transposed S2N records),
+// and the fixed-rank cases have records with k > 256, so the micro-kernel
+// splits k into blocks.
 func TestCompiledPlanMatchesInterpreter(t *testing.T) {
+	narrow := []int{1, 3, 8}
+	wide := []int{1, 2, 3, 6, 7, 8, 16, 17}
+	fixedRank := func(c *Config) { c.Tol, c.MaxRank, c.LeafSize = 1e-12, 160, 320 }
 	cases := []struct {
-		name string
-		mut  func(*Config)
+		name   string
+		n      int
+		widths []int
+		mut    func(*Config)
 	}{
-		{"cached", func(c *Config) {}},
-		{"cached32", func(c *Config) { c.CacheSingle = true }},
-		{"uncached", func(c *Config) { c.CacheBlocks = false }},
-		{"hss", func(c *Config) { c.Budget = 0 }},
-		{"pooled", func(c *Config) { c.Workspace = workspace.New() }},
+		{"cached", 384, wide, func(c *Config) {}},
+		{"cached32", 384, wide, func(c *Config) { c.CacheSingle = true }},
+		{"uncached", 384, narrow, func(c *Config) { c.CacheBlocks = false }},
+		{"hss", 384, narrow, func(c *Config) { c.Budget = 0 }},
+		{"pooled", 384, narrow, func(c *Config) { c.Workspace = workspace.New() }},
+		{"fixedrank", 1280, wide, fixedRank},
+		{"fixedrank32", 1280, wide, func(c *Config) { fixedRank(c); c.CacheSingle = true }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := planConfig()
 			tc.mut(&cfg)
-			h, _ := compressGauss(t, 384, cfg)
+			h, _ := compressGauss(t, tc.n, cfg)
 			p, err := h.CompilePlan()
 			if err != nil {
 				t.Fatal(err)
@@ -47,9 +59,12 @@ func TestCompiledPlanMatchesInterpreter(t *testing.T) {
 			if h.Plan() != p {
 				t.Fatal("Plan() does not return the installed plan")
 			}
+			if cfg.LeafSize > 256 && maxGemmK(p) <= 256 {
+				t.Fatalf("largest GEMM inner dimension %d, want a record with k > 256", maxGemmK(p))
+			}
 			rng := rand.New(rand.NewSource(11))
-			for _, r := range []int{1, 3, 8} {
-				W := linalg.GaussianMatrix(rng, 384, r)
+			for _, r := range tc.widths {
+				W := linalg.GaussianMatrix(rng, tc.n, r)
 				ref, err := h.InterpMatmatCtx(context.Background(), W)
 				if err != nil {
 					t.Fatal(err)
@@ -64,6 +79,17 @@ func TestCompiledPlanMatchesInterpreter(t *testing.T) {
 			}
 		})
 	}
+}
+
+// maxGemmK returns the largest inner dimension of the plan's GEMM records.
+func maxGemmK(p *plan.Plan) int {
+	k := 0
+	for _, op := range p.Ops() {
+		if op.Kind == plan.OpGemm {
+			k = max(k, op.B.Rows)
+		}
+	}
+	return k
 }
 
 // TestCompiledPlanParallelReplayBitIdentical pins the replay determinism
@@ -248,31 +274,35 @@ func TestMatvecIntoRejectsWrongShape(t *testing.T) {
 
 // TestMatvecIntoAllocs is the zero-allocation contract of the replay
 // engine: on a compiled, pooled, Sequential operator with telemetry off, a
-// steady-state MatvecInto allocates nothing at any width.
+// steady-state MatvecInto allocates nothing at any width, with float64 and
+// with float32 cached blocks.
 func TestMatvecIntoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector randomly drops sync.Pool entries")
 	}
-	cfg := planConfig()
-	cfg.Workspace = workspace.New()
-	cfg.CompilePlan = true
-	const n = 1024
-	h, _ := compressGauss(t, n, cfg)
-	if h.Plan() == nil {
-		t.Fatal("Config.CompilePlan did not install a plan")
-	}
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(14))
-	for _, r := range []int{1, 4, 16} {
-		W := linalg.GaussianMatrix(rng, n, r)
-		U := linalg.NewMatrix(n, r)
-		allocs := testing.AllocsPerRun(20, func() {
-			if err := h.MatvecInto(ctx, W, U); err != nil {
-				t.Fatal(err)
+	for _, single := range []bool{false, true} {
+		cfg := planConfig()
+		cfg.CacheSingle = single
+		cfg.Workspace = workspace.New()
+		cfg.CompilePlan = true
+		const n = 1024
+		h, _ := compressGauss(t, n, cfg)
+		if h.Plan() == nil {
+			t.Fatal("Config.CompilePlan did not install a plan")
+		}
+		ctx := context.Background()
+		rng := rand.New(rand.NewSource(14))
+		for _, r := range []int{1, 2, 4, 16} {
+			W := linalg.GaussianMatrix(rng, n, r)
+			U := linalg.NewMatrix(n, r)
+			allocs := testing.AllocsPerRun(20, func() {
+				if err := h.MatvecInto(ctx, W, U); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("CacheSingle=%v r=%d: MatvecInto made %v allocs/op, want 0", single, r, allocs)
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("r=%d: MatvecInto made %v allocs/op, want 0", r, allocs)
 		}
 	}
 }

@@ -102,10 +102,11 @@ func TestGemmConformance(t *testing.T) {
 			}
 		}
 	}
+	constOperandGrid(t, rng, false)
 }
 
-// TestGemmConformanceStrided runs the same check through submatrix views, so
-// Stride > Rows on every operand.
+// TestGemmConformanceStrided runs the same checks through submatrix views,
+// so Stride > Rows on every operand.
 func TestGemmConformanceStrided(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	shapes := [][3]int{{5, 3, 4}, {9, 7, 5}, {65, 61, 37}, {130, 9, 40}}
@@ -135,6 +136,88 @@ func TestGemmConformanceStrided(t *testing.T) {
 					tol := 1e-13 * float64(k+1) * 1.5
 					if d := maxAbsDiff(C, want); d > tol {
 						t.Fatalf("strided Gemm deviates from reference by %g (tol %g)", d, tol)
+					}
+				})
+			}
+		}
+	}
+	constOperandGrid(t, rng, true)
+}
+
+// constOperandEntries are the constant-operand GEMM entries of the compiled
+// plan replay: GemmConst in both orientations and GemmMixed (float32 A).
+var constOperandEntries = []struct {
+	name          string
+	transA, mixed bool
+}{
+	{"GemmConst_tAfalse", false, false},
+	{"GemmConst_tAtrue", true, false},
+	{"GemmMixed", false, true},
+}
+
+// Grid of the constant-operand checks: m straddles the 8-row tile, k the
+// gemmKC block, r every width from GEMV through ragged 6-column panels.
+var (
+	constMs = []int{1, 7, 8, 9, 33, 128}
+	constKs = []int{1, 5, 256, 257}
+	constRs = []int{1, 2, 3, 4, 5, 6, 7, 12, 16, 17}
+)
+
+// checkConstOperand runs one constant-operand entry on an m×k op(A) and an
+// r-column B at beta 0 and 1 against refGemm. With strided set, A, B and C
+// are views into larger storage (the float32 A gets its own padded
+// stride). At beta = 0, C starts NaN-poisoned and must be overwritten.
+func checkConstOperand(t *testing.T, rng *rand.Rand, transA, mixed, strided bool, m, k, r int) {
+	t.Helper()
+	ar, ac := m, k
+	if transA {
+		ar, ac = k, m
+	}
+	pad := 0
+	if strided {
+		pad = 3
+	}
+	A := randMatrix(rng, ar+pad, ac+1).View(pad, 1, ar, ac)
+	var A32 *Matrix32
+	if mixed {
+		A32 = &Matrix32{Rows: ar, Cols: ac, Stride: ar + pad, Data: make([]float32, (ar+pad)*ac)}
+		for j := 0; j < ac; j++ {
+			for i := 0; i < ar; i++ {
+				A32.Data[j*A32.Stride+i] = float32(A.At(i, j))
+			}
+		}
+		A = A32.ToMatrix() // the exact widened values refGemm sees
+	}
+	const alpha = 1.5
+	for _, beta := range []float64{0, 1} {
+		B := randMatrix(rng, k+2*pad, r+pad).View(pad, pad, k, r)
+		C := randMatrix(rng, m+pad, r+2*pad).View(pad, pad, m, r)
+		want := C.Clone()
+		refGemm(transA, false, alpha, A, B, beta, want)
+		if beta == 0 {
+			C.Fill(math.NaN())
+		}
+		if mixed {
+			GemmMixed(alpha, A32, B, beta, C)
+		} else {
+			GemmConst(transA, alpha, A, B, beta, C)
+		}
+		tol := 1e-13 * float64(k+1) * alpha
+		if d := maxAbsDiff(C, want); !(d <= tol) {
+			t.Fatalf("r=%d beta=%g: deviates from reference by %g (tol %g)", r, beta, d, tol)
+		}
+	}
+}
+
+// constOperandGrid runs checkConstOperand over the whole grid, one subtest
+// per entry and (m, k).
+func constOperandGrid(t *testing.T, rng *rand.Rand, strided bool) {
+	for _, e := range constOperandEntries {
+		for _, m := range constMs {
+			for _, k := range constKs {
+				t.Run(fmt.Sprintf("%s_m%d_k%d", e.name, m, k), func(t *testing.T) {
+					for _, r := range constRs {
+						checkConstOperand(t, rng, e.transA, e.mixed, strided, m, k, r)
 					}
 				})
 			}

@@ -66,54 +66,43 @@ func (m *Matrix32) ToMatrix() *Matrix {
 // Bytes returns the storage footprint.
 func (m *Matrix32) Bytes() int64 { return int64(m.Rows) * int64(m.Cols) * 4 }
 
-// GemmMixed computes C = alpha·A·B + beta·C where A is stored in float32 and
-// the accumulation is in float64 — the mixed-precision product used when
-// cached blocks are kept in single precision.
+// GemmMixed computes C = alpha·A·B + beta·C where A is a constant block
+// stored in float32; products and accumulation are in float64. It is the
+// float32 counterpart of GemmConst with the same width rule: below
+// gemmConstMinWidth columns (and on builds without the AVX2+FMA kernels)
+// GemvMixed runs once per column, wider blocks take the 8×6 micro-kernel
+// reading A in place, widening each load. It starts no goroutines and,
+// once the panel pool is warm, allocates nothing.
 func GemmMixed(alpha float64, A *Matrix32, B *Matrix, beta float64, C *Matrix) {
 	m, k := A.Rows, A.Cols
 	if B.Rows != k || C.Rows != m || C.Cols != B.Cols {
 		panic("linalg: GemmMixed dimension mismatch")
 	}
-	if beta != 1 {
-		if beta == 0 {
-			C.Zero()
-		} else {
-			C.Scale(beta)
+	if B.Cols < gemmConstMinWidth || !haveFMAKernel {
+		for j := 0; j < B.Cols; j++ {
+			GemvMixed(alpha, A, B.Col(j), beta, C.Col(j))
 		}
+		return
 	}
+	scaleC(beta, C)
 	if alpha == 0 || m == 0 || k == 0 {
 		return
 	}
-	parallelFor(B.Cols, 8, func(jlo, jhi int) {
-		for j := jlo; j < jhi; j++ {
-			cj := C.Col(j)
-			bj := B.Col(j)
-			for kk := 0; kk < k; kk++ {
-				ak := A.Col(kk)
-				s := alpha * bj[kk]
-				if s == 0 {
-					continue
-				}
-				for i := 0; i < m; i++ {
-					cj[i] += s * float64(ak[i])
-				}
-			}
-		}
-	})
+	gemmInPlace(alpha, nil, A, B, C)
 }
 
 // GemvMixed computes y = alpha·A·x + beta·y with A stored in float32 and
-// float64 accumulation — the width-1 counterpart of GemmMixed. Like Gemv it
-// blocks 8 columns per pass so y is streamed once per 8 columns instead of
-// once per column; with the column-at-a-time form the y read-modify-write
-// traffic (16 bytes per element) dwarfed the 4-byte block reads and capped
-// DRAM-resident replays. The accumulation order therefore differs from
-// GemmMixed by rounding (plan-vs-interpreter suites compare at 1e-13, not
-// bits), but replay-vs-replay stays bit-identical since the kernel is
-// deterministic. No zero-coefficient skip: A is always finite (the oracle
-// validates cached blocks), so a zero coefficient contributes exact zeros
-// either way. Compiled plan replays dispatch width-1 mixed-precision GEMM
-// records here.
+// float64 accumulation. GemmMixed runs it once per column below
+// gemmConstMinWidth, so it serves every width-1 mixed-precision record of a
+// plan replay and of the interpreter, and every column of narrow ones. Like
+// Gemv it blocks 8 columns per pass so y is streamed once per 8 columns
+// instead of once per column; with the column-at-a-time form the y
+// read-modify-write traffic (16 bytes per element) dwarfed the 4-byte block
+// reads and capped DRAM-resident replays. Its accumulation order differs
+// from the micro-kernel's by rounding, so results agree across widths to
+// 1e-13 rather than bit for bit; a fixed width is bit-identical run to run.
+// No zero-coefficient skip: A is always finite (the oracle validates
+// cached blocks), so a zero coefficient contributes exact zeros either way.
 func GemvMixed(alpha float64, A *Matrix32, x []float64, beta float64, y []float64) {
 	m, k := A.Rows, A.Cols
 	if len(x) != k || len(y) != m {

@@ -92,6 +92,7 @@ func FuzzGemmPacked(f *testing.F) {
 			A.Data[absInt(int(seed))%len(A.Data)] = math.NaN()
 			B.Data[absInt(int(seed/7))%len(B.Data)] = math.Inf(1)
 		}
+		C0 := C.Clone()
 		want := C.Clone()
 		refGemm(transA, transB, alpha, A, B, beta, want)
 		Gemm(transA, transB, alpha, A, B, beta, C)
@@ -99,12 +100,85 @@ func FuzzGemmPacked(f *testing.F) {
 		for j := 0; j < n; j++ {
 			for i := 0; i < m; i++ {
 				g, w := C.At(i, j), want.At(i, j)
-				if g != w && !(math.IsNaN(g) && math.IsNaN(w)) && math.Abs(g-w) > tol {
+				if g != w && !(math.IsNaN(g) && math.IsNaN(w)) && math.Abs(g-w) > tol+betaCRounding(beta, C0.At(i, j)) {
 					t.Fatalf("C[%d,%d] = %g, want %g (m=%d n=%d k=%d tA=%v tB=%v)", i, j, g, w, m, n, k, transA, transB)
 				}
 			}
 		}
 	})
+}
+
+// FuzzGemmMixed drives the constant-operand entries over random shapes,
+// scalars, view offsets (random strides on A, B and C) and NaN/Inf
+// poisoning, against the naive reference: GemmMixed on a float32 A, or
+// GemmConst in either orientation when wide is set. Widths span the
+// per-column GEMV and the in-place micro-kernel with ragged 6-column
+// panels; k crosses the gemmKC block.
+func FuzzGemmMixed(f *testing.F) {
+	f.Add(int64(1), 128, 128, 16, false, false, 1.0, 0.0, 0, false)
+	f.Add(int64(2), 9, 5, 7, false, false, -0.5, 1.0, 1, true)
+	f.Add(int64(3), 33, 257, 6, true, false, 2.0, 0.25, 2, false)
+	f.Add(int64(4), 17, 40, 17, true, true, 1.0, 1.0, 3, true)
+	f.Fuzz(func(t *testing.T, seed int64, m, k, n int, wide, transA bool, alpha, beta float64, off int, poison bool) {
+		m, k, n = absInt(m)%70, absInt(k)%300, absInt(n)%24
+		if !isFinite(alpha) || !isFinite(beta) {
+			return
+		}
+		rng := rand.New(rand.NewSource(seed))
+		ar, ac := m, k
+		if wide && transA {
+			ar, ac = k, m
+		}
+		oa, ob, oc := absInt(off)%3, absInt(off/3)%3, absInt(off/9)%3
+		A := GaussianMatrix(rng, ar+oa+1, ac+2).View(oa, 1, ar, ac)
+		B := GaussianMatrix(rng, k+ob+2, n+1).View(ob, 0, k, n)
+		C := GaussianMatrix(rng, m+oc+1, n+2).View(oc, 1, m, n)
+		var A32 *Matrix32
+		if !wide {
+			A32 = &Matrix32{Rows: m, Cols: k, Stride: m + oa, Data: make([]float32, (m+oa)*k)}
+			for j := 0; j < k; j++ {
+				for i := 0; i < m; i++ {
+					A32.Data[j*A32.Stride+i] = float32(A.At(i, j))
+				}
+			}
+		}
+		if poison && m*k > 0 && len(B.Data) > 0 {
+			i, j := absInt(int(seed))%ar, absInt(int(seed/5))%ac
+			A.Set(i, j, math.NaN())
+			if A32 != nil {
+				A32.Data[j*A32.Stride+i] = float32(math.NaN())
+			}
+			B.Data[absInt(int(seed/7))%len(B.Data)] = math.Inf(1)
+		}
+		if A32 != nil {
+			A = A32.ToMatrix() // the exact widened values the kernels see
+		}
+		C0 := C.Clone()
+		want := C.Clone()
+		refGemm(wide && transA, false, alpha, A, B, beta, want)
+		if wide {
+			GemmConst(transA, alpha, A, B, beta, C)
+		} else {
+			GemmMixed(alpha, A32, B, beta, C)
+		}
+		tol := 1e-12 * float64(k+1) * (1 + math.Abs(alpha)) * 10
+		for j := 0; j < n; j++ {
+			for i := 0; i < m; i++ {
+				g, w := C.At(i, j), want.At(i, j)
+				if g != w && !(math.IsNaN(g) && math.IsNaN(w)) && math.Abs(g-w) > tol+betaCRounding(beta, C0.At(i, j)) {
+					t.Fatalf("C[%d,%d] = %g, want %g (m=%d k=%d n=%d wide=%v tA=%v)", i, j, g, w, m, k, n, wide, transA)
+				}
+			}
+		}
+	})
+}
+
+// betaCRounding bounds the extra error from rounding beta·c0 where the
+// kernel does (scaling C before accumulating) rather than where the
+// reference does (one alpha·s + beta·c expression): a few ulps of |beta·c0|,
+// which dominates once |beta·c0| dwarfs alpha·A·B.
+func betaCRounding(beta, c0 float64) float64 {
+	return 4 * 0x1p-52 * math.Abs(beta*c0)
 }
 
 // TestGemmAssociativity is the testing/quick identity (A·B)·x == A·(B·x):

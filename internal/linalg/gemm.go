@@ -16,9 +16,12 @@ import "sync"
 // On amd64 with AVX2+FMA (detected at startup) full 8×6 tiles are computed
 // by a hand-written assembly micro-kernel holding the tile in 12 YMM
 // accumulators; edge tiles and other platforms use a portable Go kernel over
-// the same packed panels. Matrices smaller than gemmPackedMNK skip packing
-// entirely and run serial register-blocked loops (axpy-style for op(A) = A,
-// dot-style for op(A) = Aᵀ) that allocate nothing.
+// the same packed panels. The kernel takes A's step between k columns, so
+// GemmConst and GemmMixed run it in place on constant blocks without
+// packing A (see the constant-operand section). Matrices smaller than
+// gemmPackedMNK skip packing entirely and run serial register-blocked loops
+// (axpy-style for op(A) = A, dot-style for op(A) = Aᵀ) that allocate
+// nothing.
 
 const (
 	gemmMR = 8 // micro-tile rows (two 4-wide vectors)
@@ -65,13 +68,7 @@ func Gemm(transA, transB bool, alpha float64, A, B *Matrix, beta float64, C *Mat
 	if k != kb || C.Rows != m || C.Cols != n {
 		panic("linalg: Gemm dimension mismatch")
 	}
-	if beta != 1 {
-		if beta == 0 {
-			C.Zero()
-		} else {
-			C.Scale(beta)
-		}
-	}
+	scaleC(beta, C)
 	if alpha == 0 || m == 0 || n == 0 || k == 0 {
 		return
 	}
@@ -134,21 +131,15 @@ func gemmMacro(transA bool, A, C *Matrix, bp []float64, pc, jc, kcb, ncb, icLo, 
 				cOff := (jc+jr)*C.Stride + ic + pi*gemmMR
 				switch {
 				case mrb == gemmMR && nrb == gemmNR && haveFMAKernel:
-					gemmKernel8x6(kcb, apan, bpan, &C.Data[cOff], C.Stride)
+					gemmKernel8x6(kcb, &apan[0], gemmMR, &bpan[0], &C.Data[cOff], C.Stride)
 				case haveFMAKernel:
 					// Edge tile: both panels are zero-padded to full size, so
 					// run the FMA kernel into a scratch tile and accumulate
 					// the live mrb×nrb corner — far cheaper than the scalar
 					// kernel for any non-trivial kc.
 					var tile [gemmMR * gemmNR]float64
-					gemmKernel8x6(kcb, apan, bpan, &tile[0], gemmMR)
-					for j := 0; j < nrb; j++ {
-						col := C.Data[cOff+j*C.Stride : cOff+j*C.Stride+mrb]
-						tj := tile[j*gemmMR:]
-						for q := range col {
-							col[q] += tj[q]
-						}
-					}
+					gemmKernel8x6(kcb, &apan[0], gemmMR, &bpan[0], &tile[0], gemmMR)
+					addTile(C.Data[cOff:], C.Stride, &tile, mrb, nrb)
 				default:
 					gemmKernelGeneric(kcb, apan, bpan, C.Data[cOff:], C.Stride, mrb, nrb)
 				}
@@ -156,6 +147,19 @@ func gemmMacro(transA bool, A, C *Matrix, bp []float64, pc, jc, kcb, ncb, icLo, 
 		}
 	}
 	putPanel(ap)
+}
+
+// addTile accumulates the live rows×cols corner of a kernel tile computed
+// with ldc = gemmMR into C (cd is C.Data from the tile origin, ldc its
+// stride).
+func addTile(cd []float64, ldc int, tile *[gemmMR * gemmNR]float64, rows, cols int) {
+	for j := 0; j < cols; j++ {
+		col := cd[j*ldc : j*ldc+rows]
+		tj := tile[j*gemmMR:]
+		for q := range col {
+			col[q] += tj[q]
+		}
+	}
 }
 
 // packA packs op(A)[ic:ic+mcb, pc:pc+kcb] into gemmMR-row micro-panels:
@@ -256,6 +260,146 @@ func gemmKernelGeneric(kc int, a, b []float64, cd []float64, ldc, mrb, nrb int) 
 		aj := acc[j*gemmMR:]
 		for q := range col {
 			col[q] += aj[q]
+		}
+	}
+}
+
+// --- constant-operand path ---------------------------------------------
+
+// gemmConstMinWidth is the width from which the constant-operand entries
+// (GemmConst, GemmMixed) run the in-place micro-kernel instead of the
+// per-column GEMV, read off BenchmarkConstOperand (gemm_bench_test.go):
+// 128×128 and 40×80 blocks, single threaded, AVX2+FMA, medians of three
+// runs on a 2-vCPU Xeon VM. At r = 4 each wins on one of the two shapes;
+// from r = 5 the micro-kernel wins on both, in both precisions (at r = 16
+// on the 128×128 block, 1.2–1.5× the per-column GEMV).
+const gemmConstMinWidth = 5
+
+// GemmConst computes C = alpha·op(A)·B + beta·C for a constant operand A
+// (an interpolation basis or a cached block that every right-hand-side
+// block meets, as in a compiled-plan replay). The kernel depends only on
+// transA and the width r = B.Cols:
+//
+//   - op(A) = A, r ≥ gemmConstMinWidth: the 8×6 micro-kernel reading A in
+//     place (gemmInPlace), so A is loaded once per 6 columns, never packed;
+//   - otherwise, and on builds without the AVX2+FMA kernels: Gemv once per
+//     column. For op(A) = Aᵀ (an S2N record) that holds at every width:
+//     ten paired probe-block16 runs could not tell it from Gemm's packed
+//     path at r = 16 (rhs_per_s 473 against 494, "unresolved").
+//
+// It starts no goroutines and, once the panel pool is warm, allocates
+// nothing.
+func GemmConst(transA bool, alpha float64, A, B *Matrix, beta float64, C *Matrix) {
+	m, k := A.Rows, A.Cols
+	if transA {
+		m, k = A.Cols, A.Rows
+	}
+	if B.Rows != k || C.Rows != m || C.Cols != B.Cols {
+		panic("linalg: GemmConst dimension mismatch")
+	}
+	r := B.Cols
+	if transA || r < gemmConstMinWidth || !haveFMAKernel {
+		for j := 0; j < r; j++ {
+			Gemv(transA, alpha, A, B.Col(j), beta, C.Col(j))
+		}
+		return
+	}
+	scaleC(beta, C)
+	if alpha == 0 || m == 0 || k == 0 {
+		return
+	}
+	gemmInPlace(alpha, A, nil, B, C)
+}
+
+// scaleC applies the beta half of C = alpha·op(A)·B + beta·C; beta = 0
+// overwrites, so non-finite contents of C never reach the result.
+func scaleC(beta float64, C *Matrix) {
+	switch beta {
+	case 1:
+	case 0:
+		C.Zero()
+	default:
+		C.Scale(beta)
+	}
+}
+
+// gemmInPlace computes C += alpha·A·B with the 8×6 micro-kernel reading the
+// column-major constant in place; exactly one of A (float64) and A32
+// (float32) is set. B is packed once per gemmKC block into 6-column panels
+// with alpha folded in. The m mod 8 ragged rows are copied into one
+// zero-padded float64 panel, so no load reaches past the block's last
+// element: a block served from a file mapping may end where the mapping
+// does. Requires haveFMAKernel.
+func gemmInPlace(alpha float64, A *Matrix, A32 *Matrix32, B, C *Matrix) {
+	var m, k int
+	if A32 != nil {
+		m, k = A32.Rows, A32.Cols
+	} else {
+		m, k = A.Rows, A.Cols
+	}
+	n := B.Cols
+	mm := m &^ (gemmMR - 1)
+	nPanels := (n + gemmNR - 1) / gemmNR
+	for pc := 0; pc < k; pc += gemmKC {
+		kcb := min(gemmKC, k-pc)
+		bp := getPanel(nPanels * gemmNR * kcb)
+		packB(false, alpha, B, pc, 0, kcb, n, *bp)
+		var tail *[]float64
+		if mm < m {
+			tail = getPanel(gemmMR * kcb)
+			packTail(A, A32, pc, mm, kcb, m-mm, *tail)
+		}
+		for jr := 0; jr < n; jr += gemmNR {
+			nrb := min(gemmNR, n-jr)
+			bpan := &(*bp)[jr*kcb]
+			cd := C.Data[jr*C.Stride:]
+			for ir := 0; ir < mm; ir += gemmMR {
+				if nrb == gemmNR {
+					kernelInPlace(A, A32, kcb, pc, ir, bpan, &cd[ir], C.Stride)
+					continue
+				}
+				var tile [gemmMR * gemmNR]float64
+				kernelInPlace(A, A32, kcb, pc, ir, bpan, &tile[0], gemmMR)
+				addTile(cd[ir:], C.Stride, &tile, gemmMR, nrb)
+			}
+			if tail != nil {
+				var tile [gemmMR * gemmNR]float64
+				gemmKernel8x6(kcb, &(*tail)[0], gemmMR, bpan, &tile[0], gemmMR)
+				addTile(cd[mm:], C.Stride, &tile, m-mm, nrb)
+			}
+		}
+		putPanel(bp)
+		if tail != nil {
+			putPanel(tail)
+		}
+	}
+}
+
+// kernelInPlace runs the micro-kernel on rows [ir, ir+8) and columns
+// [pc, pc+kc) of whichever of A and A32 is set.
+func kernelInPlace(A *Matrix, A32 *Matrix32, kc, pc, ir int, b, c *float64, ldc int) {
+	if A32 != nil {
+		gemmKernel8x6F32(kc, &A32.Data[pc*A32.Stride+ir], A32.Stride, b, c, ldc)
+	} else {
+		gemmKernel8x6(kc, &A.Data[pc*A.Stride+ir], A.Stride, b, c, ldc)
+	}
+}
+
+// packTail packs rows [ic, ic+rows) of A[:, pc:pc+kcb] (or A32, widened)
+// into one zero-padded gemmMR-row panel, rows < gemmMR.
+func packTail(A *Matrix, A32 *Matrix32, pc, ic, kcb, rows int, dst []float64) {
+	if A32 == nil {
+		packA(false, A, pc, ic, kcb, rows, dst)
+		return
+	}
+	for kk := 0; kk < kcb; kk++ {
+		src := A32.Data[(pc+kk)*A32.Stride+ic:]
+		d := dst[kk*gemmMR : kk*gemmMR+gemmMR]
+		for q := range d {
+			d[q] = 0
+			if q < rows {
+				d[q] = float64(src[q])
+			}
 		}
 	}
 }

@@ -38,10 +38,17 @@ func cpuidex(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 //go:noescape
 func xgetbv0() (eax, edx uint32)
 
-// gemmKernel8x6 computes an 8×6 tile C += A·B over packed micro-panels:
-// a holds kc consecutive 8-vectors (one per k step), b holds kc consecutive
-// 6-vectors, c points at C[0,0] of the tile and ldc is C's column stride in
-// elements. Requires haveFMAKernel and kc ≥ 1.
+// gemmKernel8x6 computes an 8×6 tile C += A·B: a points at kc 8-vectors of
+// A spaced lda elements apart (lda = gemmMR for a packed panel, the block's
+// column stride for a column-major A read in place), b at kc consecutive
+// packed 6-vectors of B, c at C[0,0] of the tile, and ldc is C's column
+// stride in elements. Requires haveFMAKernel.
 //
 //go:noescape
-func gemmKernel8x6(kc int, a, b []float64, c *float64, ldc int)
+func gemmKernel8x6(kc int, a *float64, lda int, b, c *float64, ldc int)
+
+// gemmKernel8x6F32 is gemmKernel8x6 for a float32 A, widened to float64 as
+// it is loaded; lda is in float32 elements. Requires haveFMAKernel.
+//
+//go:noescape
+func gemmKernel8x6F32(kc int, a *float32, lda int, b, c *float64, ldc int)

@@ -21,114 +21,130 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func gemmKernel8x6(kc int, a, b []float64, c *float64, ldc int)
+// ZERO_ACC clears the twelve tile accumulators Y4–Y15.
+#define ZERO_ACC \
+	VXORPD Y4, Y4, Y4; \
+	VXORPD Y5, Y5, Y5; \
+	VXORPD Y6, Y6, Y6; \
+	VXORPD Y7, Y7, Y7; \
+	VXORPD Y8, Y8, Y8; \
+	VXORPD Y9, Y9, Y9; \
+	VXORPD Y10, Y10, Y10; \
+	VXORPD Y11, Y11, Y11; \
+	VXORPD Y12, Y12, Y12; \
+	VXORPD Y13, Y13, Y13; \
+	VXORPD Y14, Y14, Y14; \
+	VXORPD Y15, Y15, Y15
+
+// FMA_STEP multiplies the A 8-vector in Y0/Y1 by the six packed B entries
+// at DX and adds the products into the accumulators.
+#define FMA_STEP \
+	VBROADCASTSD (DX), Y2; \
+	VFMADD231PD  Y0, Y2, Y4; \
+	VFMADD231PD  Y1, Y2, Y5; \
+	VBROADCASTSD 8(DX), Y3; \
+	VFMADD231PD  Y0, Y3, Y6; \
+	VFMADD231PD  Y1, Y3, Y7; \
+	VBROADCASTSD 16(DX), Y2; \
+	VFMADD231PD  Y0, Y2, Y8; \
+	VFMADD231PD  Y1, Y2, Y9; \
+	VBROADCASTSD 24(DX), Y3; \
+	VFMADD231PD  Y0, Y3, Y10; \
+	VFMADD231PD  Y1, Y3, Y11; \
+	VBROADCASTSD 32(DX), Y2; \
+	VFMADD231PD  Y0, Y2, Y12; \
+	VFMADD231PD  Y1, Y2, Y13; \
+	VBROADCASTSD 40(DX), Y3; \
+	VFMADD231PD  Y0, Y3, Y14; \
+	VFMADD231PD  Y1, Y3, Y15
+
+// ACCUM_COL adds the accumulator pair (lo, hi) into the C column at DI and
+// steps DI to the next column (R8 = column stride in bytes).
+#define ACCUM_COL(lo, hi) \
+	VMOVUPD (DI), Y0; \
+	VADDPD  lo, Y0, Y0; \
+	VMOVUPD Y0, (DI); \
+	VMOVUPD 32(DI), Y1; \
+	VADDPD  hi, Y1, Y1; \
+	VMOVUPD Y1, 32(DI); \
+	ADDQ    R8, DI
+
+// ACCUM_TILE adds the whole 8×6 tile into C, one column at a time.
+#define ACCUM_TILE \
+	ACCUM_COL(Y4, Y5); \
+	ACCUM_COL(Y6, Y7); \
+	ACCUM_COL(Y8, Y9); \
+	ACCUM_COL(Y10, Y11); \
+	ACCUM_COL(Y12, Y13); \
+	ACCUM_COL(Y14, Y15)
+
+// func gemmKernel8x6(kc int, a *float64, lda int, b, c *float64, ldc int)
 //
-// 8×6 micro-kernel over packed panels. The C tile lives in 12 YMM
-// accumulators (two 4-wide vectors per column):
+// 8×6 micro-kernel: C[0:8, 0:6] += A[0:8, 0:kc]·B[0:kc, 0:6]. The C tile
+// lives in 12 YMM accumulators (two 4-wide vectors per column):
 //
 //	col j rows 0-3 → Y(4+2j), rows 4-7 → Y(5+2j)
 //
-// Per k step: two loads of the packed A 8-vector (Y0, Y1), six broadcasts
-// of packed B entries (alternating Y2/Y3), twelve FMAs. A panel entries are
-// 64 bytes apart per step, B panel entries 48 bytes.
-TEXT ·gemmKernel8x6(SB), NOSPLIT, $0-72
+// Per k step: two loads of an A 8-vector (Y0, Y1), six broadcasts of
+// packed B entries (alternating Y2/Y3), twelve FMAs. Consecutive A
+// 8-vectors are lda elements apart, so the same kernel runs on a packed
+// A panel (lda = 8) and in place on a column-major block (lda = its
+// stride). B entries are 48 bytes apart per step (one packed 6-vector).
+TEXT ·gemmKernel8x6(SB), NOSPLIT, $0-48
 	MOVQ kc+0(FP), CX
-	MOVQ a_base+8(FP), SI
-	MOVQ b_base+32(FP), DX
-	MOVQ c+56(FP), DI
-	MOVQ ldc+64(FP), R8
-	SHLQ $3, R8              // column stride in bytes
-
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-	VXORPD Y8, Y8, Y8
-	VXORPD Y9, Y9, Y9
-	VXORPD Y10, Y10, Y10
-	VXORPD Y11, Y11, Y11
-	VXORPD Y12, Y12, Y12
-	VXORPD Y13, Y13, Y13
-	VXORPD Y14, Y14, Y14
-	VXORPD Y15, Y15, Y15
-
+	MOVQ a+8(FP), SI
+	MOVQ lda+16(FP), R9
+	SHLQ $3, R9              // A step in bytes
+	MOVQ b+24(FP), DX
+	MOVQ c+32(FP), DI
+	MOVQ ldc+40(FP), R8
+	SHLQ $3, R8              // C column stride in bytes
+	ZERO_ACC
 	TESTQ CX, CX
 	JZ    accum
 
 kloop:
-	VMOVUPD      (SI), Y0
-	VMOVUPD      32(SI), Y1
-	VBROADCASTSD (DX), Y2
-	VFMADD231PD  Y0, Y2, Y4
-	VFMADD231PD  Y1, Y2, Y5
-	VBROADCASTSD 8(DX), Y3
-	VFMADD231PD  Y0, Y3, Y6
-	VFMADD231PD  Y1, Y3, Y7
-	VBROADCASTSD 16(DX), Y2
-	VFMADD231PD  Y0, Y2, Y8
-	VFMADD231PD  Y1, Y2, Y9
-	VBROADCASTSD 24(DX), Y3
-	VFMADD231PD  Y0, Y3, Y10
-	VFMADD231PD  Y1, Y3, Y11
-	VBROADCASTSD 32(DX), Y2
-	VFMADD231PD  Y0, Y2, Y12
-	VFMADD231PD  Y1, Y2, Y13
-	VBROADCASTSD 40(DX), Y3
-	VFMADD231PD  Y0, Y3, Y14
-	VFMADD231PD  Y1, Y3, Y15
-	ADDQ         $64, SI
-	ADDQ         $48, DX
-	DECQ         CX
-	JNZ          kloop
+	VMOVUPD (SI), Y0
+	VMOVUPD 32(SI), Y1
+	FMA_STEP
+	ADDQ    R9, SI
+	ADDQ    $48, DX
+	DECQ    CX
+	JNZ     kloop
 
 accum:
-	// C[:, j] += accumulators, one column at a time.
-	VMOVUPD (DI), Y0
-	VADDPD  Y4, Y0, Y0
-	VMOVUPD Y0, (DI)
-	VMOVUPD 32(DI), Y1
-	VADDPD  Y5, Y1, Y1
-	VMOVUPD Y1, 32(DI)
-	ADDQ    R8, DI
+	ACCUM_TILE
+	VZEROUPPER
+	RET
 
-	VMOVUPD (DI), Y0
-	VADDPD  Y6, Y0, Y0
-	VMOVUPD Y0, (DI)
-	VMOVUPD 32(DI), Y1
-	VADDPD  Y7, Y1, Y1
-	VMOVUPD Y1, 32(DI)
-	ADDQ    R8, DI
+// func gemmKernel8x6F32(kc int, a *float32, lda int, b, c *float64, ldc int)
+//
+// gemmKernel8x6 for a float32 A read in place: each 4-lane load is widened
+// with VCVTPS2PD (as in gemvCols8F32), so the products and the
+// accumulation stay in float64. lda is in float32 elements.
+TEXT ·gemmKernel8x6F32(SB), NOSPLIT, $0-48
+	MOVQ kc+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ lda+16(FP), R9
+	SHLQ $2, R9              // A step in bytes
+	MOVQ b+24(FP), DX
+	MOVQ c+32(FP), DI
+	MOVQ ldc+40(FP), R8
+	SHLQ $3, R8              // C column stride in bytes
+	ZERO_ACC
+	TESTQ CX, CX
+	JZ    accum32
 
-	VMOVUPD (DI), Y0
-	VADDPD  Y8, Y0, Y0
-	VMOVUPD Y0, (DI)
-	VMOVUPD 32(DI), Y1
-	VADDPD  Y9, Y1, Y1
-	VMOVUPD Y1, 32(DI)
-	ADDQ    R8, DI
+kloop32:
+	VCVTPS2PD (SI), Y0
+	VCVTPS2PD 16(SI), Y1
+	FMA_STEP
+	ADDQ      R9, SI
+	ADDQ      $48, DX
+	DECQ      CX
+	JNZ       kloop32
 
-	VMOVUPD (DI), Y0
-	VADDPD  Y10, Y0, Y0
-	VMOVUPD Y0, (DI)
-	VMOVUPD 32(DI), Y1
-	VADDPD  Y11, Y1, Y1
-	VMOVUPD Y1, 32(DI)
-	ADDQ    R8, DI
-
-	VMOVUPD (DI), Y0
-	VADDPD  Y12, Y0, Y0
-	VMOVUPD Y0, (DI)
-	VMOVUPD 32(DI), Y1
-	VADDPD  Y13, Y1, Y1
-	VMOVUPD Y1, 32(DI)
-	ADDQ    R8, DI
-
-	VMOVUPD (DI), Y0
-	VADDPD  Y14, Y0, Y0
-	VMOVUPD Y0, (DI)
-	VMOVUPD 32(DI), Y1
-	VADDPD  Y15, Y1, Y1
-	VMOVUPD Y1, 32(DI)
-
+accum32:
+	ACCUM_TILE
 	VZEROUPPER
 	RET

@@ -6,6 +6,10 @@ package linalg
 // take the portable micro-kernel.
 const haveFMAKernel = false
 
-func gemmKernel8x6(kc int, a, b []float64, c *float64, ldc int) {
+func gemmKernel8x6(kc int, a *float64, lda int, b, c *float64, ldc int) {
+	panic("linalg: assembly micro-kernel unavailable in this build")
+}
+
+func gemmKernel8x6F32(kc int, a *float32, lda int, b, c *float64, ldc int) {
 	panic("linalg: assembly micro-kernel unavailable in this build")
 }

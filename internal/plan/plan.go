@@ -289,8 +289,10 @@ func (b *Builder) Gemm(transA bool, A *linalg.Matrix, src, dst Ref, beta float64
 	b.emit(Op{Kind: OpGemm, TransA: transA, A: A, B: src, C: dst, Beta: beta})
 }
 
-// GemmMixed emits the float32-constant variant (no transpose form exists,
-// matching the interpreter's use of cached single-precision blocks).
+// GemmMixed emits the float32-constant variant, C = A·B + beta·C with A a
+// cached single-precision block. No transpose form exists: the interpreter
+// only multiplies cached blocks untransposed. Replay runs the record
+// through linalg.GemmMixed, which picks the kernel from the width alone.
 func (b *Builder) GemmMixed(A *linalg.Matrix32, src, dst Ref, beta float64) {
 	if A == nil || src.Rows != A.Cols || dst.Rows != A.Rows || (beta != 0 && beta != 1) {
 		b.fail("GemmMixed: A with B %d rows, C %d rows, beta %g", src.Rows, dst.Rows, beta)

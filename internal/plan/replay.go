@@ -192,21 +192,14 @@ func (p *Plan) runTask(st *replayState, lo, hi int) {
 		case OpGather:
 			st.W.RowsGatherInto(op.Idx, st.cview[i])
 		case OpGemm:
-			// Kernel selection, resolved per record: the compiler fixed every
-			// operand shape at build time, so width-1 replays dispatch straight
-			// to the fused GEMV kernels instead of the general GEMM entry point
-			// — a single-column specialization the interpreter's generic block
-			// dispatch never gets. The choice depends only on the replay width,
-			// so repeated replays stay bit-identical.
-			switch {
-			case st.r == 1 && op.A32 != nil:
-				linalg.GemvMixed(1, op.A32, st.bview[i].Col(0), op.Beta, st.cview[i].Col(0))
-			case st.r == 1:
-				linalg.Gemv(op.TransA, 1, op.A, st.bview[i].Col(0), op.Beta, st.cview[i].Col(0))
-			case op.A32 != nil:
+			// One call per precision: the linalg entry picks the kernel from
+			// the record's shape and the replay width alone, so width-1
+			// replays reach the fused GEMV kernels and repeated replays stay
+			// bit-identical.
+			if op.A32 != nil {
 				linalg.GemmMixed(1, op.A32, st.bview[i], op.Beta, st.cview[i])
-			default:
-				linalg.Gemm(op.TransA, false, 1, op.A, st.bview[i], op.Beta, st.cview[i])
+			} else {
+				linalg.GemmConst(op.TransA, 1, op.A, st.bview[i], op.Beta, st.cview[i])
 			}
 		case OpCopy:
 			st.cview[i].CopyFrom(st.bview[i])

@@ -334,6 +334,81 @@ func TestRunLevelsCtxPanicRecovered(t *testing.T) {
 	}
 }
 
+// TestRunLevelsCtxStopsAfterFailingBatch pins the abort semantics of the
+// worker crew: after a panic or a cancellation inside a batch, the batch's
+// pending closures are abandoned (running ones finish), and no closure of
+// a later batch runs.
+func TestRunLevelsCtxStopsAfterFailingBatch(t *testing.T) {
+	for _, cancelIt := range []bool{false, true} {
+		for _, p := range []int{1, 2, 4} {
+			ctx, cancel := context.WithCancel(context.Background())
+			var same, later int64
+			first := make([]func(), 128)
+			first[0] = func() {
+				if cancelIt {
+					cancel()
+					return
+				}
+				panic("batch boom")
+			}
+			for i := 1; i < len(first); i++ {
+				first[i] = func() {
+					time.Sleep(time.Millisecond)
+					atomic.AddInt64(&same, 1)
+				}
+			}
+			second := make([]func(), 8)
+			for i := range second {
+				second[i] = func() { atomic.AddInt64(&later, 1) }
+			}
+			err := RunLevelsCtx(ctx, [][]func(){first, second}, p)
+			cancel()
+			var pe *resilience.PanicError
+			switch {
+			case cancelIt && !errors.Is(err, resilience.ErrCancelled):
+				t.Fatalf("p=%d: RunLevelsCtx = %v, want ErrCancelled", p, err)
+			case !cancelIt && !errors.As(err, &pe):
+				t.Fatalf("p=%d: RunLevelsCtx = %v, want *resilience.PanicError", p, err)
+			}
+			if later != 0 {
+				t.Fatalf("p=%d cancel=%v: %d closures of the next batch ran", p, cancelIt, later)
+			}
+			if same >= int64(len(first))/2 {
+				t.Fatalf("p=%d cancel=%v: %d of %d pending closures ran after the failure", p, cancelIt, same, len(first)-1)
+			}
+		}
+	}
+}
+
+// TestRunLevelsCtxManyShortBatches drives the crew through many barriers
+// of uneven width: every closure runs exactly once, in batch order.
+func TestRunLevelsCtxManyShortBatches(t *testing.T) {
+	const nb = 200
+	var ran [nb]int64
+	var order int64
+	levels := make([][]func(), nb)
+	for li := range levels {
+		levels[li] = make([]func(), li%7) // includes empty batches
+		for i := range levels[li] {
+			levels[li][i] = func() {
+				if atomic.LoadInt64(&order) > int64(li) {
+					t.Errorf("batch %d ran after batch %d started", li, atomic.LoadInt64(&order))
+				}
+				atomic.StoreInt64(&order, int64(li))
+				atomic.AddInt64(&ran[li], 1)
+			}
+		}
+	}
+	if err := RunLevelsCtx(context.Background(), levels, 4); err != nil {
+		t.Fatal(err)
+	}
+	for li := range levels {
+		if ran[li] != int64(len(levels[li])) {
+			t.Fatalf("batch %d: %d of %d closures ran", li, ran[li], len(levels[li]))
+		}
+	}
+}
+
 func TestRunLevelsCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -55,11 +55,14 @@ func (rr *RunRecord) Write(w io.Writer) error {
 }
 
 // WriteBenchFile writes the record to dir/BENCH_<name>.json (name sanitized
-// to [A-Za-z0-9._-]) and returns the path.
+// to [A-Za-z0-9._-]), creating dir if it is missing, and returns the path.
 func (rr *RunRecord) WriteBenchFile(dir string) (string, error) {
 	name := sanitizeBenchName(rr.Name)
 	if name == "" {
 		return "", fmt.Errorf("telemetry: empty run-record name")
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", err
 	}
 	path := filepath.Join(dir, "BENCH_"+name+".json")
 	f, err := os.Create(path)

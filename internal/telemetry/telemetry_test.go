@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -178,6 +180,24 @@ func TestTaskEvents(t *testing.T) {
 	}
 	if r.Snapshot().TaskEvents != 2 {
 		t.Fatal("snapshot task-event count wrong")
+	}
+}
+
+// TestWriteBenchFileCreatesDir pins what CI's median-of-3 loops rely on:
+// -benchjson may name a directory that does not exist yet.
+func TestWriteBenchFileCreatesDir(t *testing.T) {
+	rr := NewRunRecord("replay")
+	rr.Metrics["speedup"] = 2.5
+	path, err := rr.WriteBenchFile(filepath.Join(t.TempDir(), "runs", "1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateRunRecord(b); err != nil {
+		t.Fatal(err)
 	}
 }
 
