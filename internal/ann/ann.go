@@ -9,8 +9,11 @@
 package ann
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"gofmm/internal/metric"
@@ -22,6 +25,12 @@ import (
 // ascending distance. Entry (i, k) lives at position i*K+k of ID and D.
 // Every index is its own first neighbor (distance 0), matching the pruning
 // semantics of the paper where a leaf is always near itself.
+//
+// Equal distances are ordered deterministically: a neighbor already in the
+// list stays ahead of an equally distant newcomer, and newcomers at equal
+// distance enter in index order. A candidate enters only when it is
+// strictly closer than the list's current κ-th entry, so a NaN distance
+// never does.
 type List struct {
 	N, K int
 	ID   []int32
@@ -60,48 +69,88 @@ func (l *List) Of(i int) []int32 {
 // DistOf returns the distance of neighbor slot k of index i.
 func (l *List) DistOf(i, k int) float64 { return l.D[i*l.K+k] }
 
-// merge folds a batch of unique candidate (id, dist) pairs into index i's
-// sorted list, returning how many of the K slots changed.
-func (l *List) merge(i int, candID []int32, candD []float64) int {
+// candidate is one (distance, id) pair offered to a list.
+type candidate struct {
+	d  float64
+	id int32
+}
+
+// byDistThenID orders candidates by distance, then index. Candidates that
+// reach it are never NaN, so the order is total.
+func byDistThenID(a, b candidate) int {
+	if a.d < b.d {
+		return -1
+	}
+	if a.d > b.d {
+		return 1
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
+// mergeBuf is the scratch one merge works in. Reusing it across merges
+// makes a merge allocation-free.
+type mergeBuf struct {
+	surv []candidate
+	id   []int32
+	d    []float64
+}
+
+// merge folds a batch of candidate (id, dist) pairs into index i's sorted
+// list, returning how many of the K slots changed. Candidates no closer than
+// the current κ-th entry are dropped up front; the survivors are ordered by
+// (distance, index) and sweep-merged with the list, the listed entry first
+// on a tie. An id seen twice keeps its first (closest) occurrence.
+func (l *List) merge(i int, candID []int32, candD []float64, buf *mergeBuf) int {
 	base := i * l.K
 	curID := l.ID[base : base+l.K]
 	curD := l.D[base : base+l.K]
-	// Sort candidates ascending by distance.
-	ord := make([]int, len(candID))
-	for k := range ord {
-		ord[k] = k
+	worst := curD[l.K-1]
+	surv := buf.surv[:0]
+	for c, d := range candD {
+		if d < worst {
+			surv = append(surv, candidate{d, candID[c]})
+		}
 	}
-	sort.Slice(ord, func(a, b int) bool { return candD[ord[a]] < candD[ord[b]] })
-	// Sweep-merge the two sorted streams, skipping duplicates by ID.
-	newID := make([]int32, 0, l.K)
-	newD := make([]float64, 0, l.K)
-	taken := make(map[int32]bool, l.K)
-	ci, oi := 0, 0
-	for len(newID) < l.K && (ci < l.K || oi < len(ord)) {
+	buf.surv = surv
+	if len(surv) == 0 {
+		return 0
+	}
+	slices.SortFunc(surv, byDistThenID)
+	// The listed entries up to the closest survivor keep their slots; they
+	// are valid (sentinel slots come last, beyond every survivor) and
+	// distinct, so only the tail after them is rebuilt, deduplicated
+	// against the kept prefix.
+	keep := 0
+	for keep < l.K && curD[keep] <= surv[0].d {
+		keep++
+	}
+	newID, newD := buf.id[:0], buf.d[:0]
+	ci, si := keep, 0
+	for keep+len(newID) < l.K && (ci < l.K || si < len(surv)) {
 		var id int32
 		var d float64
-		if oi >= len(ord) || (ci < l.K && curD[ci] <= candD[ord[oi]]) {
+		if si == len(surv) || (ci < l.K && curD[ci] <= surv[si].d) {
 			id, d = curID[ci], curD[ci]
 			ci++
 		} else {
-			id, d = candID[ord[oi]], candD[ord[oi]]
-			oi++
+			id, d = surv[si].id, surv[si].d
+			si++
 		}
-		if id < 0 || taken[id] {
+		if id < 0 || slices.Contains(curID[:keep], id) || slices.Contains(newID, id) {
 			continue
 		}
-		taken[id] = true
 		newID = append(newID, id)
 		newD = append(newD, d)
 	}
+	buf.id, buf.d = newID, newD
 	changed := 0
-	for k := range newID {
-		if curID[k] != newID[k] {
+	for k, id := range newID {
+		if curID[keep+k] != id {
 			changed++
 		}
-		curID[k], curD[k] = newID[k], newD[k]
+		curID[keep+k], curD[keep+k] = id, newD[k]
 	}
-	for k := len(newID); k < l.K; k++ {
+	for k := keep + len(newID); k < l.K; k++ {
 		curID[k], curD[k] = -1, inf
 	}
 	return changed
@@ -219,23 +268,32 @@ func SampleRecall(l *List, space metric.Space, sample int, seed int64) float64 {
 	return float64(hits) / float64(total)
 }
 
+// leafBuf is the scratch of one exhaustive leaf search. Searches draw it
+// from leafBufs, so steady-state leaf searches allocate nothing.
+type leafBuf struct {
+	dm     []float64
+	candID []int32
+	candD  []float64
+	merge  mergeBuf
+}
+
+var leafBufs = sync.Pool{New: func() any { return new(leafBuf) }}
+
 // exhaustiveLeaf updates neighbor lists of every index in idx against every
 // other index in idx, the KNN(K_αα) task of Table 2 (cost m²).
 func exhaustiveLeaf(l *List, space metric.Space, idx []int) int {
+	b := leafBufs.Get().(*leafBuf)
+	defer leafBufs.Put(b)
 	m := len(idx)
-	dcol := make([]float64, m)
-	candID := make([]int32, 0, m)
-	candD := make([]float64, 0, m)
 	// Compute the leaf's distance matrix column by column and merge rows.
-	dm := make([]float64, m*m)
+	dm := slices.Grow(b.dm[:0], m*m)[:m*m]
+	b.dm = dm
 	for c, j := range idx {
-		space.DistsTo(idx, j, dcol)
-		copy(dm[c*m:(c+1)*m], dcol)
+		space.DistsTo(idx, j, dm[c*m:(c+1)*m])
 	}
 	changed := 0
 	for r, i := range idx {
-		candID = candID[:0]
-		candD = candD[:0]
+		candID, candD := b.candID[:0], b.candD[:0]
 		for c, j := range idx {
 			if j == i {
 				continue
@@ -243,7 +301,8 @@ func exhaustiveLeaf(l *List, space metric.Space, idx []int) int {
 			candID = append(candID, int32(j))
 			candD = append(candD, dm[c*m+r])
 		}
-		changed += l.merge(i, candID, candD)
+		b.candID, b.candD = candID, candD
+		changed += l.merge(i, candID, candD, &b.merge)
 	}
 	return changed
 }
@@ -262,6 +321,7 @@ func Exact(n, kappa int, space metric.Space) *List {
 	dcol := make([]float64, n)
 	candID := make([]int32, 0, n)
 	candD := make([]float64, 0, n)
+	var buf mergeBuf
 	for _, i := range idx {
 		space.DistsTo(idx, i, dcol)
 		candID = candID[:0]
@@ -273,7 +333,7 @@ func Exact(n, kappa int, space metric.Space) *List {
 			candID = append(candID, int32(j))
 			candD = append(candD, dcol[j])
 		}
-		l.merge(i, candID, candD)
+		l.merge(i, candID, candD, &buf)
 	}
 	return l
 }

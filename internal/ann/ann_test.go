@@ -39,7 +39,7 @@ func TestNewListSelfNeighbor(t *testing.T) {
 
 func TestMergeKeepsSortedUniqueK(t *testing.T) {
 	l := NewList(1, 4)
-	l.merge(0, []int32{5, 3, 5, 9}, []float64{0.5, 0.3, 0.5, 0.9})
+	l.merge(0, []int32{5, 3, 5, 9}, []float64{0.5, 0.3, 0.5, 0.9}, new(mergeBuf))
 	of := l.Of(0)
 	want := []int32{0, 3, 5, 9}
 	if len(of) != 4 {
@@ -57,7 +57,7 @@ func TestMergeKeepsSortedUniqueK(t *testing.T) {
 		}
 	}
 	// A better candidate must displace the worst one.
-	ch := l.merge(0, []int32{7}, []float64{0.1})
+	ch := l.merge(0, []int32{7}, []float64{0.1}, new(mergeBuf))
 	if ch == 0 {
 		t.Fatal("merge reported no change")
 	}
@@ -74,9 +74,163 @@ func TestMergeKeepsSortedUniqueK(t *testing.T) {
 
 func TestMergeIdempotent(t *testing.T) {
 	l := NewList(1, 3)
-	l.merge(0, []int32{1, 2}, []float64{0.1, 0.2})
-	if ch := l.merge(0, []int32{1, 2}, []float64{0.1, 0.2}); ch != 0 {
+	var buf mergeBuf
+	l.merge(0, []int32{1, 2}, []float64{0.1, 0.2}, &buf)
+	if ch := l.merge(0, []int32{1, 2}, []float64{0.1, 0.2}, &buf); ch != 0 {
 		t.Fatalf("re-merging identical candidates changed %d slots", ch)
+	}
+}
+
+// refMerge is the merge as it stood before the threshold rule: a full sort
+// of the batch, a sweep-merge with the list (the listed entry first on a
+// tie) and a map to drop repeated ids. Its comparator breaks distance ties
+// by index, the order merge pins. Two inputs are filtered before the old
+// code runs, because merge refuses them by its threshold rule: NaN
+// distances, which no comparator can order, and distances at or beyond the
+// empty-slot sentinel, which the old sweep admitted behind the sentinels,
+// leaving the list unsorted.
+func refMerge(l *List, i int, candID []int32, candD []float64) int {
+	base := i * l.K
+	curID := l.ID[base : base+l.K]
+	curD := l.D[base : base+l.K]
+	var ord []int
+	for k, d := range candD {
+		if d < inf {
+			ord = append(ord, k)
+		}
+	}
+	sort.Slice(ord, func(a, b int) bool {
+		da, db := candD[ord[a]], candD[ord[b]]
+		return da < db || da == db && candID[ord[a]] < candID[ord[b]]
+	})
+	newID := make([]int32, 0, l.K)
+	newD := make([]float64, 0, l.K)
+	taken := make(map[int32]bool, l.K)
+	ci, oi := 0, 0
+	for len(newID) < l.K && (ci < l.K || oi < len(ord)) {
+		var id int32
+		var d float64
+		if oi >= len(ord) || (ci < l.K && curD[ci] <= candD[ord[oi]]) {
+			id, d = curID[ci], curD[ci]
+			ci++
+		} else {
+			id, d = candID[ord[oi]], candD[ord[oi]]
+			oi++
+		}
+		if id < 0 || taken[id] {
+			continue
+		}
+		taken[id] = true
+		newID = append(newID, id)
+		newD = append(newD, d)
+	}
+	changed := 0
+	for k := range newID {
+		if curID[k] != newID[k] {
+			changed++
+		}
+		curID[k], curD[k] = newID[k], newD[k]
+	}
+	for k := len(newID); k < l.K; k++ {
+		curID[k], curD[k] = -1, inf
+	}
+	return changed
+}
+
+// randomBatch draws a candidate batch built to hit every corner of the
+// merge: ids from a small range (repeats within the batch and with the
+// list, including the list's own index), distances from a small set (exact
+// ties, ±0) mixed with fresh values, NaN and +Inf.
+func randomBatch(rng *rand.Rand, idRange, size int) ([]int32, []float64) {
+	ties := []float64{0, math.Copysign(0, -1), 0.25, 0.5, 0.5, 1, 1}
+	ids := make([]int32, size)
+	ds := make([]float64, size)
+	for k := range ids {
+		ids[k] = int32(rng.Intn(idRange))
+		switch p := rng.Intn(20); {
+		case p == 0:
+			ds[k] = math.NaN()
+		case p == 1:
+			ds[k] = math.Inf(1)
+		case p < 10:
+			ds[k] = ties[rng.Intn(len(ties))]
+		default:
+			ds[k] = rng.Float64()
+		}
+	}
+	return ids, ds
+}
+
+// TestMergeMatchesReference runs sequences of random batches through merge
+// and refMerge on twin lists and requires them to agree slot for slot after
+// every batch — ids, distances and the changed count — while κ ranges
+// from 1 to beyond the batch size and lists still hold empty sentinel
+// slots.
+func TestMergeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(70))
+	var buf mergeBuf
+	for trial := 0; trial < 2000; trial++ {
+		k := 1 + rng.Intn(12)
+		got, want := NewList(1, k), NewList(1, k)
+		idRange := 1 + rng.Intn(24)
+		for step := 0; step < 1+rng.Intn(6); step++ {
+			ids, ds := randomBatch(rng, idRange, rng.Intn(20))
+			cg := got.merge(0, ids, ds, &buf)
+			cw := refMerge(want, 0, ids, ds)
+			if cg != cw {
+				t.Fatalf("trial %d step %d: merge changed %d slots, reference %d", trial, step, cg, cw)
+			}
+			// Distances compare as values: a batch may offer one id at both
+			// +0 and −0, which the (distance, index) order leaves tied.
+			for s := 0; s < k; s++ {
+				if got.ID[s] != want.ID[s] || got.D[s] != want.D[s] {
+					t.Fatalf("trial %d step %d slot %d: merge (%d, %v), reference (%d, %v); batch %v %v",
+						trial, step, s, got.ID[s], got.D[s], want.ID[s], want.D[s], ids, ds)
+				}
+			}
+		}
+	}
+}
+
+// TestMergeTieOrder pins the tie rule: equally distant newcomers enter in
+// index order, behind a listed neighbor at the same distance.
+func TestMergeTieOrder(t *testing.T) {
+	l := NewList(1, 5)
+	var buf mergeBuf
+	l.merge(0, []int32{9}, []float64{0.5}, &buf)
+	l.merge(0, []int32{7, 3, 8, 4}, []float64{0.5, 0.5, 0.2, 0.5}, &buf)
+	want := []int32{0, 8, 9, 3, 4}
+	for s, id := range want {
+		if l.ID[s] != id {
+			t.Fatalf("slot %d = %d, want %d (list %v)", s, l.ID[s], id, l.ID)
+		}
+	}
+	if ch := l.merge(0, []int32{1, 2}, []float64{math.NaN(), 0.5}, &buf); ch != 0 {
+		t.Fatalf("a NaN or a tie with the κ-th entry changed %d slots", ch)
+	}
+}
+
+// TestMergeAllocatesNothing: with its scratch reused, a merge that sorts a
+// full leaf's candidates into a list allocates nothing.
+func TestMergeAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	l := NewList(1, 32)
+	ids := make([]int32, 127)
+	ds := make([]float64, 127)
+	for k := range ids {
+		ids[k] = int32(k + 1)
+		ds[k] = rng.Float64()
+	}
+	id0 := append([]int32(nil), l.ID...)
+	d0 := append([]float64(nil), l.D...)
+	var buf mergeBuf
+	allocs := testing.AllocsPerRun(100, func() {
+		copy(l.ID, id0)
+		copy(l.D, d0)
+		l.merge(0, ids, ds, &buf)
+	})
+	if allocs != 0 {
+		t.Fatalf("merge allocated %v times per call", allocs)
 	}
 }
 
@@ -130,7 +284,7 @@ func TestSearchKernelSpaceMatchesGeometric(t *testing.T) {
 	n := 256
 	X := clusteredPoints(rng, 3, n, 4, 20)
 	K := linalg.MatMul(true, false, X, X)
-	kg := metric.KernelSpace{K: gram{K}}
+	kg := metric.NewKernelSpace(gram{K})
 	gg := metric.GeometricSpace{X: X}
 	ak := Search(n, 6, kg, Options{LeafSize: 32, Seed: 1})
 	eg := Exact(n, 6, gg)

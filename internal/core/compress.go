@@ -123,9 +123,9 @@ func CompressCtx(ctx context.Context, K SPD, cfg Config) (h *Hierarchical, err e
 	var space metric.Space
 	switch cfg.Distance {
 	case Angle:
-		space = metric.AngleSpace{K: K}
+		space = metric.NewAngleSpace(K)
 	case Kernel:
-		space = metric.KernelSpace{K: K}
+		space = metric.NewKernelSpace(K)
 	case Geometric:
 		space = metric.GeometricSpace{X: cfg.Points}
 	}

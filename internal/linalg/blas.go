@@ -31,7 +31,9 @@ func Dot(x, y []float64) float64 {
 	return s
 }
 
-// Axpy computes y += alpha*x.
+// Axpy computes y += alpha*x. On AVX hardware the 4-aligned prefix runs
+// in axpyF64, which rounds each product and sum separately and so matches
+// the loop bit for bit.
 func Axpy(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic("linalg: Axpy length mismatch")
@@ -39,9 +41,40 @@ func Axpy(alpha float64, x, y []float64) {
 	if alpha == 0 {
 		return
 	}
+	if haveFMAKernel && len(x) >= 4 {
+		mm := len(x) &^ 3
+		axpyF64(mm, alpha, &x[0], &y[0])
+		x, y = x[mm:], y[mm:]
+	}
 	for i, v := range x {
 		y[i] += alpha * v
 	}
+}
+
+// dot4 returns Dot(x, c) for the four columns c = A.Col(j+q)[r:r+len(x)],
+// q = 0..3, bit for bit: dotCols4 reproduces Dot's lanes over the 4-aligned
+// prefix and the remaining rows are added in Dot's scalar order.
+func dot4(x []float64, A *Matrix, r, j int) [4]float64 {
+	m := len(x)
+	var cols [4][]float64
+	for q := range cols {
+		cols[q] = A.Col(j + q)[r : r+m]
+	}
+	var s [4]float64
+	if !haveFMAKernel || m < 4 {
+		for q, c := range cols {
+			s[q] = Dot(x, c)
+		}
+		return s
+	}
+	mm := m &^ 3
+	dotCols4(mm, &cols[0][0], A.Stride, &x[0], &s[0])
+	for q, c := range cols {
+		for i := mm; i < m; i++ {
+			s[q] += x[i] * c[i]
+		}
+	}
+	return s
 }
 
 // Scal computes x *= alpha.

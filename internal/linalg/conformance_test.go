@@ -392,3 +392,251 @@ func TestGemmAccumulatesIntoViews(t *testing.T) {
 		}
 	}
 }
+
+// Householder kernels: Axpy and dot4 must reproduce the Go loops they
+// replace bit for bit, and QRColumnPivot the one-column trailing update it
+// ran before, over lengths 0–300 (ragged m mod 4 included), strided views
+// and special values. Any NaN matches any NaN: only payloads may differ.
+
+// sameBits reports whether a and b are the same float64, or both NaN.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+}
+
+// kernelSpecials are the values where a fused or reassociated kernel would
+// first part from the loops: signed zeros, subnormals, the smallest
+// normal, infinities, NaN and magnitudes near overflow.
+var kernelSpecials = []float64{
+	0, math.Copysign(0, -1), 5e-324, -4e-320, 0x1p-1022,
+	math.Inf(1), math.Inf(-1), math.NaN(), 1e308, -3e-300,
+}
+
+// fillKernel fills x with Gaussian values, about one in every replaced by
+// a special value (none when every is 0).
+func fillKernel(rng *rand.Rand, x []float64, every int) {
+	for i := range x {
+		x[i] = rng.NormFloat64()
+		if every > 0 && rng.Intn(every) == 0 {
+			x[i] = kernelSpecials[rng.Intn(len(kernelSpecials))]
+		}
+	}
+}
+
+// kernelMatrix is an r×c view at row and column offset pad into larger
+// storage (so its stride exceeds r when pad > 0), filled by fillKernel.
+func kernelMatrix(rng *rand.Rand, r, c, pad, every int) *Matrix {
+	M := NewMatrix(r+2*pad, c+pad).View(pad, pad, r, c)
+	for j := 0; j < c; j++ {
+		fillKernel(rng, M.Col(j), every)
+	}
+	return M
+}
+
+// loopAxpy is Axpy's scalar loop.
+func loopAxpy(alpha float64, x, y []float64) {
+	if alpha == 0 {
+		return
+	}
+	for i, v := range x {
+		y[i] += alpha * v
+	}
+}
+
+// checkAxpy runs Axpy and loopAxpy on twin copies of y and compares them.
+func checkAxpy(t *testing.T, alpha float64, x, y []float64) {
+	t.Helper()
+	want := append([]float64(nil), y...)
+	loopAxpy(alpha, x, want)
+	Axpy(alpha, x, y)
+	for i := range y {
+		if !sameBits(y[i], want[i]) {
+			t.Fatalf("n=%d alpha=%g: y[%d] = %g (%#x), loop gives %g (%#x)",
+				len(x), alpha, i, y[i], math.Float64bits(y[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+func TestAxpyMatchesLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(80))
+	alphas := append([]float64{1, -0.75}, kernelSpecials...)
+	for n := 0; n <= 300; n++ {
+		for _, every := range []int{0, 6} {
+			for _, pad := range []int{0, 1, 3} {
+				X := kernelMatrix(rng, n, 1, pad, every)
+				Y := kernelMatrix(rng, n, 1, pad+1, every)
+				checkAxpy(t, rng.NormFloat64(), X.Col(0), Y.Col(0))
+				checkAxpy(t, alphas[rng.Intn(len(alphas))], X.Col(0), Y.Col(0))
+			}
+		}
+	}
+	// Aliased operands: y += alpha·y.
+	y := make([]float64, 37)
+	fillKernel(rng, y, 5)
+	checkAxpy(t, 0.5, y, y)
+}
+
+// checkDot4 compares dot4 over columns j..j+3, rows r..r+len(x) of A with
+// Dot on each column.
+func checkDot4(t *testing.T, x []float64, A *Matrix, r, j int) {
+	t.Helper()
+	got := dot4(x, A, r, j)
+	for q := range got {
+		want := Dot(x, A.Col(j + q)[r:r+len(x)])
+		if !sameBits(got[q], want) {
+			t.Fatalf("m=%d r=%d stride=%d column %d: dot4 %g (%#x), Dot %g (%#x)",
+				len(x), r, A.Stride, q, got[q], math.Float64bits(got[q]), want, math.Float64bits(want))
+		}
+	}
+}
+
+func TestDot4MatchesDot(t *testing.T) {
+	rng := rand.New(rand.NewSource(81))
+	for m := 0; m <= 300; m++ {
+		for _, every := range []int{0, 6} {
+			for _, pad := range []int{0, 2} {
+				A := kernelMatrix(rng, m+pad, 5, pad, every)
+				x := kernelMatrix(rng, m, 1, 1, every).Col(0)
+				checkDot4(t, x, A, pad, 0)
+				checkDot4(t, x, A, pad, 1)
+			}
+		}
+	}
+}
+
+// refQRColumnPivot is QRColumnPivot as it stood with a one-column trailing
+// update built from Dot and Axpy's scalar loop.
+func refQRColumnPivot(A *Matrix, tol float64, maxRank int) *QRCP {
+	m, n := A.Rows, A.Cols
+	work := A.Clone()
+	kmax := min(m, n)
+	if maxRank > 0 && maxRank < kmax {
+		kmax = maxRank
+	}
+	f := &QRCP{QR: work, Piv: make([]int, n), Tau: make([]float64, 0, kmax)}
+	for j := range f.Piv {
+		f.Piv[j] = j
+	}
+	norms := make([]float64, n)
+	exact := make([]float64, n)
+	for j := 0; j < n; j++ {
+		norms[j] = Nrm2(work.Col(j))
+		exact[j] = norms[j]
+	}
+	for k := 0; k < kmax; k++ {
+		p, best := k, norms[k]
+		for j := k + 1; j < n; j++ {
+			if norms[j] > best {
+				best, p = norms[j], j
+			}
+		}
+		if k == 0 {
+			f.Sigma1 = best
+		}
+		f.ResidNorm = best
+		if best == 0 || (tol > 0 && best <= tol*f.Sigma1) {
+			break
+		}
+		if p != k {
+			ck, cp := work.Col(k), work.Col(p)
+			for i := range ck {
+				ck[i], cp[i] = cp[i], ck[i]
+			}
+			norms[k], norms[p] = norms[p], norms[k]
+			exact[k], exact[p] = exact[p], exact[k]
+			f.Piv[k], f.Piv[p] = f.Piv[p], f.Piv[k]
+		}
+		col := work.Col(k)
+		alpha := col[k]
+		xnorm := Nrm2(col[k+1:])
+		if xnorm == 0 {
+			f.Tau = append(f.Tau, 0)
+			f.Rank = k + 1
+			updateNorms(work, norms, exact, k, n, m)
+			continue
+		}
+		beta := -math.Copysign(math.Hypot(alpha, xnorm), alpha)
+		tau := (beta - alpha) / beta
+		scale := 1 / (alpha - beta)
+		Scal(scale, col[k+1:])
+		col[k] = beta
+		f.Tau = append(f.Tau, tau)
+		vtail := col[k+1 : m]
+		for jj := k + 1; jj < n; jj++ {
+			cj := work.Col(jj)
+			w := cj[k] + Dot(vtail, cj[k+1:m])
+			w *= tau
+			cj[k] -= w
+			loopAxpy(-w, vtail, cj[k+1:m])
+		}
+		f.Rank = k + 1
+		updateNorms(work, norms, exact, k, n, m)
+	}
+	if f.Rank == kmax {
+		if kmax < n {
+			best := 0.0
+			for j := kmax; j < n; j++ {
+				if norms[j] > best {
+					best = norms[j]
+				}
+			}
+			f.ResidNorm = best
+		} else {
+			f.ResidNorm = 0
+		}
+	}
+	return f
+}
+
+// checkQR compares QRColumnPivot with refQRColumnPivot field by field.
+func checkQR(t *testing.T, A *Matrix, tol float64, maxRank int) {
+	t.Helper()
+	got := QRColumnPivot(A, tol, maxRank)
+	want := refQRColumnPivot(A, tol, maxRank)
+	where := fmt.Sprintf("%d×%d tol=%g maxRank=%d", A.Rows, A.Cols, tol, maxRank)
+	if got.Rank != want.Rank || len(got.Tau) != len(want.Tau) {
+		t.Fatalf("%s: rank %d (%d reflectors), reference %d (%d)", where, got.Rank, len(got.Tau), want.Rank, len(want.Tau))
+	}
+	if !sameBits(got.ResidNorm, want.ResidNorm) || !sameBits(got.Sigma1, want.Sigma1) {
+		t.Fatalf("%s: norms (%g, %g), reference (%g, %g)", where, got.ResidNorm, got.Sigma1, want.ResidNorm, want.Sigma1)
+	}
+	for k := range got.Tau {
+		if !sameBits(got.Tau[k], want.Tau[k]) {
+			t.Fatalf("%s: Tau[%d] = %g, reference %g", where, k, got.Tau[k], want.Tau[k])
+		}
+	}
+	for j := range got.Piv {
+		if got.Piv[j] != want.Piv[j] {
+			t.Fatalf("%s: Piv[%d] = %d, reference %d", where, j, got.Piv[j], want.Piv[j])
+		}
+	}
+	for j := 0; j < A.Cols; j++ {
+		for i := 0; i < A.Rows; i++ {
+			if g, w := got.QR.At(i, j), want.QR.At(i, j); !sameBits(g, w) {
+				t.Fatalf("%s: QR[%d,%d] = %g (%#x), reference %g (%#x)", where, i, j, g, math.Float64bits(g), w, math.Float64bits(w))
+			}
+		}
+	}
+}
+
+func TestQRColumnPivotMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(82))
+	for _, m := range []int{1, 2, 3, 4, 5, 7, 8, 9, 31, 64, 129, 300} {
+		for _, n := range []int{1, 3, 4, 5, 8, 17, 40, 130} {
+			for _, every := range []int{0, 40} {
+				A := kernelMatrix(rng, m, n, 2, every)
+				checkQR(t, A, 0, 0)
+				checkQR(t, A, 0, 3)
+				// Low rank plus noise exercises the adaptive stop and the
+				// norm-recompute safeguard.
+				L := lowRankPlusNoise(rng, m, n, min(m, n, 6), 1e-9)
+				checkQR(t, L, 1e-7, 0)
+			}
+		}
+	}
+	// Exactly zero and already-triangular columns take the tau = 0 path.
+	Z := NewMatrix(9, 6)
+	for j := 0; j < 6; j++ {
+		Z.Set(min(j, 8), j, float64(j+1))
+	}
+	checkQR(t, Z, 0, 0)
+}

@@ -173,6 +173,30 @@ func FuzzGemmMixed(f *testing.F) {
 	})
 }
 
+// FuzzHouseholderKernels drives the kernels of the pivoted-QR update over
+// random lengths, strides and special-value densities: Axpy against its
+// scalar loop, dot4 against Dot on each column, and QRColumnPivot against
+// the one-column reference update, all bit for bit (any NaN matches any
+// NaN).
+func FuzzHouseholderKernels(f *testing.F) {
+	f.Add(int64(1), 64, 17, 0, 0, 0.5)
+	f.Add(int64(2), 7, 5, 1, 3, -1.25)
+	f.Add(int64(3), 301, 40, 2, 9, 0.0)
+	f.Add(int64(4), 130, 9, 3, 1, math.Inf(1))
+	f.Fuzz(func(t *testing.T, seed int64, m, n, pad, every int, alpha float64) {
+		m, n, pad, every = absInt(m)%302, 1+absInt(n)%48, absInt(pad)%4, absInt(every)%12
+		rng := rand.New(rand.NewSource(seed))
+		X := kernelMatrix(rng, m, 1, pad, every)
+		Y := kernelMatrix(rng, m, 1, pad, every)
+		checkAxpy(t, alpha, X.Col(0), Y.Col(0))
+		A := kernelMatrix(rng, m+pad, 4+pad, pad, every)
+		checkDot4(t, X.Col(0), A, pad, pad)
+		if m > 0 {
+			checkQR(t, kernelMatrix(rng, m, n, pad, every), 0, 0)
+		}
+	})
+}
+
 // betaCRounding bounds the extra error from rounding beta·c0 where the
 // kernel does (scaling C before accumulating) rather than where the
 // reference does (one alpha·s + beta·c expression): a few ulps of |beta·c0|,

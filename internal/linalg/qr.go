@@ -90,13 +90,7 @@ func QRColumnPivot(A *Matrix, tol float64, maxRank int) *QRCP {
 		// Apply (I - tau v vᵀ) to the trailing columns; v = [1; col[k+1:]].
 		vtail := col[k+1 : m]
 		parallelFor(n-(k+1), 16, func(lo, hi int) {
-			for jj := k + 1 + lo; jj < k+1+hi; jj++ {
-				cj := work.Col(jj)
-				w := cj[k] + Dot(vtail, cj[k+1:m])
-				w *= tau
-				cj[k] -= w
-				Axpy(-w, vtail, cj[k+1:m])
-			}
+			reflectCols(work, vtail, tau, k, k+1+lo, k+1+hi)
 		})
 		f.Rank = k + 1
 		updateNorms(work, norms, exact, k, n, m)
@@ -116,6 +110,30 @@ func QRColumnPivot(A *Matrix, tol float64, maxRank int) *QRCP {
 		}
 	}
 	return f
+}
+
+// reflectCols applies the reflector I − τ·v·vᵀ, v = [1; vtail], to rows
+// k..m-1 of columns lo..hi-1 of work. Columns go four at a time through
+// dot4, which reads vtail once for all four; every column gets exactly the
+// Dot and Axpy of a one-column update.
+func reflectCols(work *Matrix, vtail []float64, tau float64, k, lo, hi int) {
+	update := func(cj []float64, d float64) {
+		w := cj[k] + d
+		w *= tau
+		cj[k] -= w
+		Axpy(-w, vtail, cj[k+1:])
+	}
+	jj := lo
+	for ; jj+4 <= hi; jj += 4 {
+		d := dot4(vtail, work, k+1, jj)
+		for q := range d {
+			update(work.Col(jj+q), d[q])
+		}
+	}
+	for ; jj < hi; jj++ {
+		cj := work.Col(jj)
+		update(cj, Dot(vtail, cj[k+1:]))
+	}
 }
 
 // updateNorms downdates the running column norms after eliminating row k and

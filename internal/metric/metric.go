@@ -16,8 +16,9 @@
 package metric
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"gofmm/internal/linalg"
 )
@@ -46,8 +47,25 @@ type Space interface {
 	DistsToCentroid(idx []int, sample []int, out []float64)
 }
 
+// gramDiag reads K(i,i) for every index once: both Gram distances need the
+// diagonal entries of each pair they compare.
+func gramDiag(K Gram) []float64 {
+	d := make([]float64, K.Dim())
+	for i := range d {
+		d[i] = K.At(i, i)
+	}
+	return d
+}
+
 // KernelSpace is the Gram-ℓ₂ ("kernel") distance, Eq. (3) of the paper.
-type KernelSpace struct{ K Gram }
+type KernelSpace struct {
+	k    Gram
+	diag []float64 // K(i,i)
+}
+
+// NewKernelSpace returns the kernel distance over K, reading K's diagonal
+// once so each distance costs one off-diagonal oracle call.
+func NewKernelSpace(K Gram) KernelSpace { return KernelSpace{k: K, diag: gramDiag(K)} }
 
 // Name implements Space.
 func (KernelSpace) Name() string { return "kernel" }
@@ -55,14 +73,14 @@ func (KernelSpace) Name() string { return "kernel" }
 // Dist returns d²(i,j) = Kii + Kjj − 2Kij (squared distances order
 // identically to distances).
 func (s KernelSpace) Dist(i, j int) float64 {
-	return s.K.At(i, i) + s.K.At(j, j) - 2*s.K.At(i, j)
+	return s.diag[i] + s.diag[j] - 2*s.k.At(i, j)
 }
 
 // DistsTo implements Space.
 func (s KernelSpace) DistsTo(idx []int, j int, out []float64) {
-	kjj := s.K.At(j, j)
+	kjj := s.diag[j]
 	for k, i := range idx {
-		out[k] = s.K.At(i, i) + kjj - 2*s.K.At(i, j)
+		out[k] = s.diag[i] + kjj - 2*s.k.At(i, j)
 	}
 }
 
@@ -73,23 +91,30 @@ func (s KernelSpace) DistsToCentroid(idx []int, sample []int, out []float64) {
 	for k, i := range idx {
 		sum := 0.0
 		for _, sj := range sample {
-			sum += s.K.At(i, sj)
+			sum += s.k.At(i, sj)
 		}
-		out[k] = s.K.At(i, i) - inv*sum
+		out[k] = s.diag[i] - inv*sum
 	}
 }
 
 // AngleSpace is the Gram angle distance, Eq. (4) of the paper:
 // d(i,j) = 1 − K²ᵢⱼ/(KᵢᵢKⱼⱼ) = sin²∠(φᵢ, φⱼ).
-type AngleSpace struct{ K Gram }
+type AngleSpace struct {
+	k    Gram
+	diag []float64 // K(i,i)
+}
+
+// NewAngleSpace returns the angle distance over K, reading K's diagonal
+// once so each distance costs one off-diagonal oracle call.
+func NewAngleSpace(K Gram) AngleSpace { return AngleSpace{k: K, diag: gramDiag(K)} }
 
 // Name implements Space.
 func (AngleSpace) Name() string { return "angle" }
 
 // Dist implements Space.
 func (s AngleSpace) Dist(i, j int) float64 {
-	kij := s.K.At(i, j)
-	den := s.K.At(i, i) * s.K.At(j, j)
+	kij := s.k.At(i, j)
+	den := s.diag[i] * s.diag[j]
 	if den <= 0 {
 		return 1
 	}
@@ -98,10 +123,10 @@ func (s AngleSpace) Dist(i, j int) float64 {
 
 // DistsTo implements Space.
 func (s AngleSpace) DistsTo(idx []int, j int, out []float64) {
-	kjj := s.K.At(j, j)
+	kjj := s.diag[j]
 	for k, i := range idx {
-		kij := s.K.At(i, j)
-		den := s.K.At(i, i) * kjj
+		kij := s.k.At(i, j)
+		den := s.diag[i] * kjj
 		if den <= 0 {
 			out[k] = 1
 			continue
@@ -117,17 +142,17 @@ func (s AngleSpace) DistsToCentroid(idx []int, sample []int, out []float64) {
 	var cnorm2 float64
 	for _, a := range sample {
 		for _, b := range sample {
-			cnorm2 += s.K.At(a, b)
+			cnorm2 += s.k.At(a, b)
 		}
 	}
 	cnorm2 /= nc * nc
 	for k, i := range idx {
 		dot := 0.0
 		for _, sj := range sample {
-			dot += s.K.At(i, sj)
+			dot += s.k.At(i, sj)
 		}
 		dot /= nc
-		den := s.K.At(i, i) * cnorm2
+		den := s.diag[i] * cnorm2
 		if den <= 0 {
 			out[k] = 1
 			continue
@@ -241,17 +266,26 @@ func (b *BallSplit) Split(idx []int, _ int) int {
 }
 
 // medianSplit reorders idx so the nl smallest projections come first.
-// Sorting keeps ties deterministic; the O(n log n) cost matches the paper's
-// per-level bound.
+// Sorting by (projection, position) keeps ties deterministic; the
+// O(n log n) cost matches the paper's per-level bound.
 func medianSplit(idx []int, proj []float64, nl int) {
-	ord := make([]int, len(idx))
-	for i := range ord {
-		ord[i] = i
+	type key struct {
+		proj float64
+		pos  int
 	}
-	sort.SliceStable(ord, func(a, c int) bool { return proj[ord[a]] < proj[ord[c]] })
+	keys := make([]key, len(idx))
+	for i, p := range proj {
+		keys[i] = key{p, i}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if c := cmp.Compare(a.proj, b.proj); c != 0 {
+			return c
+		}
+		return a.pos - b.pos
+	})
 	tmp := make([]int, len(idx))
-	for k, o := range ord {
-		tmp[k] = idx[o]
+	for k, o := range keys {
+		tmp[k] = idx[o.pos]
 	}
 	copy(idx, tmp)
 	_ = nl

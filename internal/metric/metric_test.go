@@ -3,6 +3,7 @@ package metric
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -29,7 +30,7 @@ func TestKernelDistMatchesEuclidean(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	X := randPoints(rng, 5, 30)
 	K := gramFromPoints(X)
-	ks := KernelSpace{K: denseGram{K}}
+	ks := NewKernelSpace(denseGram{K})
 	gs := GeometricSpace{X: X}
 	for i := 0; i < 30; i++ {
 		for j := 0; j < 30; j++ {
@@ -45,7 +46,7 @@ func TestAngleDistMatchesCosine(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	X := randPoints(rng, 4, 20)
 	K := gramFromPoints(X)
-	as := AngleSpace{K: denseGram{K}}
+	as := NewAngleSpace(denseGram{K})
 	for i := 0; i < 20; i++ {
 		for j := 0; j < 20; j++ {
 			xi, xj := X.Col(i), X.Col(j)
@@ -63,7 +64,7 @@ func TestDistancePropertiesOnRandomSPD(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 4 + rng.Intn(20)
 		K := linalg.RandomSPD(rng, n, 100)
-		for _, sp := range []Space{KernelSpace{denseGram{K}}, AngleSpace{denseGram{K}}} {
+		for _, sp := range []Space{NewKernelSpace(denseGram{K}), NewAngleSpace(denseGram{K})} {
 			for trial := 0; trial < 20; trial++ {
 				i, j := rng.Intn(n), rng.Intn(n)
 				dij, dji := sp.Dist(i, j), sp.Dist(j, i)
@@ -89,7 +90,7 @@ func TestDistsToMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	K := linalg.RandomSPD(rng, 25, 10)
 	idx := []int{3, 17, 0, 24, 9}
-	for _, sp := range []Space{KernelSpace{denseGram{K}}, AngleSpace{denseGram{K}}} {
+	for _, sp := range []Space{NewKernelSpace(denseGram{K}), NewAngleSpace(denseGram{K})} {
 		out := make([]float64, len(idx))
 		sp.DistsTo(idx, 7, out)
 		for k, i := range idx {
@@ -104,7 +105,7 @@ func TestKernelCentroidDistsOrderLikeTrueCentroid(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	X := randPoints(rng, 3, 40)
 	K := gramFromPoints(X)
-	ks := KernelSpace{K: denseGram{K}}
+	ks := NewKernelSpace(denseGram{K})
 	idx := make([]int, 40)
 	for i := range idx {
 		idx[i] = i
@@ -161,7 +162,7 @@ func TestBallSplitSeparatesClusters(t *testing.T) {
 	}
 	spaces := []Space{
 		GeometricSpace{X: X},
-		KernelSpace{denseGram{K}},
+		NewKernelSpace(denseGram{K}),
 	}
 	for _, sp := range spaces {
 		idx := make([]int, n)
@@ -193,7 +194,7 @@ func TestBallSplitBalanced(t *testing.T) {
 		for i := range idx {
 			idx[i] = i
 		}
-		bs := &BallSplit{Space: AngleSpace{denseGram{K}}, Rng: rng}
+		bs := &BallSplit{Space: NewAngleSpace(denseGram{K}), Rng: rng}
 		nl := bs.Split(idx, 0)
 		if nl != (n+1)/2 {
 			return false
@@ -216,7 +217,7 @@ func TestBallSplitBalanced(t *testing.T) {
 func TestRandomBallSplitUsableInTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	K := linalg.RandomSPD(rng, 100, 10)
-	bs := &BallSplit{Space: KernelSpace{denseGram{K}}, Rng: rng, Random: true}
+	bs := &BallSplit{Space: NewKernelSpace(denseGram{K}), Rng: rng, Random: true}
 	tr := tree.Build(100, 16, bs)
 	if tr.NumLeaves() != 8 {
 		t.Fatalf("leaves = %d", tr.NumLeaves())
@@ -241,7 +242,7 @@ func TestRandomSplitPermutes(t *testing.T) {
 func TestAngleSpaceDegenerateDiagonal(t *testing.T) {
 	// Zero diagonal entries must not produce NaN distances.
 	K := linalg.NewMatrix(2, 2)
-	as := AngleSpace{denseGram{K}}
+	as := NewAngleSpace(denseGram{K})
 	if d := as.Dist(0, 1); d != 1 || math.IsNaN(d) {
 		t.Fatalf("degenerate angle distance = %v", d)
 	}
@@ -267,7 +268,7 @@ func TestBallSplitTwoElements(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	K := linalg.RandomSPD(rng, 2, 10)
 	idx := []int{0, 1}
-	bs := &BallSplit{Space: KernelSpace{denseGram{K}}, Rng: rng}
+	bs := &BallSplit{Space: NewKernelSpace(denseGram{K}), Rng: rng}
 	if nl := bs.Split(idx, 0); nl != 1 {
 		t.Fatalf("2-element split nl = %d", nl)
 	}
@@ -276,12 +277,100 @@ func TestBallSplitTwoElements(t *testing.T) {
 func TestAngleCentroidDegenerate(t *testing.T) {
 	// Zero Gram matrix: centroid distances must be defined (no NaN).
 	K := linalg.NewMatrix(4, 4)
-	as := AngleSpace{denseGram{K}}
+	as := NewAngleSpace(denseGram{K})
 	out := make([]float64, 4)
 	as.DistsToCentroid([]int{0, 1, 2, 3}, []int{0, 1}, out)
 	for _, v := range out {
 		if math.IsNaN(v) {
 			t.Fatal("NaN centroid distance")
+		}
+	}
+}
+
+// countingGram counts oracle reads.
+type countingGram struct {
+	denseGram
+	reads int
+}
+
+func (c *countingGram) At(i, j int) float64 {
+	c.reads++
+	return c.denseGram.At(i, j)
+}
+
+// The Gram spaces read K's diagonal once, when they are built; a distance
+// then costs one oracle read and equals, bit for bit, its formula with the
+// diagonal read per pair.
+func TestGramDistancesReadDiagonalOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	const n = 30
+	K := linalg.RandomSPD(rng, n, 10)
+	formula := map[string]func(i, j int) float64{
+		"kernel": func(i, j int) float64 { return K.At(i, i) + K.At(j, j) - 2*K.At(i, j) },
+		"angle": func(i, j int) float64 {
+			kij := K.At(i, j)
+			return 1 - kij*kij/(K.At(i, i)*K.At(j, j))
+		},
+	}
+	build := []func(Gram) Space{
+		func(g Gram) Space { return NewKernelSpace(g) },
+		func(g Gram) Space { return NewAngleSpace(g) },
+	}
+	idx := rng.Perm(n)
+	out := make([]float64, n)
+	for _, b := range build {
+		g := &countingGram{denseGram: denseGram{K}}
+		sp := b(g)
+		if g.reads != n {
+			t.Fatalf("%s: building read %d entries, want the %d diagonal ones", sp.Name(), g.reads, n)
+		}
+		g.reads = 0
+		sp.DistsTo(idx, 7, out)
+		if g.reads != n {
+			t.Fatalf("%s: %d distances read %d entries", sp.Name(), n, g.reads)
+		}
+		for k, i := range idx {
+			if want := formula[sp.Name()](i, 7); math.Float64bits(out[k]) != math.Float64bits(want) {
+				t.Fatalf("%s: d(%d, 7) = %v, formula gives %v", sp.Name(), i, out[k], want)
+			}
+		}
+	}
+}
+
+// medianSplit orders by (projection, position): for every projection but
+// NaN, exact ties and signed zeros included, that is the permutation a
+// stable sort by projection gives.
+func TestMedianSplitMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	specials := []float64{math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1)}
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(40)
+		idx := rng.Perm(n)
+		proj := make([]float64, n)
+		for k := range proj {
+			switch rng.Intn(4) {
+			case 0:
+				proj[k] = rng.NormFloat64()
+			case 1:
+				proj[k] = specials[rng.Intn(len(specials))]
+			default:
+				proj[k] = float64(rng.Intn(5)) - 2
+			}
+		}
+		ord := make([]int, n)
+		for k := range ord {
+			ord[k] = k
+		}
+		sort.SliceStable(ord, func(a, b int) bool { return proj[ord[a]] < proj[ord[b]] })
+		want := make([]int, n)
+		for k, o := range ord {
+			want[k] = idx[o]
+		}
+		medianSplit(idx, proj, (n+1)/2)
+		for k := range want {
+			if idx[k] != want[k] {
+				t.Fatalf("trial %d: position %d holds %d, stable sort gives %d", trial, k, idx[k], want[k])
+			}
 		}
 	}
 }

@@ -41,10 +41,16 @@ func TestAdmissionShedsBeyondBound(t *testing.T) {
 			shed.Add(1)
 		}()
 	}
-	// Wait until the gate is saturated: everyone has either been shed or
-	// holds a slot/queue position.
-	deadline := time.Now().Add(2 * time.Second)
-	for admitted.Load()+shed.Load() < 12 && time.Now().Before(deadline) {
+	// Wait until the gate is saturated: two claims hold the slots, two wait
+	// in the queue and the other twelve are shed. Waiting for less (say
+	// admitted+shed ≥ 12) lets a goroutine that starts late take a slot
+	// that close(release) frees below.
+	saturated := func() bool {
+		_, queued := a.depth()
+		return admitted.Load() == 2 && shed.Load() == 12 && queued == 2
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !saturated() && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	close(release)
