@@ -65,7 +65,7 @@ func run(args []string, out io.Writer) error {
 		pool      = fs.Bool("pool", false, "pool evaluation/solve scratch buffers (workspace.* counters)")
 		structure = fs.Bool("structure", false, "print the leaf-level block structure (Figure 2 style)")
 		dotFile   = fs.String("dot", "", "write the evaluation dependency DAG (Figure 3) to this file in DOT format")
-		storeFile = fs.String("store", "", "write a gofmm.store/v1 operator store (flat arena + compiled plan, servable by gofmmd -store-dir) to this file after compression")
+		storeFile = fs.String("store", "", "write a gofmm.store/v1 operator store (flat arena + compiled-plan digest, servable by gofmmd -store-dir) to this file after compression")
 		loadFile  = fs.String("load", "", "load an operator store written by -store (reattaching the matrix oracle) instead of compressing")
 		traceFile = fs.String("trace", "", "write a Chrome trace-event JSON (load in Perfetto / chrome://tracing) to this file")
 		metrics   = fs.String("metrics", "", "write the telemetry metrics snapshot (counters, histograms, spans) as JSON to this file")
@@ -236,8 +236,9 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if *storeFile != "" {
-		// Compile first so the store carries the replayable plan and a
-		// loaded operator serves without recompiling.
+		// Compile first so the store is saved compiled: it carries every
+		// block the plan reads and the plan's digest, and a load lowers the
+		// same plan again without the oracle.
 		if _, err := h.CompilePlanCtx(ctx); err != nil {
 			return err
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -37,9 +38,12 @@ func main() {
 	t0 := time.Now()
 	H, err := gofmm.Compress(p.K, gofmm.Config{
 		LeafSize: 128, MaxRank: 128, Tol: 1e-5, Budget: 0.03,
-		Distance: gofmm.Angle, NumWorkers: 4, CacheBlocks: true, CompilePlan: true,
+		Distance: gofmm.Angle, NumWorkers: 4, CacheBlocks: true,
 	})
 	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := H.CompilePlanCtx(context.Background()); err != nil {
 		log.Fatal(err)
 	}
 	compressT := time.Since(t0)
@@ -60,8 +64,9 @@ func main() {
 	// Reload. The arena is mapped read-only: skeleton bases, projections
 	// and cached blocks serve straight from the page cache, zero-copy. The
 	// loaded operator has no oracle — matvec/matmat run entirely from the
-	// persisted state, and the compiled plan rides along (the digest check
-	// proves the replay schedule survived the round trip).
+	// persisted state. The store keeps only the plan's digest: the load
+	// lowers the plan again from the loaded operator and checks that digest,
+	// which proves it replays the schedule that was saved.
 	t0 = time.Now()
 	H2, info, err := gofmm.LoadOperator(path, gofmm.LoadOptions{Mmap: true, NumWorkers: 4})
 	if err != nil {

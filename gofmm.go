@@ -334,10 +334,10 @@ var ErrEvaluatorClosed = core.ErrEvaluatorClosed
 // Plan is a compiled evaluation plan: the four-pass N2S/S2S/S2N/L2L
 // traversal lowered once into a flat, replayable schedule of kernel calls
 // with pre-resolved buffer offsets. Compile one with
-// Hierarchical.CompilePlan (or set Config.CompilePlan to compile during
-// Compress); subsequent Matvec/Matmat calls replay the plan instead of
-// re-walking the tree. The tree interpreter remains available as the
-// reference path through InterpMatvecCtx/InterpMatmatCtx.
+// Hierarchical.CompilePlan or CompilePlanCtx after Compress; subsequent
+// Matvec/Matmat calls replay the plan instead of re-walking the tree. The
+// tree interpreter remains available as the reference path through
+// InterpMatvecCtx/InterpMatmatCtx.
 type Plan = plan.Plan
 
 // Counting wraps an SPD oracle with an entry-evaluation counter, the

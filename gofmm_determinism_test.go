@@ -136,14 +136,12 @@ func TestPlanDeterminismGolden(t *testing.T) {
 
 	compile := func(workers int) *Hierarchical {
 		t.Helper()
-		cfg := determinismConfig(workers)
-		cfg.CompilePlan = true
-		h, err := Compress(NewDense(K), cfg)
+		h, err := Compress(NewDense(K), determinismConfig(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h.Plan() == nil {
-			t.Fatal("CompilePlan did not install a plan")
+		if _, err := h.CompilePlan(); err != nil {
+			t.Fatal(err)
 		}
 		return h
 	}
@@ -193,9 +191,11 @@ func TestPlanDeterminismGolden(t *testing.T) {
 	// bits must not notice.
 	seq := determinismConfig(1)
 	seq.Exec = core.Sequential
-	seq.CompilePlan = true
 	hs, err := Compress(NewDense(K), seq)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hs.CompilePlan(); err != nil {
 		t.Fatal(err)
 	}
 	if d := hs.Plan().DigestHex(); d != digest {

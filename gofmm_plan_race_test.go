@@ -39,15 +39,15 @@ func TestPlanConcurrentReplayStorm(t *testing.T) {
 	cfg := Config{
 		LeafSize: 32, MaxRank: 48, Tol: 1e-5, Kappa: 8, Budget: 0.05,
 		Distance: core.Angle, Exec: core.Dynamic, NumWorkers: 4, Seed: 11,
-		CacheBlocks: true, Workspace: NewWorkspacePool(), CompilePlan: true,
+		CacheBlocks: true, Workspace: NewWorkspacePool(),
 	}
 	h, err := Compress(NewDense(K), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := h.Plan()
-	if p == nil {
-		t.Fatal("CompilePlan did not install a plan")
+	p, err := h.CompilePlan()
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	// Distinct per-slot inputs with golden outputs taken before the storm;

@@ -43,14 +43,13 @@ func planFixtures() []struct {
 	}
 }
 
-// planCompress compresses with Config.CompilePlan set, so the test also
-// covers the compile-during-Compress wiring, and verifies a plan installed.
+// planCompress compresses, compiles the plan and verifies it installed.
 func planCompress(t *testing.T, K *Matrix, dist core.Distance, tol float64, fixedRank bool) *Hierarchical {
 	t.Helper()
 	cfg := Config{
 		LeafSize: 32, MaxRank: 48, Kappa: 8, Budget: 0.05,
 		Distance: dist, Exec: core.Sequential, Seed: 3, CacheBlocks: true,
-		Workspace: NewWorkspacePool(), CompilePlan: true,
+		Workspace: NewWorkspacePool(),
 	}
 	if fixedRank {
 		// An unreachable tolerance saturates every node at MaxRank.
@@ -63,8 +62,11 @@ func planCompress(t *testing.T, K *Matrix, dist core.Distance, tol float64, fixe
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := h.CompilePlan(); err != nil {
+		t.Fatal(err)
+	}
 	if h.Plan() == nil {
-		t.Fatal("Config.CompilePlan did not install a plan")
+		t.Fatal("CompilePlan did not install a plan")
 	}
 	return h
 }

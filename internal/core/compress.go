@@ -194,12 +194,6 @@ func CompressCtx(ctx context.Context, K SPD, cfg Config) (h *Hierarchical, err e
 			return nil, cacheErr
 		}
 	}
-	if cfg.CompilePlan {
-		if _, perr := h.CompilePlanCtx(ctx); perr != nil {
-			root.End()
-			return nil, perr
-		}
-	}
 
 	if d := root.End(); d > 0 {
 		h.Stats.CompressTime = d.Seconds()

@@ -211,11 +211,6 @@ type Config struct {
 	// CacheSingle stores the cached blocks in float32 (half the memory, the
 	// paper's single-precision storage regime); accumulation stays float64.
 	CacheSingle bool
-	// CompilePlan lowers the four-pass traversal into a flat execution plan
-	// at the end of CompressCtx (see CompilePlanCtx); Matvec/Matmat then
-	// replay the compiled schedule instead of re-walking the tree. The tree
-	// interpreter remains reachable through InterpMatvecCtx/InterpMatmatCtx.
-	CompilePlan bool
 	// SampleRows bounds the number of importance-sampled rows used per
 	// skeletonization (default 4·MaxRank + LeafSize).
 	SampleRows int

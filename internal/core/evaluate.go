@@ -93,10 +93,10 @@ func (h *Hierarchical) InterpMatvecCtx(ctx context.Context, W *linalg.Matrix) (*
 
 // MatvecInto computes U ≈ K·W into the caller's n×r output U, where r is
 // W.Cols; W and U must not overlap. With a compiled plan installed
-// (CompilePlanCtx, Config.CompilePlan, or a store that carried one) it
-// replays the plan straight into U, and with telemetry off a steady-state
-// call allocates nothing: the replay arena comes from the plan's state
-// cache (or Config.Workspace). On an uncompiled operator it runs the tree
+// (CompilePlanCtx, or a load of a store saved compiled) it replays the
+// plan straight into U, and with telemetry off a steady-state call
+// allocates nothing: the replay arena comes from the plan's state cache
+// (or Config.Workspace). On an uncompiled operator it runs the tree
 // interpreter and allocates exactly as MatvecCtx does, minus the output.
 // Errors are those of MatvecCtx, plus ErrInvalidInput for a nil or
 // mis-shaped U.
@@ -327,7 +327,7 @@ func (h *Hierarchical) s2s(st *evalState, id int) {
 		if nd.cacheFar != nil {
 			block = nd.cacheFar[k]
 		} else {
-			block = NewGathered(h.K, nd.skel, h.nodes[alpha].skel)
+			block = h.farBlock(id, alpha)
 		}
 		linalg.Gemm(false, false, 1, block, wa, 1, acc)
 		h.addEvalFlops(2 * float64(block.Rows) * float64(block.Cols) * float64(st.r))
@@ -394,7 +394,7 @@ func (h *Hierarchical) l2l(st *evalState, beta int) {
 		if nd.cacheNear != nil {
 			block = nd.cacheNear[k]
 		} else {
-			block = NewGathered(h.K, t.Indices(beta), t.Indices(alpha))
+			block = h.nearBlock(beta, alpha)
 		}
 		linalg.Gemm(false, false, 1, block, wview, 1, uview)
 		h.addEvalFlops(2 * float64(block.Rows) * float64(block.Cols) * float64(st.r))

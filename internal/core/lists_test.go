@@ -50,7 +50,7 @@ func gaussKernelMatrix(rng *rand.Rand, n int, h float64) (*linalg.Matrix, *linal
 	return K, X
 }
 
-func compressGauss(t *testing.T, n int, cfg Config) (*Hierarchical, *linalg.Matrix) {
+func compressGauss(t testing.TB, n int, cfg Config) (*Hierarchical, *linalg.Matrix) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(99))
 	K, X := gaussKernelMatrix(rng, n, 0.8)

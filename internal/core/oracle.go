@@ -61,15 +61,24 @@ func (h *Hierarchical) AttachOracle(K SPD) error {
 // near block without a cached copy (in either precision) forces a gather.
 func (h *Hierarchical) interpNeedsOracle() bool {
 	for id := range h.nodes {
-		nd := &h.nodes[id]
-		if len(nd.far) > 0 && len(nd.skel) > 0 && nd.cacheFar == nil && nd.cacheFar32 == nil {
-			return true
-		}
-		if h.Tree.IsLeaf(id) && len(nd.near) > 0 && nd.cacheNear == nil && nd.cacheNear32 == nil {
+		if h.farUncached(id) || h.nearUncached(id) {
 			return true
 		}
 	}
 	return false
+}
+
+// farUncached reports whether node id's far interactions contribute to an
+// evaluation without a cached block list in either precision.
+func (h *Hierarchical) farUncached(id int) bool {
+	nd := &h.nodes[id]
+	return len(nd.far) > 0 && len(nd.skel) > 0 && nd.cacheFar == nil && nd.cacheFar32 == nil
+}
+
+// nearUncached is farUncached for leaf id's near interactions.
+func (h *Hierarchical) nearUncached(id int) bool {
+	nd := &h.nodes[id]
+	return h.Tree.IsLeaf(id) && len(nd.near) > 0 && nd.cacheNear == nil && nd.cacheNear32 == nil
 }
 
 // requireEvalOracle is the typed-error guard on the evaluation entry

@@ -227,8 +227,7 @@ func (h *Hierarchical) lowerPlan() (*plan.Plan, error) {
 			case nd.cacheFar != nil:
 				b.Gemm(false, nd.cacheFar[k], skelW[alpha], skelU[id], beta)
 			default:
-				block := NewGathered(h.K, nd.skel, h.nodes[alpha].skel)
-				b.Gemm(false, block, skelW[alpha], skelU[id], beta)
+				b.Gemm(false, h.farBlock(id, alpha), skelW[alpha], skelU[id], beta)
 			}
 			emitted = true
 		}
@@ -314,8 +313,7 @@ func (h *Hierarchical) lowerPlan() (*plan.Plan, error) {
 			case nd.cacheNear != nil:
 				b.Gemm(false, nd.cacheNear[k], wref, uref, bk)
 			default:
-				block := NewGathered(h.K, t.Indices(beta), t.Indices(alpha))
-				b.Gemm(false, block, wref, uref, bk)
+				b.Gemm(false, h.nearBlock(beta, alpha), wref, uref, bk)
 			}
 		}
 	}

@@ -123,14 +123,15 @@ func TestCompiledPlanParallelReplayBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCompileViaConfigAndDropPlan covers the Config.CompilePlan compress
-// hook and the DropPlan escape hatch.
+// TestCompileViaConfigAndDropPlan covers compiling after Compress and the
+// DropPlan escape hatch.
 func TestCompileViaConfigAndDropPlan(t *testing.T) {
-	cfg := planConfig()
-	cfg.CompilePlan = true
-	h, _ := compressGauss(t, 256, cfg)
+	h, _ := compressGauss(t, 256, planConfig())
+	if _, err := h.CompilePlan(); err != nil {
+		t.Fatal(err)
+	}
 	if h.Plan() == nil {
-		t.Fatal("Config.CompilePlan did not install a plan during Compress")
+		t.Fatal("CompilePlan did not install a plan")
 	}
 	if h.Stats.PlanTime < 0 {
 		t.Fatal("negative PlanTime")
@@ -284,11 +285,10 @@ func TestMatvecIntoAllocs(t *testing.T) {
 		cfg := planConfig()
 		cfg.CacheSingle = single
 		cfg.Workspace = workspace.New()
-		cfg.CompilePlan = true
 		const n = 1024
 		h, _ := compressGauss(t, n, cfg)
-		if h.Plan() == nil {
-			t.Fatal("Config.CompilePlan did not install a plan")
+		if _, err := h.CompilePlan(); err != nil {
+			t.Fatal(err)
 		}
 		ctx := context.Background()
 		rng := rand.New(rand.NewSource(14))

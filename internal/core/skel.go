@@ -189,22 +189,32 @@ func (h *Hierarchical) coefNode(id int, w *skelWork) {
 	w.fact = nil // release the factor
 }
 
+// nearBlock gathers the near block K(β, α) between the indices of leaves
+// β and α; farBlock gathers the far block K(β̃, α̃) between their
+// skeletons. Caching, the interpreter, plan lowering and the store all
+// gather through these two, so every path sees the same float64 block.
+func (h *Hierarchical) nearBlock(beta, alpha int) *linalg.Matrix {
+	return NewGathered(h.K, h.Tree.Indices(beta), h.Tree.Indices(alpha))
+}
+
+func (h *Hierarchical) farBlock(beta, alpha int) *linalg.Matrix {
+	return NewGathered(h.K, h.nodes[beta].skel, h.nodes[alpha].skel)
+}
+
 // cacheBlocks evaluates and stores the near blocks K_βα (task Kba) and far
 // skeleton blocks K_β̃α̃ (task SKba). With caching, evaluation is pure GEMM.
 func (h *Hierarchical) cacheNearBlock(beta int) {
-	t := h.Tree
 	nd := &h.nodes[beta]
-	bi := t.Indices(beta)
 	if h.Cfg.CacheSingle {
 		nd.cacheNear32 = make([]*linalg.Matrix32, len(nd.near))
 		for k, alpha := range nd.near {
-			nd.cacheNear32[k] = linalg.ToMatrix32(NewGathered(h.K, bi, t.Indices(alpha)))
+			nd.cacheNear32[k] = linalg.ToMatrix32(h.nearBlock(beta, alpha))
 		}
 		return
 	}
 	nd.cacheNear = make([]*linalg.Matrix, len(nd.near))
 	for k, alpha := range nd.near {
-		nd.cacheNear[k] = NewGathered(h.K, bi, t.Indices(alpha))
+		nd.cacheNear[k] = h.nearBlock(beta, alpha)
 	}
 }
 
@@ -213,12 +223,12 @@ func (h *Hierarchical) cacheFarBlock(beta int) {
 	if h.Cfg.CacheSingle {
 		nd.cacheFar32 = make([]*linalg.Matrix32, len(nd.far))
 		for k, alpha := range nd.far {
-			nd.cacheFar32[k] = linalg.ToMatrix32(NewGathered(h.K, nd.skel, h.nodes[alpha].skel))
+			nd.cacheFar32[k] = linalg.ToMatrix32(h.farBlock(beta, alpha))
 		}
 		return
 	}
 	nd.cacheFar = make([]*linalg.Matrix, len(nd.far))
 	for k, alpha := range nd.far {
-		nd.cacheFar[k] = NewGathered(h.K, nd.skel, h.nodes[alpha].skel)
+		nd.cacheFar[k] = h.farBlock(beta, alpha)
 	}
 }

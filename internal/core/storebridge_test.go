@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -20,21 +21,24 @@ import (
 // The store round-trip property: across distances, tolerance regimes and
 // cache precisions, SaveTo → LoadFrom (both the portable and the mmap path)
 // reproduces the in-memory operator bit for bit — identical Matvec and
-// Matmat results, identical reinstalled plan digest — with no oracle
-// attached to the loaded side.
+// Matmat results, identical re-lowered plan digest — with no oracle
+// attached to the loaded side. The uncached HSS variant is the operator a
+// plan compiled by gathering: the store must carry the blocks the plan
+// gathered, so the loaded side lowers, replays and interprets oracle-free.
 func TestStoreRoundTripProperty(t *testing.T) {
 	type variant struct {
 		name string
 		cfg  Config
 	}
 	variants := []variant{
-		{"angle-tol2-f64", Config{Distance: Angle, Tol: 1e-2, CacheBlocks: true}},
-		{"angle-tol5-f64", Config{Distance: Angle, Tol: 1e-5, CacheBlocks: true}},
-		{"kernel-tol2-f32", Config{Distance: Kernel, Tol: 1e-2, CacheBlocks: true, CacheSingle: true}},
-		{"kernel-tol5-f32", Config{Distance: Kernel, Tol: 1e-5, CacheBlocks: true, CacheSingle: true}},
+		{"angle-tol2-f64", Config{Distance: Angle, Tol: 1e-2, Budget: 0.1, CacheBlocks: true}},
+		{"angle-tol5-f64", Config{Distance: Angle, Tol: 1e-5, Budget: 0.1, CacheBlocks: true}},
+		{"kernel-tol2-f32", Config{Distance: Kernel, Tol: 1e-2, Budget: 0.1, CacheBlocks: true, CacheSingle: true}},
+		{"kernel-tol5-f32", Config{Distance: Kernel, Tol: 1e-5, Budget: 0.1, CacheBlocks: true, CacheSingle: true}},
 		// Fixed-rank regime: tolerance loose enough that MaxRank binds.
-		{"angle-fixedrank-f64", Config{Distance: Angle, Tol: 1e-12, MaxRank: 12, CacheBlocks: true}},
-		{"kernel-fixedrank-f32", Config{Distance: Kernel, Tol: 1e-12, MaxRank: 12, CacheBlocks: true, CacheSingle: true}},
+		{"angle-fixedrank-f64", Config{Distance: Angle, Tol: 1e-12, MaxRank: 12, Budget: 0.1, CacheBlocks: true}},
+		{"kernel-fixedrank-f32", Config{Distance: Kernel, Tol: 1e-12, MaxRank: 12, Budget: 0.1, CacheBlocks: true, CacheSingle: true}},
+		{"angle-hss-uncached", Config{Distance: Angle, Tol: 1e-5, Budget: 0, CacheBlocks: false}},
 	}
 	for _, v := range variants {
 		v := v
@@ -45,15 +49,11 @@ func TestStoreRoundTripProperty(t *testing.T) {
 				cfg.MaxRank = 24
 			}
 			cfg.Kappa = 8
-			cfg.Budget = 0.1
 			cfg.Exec = Sequential
 			cfg.Seed = 42
-			cfg.CompilePlan = true
 			h, _ := compressGauss(t, 300, cfg)
-			if h.Plan() == nil {
-				if _, err := h.CompilePlan(); err != nil {
-					t.Fatal(err)
-				}
+			if _, err := h.CompilePlan(); err != nil {
+				t.Fatal(err)
 			}
 
 			path := filepath.Join(t.TempDir(), "op.store")
@@ -96,7 +96,7 @@ func TestStoreRoundTripProperty(t *testing.T) {
 					t.Fatalf("%s: plan digest %q, want %q", name, info.PlanDigest, wantDigest)
 				}
 				if got := h2.Plan().DigestHex(); got != wantDigest {
-					t.Fatalf("%s: reinstalled plan digest %q, want %q", name, got, wantDigest)
+					t.Fatalf("%s: re-lowered plan digest %q, want %q", name, got, wantDigest)
 				}
 				gotVec, err := h2.MatvecCtx(context.Background(), W1)
 				if err != nil {
@@ -362,13 +362,14 @@ const (
 )
 
 // payloadFixture holds the decoded sections of a valid store, for tests that
-// re-encode the meta and topo payloads with bad values.
+// re-encode the meta, topo and plan payloads with bad values.
 type payloadFixture struct {
 	h        *Hierarchical
 	K        SPD
 	sections []store.Section
 	meta     []byte
 	topo     []byte
+	plan     []byte
 	// The topo section opens with the matrix table (a count, then four
 	// int64s per record) followed by the length-prefixed permutation.
 	topoPermLen int
@@ -377,12 +378,23 @@ type payloadFixture struct {
 
 const payloadN = 96
 
-func newPayloadFixture(t *testing.T) payloadFixture {
+// payloadConfig is the fixture operator: cached blocks and a sparse
+// correction.
+var payloadConfig = Config{
+	LeafSize: 32, Kappa: 8, Budget: 0.1, Distance: Kernel,
+	Exec: Sequential, Seed: 112, Tol: 1e-5, CacheBlocks: true,
+}
+
+// newPayloadFixture compresses a payloadN-point operator with cfg,
+// compiles its plan when compiled is set, and splits its store sections.
+func newPayloadFixture(t *testing.T, cfg Config, compiled bool) payloadFixture {
 	t.Helper()
-	h, K := compressGauss(t, payloadN, Config{
-		LeafSize: 32, Kappa: 8, Budget: 0.1, Distance: Kernel,
-		Exec: Sequential, Seed: 112, Tol: 1e-5, CacheBlocks: true,
-	})
+	h, K := compressGauss(t, payloadN, cfg)
+	if compiled {
+		if _, err := h.CompilePlan(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	sections, err := h.storeSections()
 	if err != nil {
 		t.Fatal(err)
@@ -394,6 +406,8 @@ func newPayloadFixture(t *testing.T) payloadFixture {
 			f.meta = s.Data
 		case store.SecTopo:
 			f.topo = s.Data
+		case store.SecPlan:
+			f.plan = s.Data
 		}
 	}
 	numRecs := int(binary.LittleEndian.Uint64(f.topo))
@@ -409,13 +423,13 @@ func patch64(src []byte, off int, v uint64) []byte {
 	return out
 }
 
-// requireBadPayload swaps data in for the section of the given kind,
-// rewrites the container with fresh checksums, so only the payload parser
-// can reject it, and requires ErrBadFormat without a panic.
-func (f payloadFixture) requireBadPayload(t *testing.T, name string, kind store.SectionKind, data []byte) {
+// withSection returns a store image of sections with data swapped in for
+// the section of the given kind, written with fresh checksums so that only
+// the payload parser can reject it.
+func withSection(t testing.TB, sections []store.Section, kind store.SectionKind, data []byte) []byte {
 	t.Helper()
-	mutated := make([]store.Section, len(f.sections))
-	for i, s := range f.sections {
+	mutated := make([]store.Section, len(sections))
+	for i, s := range sections {
 		if s.Kind == kind {
 			s.Data = data
 		}
@@ -425,15 +439,25 @@ func (f payloadFixture) requireBadPayload(t *testing.T, name string, kind store.
 	if _, err := store.Write(&buf, mutated); err != nil {
 		t.Fatal(err)
 	}
-	if err := readStoreErr(t, name, buf.Bytes(), f.K); !errors.Is(err, ErrBadFormat) {
+	return buf.Bytes()
+}
+
+// requireBadPayload swaps data in for the section of the given kind,
+// rewrites the container with fresh checksums, and requires ErrBadFormat
+// without a panic. It returns the error for further checks.
+func (f payloadFixture) requireBadPayload(t *testing.T, name string, kind store.SectionKind, data []byte) error {
+	t.Helper()
+	err := readStoreErr(t, name, withSection(t, f.sections, kind, data), f.K)
+	if !errors.Is(err, ErrBadFormat) {
 		t.Errorf("%s: got %v, want ErrBadFormat", name, err)
 	}
+	return err
 }
 
 // Out-of-range header fields and permutation lengths or entries in an
 // otherwise valid store must fail with ErrBadFormat and never panic.
 func TestReadFromAdversarialHeaders(t *testing.T) {
-	f := newPayloadFixture(t)
+	f := newPayloadFixture(t, payloadConfig, false)
 	i64 := func(v int64) uint64 { return uint64(v) }
 	cases := []struct {
 		name string
@@ -462,17 +486,59 @@ func TestReadFromAdversarialHeaders(t *testing.T) {
 // A permutation whose entries are all in range but repeat one another is
 // not a permutation.
 func TestReadFromRejectsNonPermutation(t *testing.T) {
-	f := newPayloadFixture(t)
+	f := newPayloadFixture(t, payloadConfig, false)
 	perm0 := binary.LittleEndian.Uint64(f.topo[f.topoPerm0:])
 	f.requireBadPayload(t, "duplicate perm entry", store.SecTopo, patch64(f.topo, f.topoPerm0+8, perm0))
 }
 
 // A matrix record claiming a 2^30×2^30 block must fail on the bound check
-// instead of attempting the allocation.
+// instead of attempting the allocation. An empty record taller than the
+// operator holds no data but is no constant of it either: lowering would
+// size the plan arena from its rows.
 func TestReadFromHugeMatrixClaim(t *testing.T) {
-	f := newPayloadFixture(t)
+	f := newPayloadFixture(t, payloadConfig, false)
 	f.requireBadPayload(t, "huge matrix record", store.SecTopo,
 		patch64(patch64(f.topo, 16, 1<<30), 24, 1<<30))
+	f.requireBadPayload(t, "empty matrix record taller than n", store.SecTopo,
+		patch64(patch64(f.topo, 16, payloadN+1), 24, 0))
+}
+
+// The plan section is a presence byte and, when set, the 32-byte digest of
+// the compiled plan, which the loader lowers again from the decoded nodes.
+// A digest the re-lowered plan does not reproduce, any other byte in the
+// section, and a payload of an older version are ErrBadFormat.
+func TestStoreRejectsBadPlanSection(t *testing.T) {
+	f := newPayloadFixture(t, payloadConfig, true)
+	if len(f.plan) != 1+sha256.Size || f.plan[0] != 1 {
+		t.Fatalf("compiled plan section is %d bytes, flag %d", len(f.plan), f.plan[0])
+	}
+	flipped := append([]byte(nil), f.plan...)
+	flipped[1+sha256.Size/2] ^= 0x01
+	cases := []struct {
+		name string
+		kind store.SectionKind
+		data []byte
+	}{
+		{"flipped digest byte", store.SecPlan, flipped},
+		{"presence byte 2", store.SecPlan, append([]byte{2}, f.plan[1:]...)},
+		{"trailing byte after digest", store.SecPlan, append(append([]byte(nil), f.plan...), 0)},
+		{"truncated digest", store.SecPlan, f.plan[:1+sha256.Size/2]},
+		{"no flag, digest left over", store.SecPlan, append([]byte{0}, f.plan[1:]...)},
+		{"payload version 1", store.SecMeta, patch64(f.meta, 0, 1)},
+	}
+	for _, tc := range cases {
+		f.requireBadPayload(t, tc.name, tc.kind, tc.data)
+	}
+
+	// The flag on a store whose operator cached no blocks: its plan would
+	// have to gather them, which an oracle-free decode cannot do. The
+	// store is malformed, not waiting for an oracle.
+	uncached := payloadConfig
+	uncached.CacheBlocks = false
+	u := newPayloadFixture(t, uncached, false)
+	if err := u.requireBadPayload(t, "flag on an uncached store", store.SecPlan, f.plan); errors.Is(err, ErrNoOracle) {
+		t.Errorf("flag on an uncached store: got %v, want ErrBadFormat without ErrNoOracle", err)
+	}
 }
 
 // An oracle of the wrong dimension is rejected as invalid input.
@@ -519,12 +585,9 @@ func TestStoreLoadRejectsCorruptPayload(t *testing.T) {
 	h, _ := compressGauss(t, 200, Config{
 		LeafSize: 32, MaxRank: 16, Tol: 1e-4, Kappa: 8, Budget: 0.1,
 		Distance: Angle, Exec: Sequential, Seed: 13, CacheBlocks: true,
-		CompilePlan: true,
 	})
-	if h.Plan() == nil {
-		if _, err := h.CompilePlan(); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := h.CompilePlan(); err != nil {
+		t.Fatal(err)
 	}
 	sections, err := h.storeSections()
 	if err != nil {
@@ -587,9 +650,12 @@ func TestWriteStoreMatchesSaveTo(t *testing.T) {
 	cfg := Config{
 		LeafSize: 32, MaxRank: 16, Tol: 1e-3, Kappa: 8, Budget: 0.1,
 		Distance: Angle, Exec: Sequential, NumWorkers: 1, Seed: 7,
-		CacheBlocks: true, CompilePlan: true,
+		CacheBlocks: true,
 	}
 	h, _ := compressGauss(t, 200, cfg)
+	if _, err := h.CompilePlan(); err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "w.store")
 	if _, err := h.SaveTo(path); err != nil {
 		t.Fatal(err)

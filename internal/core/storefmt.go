@@ -14,7 +14,8 @@ import (
 //
 //	meta : scalar payload version + dimensions + the Config snapshot
 //	topo : matrix table, permutation, per-node lists and matrix refs
-//	plan : the compiled op stream, stage schedule and digest
+//	plan : a presence byte, then (when set) the 32-byte digest of the
+//	       compiled plan, which the loader re-lowers and checks against it
 //	arena: raw little-endian column-major float data (one per precision)
 //
 // Everything integer is little-endian int64; booleans are one byte. The
@@ -25,7 +26,8 @@ import (
 const (
 	// storePayloadVersion versions the section payloads independently of
 	// the container (bump when the byte layout inside a section changes).
-	storePayloadVersion = 1
+	// Version 2 dropped the persisted op stream and stage schedule.
+	storePayloadVersion = 2
 
 	// maxSerialDim bounds every dimension-like field in a payload. A
 	// corrupted or adversarial length field must produce ErrBadFormat, not
@@ -71,12 +73,6 @@ func (w *secWriter) ints(xs []int) {
 	for _, x := range xs {
 		w.i64(int64(x))
 	}
-}
-
-// blob writes a length-prefixed byte string.
-func (w *secWriter) blob(p []byte) {
-	w.i64(int64(len(p)))
-	w.b = append(w.b, p...)
 }
 
 // secReader parses a section payload with sticky errors: after the first
@@ -189,14 +185,13 @@ func (r *secReader) ints(bound int) []int {
 	return out
 }
 
-// blob reads a length-prefixed byte string of at most maxLen bytes.
-func (r *secReader) blob(maxLen int) []byte {
-	n := r.dim()
+// raw reads exactly n bytes.
+func (r *secReader) raw(n int) []byte {
 	if r.fail != nil {
 		return nil
 	}
-	if n < 0 || n > maxLen || n > r.remaining() {
-		r.failf("blob of %d bytes (max %d, %d remaining)", n, maxLen, r.remaining())
+	if r.remaining() < n {
+		r.failf("truncated at byte %d", r.off)
 		return nil
 	}
 	out := r.b[r.off : r.off+n : r.off+n]

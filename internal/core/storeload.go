@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
@@ -8,7 +9,6 @@ import (
 	"math"
 
 	"gofmm/internal/linalg"
-	"gofmm/internal/plan"
 	"gofmm/internal/store"
 	"gofmm/internal/telemetry"
 	"gofmm/internal/tree"
@@ -34,7 +34,11 @@ import (
 // payload is parsed, and the payload parser treats its input as untrusted:
 // every length is bounded by the bytes actually present, every index is
 // range-checked, and the permutation is verified to be a permutation before
-// the tree is rebuilt. Malformed payloads yield ErrBadFormat, never a panic.
+// the tree is rebuilt. A store flagged as compiled carries only its plan's
+// digest: the loader lowers the decoded operator with CompilePlanCtx, so
+// the Builder validates the schedule on the load path exactly as on the
+// compile path, and the digests must match. Malformed payloads yield
+// ErrBadFormat, never a panic.
 
 // LoadOptions configures LoadFrom. The zero value is a sequentialish
 // portable load: no mmap, Dynamic executor with one worker, no pooling, no
@@ -59,18 +63,19 @@ type StoreInfo struct {
 	Mapped bool
 	// Bytes is the store file size.
 	Bytes int64
-	// HasPlan reports whether a compiled plan was persisted and reinstalled.
+	// HasPlan reports whether the store was saved compiled, in which case
+	// the load re-lowered the plan and matched the saved digest.
 	HasPlan bool
-	// PlanDigest is the hex digest of the reinstalled plan ("" without one).
+	// PlanDigest is the hex digest of the re-lowered plan ("" without one).
 	PlanDigest string
 }
 
 // LoadFrom opens an operator store written by SaveTo and reconstructs the
 // operator. The result carries no entry oracle (HasOracle is false): Matvec,
-// Matmat and the persisted compiled plan work immediately, while paths that
-// must sample fresh entries return ErrNoOracle until AttachOracle provides
-// one. Close the returned operator's backing file with ReleaseStore when it
-// leaves service.
+// Matmat and, for a store saved compiled, the re-lowered plan work
+// immediately, while paths that must sample fresh entries return
+// ErrNoOracle until AttachOracle provides one. Close the returned
+// operator's backing file with ReleaseStore when it leaves service.
 func LoadFrom(path string, opts LoadOptions) (*Hierarchical, *StoreInfo, error) {
 	var f *store.File
 	var err error
@@ -239,7 +244,9 @@ func decodeStore(f *store.File, opts LoadOptions) (*Hierarchical, *StoreInfo, er
 		if tr.err() != nil {
 			break
 		}
-		if rows < 0 || rows > maxSerialDim || cols < 0 || cols > maxSerialDim || off < 0 {
+		// No constant of an operator of dimension n exceeds n×n, which also
+		// bounds the plan arena a re-lowering can size from these shapes.
+		if rows < 0 || rows > int64(n) || cols < 0 || cols > int64(n) || off < 0 {
 			return nil, nil, fmt.Errorf("%w: matrix record %d: %d×%d at %d", ErrBadFormat, i, rows, cols, off)
 		}
 		elems := rows * cols // ≤ 2^62, no overflow
@@ -366,124 +373,31 @@ func decodeStore(f *store.File, opts LoadOptions) (*Hierarchical, *StoreInfo, er
 		return nil, nil, err
 	}
 
-	// --- plan ---
+	// --- plan: the compiled flag and digest. The plan itself is lowered
+	// again from the decoded operator, and the Builder validates it ---
+	pr := newSecReader("plan", planb)
+	var digest []byte
+	if len(planb) > 0 && pr.boolean() {
+		digest = pr.raw(sha256.Size)
+	}
+	if err := pr.finish(); err != nil {
+		return nil, nil, err
+	}
 	info := &StoreInfo{Mapped: mapped, Bytes: f.Size()}
-	if len(planb) > 0 {
-		p, err := decodeStorePlan(planb, t, mats64, mats32)
+	if digest != nil {
+		p, err := h.CompilePlan()
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("%w: store plan does not lower: %v", ErrBadFormat, err)
 		}
-		if p != nil {
-			if p.N() != n {
-				return nil, nil, fmt.Errorf("%w: plan dimension %d for operator %d", ErrBadFormat, p.N(), n)
-			}
-			h.evalPlan.Store(p)
-			h.Cfg.CompilePlan = true
-			info.HasPlan = true
-			info.PlanDigest = p.DigestHex()
+		if d := p.Digest(); string(d[:]) != string(digest) {
+			return nil, nil, fmt.Errorf("%w: plan digest mismatch: stored %s, re-lowered %s",
+				ErrBadFormat, hex.EncodeToString(digest), p.DigestHex())
 		}
+		info.HasPlan = true
+		info.PlanDigest = p.DigestHex()
 	}
 
 	h.backing = f
 	h.finishStats()
 	return h, info, nil
-}
-
-// decodeStorePlan parses the plan section and reassembles the compiled
-// schedule, verifying the persisted digest against the reassembled plan's.
-func decodeStorePlan(b []byte, t *tree.Tree, mats64 []*linalg.Matrix, mats32 []*linalg.Matrix32) (*plan.Plan, error) {
-	r := newSecReader("plan", b)
-	if !r.boolean() {
-		if err := r.finish(); err != nil {
-			return nil, err
-		}
-		return nil, nil
-	}
-	pn := r.dim()
-	arenaRows := r.dim()
-	numOps := r.dim()
-	// An op record is at least 105 bytes; bound the slice allocation.
-	if r.err() == nil && (numOps < 0 || numOps > r.remaining()/105) {
-		r.failf("%d ops in %d bytes", numOps, r.remaining())
-	}
-	if err := r.err(); err != nil {
-		return nil, err
-	}
-	readRef := func() plan.Ref {
-		return plan.Ref{
-			Base: r.dim(), Sub: r.dim(), Rows: r.dim(), Span: r.dim(),
-		}
-	}
-	ops := make([]plan.Op, 0, numOps)
-	for i := 0; i < numOps && r.err() == nil; i++ {
-		var op plan.Op
-		op.Kind = plan.OpKind(r.dim())
-		op.TransA = r.boolean()
-		op.Beta = r.f64()
-		aRef := r.i64()
-		a32Ref := r.i64()
-		op.B = readRef()
-		op.C = readRef()
-		if aRef != -1 {
-			if aRef < 0 || aRef >= int64(len(mats64)) || mats64[aRef] == nil {
-				r.failf("op %d: f64 operand ref %d invalid", i, aRef)
-				break
-			}
-			op.A = mats64[aRef]
-		}
-		if a32Ref != -1 {
-			if a32Ref < 0 || a32Ref >= int64(len(mats32)) || mats32[a32Ref] == nil {
-				r.failf("op %d: f32 operand ref %d invalid", i, a32Ref)
-				break
-			}
-			op.A32 = mats32[a32Ref]
-		}
-		switch sel := r.i64(); sel {
-		case idxNone:
-		case idxPerm:
-			op.Idx = t.Perm
-		case idxIPerm:
-			op.Idx = t.IPerm
-		case idxInline:
-			op.Idx = r.ints(maxSerialDim)
-		default:
-			r.failf("op %d: index selector %d", i, sel)
-		}
-		ops = append(ops, op)
-	}
-	numStages := r.dim()
-	// A stage record is at least 17 bytes.
-	if r.err() == nil && (numStages < 0 || numStages > r.remaining()/17) {
-		r.failf("%d stages in %d bytes", numStages, r.remaining())
-	}
-	specs := make([]plan.StageSpec, 0, max(numStages, 0))
-	for s := 0; s < numStages && r.err() == nil; s++ {
-		var spec plan.StageSpec
-		spec.Name = string(r.blob(256))
-		spec.Parallel = r.boolean()
-		numTasks := r.dim()
-		if r.err() == nil && (numTasks < 0 || numTasks > r.remaining()/16) {
-			r.failf("stage %d: %d tasks in %d bytes", s, numTasks, r.remaining())
-		}
-		for k := 0; k < numTasks && r.err() == nil; k++ {
-			spec.Tasks = append(spec.Tasks, [2]int{r.dim(), r.dim()})
-		}
-		specs = append(specs, spec)
-	}
-	storedDigest := r.blob(32)
-	if r.err() == nil && len(storedDigest) != 32 {
-		r.failf("digest length %d", len(storedDigest))
-	}
-	if err := r.finish(); err != nil {
-		return nil, err
-	}
-	p, err := plan.Reassemble(pn, arenaRows, ops, specs)
-	if err != nil {
-		return nil, err
-	}
-	if d := p.Digest(); string(d[:]) != string(storedDigest) {
-		return nil, fmt.Errorf("%w: plan digest mismatch: stored %s, reassembled %s",
-			ErrBadFormat, hex.EncodeToString(storedDigest), p.DigestHex())
-	}
-	return p, nil
 }

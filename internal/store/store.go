@@ -61,8 +61,9 @@ const (
 	// interaction lists, and the matrix table mapping every stored matrix
 	// to its arena range.
 	SecTopo SectionKind = 2
-	// SecPlan holds the compiled evaluation plan's op stream and stage
-	// schedule (may be absent when the operator was saved without a plan).
+	// SecPlan records whether the operator was saved with a compiled plan
+	// and, if so, the plan's digest; the loader lowers the plan again and
+	// checks the digest (an absent section means no plan).
 	SecPlan SectionKind = 3
 	// SecArena64 is the packed float64 arena (column-major matrix data,
 	// each matrix starting at a 64-byte-aligned offset).
