@@ -62,7 +62,13 @@ func Eye(n int) *Matrix { return linalg.Eye(n) }
 //
 //	Submatrix(I, J []int, dst *Matrix)
 //
-// (the Bulk interface) as a block-gather fast path.
+// (the Bulk interface) as a block-gather fast path, and
+//
+//	Column(I []int, j int, dst []float64)
+//
+// which fills dst[r] = At(I[r], j) with At's exact bits in one call. The
+// neighbor search and the tree split read their distances through Column
+// when the oracle has it, one call per column instead of one per entry.
 type SPD = core.SPD
 
 // Bulk is the optional block-gather fast path.
@@ -140,11 +146,13 @@ func (d dense) Dim() int            { return d.m.Rows }
 func (d dense) At(i, j int) float64 { return d.m.At(i, j) }
 func (d dense) Submatrix(I, J []int, dst *Matrix) {
 	for c, j := range J {
-		col := dst.Col(c)
-		src := d.m.Col(j)
-		for r, i := range I {
-			col[r] = src[i]
-		}
+		d.Column(I, j, dst.Col(c))
+	}
+}
+func (d dense) Column(I []int, j int, dst []float64) {
+	src := d.m.Col(j)
+	for r, i := range I {
+		dst[r] = src[i]
 	}
 }
 

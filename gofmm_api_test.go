@@ -158,3 +158,29 @@ func TestKrylovOverCompressedOperator(t *testing.T) {
 		t.Fatalf("largest Ritz value %g for an SPD operator", evs[0])
 	}
 }
+
+// NewDense's oracle has the optional column read, with At's bits for an I
+// with duplicates and j inside it, and nothing written for an empty I.
+func TestNewDenseColumnMatchesAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(90))
+	K := NewDense(linalg.RandomSPD(rng, 40, 8))
+	c, ok := K.(interface {
+		Column(I []int, j int, dst []float64)
+	})
+	if !ok {
+		t.Fatal("NewDense oracle has no Column")
+	}
+	I := []int{3, 17, 3, 39, 0, 17}
+	dst := make([]float64, len(I))
+	c.Column(I, 17, dst)
+	for r, i := range I {
+		if dst[r] != K.At(i, 17) {
+			t.Fatalf("Column(·, 17)[%d] = %v, At(%d, 17) = %v", r, dst[r], i, K.At(i, 17))
+		}
+	}
+	guard := []float64{42}
+	c.Column(nil, 5, guard[:0])
+	if guard[0] != 42 {
+		t.Fatal("empty Column wrote past its destination")
+	}
+}

@@ -41,8 +41,9 @@ type Entry struct {
 //     only holds if no handler path mints a fresh root.
 //   - detorder: bit-identical determinism is promised by the numeric
 //     packages (core, linalg, hss, tree, plan — compiled replays must be
-//     bit-identical across runs and worker counts), not by tooling or
-//     telemetry.
+//     bit-identical across runs and worker counts — and spdmat, metric,
+//     ann, whose generated matrices, distances and neighbor lists fix
+//     every operator's bits), not by tooling or telemetry.
 //   - errtaxonomy: internal/ except resilience (it defines the taxonomy),
 //     telemetry proper (the import cycle resilience→telemetry forbids
 //     wrapping), and analysis itself (lint infrastructure, not library
@@ -69,7 +70,8 @@ func All() []Entry {
 		{detorder.Analyzer, underAny(
 			"gofmm/internal/core", "gofmm/internal/linalg",
 			"gofmm/internal/hss", "gofmm/internal/tree",
-			"gofmm/internal/plan")},
+			"gofmm/internal/plan", "gofmm/internal/spdmat",
+			"gofmm/internal/metric", "gofmm/internal/ann")},
 		{errtaxonomy.Analyzer, func(path string) bool {
 			if !strings.HasPrefix(path, "gofmm/internal/") {
 				return false

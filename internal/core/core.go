@@ -27,6 +27,7 @@ import (
 
 	"gofmm/internal/ann"
 	"gofmm/internal/linalg"
+	"gofmm/internal/metric"
 	"gofmm/internal/plan"
 	"gofmm/internal/resilience"
 	"gofmm/internal/sched"
@@ -38,7 +39,9 @@ import (
 
 // SPD is the minimal access GOFMM requires from the input matrix: its
 // dimension and an entry oracle. Every structural decision (permutation,
-// pruning, sampling) is derived from these entries alone.
+// pruning, sampling) is derived from these entries alone. Two optional fast
+// paths give the same entries: Bulk gathers a block, and metric.Columns
+// reads one column with At's bits.
 type SPD interface {
 	Dim() int
 	At(i, j int) float64
@@ -52,7 +55,7 @@ type Bulk interface {
 }
 
 // Gather fills dst (len(I)×len(J)) with K[I, J], using the Bulk fast path
-// when available.
+// when available, else one column read per column.
 func Gather(K SPD, I, J []int, dst *linalg.Matrix) {
 	if dst.Rows != len(I) || dst.Cols != len(J) {
 		panic("core: Gather destination shape mismatch")
@@ -62,10 +65,19 @@ func Gather(K SPD, I, J []int, dst *linalg.Matrix) {
 		return
 	}
 	for c, j := range J {
-		col := dst.Col(c)
-		for r, i := range I {
-			col[r] = K.At(i, j)
-		}
+		readColumn(K, I, j, dst.Col(c))
+	}
+}
+
+// readColumn fills dst[r] = K[I[r], j], through K's column read when it
+// has one.
+func readColumn(K SPD, I []int, j int, dst []float64) {
+	if c, ok := K.(metric.Columns); ok {
+		c.Column(I, j, dst)
+		return
+	}
+	for r, i := range I {
+		dst[r] = K.At(i, j)
 	}
 }
 

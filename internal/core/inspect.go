@@ -29,19 +29,17 @@ func (c *CountingSPD) At(i, j int) float64 {
 }
 
 // Submatrix counts len(I)·len(J) evaluations and forwards (using the
-// wrapped oracle's bulk path when available).
+// wrapped oracle's fast paths when available).
 func (c *CountingSPD) Submatrix(I, J []int, dst *linalg.Matrix) {
 	atomic.AddInt64(&c.count, int64(len(I)*len(J)))
-	if b, ok := c.K.(Bulk); ok {
-		b.Submatrix(I, J, dst)
-		return
-	}
-	for col, j := range J {
-		d := dst.Col(col)
-		for row, i := range I {
-			d[row] = c.K.At(i, j)
-		}
-	}
+	Gather(c.K, I, J, dst)
+}
+
+// Column counts len(I) evaluations and forwards (using the wrapped
+// oracle's column read when available).
+func (c *CountingSPD) Column(I []int, j int, dst []float64) {
+	atomic.AddInt64(&c.count, int64(len(I)))
+	readColumn(c.K, I, j, dst)
 }
 
 // Count returns the number of entries evaluated so far.

@@ -41,12 +41,13 @@ func (p phaseTimer) End() float64 {
 }
 
 // tracedSPD wraps an entry oracle with telemetry counters: the number of
-// At and Submatrix calls and the total entries gathered — the currency of
-// the O(N log N) compression claim, now visible per run.
+// At, Submatrix and Column calls and the total entries gathered — the
+// currency of the O(N log N) compression claim, now visible per run.
 type tracedSPD struct {
 	K       SPD
 	at      *telemetry.Counter
 	sub     *telemetry.Counter
+	col     *telemetry.Counter
 	entries *telemetry.Counter
 }
 
@@ -59,6 +60,7 @@ func newTracedSPD(K SPD, rec *telemetry.Recorder) SPD {
 		K:       K,
 		at:      rec.Counter("oracle.at.calls"),
 		sub:     rec.Counter("oracle.submatrix.calls"),
+		col:     rec.Counter("oracle.column.calls"),
 		entries: rec.Counter("oracle.entries"),
 	}
 }
@@ -71,21 +73,20 @@ func (t *tracedSPD) At(i, j int) float64 {
 	return t.K.At(i, j)
 }
 
-// Submatrix implements Bulk, delegating to the wrapped oracle's fast path
-// when it has one and falling back to the same per-entry loop Gather uses.
+// Submatrix implements Bulk, gathering through the wrapped oracle's fast
+// paths when it has them.
 func (t *tracedSPD) Submatrix(I, J []int, dst *linalg.Matrix) {
 	t.sub.Add(1)
 	t.entries.Add(int64(len(I)) * int64(len(J)))
-	if b, ok := t.K.(Bulk); ok {
-		b.Submatrix(I, J, dst)
-		return
-	}
-	for c, j := range J {
-		col := dst.Col(c)
-		for r, i := range I {
-			col[r] = t.K.At(i, j)
-		}
-	}
+	Gather(t.K, I, J, dst)
+}
+
+// Column implements metric.Columns: one call and len(I) entries, read
+// through the wrapped oracle's column read when it has one.
+func (t *tracedSPD) Column(I []int, j int, dst []float64) {
+	t.col.Add(1)
+	t.entries.Add(int64(len(I)))
+	readColumn(t.K, I, j, dst)
 }
 
 // exportEngineTrace ships a traced engine run into the recorder: one task

@@ -82,3 +82,22 @@ func TestConstOperandStaysInsideBlock(t *testing.T) {
 		}
 	}
 }
+
+// TestExpInPlaceStaysInsideSlice runs ExpInPlace on slices of every length
+// from 1 to 9 that end at a guard page: a kernel that reads or writes past
+// the last element crashes the test binary.
+func TestExpInPlaceStaysInsideSlice(t *testing.T) {
+	for n := 1; n <= 9; n++ {
+		x := guardedFloat64s(t, n)
+		in := make([]float64, n)
+		for i := range in {
+			in[i] = float64(i) - 3.5
+		}
+		if n == 9 {
+			in[5] = 800 // the second group falls back to math.Exp
+		}
+		copy(x, in)
+		ExpInPlace(x)
+		checkExpBits(t, "guarded", in, x)
+	}
+}

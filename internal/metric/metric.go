@@ -30,6 +30,40 @@ type Gram interface {
 	At(i, j int) float64
 }
 
+// Columns is the optional column read of a Gram oracle: Column fills
+// dst[r] = At(I[r], j), with At's bits, in one call.
+type Columns interface {
+	Column(I []int, j int, dst []float64)
+}
+
+// columnReader returns K's column read, or a loop over At when K has none,
+// so each Gram space has one code path.
+func columnReader(K Gram) func(I []int, j int, dst []float64) {
+	if c, ok := K.(Columns); ok {
+		return c.Column
+	}
+	return func(I []int, j int, dst []float64) {
+		for r, i := range I {
+			dst[r] = K.At(i, j)
+		}
+	}
+}
+
+// sampleRowSums sets sum[k] = Σ_s K(idx[k], s) over the sample, reading one
+// column per sample index and adding the columns in sample order: for each
+// k these are the additions, in the order, of a loop over the sample.
+func sampleRowSums(column func([]int, int, []float64), idx, sample []int, sum []float64) {
+	sum = sum[:len(idx)]
+	clear(sum)
+	col := make([]float64, len(idx))
+	for _, sj := range sample {
+		column(idx, sj, col)
+		for k, v := range col {
+			sum[k] += v
+		}
+	}
+}
+
 // Space defines a distance between matrix indices together with the two bulk
 // queries the ball-tree split needs. Implementations must only *order*
 // consistently; any monotone transform of a true metric is acceptable
@@ -59,13 +93,16 @@ func gramDiag(K Gram) []float64 {
 
 // KernelSpace is the Gram-ℓ₂ ("kernel") distance, Eq. (3) of the paper.
 type KernelSpace struct {
-	k    Gram
-	diag []float64 // K(i,i)
+	k      Gram
+	column func(I []int, j int, dst []float64)
+	diag   []float64 // K(i,i)
 }
 
 // NewKernelSpace returns the kernel distance over K, reading K's diagonal
-// once so each distance costs one off-diagonal oracle call.
-func NewKernelSpace(K Gram) KernelSpace { return KernelSpace{k: K, diag: gramDiag(K)} }
+// once so each distance costs one off-diagonal oracle entry.
+func NewKernelSpace(K Gram) KernelSpace {
+	return KernelSpace{k: K, column: columnReader(K), diag: gramDiag(K)}
+}
 
 // Name implements Space.
 func (KernelSpace) Name() string { return "kernel" }
@@ -76,11 +113,12 @@ func (s KernelSpace) Dist(i, j int) float64 {
 	return s.diag[i] + s.diag[j] - 2*s.k.At(i, j)
 }
 
-// DistsTo implements Space.
+// DistsTo implements Space with one column read.
 func (s KernelSpace) DistsTo(idx []int, j int, out []float64) {
+	s.column(idx, j, out)
 	kjj := s.diag[j]
 	for k, i := range idx {
-		out[k] = s.diag[i] + kjj - 2*s.k.At(i, j)
+		out[k] = s.diag[i] + kjj - 2*out[k]
 	}
 }
 
@@ -88,25 +126,25 @@ func (s KernelSpace) DistsTo(idx []int, j int, out []float64) {
 // i-independent constant.
 func (s KernelSpace) DistsToCentroid(idx []int, sample []int, out []float64) {
 	inv := 2 / float64(len(sample))
+	sampleRowSums(s.column, idx, sample, out)
 	for k, i := range idx {
-		sum := 0.0
-		for _, sj := range sample {
-			sum += s.k.At(i, sj)
-		}
-		out[k] = s.diag[i] - inv*sum
+		out[k] = s.diag[i] - inv*out[k]
 	}
 }
 
 // AngleSpace is the Gram angle distance, Eq. (4) of the paper:
 // d(i,j) = 1 − K²ᵢⱼ/(KᵢᵢKⱼⱼ) = sin²∠(φᵢ, φⱼ).
 type AngleSpace struct {
-	k    Gram
-	diag []float64 // K(i,i)
+	k      Gram
+	column func(I []int, j int, dst []float64)
+	diag   []float64 // K(i,i)
 }
 
 // NewAngleSpace returns the angle distance over K, reading K's diagonal
-// once so each distance costs one off-diagonal oracle call.
-func NewAngleSpace(K Gram) AngleSpace { return AngleSpace{k: K, diag: gramDiag(K)} }
+// once so each distance costs one off-diagonal oracle entry.
+func NewAngleSpace(K Gram) AngleSpace {
+	return AngleSpace{k: K, column: columnReader(K), diag: gramDiag(K)}
+}
 
 // Name implements Space.
 func (AngleSpace) Name() string { return "angle" }
@@ -121,11 +159,12 @@ func (s AngleSpace) Dist(i, j int) float64 {
 	return 1 - kij*kij/den
 }
 
-// DistsTo implements Space.
+// DistsTo implements Space with one column read.
 func (s AngleSpace) DistsTo(idx []int, j int, out []float64) {
+	s.column(idx, j, out)
 	kjj := s.diag[j]
 	for k, i := range idx {
-		kij := s.k.At(i, j)
+		kij := out[k]
 		den := s.diag[i] * kjj
 		if den <= 0 {
 			out[k] = 1
@@ -138,20 +177,22 @@ func (s AngleSpace) DistsTo(idx []int, j int, out []float64) {
 // DistsToCentroid uses (φᵢ, c) = (1/nc)Σ_s Kᵢs and
 // ‖c‖² = (1/nc²)Σ_{s,t} K_st.
 func (s AngleSpace) DistsToCentroid(idx []int, sample []int, out []float64) {
-	nc := float64(len(sample))
+	m := len(sample)
+	nc := float64(m)
+	blk := make([]float64, m*m) // blk[b·m + a] = K(sample[a], sample[b])
+	for b, sb := range sample {
+		s.column(sample, sb, blk[b*m:(b+1)*m])
+	}
 	var cnorm2 float64
-	for _, a := range sample {
-		for _, b := range sample {
-			cnorm2 += s.k.At(a, b)
+	for a := range sample {
+		for b := range sample {
+			cnorm2 += blk[b*m+a]
 		}
 	}
 	cnorm2 /= nc * nc
+	sampleRowSums(s.column, idx, sample, out)
 	for k, i := range idx {
-		dot := 0.0
-		for _, sj := range sample {
-			dot += s.k.At(i, sj)
-		}
-		dot /= nc
+		dot := out[k] / nc
 		den := s.diag[i] * cnorm2
 		if den <= 0 {
 			out[k] = 1

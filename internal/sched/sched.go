@@ -594,6 +594,13 @@ func (e *Engine) allQueuesEmptyLocked() bool {
 }
 
 // stealLocked takes one task from the back of the most-loaded other queue.
+// A worker slower than the victim steals only when it would finish the
+// task no later than the victim clears its queued backlog: stealing
+// absorbs cost-model mispredictions, it must not move work onto a worker
+// that finishes it later. Between equal speeds there is no test, so a
+// homogeneous pool steals whenever a queue is non-empty (a finish-time
+// test there would refuse a victim's last task whenever rounding in the
+// backlog sums leaves it just below that task's cost).
 // called with e.mu held.
 func (e *Engine) stealLocked(self int) *Task {
 	victim, best := -1, 0.0
@@ -612,6 +619,9 @@ func (e *Engine) stealLocked(self int) *Task {
 	t := q[len(q)-1]
 	if t.Affinity >= 0 {
 		return nil // pinned tasks stay on their worker
+	}
+	if sp, vp := e.specs[self].Speed, e.specs[victim].Speed; sp < vp && t.Cost/sp > e.backlog[victim]/vp {
+		return nil
 	}
 	e.queues[victim] = q[:len(q)-1]
 	e.backlog[victim] -= t.Cost

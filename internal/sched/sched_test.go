@@ -774,3 +774,80 @@ func TestStealOriginRecorded(t *testing.T) {
 		}
 	}
 }
+
+// A worker slower than the victim steals only when it would finish the
+// task no later than the victim clears its queued backlog; between equal
+// speeds there is no finish-time test, so a victim's last queued task is
+// stolen even when rounding leaves the backlog just below its cost.
+func TestStealOnlyWhenThiefFinishesSooner(t *testing.T) {
+	repeat := func(n int, c float64) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = c
+		}
+		return s
+	}
+	cases := []struct {
+		name          string
+		thief, victim float64 // speeds
+		queue         []float64
+		backlogDelta  float64
+		steal         bool
+	}{
+		{"slow thief, fast victim's long queue", 1, 50, repeat(39, 100), 0, false},
+		{"slow thief, fast victim's last task", 1, 50, []float64{100}, 0, false},
+		{"slow thief that finishes sooner", 1, 2, repeat(10, 1), 0, true},
+		{"fast thief", 50, 1, []float64{100}, 0, true},
+		{"equal speeds, last task under rounding", 1, 1, []float64{100}, -1e-13, true},
+	}
+	for _, c := range cases {
+		e := NewEngine(HEFT, []WorkerSpec{{Speed: c.thief}, {Speed: c.victim}})
+		e.mu.Lock()
+		e.queues = make([][]*Task, 2)
+		e.backlog = make([]float64, 2)
+		for _, cost := range c.queue {
+			e.enqueueLocked(1, &Task{Cost: cost, Affinity: -1, stolenFrom: -1})
+		}
+		e.backlog[1] += c.backlogDelta
+		got := e.stealLocked(0)
+		e.mu.Unlock()
+		if (got != nil) != c.steal {
+			t.Errorf("%s: stole %v, want %v", c.name, got != nil, c.steal)
+		}
+	}
+}
+
+// In an equal-speed pool a worker that runs dry still steals: worker 0
+// blocks in its first task until every other task has run, so the tasks
+// queued behind it can only finish on worker 1.
+func TestEqualSpeedPoolSteals(t *testing.T) {
+	const quick = 15
+	g := NewGraph()
+	head := g.Add("head", 1, func(*Ctx) {})
+	var done int64
+	release := make(chan struct{})
+	block := g.Add("block", 1, func(*Ctx) {
+		select {
+		case <-release:
+		case <-time.After(10 * time.Second):
+		}
+	})
+	g.AddDep(head, block)
+	for i := 0; i < quick; i++ {
+		q := g.Add("quick", 1, func(*Ctx) {
+			if atomic.AddInt64(&done, 1) == quick {
+				close(release)
+			}
+		})
+		g.AddDep(head, q)
+	}
+	e := NewEngine(HEFT, Homogeneous(2))
+	e.EnableTrace()
+	e.Run(g)
+	if atomic.LoadInt64(&done) != quick {
+		t.Fatalf("%d of %d quick tasks ran", done, quick)
+	}
+	if s := e.Summary().Steals; s == 0 {
+		t.Fatal("equal-speed pool recorded no steals")
+	}
+}

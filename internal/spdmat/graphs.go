@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"gofmm/internal/linalg"
 )
@@ -37,12 +38,21 @@ func (g *graph) addEdge(u, v int, w float64) {
 	g.adj[v][u] = w
 }
 
-// laplacianInverse returns (L + σI)⁻¹ as a dense SPD matrix.
+// laplacianInverse returns (L + σI)⁻¹ as a dense SPD matrix. Each degree
+// sums its edge weights in ascending neighbor order, so non-unit weights
+// give the same bits on every call.
 func (g *graph) laplacianInverse(sigma float64) (*linalg.Matrix, error) {
 	L := linalg.NewMatrix(g.n, g.n)
+	var nbrs []int
 	for u := 0; u < g.n; u++ {
+		nbrs = nbrs[:0]
+		for v := range g.adj[u] {
+			nbrs = append(nbrs, v)
+		}
+		slices.Sort(nbrs)
 		var deg float64
-		for v, w := range g.adj[u] {
+		for _, v := range nbrs {
+			w := g.adj[u][v]
 			L.Set(u, v, -w)
 			deg += w
 		}

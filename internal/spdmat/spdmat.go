@@ -7,8 +7,9 @@
 // the substitution rationale).
 //
 // Every problem satisfies the entry-oracle contract of internal/core (Dim,
-// At, and the optional bulk Submatrix fast path) and carries optional point
-// coordinates so the geometric-distance reference mode can be exercised.
+// At, the optional bulk Submatrix fast path and the optional Column read,
+// which gives At's bits) and carries optional point coordinates so the
+// geometric-distance reference mode can be exercised.
 package spdmat
 
 import (
@@ -48,11 +49,15 @@ func (d *Dense) At(i, j int) float64 { return d.M.At(i, j) }
 // Submatrix gathers K[I,J] into dst (the core.Bulk fast path).
 func (d *Dense) Submatrix(I, J []int, dst *linalg.Matrix) {
 	for c, j := range J {
-		col := dst.Col(c)
-		src := d.M.Col(j)
-		for r, i := range I {
-			col[r] = src[i]
-		}
+		d.Column(I, j, dst.Col(c))
+	}
+}
+
+// Column gathers dst[r] = K[I[r], j] (the optional column read).
+func (d *Dense) Column(I []int, j int, dst []float64) {
+	src := d.M.Col(j)
+	for r, i := range I {
+		dst[r] = src[i]
 	}
 }
 
@@ -98,16 +103,23 @@ func NewKernel(X *linalg.Matrix, typ KernelType, h, ridge float64) *Kernel {
 // Dim returns the number of points.
 func (k *Kernel) Dim() int { return k.X.Cols }
 
+// gaussArg is the Gaussian's exponent argument −r²/den, with
+// r² = ni + nj − 2·dot clamped at 0 and den = 2h². value and the block
+// reads share it, so the compiler makes one fusion choice for all of them.
+func gaussArg(dot, ni, nj, den float64) float64 {
+	r2 := ni + nj - 2*dot
+	if r2 < 0 {
+		r2 = 0
+	}
+	return -r2 / den
+}
+
 // value maps an inner product (and the two squared norms) to a kernel entry.
 func (k *Kernel) value(dot, ni, nj float64, diag bool) float64 {
 	var v float64
 	switch k.Type {
 	case Gauss:
-		r2 := ni + nj - 2*dot
-		if r2 < 0 {
-			r2 = 0
-		}
-		v = math.Exp(-r2 / (2 * k.H * k.H))
+		v = math.Exp(gaussArg(dot, ni, nj, 2*k.H*k.H))
 	case Laplace:
 		r2 := ni + nj - 2*dot
 		if r2 < 0 {
@@ -145,10 +157,40 @@ func (k *Kernel) Submatrix(I, J []int, dst *linalg.Matrix) {
 	XJ := k.X.ColsGather(J)
 	linalg.Gemm(true, false, 1, XI, XJ, 0, dst)
 	for c, j := range J {
-		col := dst.Col(c)
-		nj := k.sqnorms[j]
+		k.entries(I, j, dst.Col(c))
+	}
+}
+
+// Column fills dst[r] = K[I[r], j] with At's bits: the same Dot per entry,
+// then the conversion every block read shares.
+func (k *Kernel) Column(I []int, j int, dst []float64) {
+	xj := k.X.Col(j)
+	for r, i := range I {
+		dst[r] = linalg.Dot(k.X.Col(i), xj)
+	}
+	k.entries(I, j, dst)
+}
+
+// entries turns the inner products col[r] = xᵢᵀxⱼ (i = I[r]) of one block
+// column into kernel entries in place, each with value's bits. The
+// Gaussian computes every exponent argument first and then takes their
+// exponentials in one vector pass; the other kernels call no exp.
+func (k *Kernel) entries(I []int, j int, col []float64) {
+	nj := k.sqnorms[j]
+	if k.Type != Gauss {
 		for r, i := range I {
 			col[r] = k.value(col[r], k.sqnorms[i], nj, i == j)
+		}
+		return
+	}
+	den := 2 * k.H * k.H
+	for r, i := range I {
+		col[r] = gaussArg(col[r], k.sqnorms[i], nj, den)
+	}
+	linalg.ExpInPlace(col[:len(I)])
+	for r, i := range I {
+		if i == j {
+			col[r] += k.Ridge
 		}
 	}
 }
