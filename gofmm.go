@@ -357,8 +357,8 @@ func NewCounting(K SPD) *Counting { return core.NewCounting(K) }
 
 // Save writes a compressed representation to w in the operator-store
 // format (gofmm.store/v1): structure, skeletons, interpolation matrices,
-// interaction lists, cached blocks in both precisions and the installed
-// compiled plan — not the matrix oracle itself. It is the stream form of
+// interaction lists, the cached blocks (one per symmetric pair) and the
+// installed compiled plan — not the matrix oracle itself. It is the stream form of
 // (*Hierarchical).SaveTo; LoadOperator reads the same bytes from a file.
 func Save(h *Hierarchical, w io.Writer) error {
 	_, err := h.WriteStore(w)

@@ -72,7 +72,7 @@ func TestGemmMixedMatchesWidened(t *testing.T) {
 	B := linalg.GaussianMatrix(rng, 15, 4)
 	C1 := linalg.GaussianMatrix(rng, 20, 4)
 	C2 := C1.Clone()
-	linalg.GemmMixed(2, A32, B, 0.5, C1)
+	linalg.GemmMixed(false, 2, A32, B, 0.5, C1)
 	linalg.Gemm(false, false, 2, A32.ToMatrix(), B, 0.5, C2)
 	if !linalg.EqualApprox(C1, C2, 1e-12) {
 		t.Fatal("GemmMixed differs from widened Gemm")

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gofmm/internal/linalg"
+	"gofmm/internal/metric"
 	"gofmm/internal/resilience"
 	"gofmm/internal/spdmat"
 	"gofmm/internal/telemetry"
@@ -93,7 +94,9 @@ func TestColumnReadsKeepEntryCounts(t *testing.T) {
 // The chaos wrapper has no column read, so the traced oracle's Column
 // falls back to its At and every entry the neighbor search reads can be
 // poisoned. Under this seed validateOracle's probe reads stay clean, so
-// every injection comes from the compression's own reads.
+// every injection comes from the compression's own reads; the compression
+// may still end in the tree split's ErrBadOracle, which a poisoned column
+// read causes.
 func TestPoisonReachesColumnReads(t *testing.T) {
 	K := smallK05(t)
 	rec := telemetry.New()
@@ -102,7 +105,7 @@ func TestPoisonReachesColumnReads(t *testing.T) {
 		LeafSize: 64, MaxRank: 32, Tol: 1e-5, Kappa: 16, Budget: 0.03,
 		Distance: Angle, Exec: Sequential, Seed: 1, Chaos: chaos, Telemetry: rec,
 	})
-	if errors.Is(err, ErrBadOracle) {
+	if errors.Is(err, ErrBadOracle) && !errors.Is(err, metric.ErrNoFiniteSplit) {
 		t.Fatalf("validateOracle saw a poisoned entry; pick another seed: %v", err)
 	}
 	c := rec.Snapshot().Counters
@@ -111,5 +114,26 @@ func TestPoisonReachesColumnReads(t *testing.T) {
 	}
 	if n := chaos.Injected()["oracle_poison"]; n == 0 {
 		t.Fatal("no poison injected; column reads bypass the chaos wrapper")
+	}
+}
+
+// A NaN that reaches the tree's ball split makes every centroid distance
+// NaN. The compression must then fail with ErrBadOracle, never panic on
+// the split's missing pivot, across poison seeds.
+func TestPoisonedSplitIsBadOracle(t *testing.T) {
+	K := smallK05(t)
+	for seed := int64(1); seed <= 12; seed++ {
+		chaos := resilience.NewChaos(resilience.ChaosConfig{Seed: seed, OraclePoison: 1e-4}, nil)
+		_, err := Compress(K, Config{
+			LeafSize: 64, MaxRank: 32, Tol: 1e-5, Kappa: 16, Budget: 0.03,
+			Distance: Angle, Exec: Sequential, Seed: 1, Chaos: chaos,
+		})
+		var perr *resilience.PanicError
+		if errors.As(err, &perr) {
+			t.Fatalf("seed %d: compression panicked: %v", seed, perr.Value)
+		}
+		if err != nil && !errors.Is(err, ErrBadOracle) {
+			t.Fatalf("seed %d: got %v, want ErrBadOracle", seed, err)
+		}
 	}
 }

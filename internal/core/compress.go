@@ -161,6 +161,12 @@ func CompressCtx(ctx context.Context, K SPD, cfg Config) (h *Hierarchical, err e
 	h.Tree = tree.Build(n, cfg.LeafSize, split)
 	h.nodes = make([]node, len(h.Tree.Nodes))
 	h.Stats.TreeTime = p.End()
+	if bs, ok := split.(*metric.BallSplit); ok && bs.Err != nil {
+		// A NaN entry reached the split's distances: the oracle is bad,
+		// not the split.
+		root.End()
+		return nil, fmt.Errorf("%w: tree split: %w", ErrBadOracle, bs.Err)
+	}
 
 	// Steps 5–7: near and far interaction lists.
 	p = startPhase(root, "lists")
@@ -336,12 +342,12 @@ func (h *Hierarchical) runCaching(ctx context.Context) error {
 	var batch []func()
 	for _, beta := range t.Leaves() {
 		beta := beta
-		batch = append(batch, func() { h.cacheNearBlock(beta) })
+		batch = append(batch, func() { h.cacheList(nearList, beta) })
 	}
 	for id := 1; id < len(t.Nodes); id++ {
 		id := id
 		if len(h.nodes[id].far) > 0 {
-			batch = append(batch, func() { h.cacheFarBlock(id) })
+			batch = append(batch, func() { h.cacheList(farList, id) })
 		}
 	}
 	return sched.RunLevelsCtx(ctx, [][]func(){batch}, h.Cfg.workerCount())

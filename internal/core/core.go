@@ -219,9 +219,13 @@ type Config struct {
 	Exec ExecMode
 	// CacheBlocks caches near blocks K_βα and far blocks K_β̃α̃ during
 	// compression (tasks Kba and SKba); evaluation then avoids re-gathering.
+	// One block is stored per symmetric pair (see pairs.go): the partner's
+	// list slot applies it transposed.
 	CacheBlocks bool
-	// CacheSingle stores the cached blocks in float32 (half the memory, the
-	// paper's single-precision storage regime); accumulation stays float64.
+	// CacheSingle stores the interpolation bases and, with CacheBlocks, the
+	// cached blocks in float32 (half the memory, the paper's
+	// single-precision storage regime); accumulation stays float64. Proj
+	// widens a basis back to float64.
 	CacheSingle bool
 	// SampleRows bounds the number of importance-sampled rows used per
 	// skeletonization (default 4·MaxRank + LeafSize).
@@ -296,20 +300,23 @@ func (c Config) withDefaults(n int) Config {
 
 // node holds the per-tree-node state of the compressed representation.
 type node struct {
-	skel []int          // skeleton indices α̃ (original matrix indices)
-	proj *linalg.Matrix // P_α̃α (leaf) or P_α̃[l̃r̃] (interior); nil for root
-	near []int          // near node IDs (leaves only, includes self)
-	far  []int          // far node IDs (after MergeFar)
+	skel []int // skeleton indices α̃ (original matrix indices)
+	// proj is P_α̃α (leaf) or P_α̃[l̃r̃] (interior), absent for the root;
+	// float32 under Config.CacheSingle.
+	proj block
+	near []int // near node IDs (leaves only, includes self; sorted)
+	far  []int // far node IDs (after MergeFar; sorted)
 	// denseFallback marks a node whose sampled block could not reach Tol at
 	// MaxRank: all candidate columns were kept as the skeleton with identity
 	// interpolation (exact but uncompressed — graceful degradation).
 	denseFallback bool
 
-	cacheNear []*linalg.Matrix // K_βα per near α (optional)
-	cacheFar  []*linalg.Matrix // K_β̃α̃ per far α (optional)
-	// Single-precision variants used when Config.CacheSingle is set.
-	cacheNear32 []*linalg.Matrix32
-	cacheFar32  []*linalg.Matrix32
+	// cacheNear[k] holds K_βα for near slot k and cacheFar[k] K_β̃α̃ for far
+	// slot k, float32 under Config.CacheSingle; nil when not cached. A slot
+	// whose block the partner owns is absent: it applies the partner's
+	// block transposed (see slotOwner).
+	cacheNear []block
+	cacheFar  []block
 }
 
 // Stats aggregates cost accounting for the experiment harness.
@@ -449,14 +456,18 @@ func (c *Config) workerCount() int {
 	return c.NumWorkers
 }
 
-// Proj returns a copy of node id's interpolation matrix (P_α̃α for leaves,
-// P_α̃[l̃r̃] for interior nodes; nil for the root), for conversions and
-// inspection.
+// Proj returns a float64 copy of node id's interpolation matrix (P_α̃α for
+// leaves, P_α̃[l̃r̃] for interior nodes; nil for the root), for conversions
+// and inspection. A float32 basis is widened exactly.
 func (h *Hierarchical) Proj(id int) *linalg.Matrix {
-	if h.nodes[id].proj == nil {
-		return nil
+	p := h.nodes[id].proj
+	switch {
+	case p.m32 != nil:
+		return p.m32.ToMatrix()
+	case p.m != nil:
+		return p.m.Clone()
 	}
-	return h.nodes[id].proj.Clone()
+	return nil
 }
 
 // Skeleton returns a copy of node id's skeleton indices α̃.

@@ -281,22 +281,22 @@ func (h *Hierarchical) evalBlock(ctx context.Context, W, U *linalg.Matrix, op st
 // P_α̃[l̃r̃] [w̃l; w̃r] (interior).
 func (h *Hierarchical) n2s(st *evalState, id int) {
 	nd := &h.nodes[id]
-	if nd.proj == nil {
+	if !nd.proj.ok() {
 		return // root or skeleton-less node
 	}
 	t := h.Tree
-	s := nd.proj.Rows
+	s, _ := nd.proj.dims()
 	out := st.getMat(s, st.r)
 	if t.IsLeaf(id) {
 		tn := &t.Nodes[id]
 		wview := st.Wt.View(tn.Lo, 0, tn.Size(), st.r)
-		linalg.Gemm(false, false, 1, nd.proj, wview, 0, out)
+		nd.proj.gemm(false, wview, 0, out)
 		h.addEvalFlops(2 * float64(s) * float64(tn.Size()) * float64(st.r))
 	} else {
 		wl := st.skelW[t.Left(id)]
 		wr := st.skelW[t.Right(id)]
 		stacked := st.stackRows(wl, wr)
-		linalg.Gemm(false, false, 1, nd.proj, stacked, 0, out)
+		nd.proj.gemm(false, stacked, 0, out)
 		h.addEvalFlops(2 * float64(s) * float64(stacked.Rows) * float64(st.r))
 		if st.pool != nil {
 			st.pool.PutMatrix(stacked) // transient: safe to recycle immediately
@@ -317,22 +317,22 @@ func (h *Hierarchical) s2s(st *evalState, id int) {
 		if wa == nil || wa.Rows == 0 {
 			continue
 		}
-		if nd.cacheFar32 != nil {
-			b := nd.cacheFar32[k]
-			linalg.GemmMixed(1, b, wa, 1, acc)
-			h.addEvalFlops(2 * float64(b.Rows) * float64(b.Cols) * float64(st.r))
-			continue
-		}
-		var block *linalg.Matrix
-		if nd.cacheFar != nil {
-			block = nd.cacheFar[k]
-		} else {
-			block = h.farBlock(id, alpha)
-		}
-		linalg.Gemm(false, false, 1, block, wa, 1, acc)
-		h.addEvalFlops(2 * float64(block.Rows) * float64(block.Cols) * float64(st.r))
+		h.applySlot(st, farList, id, k, alpha, wa, acc)
 	}
 	st.skelU[id] = acc
+}
+
+// applySlot accumulates C += K(id, α)·B for list slot k of node id: the
+// cached block, transposed when the partner owns it, or else K(id, α)
+// gathered fresh, as an uncached operator always does.
+func (h *Hierarchical) applySlot(st *evalState, kind listKind, id, k, alpha int, B, C *linalg.Matrix) {
+	blk, trans := h.slotBlock(kind, id, k)
+	if !blk.ok() {
+		blk, trans = block{m: h.gather(kind, id, alpha)}, false
+	}
+	blk.gemm(trans, B, 1, C)
+	rows, cols := blk.dims()
+	h.addEvalFlops(2 * float64(rows) * float64(cols) * float64(st.r))
 }
 
 // s2n pushes skeleton potentials down: ũβ += slice of parent's Pᵀũ, then
@@ -358,19 +358,20 @@ func (h *Hierarchical) s2n(st *evalState, id int) {
 		}
 	}
 	u := st.skelU[id]
-	if u == nil || u.Rows == 0 || nd.proj == nil {
+	if u == nil || u.Rows == 0 || !nd.proj.ok() {
 		return
 	}
+	s, c := nd.proj.dims()
 	if t.IsLeaf(id) {
 		tn := &t.Nodes[id]
 		uview := st.Ufar.View(tn.Lo, 0, tn.Size(), st.r)
-		linalg.Gemm(true, false, 1, nd.proj, u, 1, uview)
-		h.addEvalFlops(2 * float64(nd.proj.Rows) * float64(tn.Size()) * float64(st.r))
+		nd.proj.gemm(true, u, 1, uview)
+		h.addEvalFlops(2 * float64(s) * float64(tn.Size()) * float64(st.r))
 	} else {
-		down := st.getMat(nd.proj.Cols, st.r)
-		linalg.Gemm(true, false, 1, nd.proj, u, 0, down)
+		down := st.getMat(c, st.r)
+		nd.proj.gemm(true, u, 0, down)
 		st.down[id] = down
-		h.addEvalFlops(2 * float64(nd.proj.Rows) * float64(nd.proj.Cols) * float64(st.r))
+		h.addEvalFlops(2 * float64(s) * float64(c) * float64(st.r))
 	}
 }
 
@@ -384,20 +385,7 @@ func (h *Hierarchical) l2l(st *evalState, beta int) {
 	for k, alpha := range nd.near {
 		ta := &t.Nodes[alpha]
 		wview := st.Wt.View(ta.Lo, 0, ta.Size(), st.r)
-		if nd.cacheNear32 != nil {
-			b := nd.cacheNear32[k]
-			linalg.GemmMixed(1, b, wview, 1, uview)
-			h.addEvalFlops(2 * float64(b.Rows) * float64(b.Cols) * float64(st.r))
-			continue
-		}
-		var block *linalg.Matrix
-		if nd.cacheNear != nil {
-			block = nd.cacheNear[k]
-		} else {
-			block = h.nearBlock(beta, alpha)
-		}
-		linalg.Gemm(false, false, 1, block, wview, 1, uview)
-		h.addEvalFlops(2 * float64(block.Rows) * float64(block.Cols) * float64(st.r))
+		h.applySlot(st, nearList, beta, k, alpha, wview, uview)
 	}
 }
 

@@ -109,6 +109,10 @@ func maxAbsDiff(a, b *linalg.Matrix) float64 {
 	return d.MaxAbs()
 }
 
+// Caching stores one block per symmetric pair and applies it transposed for
+// the partner, where the uncached interpreter gathers K(β, α) for every
+// slot: the same values (the oracle is bitwise symmetric) summed in another
+// order, so the results agree to rounding.
 func TestCachingDoesNotChangeResult(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	Kd, _ := gaussKernelMatrix(rng, 300, 0.8)
@@ -125,8 +129,8 @@ func TestCachingDoesNotChangeResult(t *testing.T) {
 		U := h.Matvec(W)
 		if ref == nil {
 			ref = U
-		} else if !linalg.EqualApprox(U, ref, 0) {
-			t.Fatal("caching changed the matvec result")
+		} else if d := linalg.RelFrobDiff(U, ref); d > 1e-13 {
+			t.Fatalf("caching changed the matvec result by %g", d)
 		}
 	}
 }

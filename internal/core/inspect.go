@@ -50,36 +50,21 @@ func (c *CountingSPD) Reset() { atomic.StoreInt64(&c.count, 0) }
 
 // CompressedBytes returns the memory footprint of the compressed
 // representation in bytes (interpolation matrices, skeleton index lists,
-// interaction lists, cached blocks, permutation). The paper's storage claim
-// is O(N log N) versus the dense 8·N² — see Stats and the compression-ratio
-// tests.
+// interaction lists, cached blocks, permutation), counting each block in
+// the precision it is stored in and each symmetric pair's block once. The
+// paper's storage claim is O(N log N) versus the dense 8·N² — see Stats
+// and the compression-ratio tests.
 func (h *Hierarchical) CompressedBytes() int64 {
 	var b int64
-	matBytes := func(m *linalg.Matrix) int64 {
-		if m == nil {
-			return 0
-		}
-		return int64(m.Rows) * int64(m.Cols) * 8
-	}
 	for id := range h.nodes {
 		nd := &h.nodes[id]
 		b += int64(len(nd.skel)+len(nd.near)+len(nd.far)) * 8
-		b += matBytes(nd.proj)
-		for _, m := range nd.cacheNear {
-			b += matBytes(m)
+		b += nd.proj.bytes()
+		for _, blk := range nd.cacheNear {
+			b += blk.bytes()
 		}
-		for _, m := range nd.cacheFar {
-			b += matBytes(m)
-		}
-		for _, m := range nd.cacheNear32 {
-			if m != nil {
-				b += m.Bytes()
-			}
-		}
-		for _, m := range nd.cacheFar32 {
-			if m != nil {
-				b += m.Bytes()
-			}
+		for _, blk := range nd.cacheFar {
+			b += blk.bytes()
 		}
 	}
 	b += int64(len(h.Tree.Perm)) * 16 // perm + iperm

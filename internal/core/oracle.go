@@ -58,27 +58,15 @@ func (h *Hierarchical) AttachOracle(K SPD) error {
 
 // interpNeedsOracle reports whether the tree interpreter would have to
 // gather fresh entries for this operator: any contributing far block or
-// near block without a cached copy (in either precision) forces a gather.
+// near block without a cached copy (its own, or its owner's for a
+// mirrored slot) forces a gather.
 func (h *Hierarchical) interpNeedsOracle() bool {
 	for id := range h.nodes {
-		if h.farUncached(id) || h.nearUncached(id) {
+		if h.uncached(farList, id) || h.uncached(nearList, id) {
 			return true
 		}
 	}
 	return false
-}
-
-// farUncached reports whether node id's far interactions contribute to an
-// evaluation without a cached block list in either precision.
-func (h *Hierarchical) farUncached(id int) bool {
-	nd := &h.nodes[id]
-	return len(nd.far) > 0 && len(nd.skel) > 0 && nd.cacheFar == nil && nd.cacheFar32 == nil
-}
-
-// nearUncached is farUncached for leaf id's near interactions.
-func (h *Hierarchical) nearUncached(id int) bool {
-	nd := &h.nodes[id]
-	return h.Tree.IsLeaf(id) && len(nd.near) > 0 && nd.cacheNear == nil && nd.cacheNear32 == nil
 }
 
 // requireEvalOracle is the typed-error guard on the evaluation entry

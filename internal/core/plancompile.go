@@ -85,17 +85,18 @@ func (h *Hierarchical) DropPlan() { h.evalPlan.Store(nil) }
 
 // lowerPlan performs the symbolic traversal once and emits the flat
 // schedule. The emitted op sequence reproduces the interpreter's kernel
-// calls exactly: the same GEMMs against the same operands in the same
-// accumulation order, so compiled results agree with the reference path to
-// rounding (and replay-to-replay is bit-identical; see internal/plan).
+// calls on the same operands — each symmetric pair's one stored block,
+// applied forward for its owner and transposed for its partner — so
+// compiled results agree with the reference path to rounding (and
+// replay-to-replay is bit-identical; see internal/plan).
 //
 // Arena layout: Wt, Unear, Ufar (n rows each, tree order), then per
 // interior node one stacked region [w̃l; w̃r] whose halves ARE the
 // children's skeleton-weight buffers (no copy op needed), then skeleton
 // potentials ũ and hand-down buffers Pᵀũ for exactly the nodes the
-// reachability pass proves live. Every region has a unique writing task
-// per stage, and every region is written before it is read, so replays
-// never zero the arena.
+// reachability pass proves live, then one region per mirrored pair (see
+// lowerPairs). Every region has a unique writing task per stage, and every
+// region is written before it is read, so replays never zero the arena.
 func (h *Hierarchical) lowerPlan() (*plan.Plan, error) {
 	t := h.Tree
 	n := h.K.Dim()
@@ -117,7 +118,7 @@ func (h *Hierarchical) lowerPlan() (*plan.Plan, error) {
 		if p := t.Parent(id); p >= 0 && hasDown[p] && s > 0 {
 			hasU[id] = true
 		}
-		hasDown[id] = !t.IsLeaf(id) && nd.proj != nil && hasU[id] && s > 0
+		hasDown[id] = !t.IsLeaf(id) && nd.proj.ok() && hasU[id] && s > 0
 	}
 
 	// Region allocation. Sibling skeleton-weight buffers are laid out as
@@ -131,10 +132,8 @@ func (h *Hierarchical) lowerPlan() (*plan.Plan, error) {
 	skelU := make([]plan.Ref, nn)   // ũ per node with hasU
 	down := make([]plan.Ref, nn)    // Pᵀũ per node with hasDown
 	projRows := func(id int) int {
-		if h.nodes[id].proj == nil {
-			return 0
-		}
-		return h.nodes[id].proj.Rows
+		rows, _ := h.nodes[id].proj.dims()
+		return rows
 	}
 	for id := 0; id < nn; id++ {
 		if t.IsLeaf(id) {
@@ -142,7 +141,7 @@ func (h *Hierarchical) lowerPlan() (*plan.Plan, error) {
 		}
 		l, r := t.Left(id), t.Right(id)
 		ra, rb := projRows(l), projRows(r)
-		if h.nodes[id].proj != nil {
+		if h.nodes[id].proj.ok() {
 			base := b.Alloc(ra + rb)
 			stacked[id] = plan.Ref{Base: base, Sub: 0, Rows: ra + rb, Span: ra + rb}
 			if ra > 0 {
@@ -165,12 +164,19 @@ func (h *Hierarchical) lowerPlan() (*plan.Plan, error) {
 			skelU[id] = b.Region(len(h.nodes[id].skel))
 		}
 		if hasDown[id] {
-			down[id] = b.Region(h.nodes[id].proj.Cols)
+			_, cols := h.nodes[id].proj.dims()
+			down[id] = b.Region(cols)
 		}
 	}
 	// Sub-views of the three tree-order blocks (stride n).
 	rows := func(region plan.Ref, lo, size int) plan.Ref {
 		return plan.Ref{Base: region.Base, Sub: lo, Rows: size, Span: n}
+	}
+	leafRows := func(region plan.Ref) func(int) plan.Ref {
+		return func(id int) plan.Ref {
+			tn := &t.Nodes[id]
+			return rows(region, tn.Lo, tn.Size())
+		}
 	}
 
 	// Stage 0: permute the external input into tree order.
@@ -185,7 +191,7 @@ func (h *Hierarchical) lowerPlan() (*plan.Plan, error) {
 		opened := false
 		for _, id := range levels[l] {
 			nd := &h.nodes[id]
-			if nd.proj == nil {
+			if !nd.proj.ok() {
 				continue
 			}
 			if !opened {
@@ -195,46 +201,29 @@ func (h *Hierarchical) lowerPlan() (*plan.Plan, error) {
 			b.BeginTask()
 			if t.IsLeaf(id) {
 				tn := &t.Nodes[id]
-				b.Gemm(false, nd.proj, rows(wt, tn.Lo, tn.Size()), skelW[id], 0)
+				nd.proj.emit(b, false, rows(wt, tn.Lo, tn.Size()), skelW[id], 0)
 			} else {
-				b.Gemm(false, nd.proj, stacked[id], skelW[id], 0)
+				nd.proj.emit(b, false, stacked[id], skelW[id], 0)
 			}
 		}
 	}
 
-	// S2S: one parallel stage; each node's far accumulation keeps the
-	// interpreter's list order, with the first emitted GEMM overwriting
-	// (beta 0) in place of the interpreter's zeroed scratch.
-	b.BeginStage("s2s", true)
-	for id := 0; id < nn; id++ {
-		if !hasS2S[id] {
-			continue
-		}
-		nd := &h.nodes[id]
-		b.BeginTask()
-		emitted := false
-		for k, alpha := range nd.far {
-			if skelW[alpha].Rows == 0 {
-				continue // the interpreter's nil/empty w̃α skip, decided statically
-			}
-			var beta float64
-			if emitted {
-				beta = 1
-			}
-			switch {
-			case nd.cacheFar32 != nil:
-				b.GemmMixed(nd.cacheFar32[k], skelW[alpha], skelU[id], beta)
-			case nd.cacheFar != nil:
-				b.Gemm(false, nd.cacheFar[k], skelW[alpha], skelU[id], beta)
-			default:
-				b.Gemm(false, h.farBlock(id, alpha), skelW[alpha], skelU[id], beta)
-			}
-			emitted = true
-		}
-		if !emitted {
-			b.Zero(skelU[id]) // ũ exists but every source was skipped
-		}
+	// S2S over every node's far list, where a node without a skeleton has
+	// no ũ to write and a source without w̃ is the interpreter's nil/empty
+	// skip, decided statically; and L2L over every leaf's near list into
+	// its Unear rows. L2L reads only the input and writes only the near
+	// field, so its tasks share S2S's two stages.
+	all := make([]int, nn)
+	for id := range all {
+		all[id] = id
 	}
+	h.lowerPairs(b, []*pairPass{
+		{kind: farList, nodes: all,
+			w:   func(id int) plan.Ref { return skelW[id] },
+			out: func(id int) (plan.Ref, bool) { return skelU[id], hasS2S[id] }},
+		{kind: nearList, nodes: t.Leaves(), w: leafRows(wt),
+			out: func(id int) (plan.Ref, bool) { return leafRows(unear)(id), true }},
+	})
 
 	// S2N top-down, one barrier per level: fold the parent's hand-down
 	// slice into ũ, then either hand Pᵀũ further down (interior) or emit
@@ -254,7 +243,7 @@ func (h *Hierarchical) lowerPlan() (*plan.Plan, error) {
 				}
 			}
 			hasFold := fold.Rows > 0
-			hasOut := hasU[id] && s > 0 && nd.proj != nil
+			hasOut := hasU[id] && s > 0 && nd.proj.ok()
 			// A leaf whose far field is empty still owns its Ufar rows;
 			// they must be cleared exactly once per replay.
 			zeroUfar := t.IsLeaf(id) && !hasOut
@@ -276,44 +265,14 @@ func (h *Hierarchical) lowerPlan() (*plan.Plan, error) {
 			if hasOut {
 				if t.IsLeaf(id) {
 					tn := &t.Nodes[id]
-					b.Gemm(true, nd.proj, skelU[id], rows(ufar, tn.Lo, tn.Size()), 0)
+					nd.proj.emit(b, true, skelU[id], rows(ufar, tn.Lo, tn.Size()), 0)
 				} else {
-					b.Gemm(true, nd.proj, skelU[id], down[id], 0)
+					nd.proj.emit(b, true, skelU[id], down[id], 0)
 				}
 			}
 			if zeroUfar {
 				tn := &t.Nodes[id]
 				b.Zero(rows(ufar, tn.Lo, tn.Size()))
-			}
-		}
-	}
-
-	// L2L: one parallel stage; each leaf's near accumulation keeps list
-	// order, first GEMM overwriting its Unear rows.
-	b.BeginStage("l2l", true)
-	for _, beta := range t.Leaves() {
-		nd := &h.nodes[beta]
-		tb := &t.Nodes[beta]
-		uref := rows(unear, tb.Lo, tb.Size())
-		b.BeginTask()
-		if len(nd.near) == 0 {
-			b.Zero(uref)
-			continue
-		}
-		for k, alpha := range nd.near {
-			ta := &t.Nodes[alpha]
-			wref := rows(wt, ta.Lo, ta.Size())
-			var bk float64
-			if k > 0 {
-				bk = 1
-			}
-			switch {
-			case nd.cacheNear32 != nil:
-				b.GemmMixed(nd.cacheNear32[k], wref, uref, bk)
-			case nd.cacheNear != nil:
-				b.Gemm(false, nd.cacheNear[k], wref, uref, bk)
-			default:
-				b.Gemm(false, h.nearBlock(beta, alpha), wref, uref, bk)
 			}
 		}
 	}
@@ -325,6 +284,154 @@ func (h *Hierarchical) lowerPlan() (*plan.Plan, error) {
 	b.Scatter(ufar, t.IPerm)
 
 	return b.Build()
+}
+
+// pairPass is one pass over the near or far lists (L2L or S2S): its
+// nodes, node id's input w(id) (zero Rows = absent), and its output
+// out(id) with whether the node writes one.
+type pairPass struct {
+	kind  listKind
+	nodes []int
+	w     func(id int) plan.Ref
+	out   func(id int) (plan.Ref, bool)
+}
+
+// lowerPairs lowers passes over the near and far lists as two parallel
+// stages that all the passes share:
+//
+//   - Stage one has one task per node. It applies the node's diagonal
+//     block, then each block the node owns, twice in a row: first forward,
+//     out(owner) += K·w(partner), then, when the partner lists the owner
+//     back, transposed into the pair's own region, t = Kᵀ·w(owner), while
+//     the block is still in cache. So a replay streams each stored block
+//     once. The first record into out(owner) overwrites it.
+//   - Stage two has one task per node. It adds the node's incoming pair
+//     regions to out(node) in list order, copying the first one when stage
+//     one wrote nothing, and clears an output that nothing reaches.
+//
+// Each task writes only its node's output and the pair regions it owns,
+// and the passes write disjoint outputs, so both stages are
+// output-disjoint, and every region is written before it is read. Blocks
+// come from the owner's cache, or are gathered here for the plan alone
+// when the compression did not cache them.
+func (h *Hierarchical) lowerPairs(b *plan.Builder, passes []*pairPass) {
+	// pair[i][id][k] is the region that receives node id's slot-k block of
+	// pass i transposed, for the partner to add; zero Rows where no
+	// partner applies it (the partner writes no output, or id's input is
+	// absent). wrote[i][id] records that out(id) holds a value.
+	pair := make([][][]plan.Ref, len(passes))
+	wrote := make([][]bool, len(passes))
+	for i, ps := range passes {
+		pair[i] = make([][]plan.Ref, len(h.nodes))
+		wrote[i] = make([]bool, len(h.nodes))
+		for _, alpha := range ps.nodes {
+			dst, ok := ps.out(alpha)
+			if !ok {
+				continue
+			}
+			lst, _ := h.list(ps.kind, alpha)
+			for j := range lst {
+				owner, slot, trans := h.slotOwner(ps.kind, alpha, j)
+				if !trans || ps.w(owner).Rows == 0 {
+					continue
+				}
+				if pair[i][owner] == nil {
+					own, _ := h.list(ps.kind, owner)
+					pair[i][owner] = make([]plan.Ref, len(own))
+				}
+				pair[i][owner][slot] = b.Region(dst.Rows)
+			}
+		}
+	}
+	mirror := func(i, id, k int) plan.Ref {
+		if pair[i][id] == nil {
+			return plan.Ref{}
+		}
+		return pair[i][id][k]
+	}
+
+	b.BeginStage("pairs", true)
+	for i, ps := range passes {
+		for _, id := range ps.nodes {
+			dst, active := ps.out(id)
+			lst, cache := h.list(ps.kind, id)
+			b.BeginTask()
+			for _, k := range diagonalFirst(lst, id) {
+				alpha := lst[k]
+				if _, _, trans := h.slotOwner(ps.kind, id, k); trans {
+					continue
+				}
+				fwd := active && ps.w(alpha).Rows > 0
+				t := mirror(i, id, k)
+				if !fwd && t.Rows == 0 {
+					continue
+				}
+				var blk block
+				if *cache != nil {
+					blk = (*cache)[k]
+				}
+				if !blk.ok() {
+					blk = block{m: h.gather(ps.kind, id, alpha)}
+				}
+				if fwd {
+					var beta float64
+					if wrote[i][id] {
+						beta = 1
+					}
+					blk.emit(b, false, ps.w(alpha), dst, beta)
+					wrote[i][id] = true
+				}
+				if t.Rows > 0 {
+					blk.emit(b, true, ps.w(id), t, 0)
+				}
+			}
+		}
+	}
+
+	b.BeginStage("pairs.add", true)
+	for i, ps := range passes {
+		for _, id := range ps.nodes {
+			dst, active := ps.out(id)
+			if !active {
+				continue
+			}
+			lst, _ := h.list(ps.kind, id)
+			b.BeginTask()
+			for j := range lst {
+				owner, slot, trans := h.slotOwner(ps.kind, id, j)
+				t := mirror(i, owner, slot)
+				if !trans || t.Rows == 0 {
+					continue
+				}
+				if wrote[i][id] {
+					b.Add(t, dst)
+				} else {
+					b.Copy(t, dst)
+					wrote[i][id] = true
+				}
+			}
+			if !wrote[i][id] {
+				b.Zero(dst) // the output exists but every source was skipped
+			}
+		}
+	}
+}
+
+// diagonalFirst returns the slot order of a list for node id: the slot
+// listing id itself first, then the rest in list order.
+func diagonalFirst(lst []int, id int) []int {
+	order := make([]int, 0, len(lst))
+	for k, alpha := range lst {
+		if alpha == id {
+			order = append(order, k)
+		}
+	}
+	for k, alpha := range lst {
+		if alpha != id {
+			order = append(order, k)
+		}
+	}
+	return order
 }
 
 // replayBlock is the compiled counterpart of evalBlock: it spans and

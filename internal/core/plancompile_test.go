@@ -24,14 +24,16 @@ func planConfig() Config {
 // TestCompiledPlanMatchesInterpreter is the lowering smoke test: the
 // compiled replay must reproduce the tree interpreter to near machine
 // precision on the same operator, across caching regimes (cached float64,
-// cached float32, uncached) and RHS widths. The cached cases also run every
-// kernel-choice edge of the constant-operand entries (the GEMV-to-micro-
-// kernel crossover, ragged 6-column panels, transposed S2N records),
-// and the fixed-rank cases have records with k > 256, so the micro-kernel
-// splits k into blocks.
+// cached float32, uncached), list modes (symmetrized, where pairs share a
+// block, and NoSymmetrize, where one-sided pairs keep their own) and RHS
+// widths. The cached cases also run every kernel-choice edge of the
+// constant-operand entries (the GEMV-to-micro-kernel crossovers, ragged
+// 6-column panels and 3-column dot tiles, transposed S2N and mirror
+// records), and the fixed-rank cases have records with k > 256, so the
+// micro-kernel splits k into blocks.
 func TestCompiledPlanMatchesInterpreter(t *testing.T) {
 	narrow := []int{1, 3, 8}
-	wide := []int{1, 2, 3, 6, 7, 8, 16, 17}
+	wide := []int{1, 2, 3, 5, 6, 7, 8, 16, 17}
 	fixedRank := func(c *Config) { c.Tol, c.MaxRank, c.LeafSize = 1e-12, 160, 320 }
 	cases := []struct {
 		name   string
@@ -46,6 +48,9 @@ func TestCompiledPlanMatchesInterpreter(t *testing.T) {
 		{"pooled", 384, narrow, func(c *Config) { c.Workspace = workspace.New() }},
 		{"fixedrank", 1280, wide, fixedRank},
 		{"fixedrank32", 1280, wide, func(c *Config) { fixedRank(c); c.CacheSingle = true }},
+		{"nosym", 384, []int{1, 5, 16}, func(c *Config) { c.NoSymmetrize = true }},
+		{"nosym32", 384, []int{1, 5, 16}, func(c *Config) { c.NoSymmetrize, c.CacheSingle = true, true }},
+		{"nosym-uncached", 384, []int{1, 5, 16}, func(c *Config) { c.NoSymmetrize, c.CacheBlocks = true, false }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

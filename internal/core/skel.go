@@ -164,7 +164,7 @@ func (h *Hierarchical) coefNode(id int, w *skelWork) {
 	if w.fact == nil {
 		// Identity interpolation (root or degenerate node).
 		if h.nodes[id].skel != nil {
-			h.nodes[id].proj = linalg.Eye(len(h.nodes[id].skel))
+			h.nodes[id].proj = h.storeBlock(linalg.Eye(len(h.nodes[id].skel)))
 		}
 		return
 	}
@@ -185,7 +185,7 @@ func (h *Hierarchical) coefNode(id int, w *skelWork) {
 		}
 		h.addCompressFlops(float64(s) * float64(s) * float64(n-s))
 	}
-	h.nodes[id].proj = coef
+	h.nodes[id].proj = h.storeBlock(coef)
 	w.fact = nil // release the factor
 }
 
@@ -201,34 +201,10 @@ func (h *Hierarchical) farBlock(beta, alpha int) *linalg.Matrix {
 	return NewGathered(h.K, h.nodes[beta].skel, h.nodes[alpha].skel)
 }
 
-// cacheBlocks evaluates and stores the near blocks K_βα (task Kba) and far
-// skeleton blocks K_β̃α̃ (task SKba). With caching, evaluation is pure GEMM.
-func (h *Hierarchical) cacheNearBlock(beta int) {
-	nd := &h.nodes[beta]
-	if h.Cfg.CacheSingle {
-		nd.cacheNear32 = make([]*linalg.Matrix32, len(nd.near))
-		for k, alpha := range nd.near {
-			nd.cacheNear32[k] = linalg.ToMatrix32(h.nearBlock(beta, alpha))
-		}
-		return
-	}
-	nd.cacheNear = make([]*linalg.Matrix, len(nd.near))
-	for k, alpha := range nd.near {
-		nd.cacheNear[k] = h.nearBlock(beta, alpha)
-	}
-}
-
-func (h *Hierarchical) cacheFarBlock(beta int) {
-	nd := &h.nodes[beta]
-	if h.Cfg.CacheSingle {
-		nd.cacheFar32 = make([]*linalg.Matrix32, len(nd.far))
-		for k, alpha := range nd.far {
-			nd.cacheFar32[k] = linalg.ToMatrix32(h.farBlock(beta, alpha))
-		}
-		return
-	}
-	nd.cacheFar = make([]*linalg.Matrix, len(nd.far))
-	for k, alpha := range nd.far {
-		nd.cacheFar[k] = h.farBlock(beta, alpha)
-	}
+// cacheList runs a Kba (near) or SKba (far) task: it evaluates and stores
+// the blocks node id owns in its list of the given kind, one per symmetric
+// pair (see slotOwner). With caching, evaluation is pure GEMM.
+func (h *Hierarchical) cacheList(kind listKind, id int) {
+	_, cache := h.list(kind, id)
+	*cache = h.ownedBlocks(kind, id, true)
 }

@@ -13,7 +13,8 @@ import (
 // sections core writes:
 //
 //	meta : scalar payload version + dimensions + the Config snapshot
-//	topo : matrix table, permutation, per-node lists and matrix refs
+//	topo : matrix table, permutation, per-node lists and matrix refs (one
+//	       per list slot; -1 where the partner owns the pair's block)
 //	plan : a presence byte, then (when set) the 32-byte digest of the
 //	       compiled plan, which the loader re-lowers and checks against it
 //	arena: raw little-endian column-major float data (one per precision)
@@ -27,7 +28,10 @@ const (
 	// storePayloadVersion versions the section payloads independently of
 	// the container (bump when the byte layout inside a section changes).
 	// Version 2 dropped the persisted op stream and stage schedule.
-	storePayloadVersion = 2
+	// Version 3 stores one block per symmetric near/far pair: each node
+	// has one near and one far ref list, with -1 at the slots whose block
+	// the partner owns, and a basis may be a float32 record.
+	storePayloadVersion = 3
 
 	// maxSerialDim bounds every dimension-like field in a payload. A
 	// corrupted or adversarial length field must produce ErrBadFormat, not

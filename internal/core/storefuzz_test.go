@@ -16,8 +16,9 @@ import (
 // compiled store and re-wraps the sections with fresh checksums, so every
 // mutation reaches the payload decoder and, through it, the plan lowering
 // that a compiled store's load runs on untrusted nodes. The seeds are a
-// small operator cached in float64, cached in float32, and uncached HSS
-// (Budget 0), whose store carries the blocks its plan gathered. ReadStore
+// small operator cached in float64, cached in float32 with float32 bases,
+// the same under NoSymmetrize lists, and uncached HSS (Budget 0), whose
+// store carries the blocks its plan gathered. ReadStore
 // without an oracle must either fail with ErrBadFormat or return an
 // operator whose replay and interpreter return without a panic, recovered
 // or not.
@@ -26,12 +27,13 @@ func FuzzReadStore(f *testing.F) {
 		LeafSize: 16, MaxRank: 12, Tol: 1e-5, Kappa: 8, Budget: 0.1,
 		Distance: Kernel, Exec: Sequential, Seed: 31,
 	}
-	f64, f32, hss := base, base, base
+	f64, f32, nosym, hss := base, base, base, base
 	f64.CacheBlocks = true
 	f32.CacheBlocks, f32.CacheSingle = true, true
+	nosym.CacheBlocks, nosym.CacheSingle, nosym.NoSymmetrize = true, true, true
 	hss.Budget = 0
 	var images [][]store.Section
-	for _, cfg := range []Config{f64, f32, hss} {
+	for _, cfg := range []Config{f64, f32, hss, nosym} {
 		h, _ := compressGauss(f, 128, cfg)
 		if _, err := h.CompilePlan(); err != nil {
 			f.Fatal(err)
@@ -49,6 +51,8 @@ func FuzzReadStore(f *testing.F) {
 	f.Add(uint8(1), uint8(1), uint8(1), uint32(400), []byte{})      // truncate the topo
 	f.Add(uint8(2), uint8(1), uint8(2), uint32(8), []byte{0xff, 7}) // overwrite the matrix table
 	f.Add(uint8(2), uint8(0), uint8(2), uint32(0), []byte{1})       // payload version 1
+	f.Add(uint8(1), uint8(1), uint8(2), uint32(600), []byte{0xff})  // clobber a float32 ref list
+	f.Add(uint8(3), uint8(1), uint8(0), uint32(900), []byte{0x01})  // flip an asymmetric list
 	f.Fuzz(func(t *testing.T, image, section, mode uint8, pos uint32, data []byte) {
 		sections := images[int(image)%len(images)]
 		kind := kinds[int(section)%len(kinds)]

@@ -174,6 +174,17 @@ func arenaFloats32(b []byte) ([]float32, bool, error) {
 	return out, true, nil
 }
 
+// increasing reports whether xs is strictly increasing, as every
+// interaction list is: ownership looks partners up by binary search.
+func increasing(xs []int) bool {
+	for i := 1; i < len(xs); i++ {
+		if xs[i] <= xs[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
 // decodeStore parses a validated store container into an operator.
 func decodeStore(f *store.File, opts LoadOptions) (*Hierarchical, *StoreInfo, error) {
 	metab, ok := f.Section(store.SecMeta)
@@ -273,25 +284,17 @@ func decodeStore(f *store.File, opts LoadOptions) (*Hierarchical, *StoreInfo, er
 			return nil, nil, fmt.Errorf("%w: matrix record %d precision %d", ErrBadFormat, i, prec)
 		}
 	}
-	ref64 := func(v int64) *linalg.Matrix {
+	// refBlock resolves a matrix ref: -1 is absent, anything else must
+	// name a record of either precision.
+	refBlock := func(v int64) block {
 		if v == -1 {
-			return nil
+			return block{}
 		}
-		if v < 0 || v >= int64(numRecs) || mats64[v] == nil {
-			tr.failf("f64 matrix ref %d invalid", v)
-			return nil
+		if v < 0 || v >= int64(numRecs) {
+			tr.failf("matrix ref %d invalid", v)
+			return block{}
 		}
-		return mats64[v]
-	}
-	ref32 := func(v int64) *linalg.Matrix32 {
-		if v == -1 {
-			return nil
-		}
-		if v < 0 || v >= int64(numRecs) || mats32[v] == nil {
-			tr.failf("f32 matrix ref %d invalid", v)
-			return nil
-		}
-		return mats32[v]
+		return block{m: mats64[v], m32: mats32[v]}
 	}
 
 	// --- topo: permutation and tree ---
@@ -328,46 +331,68 @@ func decodeStore(f *store.File, opts LoadOptions) (*Hierarchical, *StoreInfo, er
 		Tree: t,
 	}
 	h.nodes = make([]node, len(t.Nodes))
-	readRefList64 := func(count int) []*linalg.Matrix {
+	// readRefs reads one list's presence flag and its per-slot refs.
+	readRefs := func(count int) []int64 {
 		if !tr.boolean() || tr.err() != nil {
 			return nil
 		}
-		out := make([]*linalg.Matrix, count)
-		for k := range out {
-			out[k] = ref64(tr.i64())
-			if out[k] == nil && tr.err() == nil {
-				tr.failf("nil matrix in cache list")
-			}
-		}
-		return out
-	}
-	readRefList32 := func(count int) []*linalg.Matrix32 {
-		if !tr.boolean() || tr.err() != nil {
+		if count > tr.remaining()/8 {
+			tr.failf("ref list of %d entries in %d remaining bytes", count, tr.remaining())
 			return nil
 		}
-		out := make([]*linalg.Matrix32, count)
+		out := make([]int64, count)
 		for k := range out {
-			out[k] = ref32(tr.i64())
-			if out[k] == nil && tr.err() == nil {
-				tr.failf("nil matrix in cache list")
-			}
+			out[k] = tr.i64()
 		}
 		return out
 	}
+	lists := make([][2][]int64, len(h.nodes))
 	for id := range h.nodes {
 		if tr.err() != nil {
 			break
 		}
 		nd := &h.nodes[id]
 		nd.skel = tr.ints(n)
-		nd.proj = ref64(tr.i64())
+		nd.proj = refBlock(tr.i64())
 		nd.near = tr.ints(len(t.Nodes))
 		nd.far = tr.ints(len(t.Nodes))
 		nd.denseFallback = tr.boolean()
-		nd.cacheNear = readRefList64(len(nd.near))
-		nd.cacheFar = readRefList64(len(nd.far))
-		nd.cacheNear32 = readRefList32(len(nd.near))
-		nd.cacheFar32 = readRefList32(len(nd.far))
+		lists[id] = [2][]int64{readRefs(len(nd.near)), readRefs(len(nd.far))}
+		if !increasing(nd.near) || !increasing(nd.far) {
+			tr.failf("node %d: interaction list not strictly increasing", id)
+		}
+		if len(nd.near) > 0 && !t.IsLeaf(id) {
+			tr.failf("node %d: near list on an interior node", id)
+		}
+		for _, alpha := range nd.near {
+			if !t.IsLeaf(alpha) {
+				tr.failf("node %d: near list holds interior node %d", id, alpha)
+			}
+		}
+	}
+	// Ownership depends on every node's lists, so the caches resolve once
+	// they are all read: a ref list must hold exactly the blocks its node
+	// owns.
+	for id := range h.nodes {
+		for i, kind := range []listKind{nearList, farList} {
+			refs := lists[id][i]
+			if refs == nil || tr.err() != nil {
+				continue
+			}
+			cache := make([]block, len(refs))
+			for k, v := range refs {
+				_, _, trans := h.slotOwner(kind, id, k)
+				switch {
+				case trans && v != -1:
+					tr.failf("node %d: ref list stores a block its partner owns (slot %d)", id, k)
+				case !trans && v == -1:
+					tr.failf("node %d: ref list lacks an owned block (slot %d)", id, k)
+				}
+				cache[k] = refBlock(v)
+			}
+			_, dst := h.list(kind, id)
+			*dst = cache
+		}
 	}
 	if err := tr.finish(); err != nil {
 		return nil, nil, err

@@ -6,15 +6,15 @@ import (
 	"io"
 	"math"
 
-	"gofmm/internal/linalg"
 	"gofmm/internal/resilience"
 	"gofmm/internal/store"
 )
 
 // Saving a compressed operator into the on-disk store (gofmm.store/v1),
 // the one persisted form of an operator. The store packs every constant
-// matrix — interpolation bases and cached near/far blocks in both
-// precisions — into one contiguous 64-byte-aligned arena per precision,
+// matrix — interpolation bases and the owned near/far blocks, one per
+// symmetric pair, in the precision each is stored in — into one contiguous
+// 64-byte-aligned arena per precision,
 // addressed by a flat table of (precision, rows, cols, offset) records. A
 // loader can therefore map the file and bind matrix headers directly over
 // the mapping: zero copies, no pointer fixups, first matvec bounded by
@@ -30,37 +30,30 @@ func storeAlign64(n int64) int64 {
 // matTable assigns every constant matrix a record in the arena of its
 // precision.
 type matTable struct {
-	recs  []matRec
-	src64 []*linalg.Matrix   // parallel to recs; nil for f32 records
-	src32 []*linalg.Matrix32 // parallel to recs; nil for f64 records
+	recs []matRec
+	src  []block // parallel to recs
 	// Bytes used so far in each precision's arena.
 	size64, size32 int64
 }
 
-// ref64 returns the table index of a new record for m. A nil matrix
-// encodes as -1.
-func (mt *matTable) ref64(m *linalg.Matrix) int64 {
-	if m == nil {
+// ref returns the table index of a new record for b in the arena of its
+// precision. An absent block encodes as -1.
+func (mt *matTable) ref(b block) int64 {
+	var prec int64
+	var size *int64
+	switch {
+	case b.m != nil:
+		prec, size = 8, &mt.size64
+	case b.m32 != nil:
+		prec, size = 4, &mt.size32
+	default:
 		return -1
 	}
-	off := storeAlign64(mt.size64)
-	mt.size64 = off + int64(m.Rows)*int64(m.Cols)*8
-	mt.recs = append(mt.recs, matRec{prec: 8, rows: int64(m.Rows), cols: int64(m.Cols), off: off})
-	mt.src64 = append(mt.src64, m)
-	mt.src32 = append(mt.src32, nil)
-	return int64(len(mt.recs) - 1)
-}
-
-// ref32 is ref64 for single-precision matrices.
-func (mt *matTable) ref32(m *linalg.Matrix32) int64 {
-	if m == nil {
-		return -1
-	}
-	off := storeAlign64(mt.size32)
-	mt.size32 = off + int64(m.Rows)*int64(m.Cols)*4
-	mt.recs = append(mt.recs, matRec{prec: 4, rows: int64(m.Rows), cols: int64(m.Cols), off: off})
-	mt.src64 = append(mt.src64, nil)
-	mt.src32 = append(mt.src32, m)
+	rows, cols := b.dims()
+	off := storeAlign64(*size)
+	*size = off + int64(rows)*int64(cols)*prec
+	mt.recs = append(mt.recs, matRec{prec: prec, rows: int64(rows), cols: int64(cols), off: off})
+	mt.src = append(mt.src, b)
 	return int64(len(mt.recs) - 1)
 }
 
@@ -70,7 +63,7 @@ func (mt *matTable) pack() (arena64, arena32 []byte) {
 	arena64 = make([]byte, mt.size64)
 	arena32 = make([]byte, mt.size32)
 	for i, rec := range mt.recs {
-		if m := mt.src64[i]; m != nil {
+		if m := mt.src[i].m; m != nil {
 			out := arena64[rec.off:]
 			k := 0
 			for j := 0; j < m.Cols; j++ {
@@ -80,7 +73,7 @@ func (mt *matTable) pack() (arena64, arena32 []byte) {
 				}
 			}
 		}
-		if m := mt.src32[i]; m != nil {
+		if m := mt.src[i].m32; m != nil {
 			out := arena32[rec.off:]
 			k := 0
 			for j := 0; j < m.Cols; j++ {
@@ -102,56 +95,37 @@ func (h *Hierarchical) storeSections() ([]store.Section, error) {
 	n := h.K.Dim()
 	p := h.evalPlan.Load()
 	// A compiled operator must reload oracle-free to the same plan, so it
-	// persists every block list its plan reads. Lists the compression did
-	// not cache were gathered for the plan alone; gather them again here,
-	// in float64 as the plan holds them, into the saved lists only.
+	// persists every block its plan reads. Blocks the compression did not
+	// cache were gathered for the plan alone; gather the owned ones again
+	// here, in float64 as the plan holds them, into the saved lists only.
 	var mt matTable
 
 	// Walk nodes in id order so arena layout is deterministic: proj first,
-	// then each cache list in near/far order, float64 before float32.
-	refs64 := func(ms []*linalg.Matrix) []int64 {
-		if ms == nil {
-			return nil
-		}
-		out := make([]int64, len(ms))
-		for k, m := range ms {
-			out[k] = mt.ref64(m)
-		}
-		return out
-	}
-	refs32 := func(ms []*linalg.Matrix32) []int64 {
-		if ms == nil {
-			return nil
-		}
-		out := make([]int64, len(ms))
-		for k, m := range ms {
-			out[k] = mt.ref32(m)
-		}
-		return out
-	}
+	// then the near and the far list. A list holds one ref per slot: the
+	// owned block, or -1 where the partner owns the block (see slotOwner).
 	type nodeRefs struct {
 		proj int64
-		// near64, far64, near32, far32; nil when the node has no such list.
-		lists [4][]int64
+		// near, far; nil when the node has no such list.
+		lists [2][]int64
 	}
 	refs := make([]nodeRefs, len(h.nodes))
 	for id := range h.nodes {
-		nd := &h.nodes[id]
-		near, far := nd.cacheNear, nd.cacheFar
-		if p != nil && h.nearUncached(id) {
-			near = make([]*linalg.Matrix, len(nd.near))
-			for k, alpha := range nd.near {
-				near[k] = h.nearBlock(id, alpha)
+		refs[id].proj = mt.ref(h.nodes[id].proj)
+		for i, kind := range []listKind{nearList, farList} {
+			lst, cache := h.list(kind, id)
+			blocks := *cache
+			if blocks == nil && p != nil && len(lst) > 0 {
+				blocks = h.ownedBlocks(kind, id, false)
 			}
-		}
-		if p != nil && h.farUncached(id) {
-			far = make([]*linalg.Matrix, len(nd.far))
-			for k, alpha := range nd.far {
-				far[k] = h.farBlock(id, alpha)
+			if blocks == nil {
+				continue
 			}
+			out := make([]int64, len(blocks))
+			for k, blk := range blocks {
+				out[k] = mt.ref(blk)
+			}
+			refs[id].lists[i] = out
 		}
-		refs[id].proj = mt.ref64(nd.proj)
-		refs[id].lists = [4][]int64{refs64(near), refs64(far), refs32(nd.cacheNear32), refs32(nd.cacheFar32)}
 	}
 
 	// meta section.
@@ -215,7 +189,7 @@ func (h *Hierarchical) storeSections() ([]store.Section, error) {
 }
 
 // WriteStore writes the operator in store format (gofmm.store/v1) to w:
-// the compressed representation, both cache precisions and the installed
+// the compressed representation, its cached blocks and the installed
 // compiled plan, but not the entry oracle. ReadStore reads it back from a
 // stream; SaveTo/LoadFrom add atomic files and the zero-copy mmap load.
 func (h *Hierarchical) WriteStore(w io.Writer) (int64, error) {

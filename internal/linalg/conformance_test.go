@@ -145,7 +145,8 @@ func TestGemmConformanceStrided(t *testing.T) {
 }
 
 // constOperandEntries are the constant-operand GEMM entries of the compiled
-// plan replay: GemmConst in both orientations and GemmMixed (float32 A).
+// plan replay: GemmConst (float64 A) and GemmMixed (float32 A), each in both
+// orientations.
 var constOperandEntries = []struct {
 	name          string
 	transA, mixed bool
@@ -153,14 +154,17 @@ var constOperandEntries = []struct {
 	{"GemmConst_tAfalse", false, false},
 	{"GemmConst_tAtrue", true, false},
 	{"GemmMixed", false, true},
+	{"GemmMixed_tAtrue", true, true},
 }
 
-// Grid of the constant-operand checks: m straddles the 8-row tile, k the
-// gemmKC block, r every width from GEMV through ragged 6-column panels.
+// Grid of the constant-operand checks: m straddles the 8-row tile and the
+// 4-column transposed tile, k the gemmKC block and the 4-row steps of the
+// dot kernels, r every width from 1 to 17, which covers the GEMV, ragged
+// 6-column panels and ragged 3-column dot tiles.
 var (
-	constMs = []int{1, 7, 8, 9, 33, 128}
-	constKs = []int{1, 5, 256, 257}
-	constRs = []int{1, 2, 3, 4, 5, 6, 7, 12, 16, 17}
+	constMs = []int{1, 6, 7, 8, 9, 33, 128}
+	constKs = []int{1, 3, 5, 256, 257}
+	constRs = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17}
 )
 
 // checkConstOperand runs one constant-operand entry on an m×k op(A) and an
@@ -198,7 +202,7 @@ func checkConstOperand(t *testing.T, rng *rand.Rand, transA, mixed, strided bool
 			C.Fill(math.NaN())
 		}
 		if mixed {
-			GemmMixed(alpha, A32, B, beta, C)
+			GemmMixed(transA, alpha, A32, B, beta, C)
 		} else {
 			GemmConst(transA, alpha, A, B, beta, C)
 		}

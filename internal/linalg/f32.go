@@ -66,21 +66,25 @@ func (m *Matrix32) ToMatrix() *Matrix {
 // Bytes returns the storage footprint.
 func (m *Matrix32) Bytes() int64 { return int64(m.Rows) * int64(m.Cols) * 4 }
 
-// GemmMixed computes C = alpha·A·B + beta·C where A is a constant block
-// stored in float32; products and accumulation are in float64. It is the
-// float32 counterpart of GemmConst with the same width rule: below
-// gemmConstMinWidth columns (and on builds without the AVX2+FMA kernels)
-// GemvMixed runs once per column, wider blocks take the 8×6 micro-kernel
-// reading A in place, widening each load. It starts no goroutines and,
-// once the panel pool is warm, allocates nothing.
-func GemmMixed(alpha float64, A *Matrix32, B *Matrix, beta float64, C *Matrix) {
+// GemmMixed computes C = alpha·op(A)·B + beta·C where A is a constant block
+// stored in float32 and op is identity or transpose; products and
+// accumulation are in float64. It is the float32 counterpart of GemmConst
+// with the same width rule: narrow blocks (and builds without the AVX2+FMA
+// kernels) run GemvMixed once per column, wider ones the in-place kernels
+// reading A where it lies, widening each load — the 8×6 micro-kernel for
+// op(A) = A, the 4×3 dot-product tile for op(A) = Aᵀ. It starts no
+// goroutines and, once the panel pool is warm, allocates nothing.
+func GemmMixed(transA bool, alpha float64, A *Matrix32, B *Matrix, beta float64, C *Matrix) {
 	m, k := A.Rows, A.Cols
+	if transA {
+		m, k = A.Cols, A.Rows
+	}
 	if B.Rows != k || C.Rows != m || C.Cols != B.Cols {
 		panic("linalg: GemmMixed dimension mismatch")
 	}
-	if B.Cols < gemmConstMinWidth || !haveFMAKernel {
+	if !constWide(transA, B.Cols) {
 		for j := 0; j < B.Cols; j++ {
-			GemvMixed(alpha, A, B.Col(j), beta, C.Col(j))
+			GemvMixed(transA, alpha, A, B.Col(j), beta, C.Col(j))
 		}
 		return
 	}
@@ -88,22 +92,31 @@ func GemmMixed(alpha float64, A *Matrix32, B *Matrix, beta float64, C *Matrix) {
 	if alpha == 0 || m == 0 || k == 0 {
 		return
 	}
-	gemmInPlace(alpha, nil, A, B, C)
+	if transA {
+		gemmInPlaceT(alpha, nil, A, B, C)
+	} else {
+		gemmInPlace(alpha, nil, A, B, C)
+	}
 }
 
-// GemvMixed computes y = alpha·A·x + beta·y with A stored in float32 and
-// float64 accumulation. GemmMixed runs it once per column below
-// gemmConstMinWidth, so it serves every width-1 mixed-precision record of a
-// plan replay and of the interpreter, and every column of narrow ones. Like
-// Gemv it blocks 8 columns per pass so y is streamed once per 8 columns
-// instead of once per column; with the column-at-a-time form the y
-// read-modify-write traffic (16 bytes per element) dwarfed the 4-byte block
-// reads and capped DRAM-resident replays. Its accumulation order differs
-// from the micro-kernel's by rounding, so results agree across widths to
-// 1e-13 rather than bit for bit; a fixed width is bit-identical run to run.
-// No zero-coefficient skip: A is always finite (the oracle validates
-// cached blocks), so a zero coefficient contributes exact zeros either way.
-func GemvMixed(alpha float64, A *Matrix32, x []float64, beta float64, y []float64) {
+// GemvMixed computes y = alpha·op(A)·x + beta·y with A stored in float32
+// and float64 accumulation. GemmMixed runs it once per column of narrow
+// blocks, so it serves every width-1 mixed-precision record of a plan
+// replay and of the interpreter. Untransposed, like Gemv it blocks 8
+// columns per pass so y is streamed once per 8 columns instead of once per
+// column; with the column-at-a-time form the y read-modify-write traffic
+// (16 bytes per element) dwarfed the 4-byte block reads and capped
+// DRAM-resident replays. Transposed, it takes four column dot products per
+// pass (gemvDots4F32). Its accumulation order differs from the wide
+// kernels' by rounding, so results agree across widths to 1e-13 rather
+// than bit for bit; a fixed width is bit-identical run to run. No
+// zero-coefficient skip: A is always finite (the oracle validates cached
+// blocks), so a zero coefficient contributes exact zeros either way.
+func GemvMixed(trans bool, alpha float64, A *Matrix32, x []float64, beta float64, y []float64) {
+	if trans {
+		gemvMixedT(alpha, A, x, beta, y)
+		return
+	}
 	m, k := A.Rows, A.Cols
 	if len(x) != k || len(y) != m {
 		panic("linalg: GemvMixed dimension mismatch")
@@ -165,5 +178,45 @@ func GemvMixed(alpha float64, A *Matrix32, x []float64, beta float64, y []float6
 		for i := range y {
 			y[i] += s * float64(ak[i])
 		}
+	}
+}
+
+// gemvMixedT is GemvMixed's transposed half: y[j] = alpha·(column j of A)·x
+// + beta·y[j]. On AVX2+FMA hardware four columns at a time run through
+// gemvDots4F32 over the 4-aligned row prefix; ragged rows, the ragged
+// columns and alpha/beta are finished in Go.
+func gemvMixedT(alpha float64, A *Matrix32, x []float64, beta float64, y []float64) {
+	m, n := A.Rows, A.Cols
+	if len(x) != m || len(y) != n {
+		panic("linalg: GemvMixed dimension mismatch")
+	}
+	set := func(j int, s float64) {
+		if beta == 0 {
+			y[j] = alpha * s
+		} else {
+			y[j] = beta*y[j] + alpha*s
+		}
+	}
+	j := 0
+	if haveFMAKernel && m >= 4 {
+		mm := m &^ 3
+		var d [4]float64
+		for ; j+4 <= n; j += 4 {
+			gemvDots4F32(mm, &A.Data[j*A.Stride], A.Stride, &x[0], &d[0])
+			for q := 0; q < 4; q++ {
+				s := d[q]
+				for i, v := range A.Col(j + q)[mm:] {
+					s += float64(v) * x[mm+i]
+				}
+				set(j+q, s)
+			}
+		}
+	}
+	for ; j < n; j++ {
+		var s float64
+		for i, v := range A.Col(j) {
+			s += float64(v) * x[i]
+		}
+		set(j, s)
 	}
 }

@@ -38,12 +38,12 @@ func TestGemmMixedEdgeCases(t *testing.T) {
 	C := GaussianMatrix(rng, 5, 3)
 	ref := C.Clone()
 	// alpha = 0 with beta = 1 must leave C untouched.
-	GemmMixed(0, A, B, 1, C)
+	GemmMixed(false, 0, A, B, 1, C)
 	if !EqualApprox(C, ref, 0) {
 		t.Fatal("alpha=0 modified C")
 	}
 	// beta = 0 must zero C first.
-	GemmMixed(0, A, B, 0, C)
+	GemmMixed(false, 0, A, B, 0, C)
 	if C.FrobeniusNorm() != 0 {
 		t.Fatal("beta=0 did not clear C")
 	}
@@ -53,7 +53,7 @@ func TestGemmMixedEdgeCases(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	GemmMixed(1, A, GaussianMatrix(rng, 5, 3), 0, C)
+	GemmMixed(false, 1, A, GaussianMatrix(rng, 5, 3), 0, C)
 }
 
 func TestGemvBetaPaths(t *testing.T) {

@@ -111,9 +111,10 @@ func FuzzGemmPacked(f *testing.F) {
 // FuzzGemmMixed drives the constant-operand entries over random shapes,
 // scalars, view offsets (random strides on A, B and C) and NaN/Inf
 // poisoning, against the naive reference: GemmMixed on a float32 A, or
-// GemmConst in either orientation when wide is set. Widths span the
-// per-column GEMV and the in-place micro-kernel with ragged 6-column
-// panels; k crosses the gemmKC block.
+// GemmConst when wide is set, each in the orientation transA picks.
+// Widths span the per-column GEMV, the in-place micro-kernel with ragged
+// 6-column panels and the transposed 4×3 dot tile with ragged rows and
+// columns; k crosses the gemmKC block.
 func FuzzGemmMixed(f *testing.F) {
 	f.Add(int64(1), 128, 128, 16, false, false, 1.0, 0.0, 0, false)
 	f.Add(int64(2), 9, 5, 7, false, false, -0.5, 1.0, 1, true)
@@ -126,7 +127,7 @@ func FuzzGemmMixed(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		ar, ac := m, k
-		if wide && transA {
+		if transA {
 			ar, ac = k, m
 		}
 		oa, ob, oc := absInt(off)%3, absInt(off/3)%3, absInt(off/9)%3
@@ -135,9 +136,9 @@ func FuzzGemmMixed(f *testing.F) {
 		C := GaussianMatrix(rng, m+oc+1, n+2).View(oc, 1, m, n)
 		var A32 *Matrix32
 		if !wide {
-			A32 = &Matrix32{Rows: m, Cols: k, Stride: m + oa, Data: make([]float32, (m+oa)*k)}
-			for j := 0; j < k; j++ {
-				for i := 0; i < m; i++ {
+			A32 = &Matrix32{Rows: ar, Cols: ac, Stride: ar + oa, Data: make([]float32, (ar+oa)*ac)}
+			for j := 0; j < ac; j++ {
+				for i := 0; i < ar; i++ {
 					A32.Data[j*A32.Stride+i] = float32(A.At(i, j))
 				}
 			}
@@ -155,11 +156,11 @@ func FuzzGemmMixed(f *testing.F) {
 		}
 		C0 := C.Clone()
 		want := C.Clone()
-		refGemm(wide && transA, false, alpha, A, B, beta, want)
+		refGemm(transA, false, alpha, A, B, beta, want)
 		if wide {
 			GemmConst(transA, alpha, A, B, beta, C)
 		} else {
-			GemmMixed(alpha, A32, B, beta, C)
+			GemmMixed(transA, alpha, A32, B, beta, C)
 		}
 		tol := 1e-12 * float64(k+1) * (1 + math.Abs(alpha)) * 10
 		for j := 0; j < n; j++ {

@@ -275,6 +275,18 @@ func gemmKernelGeneric(kc int, a, b []float64, cd []float64, ldc, mrb, nrb int) 
 // on the 128×128 block, 1.2–1.5× the per-column GEMV).
 const gemmConstMinWidth = 5
 
+// gemmConstMinWidthT is the same crossover for op(A) = Aᵀ, where the wide
+// path is the 4×3 dot-product tile (gemmInPlaceT) and the narrow one the
+// transposed GEMV once per column, read off the "T" rows of the same
+// benchmark (medians of three). Below three columns there is no full tile
+// to run; from r = 3 the tile wins on both shapes in both precisions, by
+// 1.6–2.3×: at r = 3, 16.2 against 9.4 GFLOP/s (float64) and 14.4 against
+// 8.2 (float32) on the 128×128 block, 23.5 against 10.3 and 16.5 against
+// 7.5 on the 40×80 one; at r = 16 on the 128×128 block, 16.0 against 9.8
+// and 15.2 against 8.6, where the forward micro-kernel read 15.2 and 13.2
+// in the same run.
+const gemmConstMinWidthT = 3
+
 // GemmConst computes C = alpha·op(A)·B + beta·C for a constant operand A
 // (an interpolation basis or a cached block that every right-hand-side
 // block meets, as in a compiled-plan replay). The kernel depends only on
@@ -282,10 +294,10 @@ const gemmConstMinWidth = 5
 //
 //   - op(A) = A, r ≥ gemmConstMinWidth: the 8×6 micro-kernel reading A in
 //     place (gemmInPlace), so A is loaded once per 6 columns, never packed;
+//   - op(A) = Aᵀ, r ≥ gemmConstMinWidthT: the 4×3 dot-product tile reading
+//     A in place (gemmInPlaceT), so A is loaded once per 3 columns;
 //   - otherwise, and on builds without the AVX2+FMA kernels: Gemv once per
-//     column. For op(A) = Aᵀ (an S2N record) that holds at every width:
-//     ten paired probe-block16 runs could not tell it from Gemm's packed
-//     path at r = 16 (rhs_per_s 473 against 494, "unresolved").
+//     column.
 //
 // It starts no goroutines and, once the panel pool is warm, allocates
 // nothing.
@@ -298,7 +310,7 @@ func GemmConst(transA bool, alpha float64, A, B *Matrix, beta float64, C *Matrix
 		panic("linalg: GemmConst dimension mismatch")
 	}
 	r := B.Cols
-	if transA || r < gemmConstMinWidth || !haveFMAKernel {
+	if !constWide(transA, r) {
 		for j := 0; j < r; j++ {
 			Gemv(transA, alpha, A, B.Col(j), beta, C.Col(j))
 		}
@@ -308,7 +320,23 @@ func GemmConst(transA bool, alpha float64, A, B *Matrix, beta float64, C *Matrix
 	if alpha == 0 || m == 0 || k == 0 {
 		return
 	}
-	gemmInPlace(alpha, A, nil, B, C)
+	if transA {
+		gemmInPlaceT(alpha, A, nil, B, C)
+	} else {
+		gemmInPlace(alpha, A, nil, B, C)
+	}
+}
+
+// constWide reports whether a constant-operand product of width r runs the
+// in-place multi-column kernels rather than the GEMV once per column.
+func constWide(transA bool, r int) bool {
+	if !haveFMAKernel {
+		return false
+	}
+	if transA {
+		return r >= gemmConstMinWidthT
+	}
+	return r >= gemmConstMinWidth
 }
 
 // scaleC applies the beta half of C = alpha·op(A)·B + beta·C; beta = 0
@@ -402,6 +430,92 @@ func packTail(A *Matrix, A32 *Matrix32, pc, ic, kcb, rows int, dst []float64) {
 			}
 		}
 	}
+}
+
+// gemmInPlaceT computes C += alpha·Aᵀ·B with the 4×3 dot-product tile
+// reading the column-major constant in place; exactly one of A (float64)
+// and A32 (float32) is set, k×m with k the inner dimension. Each tile
+// call reads four columns of A and three of B once, so A streams once per
+// three columns of B. The k mod 4 rows the tile's 4-row steps leave over
+// are one rank-1 update each over the tiled part of C; the m mod 4 ragged
+// columns of A and the n mod 3 ragged columns of B are finished in Go. So
+// no load reaches past the block's last element. Requires haveFMAKernel.
+func gemmInPlaceT(alpha float64, A *Matrix, A32 *Matrix32, B, C *Matrix) {
+	var k, m int
+	if A32 != nil {
+		k, m = A32.Rows, A32.Cols
+	} else {
+		k, m = A.Rows, A.Cols
+	}
+	n := B.Cols
+	kk, mm, nn := k&^3, m&^3, n-n%3
+	var d [12]float64
+	for j := 0; j < nn && kk > 0; j += 3 {
+		cols := [3][]float64{C.Col(j), C.Col(j + 1), C.Col(j + 2)}
+		for i := 0; i < mm; i += 4 {
+			if A32 != nil {
+				gemmDots4x3F32(kk, &A32.Data[i*A32.Stride], A32.Stride, &B.Data[j*B.Stride], B.Stride, &d[0])
+			} else {
+				gemmDots4x3F64(kk, &A.Data[i*A.Stride], A.Stride, &B.Data[j*B.Stride], B.Stride, &d[0])
+			}
+			for q, cq := range cols {
+				c := cq[i : i+4 : i+4]
+				c[0] += alpha * d[4*q]
+				c[1] += alpha * d[4*q+1]
+				c[2] += alpha * d[4*q+2]
+				c[3] += alpha * d[4*q+3]
+			}
+		}
+	}
+	for r := kk; r < k; r++ {
+		rowUpdate(alpha, A, A32, r, mm, B, nn, C)
+	}
+	for j := 0; j < nn; j++ {
+		bj, cj := B.Col(j), C.Col(j)
+		for i := mm; i < m; i++ {
+			cj[i] += alpha * colDot(A, A32, i, bj)
+		}
+	}
+	for j := nn; j < n; j++ {
+		if A32 != nil {
+			GemvMixed(true, alpha, A32, B.Col(j), 1, C.Col(j))
+		} else {
+			Gemv(true, alpha, A, B.Col(j), 1, C.Col(j))
+		}
+	}
+}
+
+// rowUpdate adds the rank-1 product of row r of A and row r of B,
+// C[:m, :n] += alpha·A[r, :m]ᵀ·B[r, :n], for whichever of A and A32 is set.
+func rowUpdate(alpha float64, A *Matrix, A32 *Matrix32, r, m int, B *Matrix, n int, C *Matrix) {
+	for j := 0; j < n; j++ {
+		b := alpha * B.Data[j*B.Stride+r]
+		c := C.Col(j)[:m]
+		if A32 != nil {
+			for i := range c {
+				c[i] += float64(A32.Data[i*A32.Stride+r]) * b
+			}
+		} else {
+			for i := range c {
+				c[i] += A.Data[i*A.Stride+r] * b
+			}
+		}
+	}
+}
+
+// colDot returns column i of whichever of A and A32 is set, dotted with b.
+func colDot(A *Matrix, A32 *Matrix32, i int, b []float64) float64 {
+	var s float64
+	if A32 != nil {
+		for r, v := range A32.Col(i) {
+			s += float64(v) * b[r]
+		}
+		return s
+	}
+	for r, v := range A.Col(i) {
+		s += v * b[r]
+	}
+	return s
 }
 
 // --- small path ----------------------------------------------------------

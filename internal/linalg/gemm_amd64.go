@@ -52,3 +52,18 @@ func gemmKernel8x6(kc int, a *float64, lda int, b, c *float64, ldc int)
 //
 //go:noescape
 func gemmKernel8x6F32(kc int, a *float32, lda int, b, c *float64, ldc int)
+
+// gemmDots4x3F64 computes the twelve dot products dst[4j+i] = a_i · b_j of
+// four columns a_i (a + i·lda) against three columns b_j (b + j·ldb), each
+// k long: one tile of a transposed product Aᵀ·B read in place. Requires
+// haveFMAKernel and k % 4 == 0.
+//
+//go:noescape
+func gemmDots4x3F64(k int, a *float64, lda int, b *float64, ldb int, dst *float64)
+
+// gemmDots4x3F32 is gemmDots4x3F64 for a float32 A, widened to float64 as
+// it is loaded; lda is in float32 elements. Requires haveFMAKernel and
+// k % 4 == 0.
+//
+//go:noescape
+func gemmDots4x3F32(k int, a *float32, lda int, b *float64, ldb int, dst *float64)

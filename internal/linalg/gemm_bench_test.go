@@ -12,8 +12,10 @@ import (
 // at rank 40 over two rank-40 children, or an S2S block), in both
 // precisions. "inplace" is the 8×6 micro-kernel reading A where it lies,
 // "gemv" the width-1 GEMV kernel once per column. The "T" rows apply the
-// same stored block transposed, as an S2N record does, where "packed" is
-// Gemm's packed path. gemmConstMinWidth is read off these numbers.
+// same stored block transposed, as an S2N record or a mirrored near or far
+// block does: "inplace" is then the 4×3 dot-product tile, and "packed"
+// Gemm's packed path. gemmConstMinWidth and gemmConstMinWidthT are read off
+// these numbers.
 func BenchmarkConstOperand(b *testing.B) {
 	if !haveFMAKernel {
 		b.Skip("needs the AVX2+FMA kernels")
@@ -23,7 +25,7 @@ func BenchmarkConstOperand(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		A := GaussianMatrix(rng, m, k)
 		A32 := ToMatrix32(A)
-		for _, r := range []int{1, 2, 4, 5, 8, 16} {
+		for _, r := range []int{1, 2, 3, 4, 5, 8, 16} {
 			B, C := GaussianMatrix(rng, k, r), NewMatrix(m, r)
 			Bt, Ct := GaussianMatrix(rng, m, r), NewMatrix(k, r)
 			run := func(name string, f func()) {
@@ -43,13 +45,20 @@ func BenchmarkConstOperand(b *testing.B) {
 			run("f32/inplace", func() { C.Zero(); gemmInPlace(1, nil, A32, B, C) })
 			run("f32/gemv", func() {
 				for j := 0; j < r; j++ {
-					GemvMixed(1, A32, B.Col(j), 0, C.Col(j))
+					GemvMixed(false, 1, A32, B.Col(j), 0, C.Col(j))
 				}
 			})
+			run("f64T/inplace", func() { Ct.Zero(); gemmInPlaceT(1, A, nil, Bt, Ct) })
 			run("f64T/packed", func() { Ct.Zero(); gemmPacked(true, false, 1, A, Bt, Ct, k, r, m) })
 			run("f64T/gemv", func() {
 				for j := 0; j < r; j++ {
 					Gemv(true, 1, A, Bt.Col(j), 0, Ct.Col(j))
+				}
+			})
+			run("f32T/inplace", func() { Ct.Zero(); gemmInPlaceT(1, nil, A32, Bt, Ct) })
+			run("f32T/gemv", func() {
+				for j := 0; j < r; j++ {
+					GemvMixed(true, 1, A32, Bt.Col(j), 0, Ct.Col(j))
 				}
 			})
 		}

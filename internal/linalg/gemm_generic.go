@@ -13,3 +13,11 @@ func gemmKernel8x6(kc int, a *float64, lda int, b, c *float64, ldc int) {
 func gemmKernel8x6F32(kc int, a *float32, lda int, b, c *float64, ldc int) {
 	panic("linalg: assembly micro-kernel unavailable in this build")
 }
+
+func gemmDots4x3F64(k int, a *float64, lda int, b *float64, ldb int, dst *float64) {
+	panic("linalg: assembly micro-kernel unavailable in this build")
+}
+
+func gemmDots4x3F32(k int, a *float32, lda int, b *float64, ldb int, dst *float64) {
+	panic("linalg: assembly micro-kernel unavailable in this build")
+}

@@ -27,3 +27,10 @@ func gemvCols8F32(m int, a *float32, lda int, coef *float64, y *float64)
 //
 //go:noescape
 func gemvDots4F64(m int, a *float64, lda int, x *float64, dst *float64)
+
+// gemvDots4F32 is gemvDots4F64 for float32 column storage, each 4-lane
+// load widened with VCVTPS2PD; lda is in float32 elements. Requires
+// haveFMAKernel and m % 4 == 0.
+//
+//go:noescape
+func gemvDots4F32(m int, a *float32, lda int, x *float64, dst *float64)

@@ -311,3 +311,85 @@ dreduce:
 
 	VZEROUPPER
 	RET
+
+// func gemvDots4F32(m int, a *float32, lda int, x *float64, dst *float64)
+//
+// Mixed-precision variant of gemvDots4F64: the columns hold float32, so
+// every 4-lane load of A is a VCVTPS2PD widening straight into the float64
+// FMA. Structure, accumulators and reduction are identical; the stride
+// scale is 4 bytes and the A pointer advances 32 bytes per 8 rows.
+TEXT ·gemvDots4F32(SB), NOSPLIT, $0-40
+	MOVQ m+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ lda+16(FP), R9
+	SHLQ $2, R9
+	MOVQ x+24(FP), DX
+	MOVQ dst+32(FP), DI
+	LEAQ (R9)(R9*2), R10
+
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+
+	CMPQ CX, $8
+	JLT  d32tail4
+
+d32loop8:
+	VMOVUPD     (DX), Y8
+	VMOVUPD     32(DX), Y9
+	VCVTPS2PD   (SI), Y10
+	VFMADD231PD Y8, Y10, Y0
+	VCVTPS2PD   16(SI), Y11
+	VFMADD231PD Y9, Y11, Y4
+	VCVTPS2PD   (SI)(R9*1), Y12
+	VFMADD231PD Y8, Y12, Y1
+	VCVTPS2PD   16(SI)(R9*1), Y13
+	VFMADD231PD Y9, Y13, Y5
+	VCVTPS2PD   (SI)(R9*2), Y10
+	VFMADD231PD Y8, Y10, Y2
+	VCVTPS2PD   16(SI)(R9*2), Y11
+	VFMADD231PD Y9, Y11, Y6
+	VCVTPS2PD   (SI)(R10*1), Y12
+	VFMADD231PD Y8, Y12, Y3
+	VCVTPS2PD   16(SI)(R10*1), Y13
+	VFMADD231PD Y9, Y13, Y7
+	ADDQ        $32, SI
+	ADDQ        $64, DX
+	SUBQ        $8, CX
+	CMPQ        CX, $8
+	JGE         d32loop8
+
+d32tail4:
+	CMPQ CX, $4
+	JLT  d32reduce
+
+	VMOVUPD     (DX), Y8
+	VCVTPS2PD   (SI), Y10
+	VFMADD231PD Y8, Y10, Y0
+	VCVTPS2PD   (SI)(R9*1), Y11
+	VFMADD231PD Y8, Y11, Y1
+	VCVTPS2PD   (SI)(R9*2), Y12
+	VFMADD231PD Y8, Y12, Y2
+	VCVTPS2PD   (SI)(R10*1), Y13
+	VFMADD231PD Y8, Y13, Y3
+
+d32reduce:
+	VADDPD Y4, Y0, Y0
+	VADDPD Y5, Y1, Y1
+	VADDPD Y6, Y2, Y2
+	VADDPD Y7, Y3, Y3
+
+	VHADDPD    Y1, Y0, Y0
+	VHADDPD    Y3, Y2, Y2
+	VPERM2F128 $0x20, Y2, Y0, Y4
+	VPERM2F128 $0x31, Y2, Y0, Y5
+	VADDPD     Y5, Y4, Y0
+	VMOVUPD    Y0, (DI)
+
+	VZEROUPPER
+	RET

@@ -51,6 +51,15 @@ func BenchmarkGemvMixed(b *testing.B) {
 	A32 := ToMatrix32(A)
 	b.SetBytes(128 * 128 * 4)
 	for i := 0; i < b.N; i++ {
-		GemvMixed(1, A32, x, 0, y)
+		GemvMixed(false, 1, A32, x, 0, y)
+	}
+}
+
+func BenchmarkGemvMixedTrans(b *testing.B) {
+	A, x, y := benchGemvSetup(b)
+	A32 := ToMatrix32(A)
+	b.SetBytes(128 * 128 * 4)
+	for i := 0; i < b.N; i++ {
+		GemvMixed(true, 1, A32, x, 0, y)
 	}
 }

@@ -16,3 +16,7 @@ func gemvCols8F32(m int, a *float32, lda int, coef *float64, y *float64) {
 func gemvDots4F64(m int, a *float64, lda int, x *float64, dst *float64) {
 	panic("linalg: assembly micro-kernel unavailable in this build")
 }
+
+func gemvDots4F32(m int, a *float32, lda int, x *float64, dst *float64) {
+	panic("linalg: assembly micro-kernel unavailable in this build")
+}

@@ -43,14 +43,17 @@ func guardedFloat64s(t *testing.T, n int) []float64 {
 	return unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(b))), n)
 }
 
-// TestConstOperandStaysInsideBlock puts constant blocks whose row count is
-// not a multiple of 8 flush against a guard page, as a block served from a
-// file mapping can be, and runs every width of both constant-operand
-// entries: a kernel that loads past the block's last element crashes the
-// test binary instead of reading stray memory.
+// TestConstOperandStaysInsideBlock puts constant blocks flush against a
+// guard page, as a block served from a file mapping can be, and runs every
+// kernel width of the constant-operand entries in both precisions and both
+// orientations: a kernel that loads past the block's last element crashes
+// the test binary instead of reading stray memory. The row counts are not
+// multiples of 8 (the forward tile) and, but for the 12×8 block that the
+// transposed tile reads to its very last element, not multiples of 4 (the
+// transposed tile's row step).
 func TestConstOperandStaysInsideBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
-	for _, sh := range [][2]int{{13, 37}, {5, 300}, {129, 9}} {
+	for _, sh := range [][2]int{{13, 37}, {5, 300}, {129, 9}, {12, 8}} {
 		m, k := sh[0], sh[1]
 		src := randMatrix(rng, m, k)
 		A32 := FromColumnMajor32(m, k, guardedFloat32s(t, m*k))
@@ -61,7 +64,7 @@ func TestConstOperandStaysInsideBlock(t *testing.T) {
 			}
 		}
 		A.CopyFrom(A32.ToMatrix())
-		for _, r := range []int{1, 2, 5, 6, 16, 17} {
+		for _, r := range []int{1, 2, 3, 4, 5, 6, 16, 17} {
 			for _, e := range constOperandEntries {
 				rows, inner := m, k
 				if e.transA {
@@ -71,7 +74,7 @@ func TestConstOperandStaysInsideBlock(t *testing.T) {
 				want, C := NewMatrix(rows, r), NewMatrix(rows, r)
 				refGemm(e.transA, false, 1, A, B, 0, want)
 				if e.mixed {
-					GemmMixed(1, A32, B, 0, C)
+					GemmMixed(e.transA, 1, A32, B, 0, C)
 				} else {
 					GemmConst(e.transA, 1, A, B, 0, C)
 				}

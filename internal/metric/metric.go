@@ -17,6 +17,8 @@ package metric
 
 import (
 	"cmp"
+	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 
@@ -259,13 +261,22 @@ type BallSplit struct {
 	Rng            *rand.Rand
 	CentroidSample int  // nc; 0 means 32
 	Random         bool // random p, q (ANN projection trees)
+	// Err records the first split whose distances had no finite maximum
+	// (it wraps ErrNoFiniteSplit). Later splits return at once, and the
+	// caller must discard the tree.
+	Err error
 }
 
+// ErrNoFiniteSplit reports a ball split that could not pick its pivots:
+// every distance it compared was NaN, as one NaN entry in the centroid
+// sample makes every centroid distance.
+var ErrNoFiniteSplit = errors.New("metric: ball split found no finite distance")
+
 // Split implements tree.Splitter.
-func (b *BallSplit) Split(idx []int, _ int) int {
+func (b *BallSplit) Split(idx []int, level int) int {
 	n := len(idx)
 	nl := (n + 1) / 2
-	if n < 2 {
+	if n < 2 || b.Err != nil {
 		return nl
 	}
 	var p, q int
@@ -289,9 +300,21 @@ func (b *BallSplit) Split(idx []int, _ int) int {
 		}
 		dist := make([]float64, n)
 		b.Space.DistsToCentroid(idx, sample, dist)
-		p = idx[linalg.IdxMax(dist)]
+		ip := linalg.IdxMax(dist)
+		if ip < 0 {
+			b.Err = fmt.Errorf("%w: centroid distances of the %d-index node at level %d (first index %d)",
+				ErrNoFiniteSplit, n, level, idx[0])
+			return nl
+		}
+		p = idx[ip]
 		b.Space.DistsTo(idx, p, dist)
-		q = idx[linalg.IdxMax(dist)]
+		iq := linalg.IdxMax(dist)
+		if iq < 0 {
+			b.Err = fmt.Errorf("%w: distances to pivot %d of the %d-index node at level %d",
+				ErrNoFiniteSplit, p, n, level)
+			return nl
+		}
+		q = idx[iq]
 	}
 	// proj[i] = d(i,p) − d(i,q): negative means closer to p (left side).
 	dp := make([]float64, n)

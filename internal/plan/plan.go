@@ -289,16 +289,25 @@ func (b *Builder) Gemm(transA bool, A *linalg.Matrix, src, dst Ref, beta float64
 	b.emit(Op{Kind: OpGemm, TransA: transA, A: A, B: src, C: dst, Beta: beta})
 }
 
-// GemmMixed emits the float32-constant variant, C = A·B + beta·C with A a
-// cached single-precision block. No transpose form exists: the interpreter
-// only multiplies cached blocks untransposed. Replay runs the record
-// through linalg.GemmMixed, which picks the kernel from the width alone.
-func (b *Builder) GemmMixed(A *linalg.Matrix32, src, dst Ref, beta float64) {
-	if A == nil || src.Rows != A.Cols || dst.Rows != A.Rows || (beta != 0 && beta != 1) {
-		b.fail("GemmMixed: A with B %d rows, C %d rows, beta %g", src.Rows, dst.Rows, beta)
+// GemmMixed emits the float32-constant variant, C = op(A)·B + beta·C with
+// A a single-precision basis or cached block. The transposed form serves
+// S2N records and the mirror half of a stored near or far pair. Replay
+// runs the record through linalg.GemmMixed, which picks the kernel from
+// the orientation and the width alone.
+func (b *Builder) GemmMixed(transA bool, A *linalg.Matrix32, src, dst Ref, beta float64) {
+	if A == nil {
+		b.fail("GemmMixed: nil constant operand")
 		return
 	}
-	b.emit(Op{Kind: OpGemm, A32: A, B: src, C: dst, Beta: beta})
+	m, k := A.Rows, A.Cols
+	if transA {
+		m, k = k, m
+	}
+	if src.Rows != k || dst.Rows != m || (beta != 0 && beta != 1) {
+		b.fail("GemmMixed: op(A %v) with B %d rows, C %d rows, beta %g", transA, src.Rows, dst.Rows, beta)
+		return
+	}
+	b.emit(Op{Kind: OpGemm, TransA: transA, A32: A, B: src, C: dst, Beta: beta})
 }
 
 // Copy emits arena[dst] = arena[src].

@@ -244,7 +244,12 @@ func TestBuilderRejectsMalformedLowerings(t *testing.T) {
 		{"mixed nil operand", func(b *Builder) {
 			b.BeginStage("s", false)
 			b.BeginTask()
-			b.GemmMixed(nil, b.Region(3), b.Region(2), 0)
+			b.GemmMixed(false, nil, b.Region(3), b.Region(2), 0)
+		}},
+		{"mixed transposed shape mismatch", func(b *Builder) {
+			b.BeginStage("s", false)
+			b.BeginTask()
+			b.GemmMixed(true, linalg.ToMatrix32(A), b.Region(3), b.Region(2), 0)
 		}},
 		{"gather arity", func(b *Builder) {
 			b.BeginStage("s", false)

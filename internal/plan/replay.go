@@ -193,11 +193,11 @@ func (p *Plan) runTask(st *replayState, lo, hi int) {
 			st.W.RowsGatherInto(op.Idx, st.cview[i])
 		case OpGemm:
 			// One call per precision: the linalg entry picks the kernel from
-			// the record's shape and the replay width alone, so width-1
+			// the record's orientation and the replay width alone, so width-1
 			// replays reach the fused GEMV kernels and repeated replays stay
 			// bit-identical.
 			if op.A32 != nil {
-				linalg.GemmMixed(1, op.A32, st.bview[i], op.Beta, st.cview[i])
+				linalg.GemmMixed(op.TransA, 1, op.A32, st.bview[i], op.Beta, st.cview[i])
 			} else {
 				linalg.GemmConst(op.TransA, 1, op.A, st.bview[i], op.Beta, st.cview[i])
 			}
