@@ -299,12 +299,12 @@ type pairPass struct {
 // lowerPairs lowers passes over the near and far lists as two parallel
 // stages that all the passes share:
 //
-//   - Stage one has one task per node. It applies the node's diagonal
-//     block, then each block the node owns, twice in a row: first forward,
-//     out(owner) += K·w(partner), then, when the partner lists the owner
-//     back, transposed into the pair's own region, t = Kᵀ·w(owner), while
-//     the block is still in cache. So a replay streams each stored block
-//     once. The first record into out(owner) overwrites it.
+//   - Stage one has one task per node. It applies each block the node
+//     owns, in list order, twice in a row: first forward, out(owner) +=
+//     K·w(partner), then, when the partner lists the owner back,
+//     transposed into the pair's own region, t = Kᵀ·w(owner), while the
+//     block is still in cache. So a replay streams each stored block once.
+//     The first record into out(owner) overwrites it.
 //   - Stage two has one task per node. It adds the node's incoming pair
 //     regions to out(node) in list order, copying the first one when stage
 //     one wrote nothing, and clears an output that nothing reaches.
@@ -356,8 +356,7 @@ func (h *Hierarchical) lowerPairs(b *plan.Builder, passes []*pairPass) {
 			dst, active := ps.out(id)
 			lst, cache := h.list(ps.kind, id)
 			b.BeginTask()
-			for _, k := range diagonalFirst(lst, id) {
-				alpha := lst[k]
+			for k, alpha := range lst {
 				if _, _, trans := h.slotOwner(ps.kind, id, k); trans {
 					continue
 				}
@@ -415,23 +414,6 @@ func (h *Hierarchical) lowerPairs(b *plan.Builder, passes []*pairPass) {
 			}
 		}
 	}
-}
-
-// diagonalFirst returns the slot order of a list for node id: the slot
-// listing id itself first, then the rest in list order.
-func diagonalFirst(lst []int, id int) []int {
-	order := make([]int, 0, len(lst))
-	for k, alpha := range lst {
-		if alpha == id {
-			order = append(order, k)
-		}
-	}
-	for k, alpha := range lst {
-		if alpha != id {
-			order = append(order, k)
-		}
-	}
-	return order
 }
 
 // replayBlock is the compiled counterpart of evalBlock: it spans and

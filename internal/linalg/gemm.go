@@ -284,7 +284,9 @@ const gemmConstMinWidth = 5
 // 8.2 (float32) on the 128×128 block, 23.5 against 10.3 and 16.5 against
 // 7.5 on the 40×80 one; at r = 16 on the 128×128 block, 16.0 against 9.8
 // and 15.2 against 8.6, where the forward micro-kernel read 15.2 and 13.2
-// in the same run.
+// in the same run. The float64 tile serves replays of operators cached
+// without CacheSingle, as gofmmd caches; DESIGN.md ("Kernel selection")
+// times such replays with and without it.
 const gemmConstMinWidthT = 3
 
 // GemmConst computes C = alpha·op(A)·B + beta·C for a constant operand A
