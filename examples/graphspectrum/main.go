@@ -13,73 +13,18 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"math/rand"
 	"time"
 
 	"gofmm"
+	"gofmm/krylov"
 	"gofmm/testmat"
 )
 
-// blockPower runs subspace iteration with the given matvec and returns the
-// top-k Ritz values.
-func blockPower(apply func(*gofmm.Matrix) *gofmm.Matrix, n, k, iters int, seed int64) []float64 {
-	rng := rand.New(rand.NewSource(seed))
-	Q := gofmm.NewMatrix(n, k)
-	for j := 0; j < k; j++ {
-		col := Q.Col(j)
-		for i := range col {
-			col[i] = rng.NormFloat64()
-		}
-	}
-	orthonormalize(Q)
-	for it := 0; it < iters; it++ {
-		Q = apply(Q)
-		orthonormalize(Q)
-	}
-	// Ritz values: diag(Qᵀ A Q).
-	AQ := apply(Q)
-	vals := make([]float64, k)
-	for j := 0; j < k; j++ {
-		vals[j] = dot(Q.Col(j), AQ.Col(j))
-	}
-	// Sort descending.
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			if vals[j] > vals[i] {
-				vals[i], vals[j] = vals[j], vals[i]
-			}
-		}
-	}
-	return vals
-}
+// exact is the dense O(N²) operator the compressed one is compared against.
+type exact struct{ K gofmm.SPD }
 
-// orthonormalize performs modified Gram-Schmidt on the columns of Q.
-func orthonormalize(Q *gofmm.Matrix) {
-	for j := 0; j < Q.Cols; j++ {
-		cj := Q.Col(j)
-		for k := 0; k < j; k++ {
-			ck := Q.Col(k)
-			proj := dot(ck, cj)
-			for i := range cj {
-				cj[i] -= proj * ck[i]
-			}
-		}
-		norm := math.Sqrt(dot(cj, cj))
-		if norm > 0 {
-			for i := range cj {
-				cj[i] /= norm
-			}
-		}
-	}
-}
-
-func dot(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
+func (e exact) N() int                               { return e.K.Dim() }
+func (e exact) Matvec(W *gofmm.Matrix) *gofmm.Matrix { return gofmm.ExactMatvec(e.K, W) }
 
 func main() {
 	n := flag.Int("n", 1024, "graph size")
@@ -106,19 +51,17 @@ func main() {
 	fmt.Printf("compressed in %.3fs, avg rank %.1f\n", time.Since(t0).Seconds(), H.Stats.AvgRank)
 
 	t0 = time.Now()
-	fast := blockPower(H.Matvec, dim, *k, 30, 7)
+	fast, _ := krylov.BlockPower(H, *k, 30, 7)
 	fastTime := time.Since(t0).Seconds()
 
 	t0 = time.Now()
-	exact := blockPower(func(W *gofmm.Matrix) *gofmm.Matrix {
-		return gofmm.ExactMatvec(p.K, W)
-	}, dim, *k, 30, 7)
-	exactTime := time.Since(t0).Seconds()
+	dense, _ := krylov.BlockPower(exact{p.K}, *k, 30, 7)
+	denseTime := time.Since(t0).Seconds()
 
-	fmt.Printf("top-%d eigenvalues of (L+σI)⁻¹ (compressed, %.3fs vs dense %.3fs):\n", *k, fastTime, exactTime)
+	fmt.Printf("top-%d eigenvalues of (L+σI)⁻¹ (compressed, %.3fs vs dense %.3fs):\n", *k, fastTime, denseTime)
 	fmt.Printf("  %-12s %-12s %-10s\n", "compressed", "dense", "rel.diff")
 	for i := range fast {
-		fmt.Printf("  %-12.6f %-12.6f %-10.1e\n", fast[i], exact[i], math.Abs(fast[i]-exact[i])/exact[i])
+		fmt.Printf("  %-12.6f %-12.6f %-10.1e\n", fast[i], dense[i], math.Abs(fast[i]-dense[i])/dense[i])
 	}
 	fmt.Printf("smallest Laplacian eigenvalues (1/λ − σ): first three: %.4f %.4f %.4f\n",
 		1/fast[0]-0.1, 1/fast[1]-0.1, 1/fast[2]-0.1)

@@ -14,10 +14,10 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"math/rand"
 	"time"
 
 	"gofmm"
+	"gofmm/krylov"
 	"gofmm/testmat"
 )
 
@@ -47,58 +47,20 @@ func main() {
 
 	// Hutchinson: tr(K) ≈ (1/m) Σ zᵢᵀ K zᵢ with Rademacher probes, all m
 	// probes evaluated in ONE multi-RHS matvec.
-	rng := rand.New(rand.NewSource(4))
-	Z := gofmm.NewMatrix(dim, *probes)
-	for j := 0; j < *probes; j++ {
-		col := Z.Col(j)
-		for i := range col {
-			if rng.Intn(2) == 0 {
-				col[i] = 1
-			} else {
-				col[i] = -1
-			}
-		}
-	}
 	t0 = time.Now()
-	KZ := H.Matvec(Z)
+	est := krylov.Trace(H, *probes, 4)
 	mv := time.Since(t0).Seconds()
-	var est float64
-	for j := 0; j < *probes; j++ {
-		zj, kzj := Z.Col(j), KZ.Col(j)
-		for i := range zj {
-			est += zj[i] * kzj[i]
-		}
-	}
-	est /= float64(*probes)
 
 	// Exact trace from the diagonal (available since we can sample entries).
 	var exact float64
 	for i := 0; i < dim; i++ {
 		exact += p.K.At(i, i)
 	}
-	fmt.Printf("Hutchinson trace (%d probes, one %.4fs multi-RHS matvec): %.6f\n", *probes, mv, est)
+	fmt.Printf("Hutchinson trace (%d probes, one multi-RHS matvec, %.4fs): %.6f\n", *probes, mv, est)
 	fmt.Printf("exact trace: %.6f — relative error %.2e\n", exact, math.Abs(est-exact)/exact)
 
 	// Curvature probe: largest eigenvalue estimate via a few power steps,
 	// the quantity step-size selection needs in Newton-type methods.
-	v := gofmm.NewMatrix(dim, 1)
-	for i := 0; i < dim; i++ {
-		v.Set(i, 0, rng.NormFloat64())
-	}
-	var lambda float64
-	for it := 0; it < 20; it++ {
-		w := H.Matvec(v)
-		col := w.Col(0)
-		norm := 0.0
-		for _, x := range col {
-			norm += x * x
-		}
-		norm = math.Sqrt(norm)
-		lambda = norm
-		for i := range col {
-			col[i] /= norm
-		}
-		v = w
-	}
-	fmt.Printf("dominant Hessian eigenvalue (power iteration on K̃): %.6f\n", lambda)
+	top, _ := krylov.BlockPower(H, 1, 20, 4)
+	fmt.Printf("dominant Hessian eigenvalue (power iteration on K̃): %.6f\n", top[0])
 }

@@ -16,54 +16,9 @@ import (
 	"time"
 
 	"gofmm"
+	"gofmm/krylov"
 	"gofmm/testmat"
 )
-
-// cg solves (H + λI)x = y with conjugate gradients, using the compressed
-// matvec. Returns the solution and the iteration count.
-func cg(H *gofmm.Hierarchical, lambda float64, y []float64, tol float64, maxIter int) ([]float64, int) {
-	n := len(y)
-	apply := func(x []float64) []float64 {
-		X := gofmm.NewMatrix(n, 1)
-		copy(X.Col(0), x)
-		out := H.Matvec(X).Col(0)
-		for i := range out {
-			out[i] += lambda * x[i]
-		}
-		return out
-	}
-	x := make([]float64, n)
-	r := append([]float64(nil), y...)
-	p := append([]float64(nil), y...)
-	rs := dot(r, r)
-	norm0 := math.Sqrt(rs)
-	for it := 0; it < maxIter; it++ {
-		Ap := apply(p)
-		alpha := rs / dot(p, Ap)
-		for i := range x {
-			x[i] += alpha * p[i]
-			r[i] -= alpha * Ap[i]
-		}
-		rsNew := dot(r, r)
-		if math.Sqrt(rsNew) < tol*norm0 {
-			return x, it + 1
-		}
-		beta := rsNew / rs
-		for i := range p {
-			p[i] = r[i] + beta*p[i]
-		}
-		rs = rsNew
-	}
-	return x, maxIter
-}
-
-func dot(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
 
 func main() {
 	n := flag.Int("n", 2048, "training points")
@@ -101,7 +56,10 @@ func main() {
 		time.Since(t0).Seconds(), operatorErr(H, dim))
 
 	t0 = time.Now()
-	alpha, iters := cg(H, *lambda, y, 1e-8, 200)
+	alpha, cg, err := krylov.CG(krylov.Shifted{A: H, Sigma: *lambda}, nil, y, 1e-8, 200)
+	if err != nil {
+		log.Fatalf("CG after %d iterations (residual %.2e): %v", cg.Iterations, cg.Residual, err)
+	}
 	solveTime := time.Since(t0).Seconds()
 
 	// Residual check against the *exact* kernel: ‖(K+λI)α − y‖/‖y‖.
@@ -115,7 +73,7 @@ func main() {
 		ynorm += y[i] * y[i]
 	}
 	fmt.Printf("CG converged in %d iterations (%.3fs); true residual ‖(K+λI)α−y‖/‖y‖ = %.2e\n",
-		iters, solveTime, math.Sqrt(res/ynorm))
+		cg.Iterations, solveTime, math.Sqrt(res/ynorm))
 
 	// Training error of the fitted model f = Kα.
 	var mse float64

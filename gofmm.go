@@ -117,7 +117,8 @@ const (
 	LevelByLevel = core.LevelByLevel
 	// TaskDepend emulates `omp task depend` (DAG + FIFO queue).
 	TaskDepend = core.TaskDepend
-	// Sequential runs single-threaded (reference).
+	// Sequential runs the level-by-level traversals on one worker, the
+	// calling goroutine (reference).
 	Sequential = core.Sequential
 )
 
@@ -347,13 +348,6 @@ var ErrEvaluatorClosed = core.ErrEvaluatorClosed
 // tree interpreter remains available as the reference path through
 // InterpMatvecCtx/InterpMatmatCtx.
 type Plan = plan.Plan
-
-// Counting wraps an SPD oracle with an entry-evaluation counter, the
-// currency of GOFMM's O(N log N) compression claim.
-type Counting = core.CountingSPD
-
-// NewCounting wraps K with an entry counter.
-func NewCounting(K SPD) *Counting { return core.NewCounting(K) }
 
 // Save writes a compressed representation to w in the operator-store
 // format (gofmm.store/v1): structure, skeletons, interpolation matrices,

@@ -106,20 +106,22 @@ func TestCountingThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCounting(p.K)
-	if _, err := Compress(c, Config{
+	rec := NewRecorder()
+	if _, err := Compress(p.K, Config{
 		LeafSize: 32, MaxRank: 16, Tol: 1e-5, Budget: 0.05,
 		Distance: Kernel, Exec: Sequential, Seed: 3, CacheBlocks: true,
+		Telemetry: rec,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if c.Count() == 0 {
+	count := rec.Snapshot().Counters["oracle.entries"]
+	if count == 0 {
 		t.Fatal("no entries counted during compression")
 	}
 	// At N=200 the per-leaf constants dominate (the scaling test lives in
 	// internal/core); just bound the blow-up.
-	if c.Count() >= int64(200*200*10) {
-		t.Fatalf("compression touched %d entries (10× N²)", c.Count())
+	if count >= int64(200*200*10) {
+		t.Fatalf("compression touched %d entries (10× N²)", count)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"cmp"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -162,12 +161,6 @@ type Options struct {
 	MaxIters int     // default 10
 	MinGain  float64 // stop when the fraction of updated slots falls below this (default 0.2)
 	Seed     int64
-	// RecallTarget, when positive, enables the paper's stopping rule: after
-	// each iteration the recall of RecallSample random indices is estimated
-	// against exact neighbors (O(sample·N) per iteration) and the search
-	// stops once it reaches the target (the paper uses 0.8).
-	RecallTarget float64
-	RecallSample int // default 32
 	// Workers parallelizes the per-leaf exhaustive searches (leaves touch
 	// disjoint index sets, so updates are race-free). Default 1.
 	Workers int
@@ -188,9 +181,6 @@ func Search(n, kappa int, space metric.Space, opt Options) *List {
 	if kappa > n {
 		kappa = n
 	}
-	if opt.RecallSample <= 0 {
-		opt.RecallSample = 32
-	}
 	if opt.Workers <= 0 {
 		opt.Workers = 1
 	}
@@ -208,64 +198,11 @@ func Search(n, kappa int, space metric.Space, opt Options) *List {
 			})
 		}
 		sched.RunLevels([][]func(){batch}, opt.Workers)
-		if opt.RecallTarget > 0 {
-			if SampleRecall(l, space, opt.RecallSample, opt.Seed+int64(iter)) >= opt.RecallTarget {
-				break
-			}
-			continue
-		}
 		if float64(changed) < opt.MinGain*float64(n*kappa) {
 			break
 		}
 	}
 	return l
-}
-
-// SampleRecall estimates the recall of the current neighbor lists against
-// exact neighbors computed for `sample` random indices (O(sample·N) work) —
-// the accuracy the paper's ANN iteration reports per round.
-func SampleRecall(l *List, space metric.Space, sample int, seed int64) float64 {
-	n := l.N
-	if sample > n {
-		sample = n
-	}
-	rng := rand.New(rand.NewSource(seed))
-	idxAll := make([]int, n)
-	for i := range idxAll {
-		idxAll[i] = i
-	}
-	dcol := make([]float64, n)
-	hits, total := 0, 0
-	for _, i := range rng.Perm(n)[:sample] {
-		space.DistsTo(idxAll, i, dcol)
-		// Exact κ nearest (excluding self) by selection of the k smallest.
-		type cd struct {
-			j int
-			d float64
-		}
-		cands := make([]cd, 0, n-1)
-		for j := 0; j < n; j++ {
-			if j != i {
-				cands = append(cands, cd{j, dcol[j]})
-			}
-		}
-		k := min(l.K-1, len(cands))
-		sort.Slice(cands, func(a, b int) bool { return cands[a].d < cands[b].d })
-		truth := map[int32]bool{int32(i): true}
-		for _, c := range cands[:k] {
-			truth[int32(c.j)] = true
-		}
-		for _, id := range l.Of(i) {
-			total++
-			if truth[id] {
-				hits++
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(hits) / float64(total)
 }
 
 // leafBuf is the scratch of one exhaustive leaf search. Searches draw it

@@ -359,35 +359,6 @@ func TestRecallBounds(t *testing.T) {
 	}
 }
 
-func TestSampleRecallExactListIsPerfect(t *testing.T) {
-	rng := rand.New(rand.NewSource(60))
-	X := linalg.GaussianMatrix(rng, 2, 80)
-	sp := metric.GeometricSpace{X: X}
-	e := Exact(80, 5, sp)
-	if r := SampleRecall(e, sp, 20, 1); r < 0.999 {
-		t.Fatalf("exact list recall = %g", r)
-	}
-	fresh := NewList(80, 5)
-	// Self-neighbors only: recall = 1/5 of slots filled, all correct but
-	// only one of five slots present per index.
-	if r := SampleRecall(fresh, sp, 20, 1); r != 1 {
-		t.Fatalf("self-only recall = %g (all present entries are correct)", r)
-	}
-}
-
-func TestSearchRecallTargetStopsEarly(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	X := clusteredPoints(rng, 3, 400, 8, 40)
-	sp := metric.GeometricSpace{X: X}
-	l := Search(400, 6, sp, Options{
-		LeafSize: 64, MaxIters: 10, Seed: 3, RecallTarget: 0.8, RecallSample: 32,
-	})
-	exact := Exact(400, 6, sp)
-	if rec := Recall(l, exact); rec < 0.7 {
-		t.Fatalf("recall-target search recall = %.3f", rec)
-	}
-}
-
 func TestSearchParallelWorkersMatchSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	X := clusteredPoints(rng, 3, 300, 4, 20)

@@ -132,11 +132,10 @@ func CompressCtx(ctx context.Context, K SPD, cfg Config) (h *Hierarchical, err e
 	if cfg.Distance.HasNeighbors() {
 		p := startPhase(root, "ann")
 		h.Neighbors = ann.Search(n, cfg.Kappa, space, ann.Options{
-			LeafSize:     cfg.LeafSize,
-			MaxIters:     cfg.ANNIters,
-			Seed:         cfg.Seed,
-			RecallTarget: cfg.ANNRecall,
-			Workers:      cfg.workerCount(),
+			LeafSize: cfg.LeafSize,
+			MaxIters: cfg.ANNIters,
+			Seed:     cfg.Seed,
+			Workers:  cfg.workerCount(),
 		})
 		h.Stats.ANNTime = p.End()
 	}
@@ -237,58 +236,12 @@ func (h *Hierarchical) skeletonize(ctx context.Context, sp *telemetry.Span) erro
 		return nil // single leaf: K̃ = K, no off-diagonal blocks
 	}
 	works := make([]*skelWork, len(t.Nodes))
-	switch h.Cfg.Exec {
-	case Sequential:
-		var serr error
-		t.PostOrder(func(nd *tree.Node) {
-			if serr != nil || nd.ID == 0 {
-				return
-			}
-			if serr = resilience.FromContext(ctx); serr != nil {
-				return
-			}
-			works[nd.ID] = h.skelNode(nd.ID, h.nodeRng(nd.ID))
-			h.coefNode(nd.ID, works[nd.ID])
-		})
-		return serr
-
-	case LevelByLevel:
-		p := h.Cfg.workerCount()
-		levels := t.LevelNodes()
-		// SKEL bottom-up with barriers; running one RunLevels call per level
-		// is equivalent (RunLevels already barriers after each batch) and
-		// lets each level carry its own span.
-		for l := t.Depth; l >= 1; l-- {
-			batch := make([]func(), 0, len(levels[l]))
-			for _, id := range levels[l] {
-				id := id
-				batch = append(batch, func() { works[id] = h.skelNode(id, h.nodeRng(id)) })
-			}
-			lp := sp.StartSpan(fmt.Sprintf("SKEL.level.%02d", l))
-			err := sched.RunLevelsCtx(ctx, [][]func(){batch}, p)
-			lp.End()
-			if err != nil {
-				return err
-			}
-		}
-		// COEF is an "any order" task: one big dynamic batch.
-		coefBatch := make([]func(), 0, len(t.Nodes)-1)
-		for id := 1; id < len(t.Nodes); id++ {
-			id := id
-			coefBatch = append(coefBatch, func() { h.coefNode(id, works[id]) })
-		}
-		cp := sp.StartSpan("COEF")
-		err := sched.RunLevelsCtx(ctx, [][]func(){coefBatch}, p)
-		cp.End()
-		return err
-
-	case Dynamic, TaskDepend:
+	if h.Cfg.tasked() {
 		g := sched.NewGraph()
 		skelTasks := make([]*sched.Task, len(t.Nodes))
 		m := float64(h.Cfg.LeafSize)
 		s := float64(h.Cfg.MaxRank)
 		for id := len(t.Nodes) - 1; id >= 1; id-- {
-			id := id
 			skelTasks[id] = g.Add(fmt.Sprintf("SKEL(%d)", id), 2*s*s*s+2*m*m*m, func(*sched.Ctx) {
 				works[id] = h.skelNode(id, h.nodeRng(id))
 			})
@@ -304,36 +257,35 @@ func (h *Hierarchical) skeletonize(ctx context.Context, sp *telemetry.Span) erro
 				g.AddDep(skelTasks[t.Right(id)], skelTasks[id])
 			}
 		}
-		if err := g.Err(); err != nil {
+		return h.runTasked(ctx, g, sp, "sched.compress")
+	}
+	// Level by level (one worker under Sequential): SKEL bottom-up with
+	// barriers; running one RunLevels call per level is equivalent
+	// (RunLevels already barriers after each batch) and lets each level
+	// carry its own span.
+	p := h.Cfg.levelWorkers()
+	levels := t.LevelNodes()
+	for l := t.Depth; l >= 1; l-- {
+		batch := make([]func(), 0, len(levels[l]))
+		for _, id := range levels[l] {
+			batch = append(batch, func() { works[id] = h.skelNode(id, h.nodeRng(id)) })
+		}
+		lp := sp.StartSpan(fmt.Sprintf("SKEL.level.%02d", l))
+		err := sched.RunLevelsCtx(ctx, [][]func(){batch}, p)
+		lp.End()
+		if err != nil {
 			return err
 		}
-		policy := sched.HEFT
-		if h.Cfg.Exec == TaskDepend {
-			policy = sched.FIFO
-		}
-		eng := h.Cfg.engine(policy)
-		rec := h.Cfg.Telemetry
-		if h.Cfg.CaptureTrace || rec != nil {
-			eng.EnableTrace()
-		}
-		if c := h.Cfg.Chaos; c != nil && c.Config().TaskFail > 0 {
-			eng.SetFaultInjector(c.TaskFail)
-		}
-		if h.Cfg.StallTimeout > 0 {
-			eng.SetStallTimeout(h.Cfg.StallTimeout)
-		}
-		runStart := rec.Since()
-		err := eng.RunCtx(ctx, g)
-		if n := eng.Retries(); n > 0 && rec != nil {
-			rec.Counter("sched.task_retries").Add(n)
-		}
-		if h.Cfg.CaptureTrace || rec != nil {
-			h.LastTrace = eng.Trace()
-		}
-		exportEngineTrace(rec, sp, "sched.compress", eng, runStart)
-		return err
 	}
-	return nil
+	// COEF is an "any order" task: one big dynamic batch.
+	coefBatch := make([]func(), 0, len(t.Nodes)-1)
+	for id := 1; id < len(t.Nodes); id++ {
+		coefBatch = append(coefBatch, func() { h.coefNode(id, works[id]) })
+	}
+	cp := sp.StartSpan("COEF")
+	err := sched.RunLevelsCtx(ctx, [][]func(){coefBatch}, p)
+	cp.End()
+	return err
 }
 
 // runCaching executes the Kba and SKba tasks (any order).
@@ -341,11 +293,9 @@ func (h *Hierarchical) runCaching(ctx context.Context) error {
 	t := h.Tree
 	var batch []func()
 	for _, beta := range t.Leaves() {
-		beta := beta
 		batch = append(batch, func() { h.cacheList(nearList, beta) })
 	}
 	for id := 1; id < len(t.Nodes); id++ {
-		id := id
 		if len(h.nodes[id].far) > 0 {
 			batch = append(batch, func() { h.cacheList(farList, id) })
 		}

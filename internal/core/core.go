@@ -14,12 +14,13 @@
 //
 // and the evaluation follows Algorithm 2.7: N2S (nodes to skeletons), S2S
 // (skeletons to skeletons), S2N (skeletons to nodes) and L2L (leaves to
-// leaves). Both phases can run sequentially, level-by-level with barriers,
-// or out-of-order on the task runtime in internal/sched with HEFT or FIFO
-// dispatch.
+// leaves). Both phases run level by level with barriers (on one worker,
+// the calling goroutine, under Sequential) or out of order on the task
+// runtime in internal/sched with HEFT or FIFO dispatch.
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -140,7 +141,8 @@ const (
 	LevelByLevel
 	// TaskDepend uses the task DAG with a plain FIFO queue (omp task depend).
 	TaskDepend
-	// Sequential runs single-threaded recursive traversals (reference).
+	// Sequential runs the level-by-level traversals on one worker, the
+	// calling goroutine; a compiled plan replays there too (reference).
 	Sequential
 )
 
@@ -232,10 +234,6 @@ type Config struct {
 	SampleRows int
 	// ANNIters caps the neighbor-search iterations (default 10).
 	ANNIters int
-	// ANNRecall, when positive, switches the neighbor search to the paper's
-	// stopping rule: iterate until the sampled recall reaches this target
-	// (the paper uses 0.8). Zero keeps the cheaper update-rate heuristic.
-	ANNRecall float64
 	// Seed makes all randomized components deterministic.
 	Seed int64
 	// NoSymmetrize skips the near-list symmetrization step. GOFMM always
@@ -340,9 +338,6 @@ type Stats struct {
 	// of the N² matrix evaluated directly by L2L.
 	MaxNear    int
 	DirectFrac float64
-	// ANNRecallProxy is the final neighbor-list update rate (lower means
-	// converged).
-	ANNRecallProxy float64
 	// DenseFallbacks counts nodes that missed Tol at MaxRank and degraded to
 	// dense (identity-interpolation) storage.
 	DenseFallbacks int
@@ -435,8 +430,42 @@ func (h *Hierarchical) DenseFallbacks() []int {
 	return ids
 }
 
-// engine constructs a sched engine for the configured pool.
-func (c *Config) engine(policy sched.Policy) *sched.Engine {
+// workerCount returns the effective pool size.
+func (c *Config) workerCount() int {
+	if c.WorkerSpecs != nil {
+		return len(c.WorkerSpecs)
+	}
+	return c.NumWorkers
+}
+
+// levelWorkers is the crew size of the level-by-level traversals and of
+// the plan replay: under Sequential one worker, the calling goroutine.
+func (c *Config) levelWorkers() int {
+	if c.Exec == Sequential {
+		return 1
+	}
+	return c.workerCount()
+}
+
+// tasked reports whether the executor runs task graphs on the sched engine
+// (Dynamic and TaskDepend) rather than level by level.
+func (c *Config) tasked() bool {
+	return c.Exec == Dynamic || c.Exec == TaskDepend
+}
+
+// runTasked executes g on a task engine over the configured pool (HEFT for
+// Dynamic, FIFO for TaskDepend) with the chaos hook and the stall watchdog
+// armed, keeps the trace in LastTrace when one is wanted, and exports it
+// under sp with the metric prefix ("sched.compress" or "sched.matvec").
+func (h *Hierarchical) runTasked(ctx context.Context, g *sched.Graph, sp *telemetry.Span, prefix string) error {
+	if err := g.Err(); err != nil {
+		return err
+	}
+	c := &h.Cfg
+	policy := sched.HEFT
+	if c.Exec == TaskDepend {
+		policy = sched.FIFO
+	}
 	specs := c.WorkerSpecs
 	if specs == nil {
 		specs = sched.Homogeneous(c.NumWorkers)
@@ -445,15 +474,27 @@ func (c *Config) engine(policy sched.Policy) *sched.Engine {
 	// Scheduler health events (watchdog, deadlock, retries) flow into the
 	// same structured log as the telemetry layer's span/crash records.
 	eng.SetLogger(c.Telemetry.Logger())
-	return eng
-}
-
-// workerCount returns the effective pool size.
-func (c *Config) workerCount() int {
-	if c.WorkerSpecs != nil {
-		return len(c.WorkerSpecs)
+	rec := c.Telemetry
+	traced := c.CaptureTrace || rec != nil
+	if traced {
+		eng.EnableTrace()
 	}
-	return c.NumWorkers
+	if ch := c.Chaos; ch != nil && ch.Config().TaskFail > 0 {
+		eng.SetFaultInjector(ch.TaskFail)
+	}
+	if c.StallTimeout > 0 {
+		eng.SetStallTimeout(c.StallTimeout)
+	}
+	runStart := rec.Since()
+	err := eng.RunCtx(ctx, g)
+	if n := eng.Retries(); n > 0 && rec != nil {
+		rec.Counter("sched.task_retries").Add(n)
+	}
+	if traced {
+		h.LastTrace = eng.Trace()
+	}
+	exportEngineTrace(rec, sp, prefix, eng, runStart)
+	return err
 }
 
 // Proj returns a float64 copy of node id's interpolation matrix (P_α̃α for

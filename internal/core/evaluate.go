@@ -14,7 +14,6 @@ import (
 	"gofmm/internal/resilience"
 	"gofmm/internal/sched"
 	"gofmm/internal/telemetry"
-	"gofmm/internal/tree"
 	"gofmm/internal/workspace"
 )
 
@@ -123,12 +122,81 @@ func (h *Hierarchical) evalNew(ctx context.Context, p *plan.Plan, W *linalg.Matr
 }
 
 // evalInto evaluates a validated block into U by replaying p, or through
-// the tree interpreter when p is nil.
-func (h *Hierarchical) evalInto(ctx context.Context, p *plan.Plan, W, U *linalg.Matrix, op string) error {
-	if p != nil {
-		return h.replayBlock(ctx, p, W, U, op)
+// the tree interpreter when p is nil. Both engines share what surrounds
+// them here: the panic backstop, the span with its trace ID, noteEval and
+// the op.* counters. op names the span and the counters ("matvec" or
+// "matmat"). A replay with telemetry off allocates nothing beyond what
+// Execute draws from the plan's state cache.
+func (h *Hierarchical) evalInto(ctx context.Context, p *plan.Plan, W, U *linalg.Matrix, op string) (err error) {
+	rec := h.Cfg.Telemetry
+	tid, _ := telemetry.TraceIDFrom(ctx)
+	// Backstop: no panic escapes the public entry points (kernel bugs and
+	// injected replay faults alike become typed errors). The crash is
+	// funneled to the flight recorder before the typed error returns.
+	defer func() {
+		if r := recover(); r != nil {
+			perr := &resilience.PanicError{Label: op, Value: r, Stack: debug.Stack()}
+			rec.ReportCrash(op, tid, perr)
+			err = perr
+		}
+	}()
+	if p == nil {
+		if err := h.requireEvalOracle(op); err != nil {
+			return err
+		}
 	}
-	return h.evalBlock(ctx, W, U, op)
+	if err := resilience.FromContext(ctx); err != nil {
+		return err
+	}
+	start := time.Now()
+	root := rec.StartSpan(op)
+	// Idempotent safety net: if a kernel panics mid-pass the span still ends
+	// (and reaches the flight recorder) before the backstop above reports.
+	defer root.End()
+	root.SetAttr(telemetry.AttrTraceID, tid)
+	var flops float64
+	if p != nil {
+		if root != nil {
+			root.SetAttr("plan.digest", p.DigestHex()[:12])
+		}
+		opts := plan.ExecOptions{
+			Workers:   h.Cfg.levelWorkers(),
+			Pool:      h.Cfg.Workspace,
+			Telemetry: rec,
+		}
+		if c := h.Cfg.Chaos; c != nil && c.Config().TaskFail > 0 {
+			opts.Inject = c.TaskFail
+		}
+		if err = p.Execute(ctx, W, U, opts); err == nil {
+			flops = p.FlopsPerCol() * float64(W.Cols)
+			atomic.StoreInt64(&h.evalFlops, int64(flops))
+		}
+	} else {
+		flops, err = h.interpret(ctx, W, U, root)
+	}
+	if err != nil {
+		root.SetAttr("error", err.Error())
+		root.End()
+		// Stalls and in-task panics are flight-recorder events: they are the
+		// post-mortems the ring exists for. Plain cancellations are not.
+		var perr *resilience.PanicError
+		if errors.As(err, &perr) || errors.Is(err, resilience.ErrStalled) {
+			rec.ReportCrash(op, tid, err)
+		}
+		return err
+	}
+	secs := time.Since(start).Seconds()
+	if d := root.End(); d > 0 {
+		secs = d.Seconds()
+	}
+	h.noteEval(secs, flops)
+	if rec != nil {
+		rec.Counter(op + ".calls").Add(1)
+		rec.Counter(op + ".flops").Add(int64(flops))
+		rec.Gauge(op + ".rhs").Set(float64(W.Cols))
+		rec.Histogram(op + ".latency_ms").Observe(time.Since(start).Seconds() * 1e3)
+	}
+	return nil
 }
 
 // checkBlock validates the n×r weights of a block evaluation and, when U
@@ -170,111 +238,47 @@ func (h *Hierarchical) LastEval() (seconds, flops float64) {
 	return h.Stats.EvalTime, h.Stats.EvalFlops
 }
 
-// evalBlock is the tree interpreter behind MatvecCtx, MatmatCtx and
-// MatvecInto on an operator without a compiled plan: one symbolic traversal
-// and one workspace scope serve the whole n×r block, so the per-pass
-// kernels are r-wide GEMMs, and the result lands in the caller's U (already
-// validated by checkBlock). op names the telemetry span and counters
-// ("matvec" or "matmat").
-func (h *Hierarchical) evalBlock(ctx context.Context, W, U *linalg.Matrix, op string) (err error) {
-	rec := h.Cfg.Telemetry
-	tid, _ := telemetry.TraceIDFrom(ctx)
-	// Backstop: no panic escapes the public entry points. The crash is
-	// funneled to the flight recorder before the typed error returns.
-	defer func() {
-		if r := recover(); r != nil {
-			perr := &resilience.PanicError{Label: op, Value: r, Stack: debug.Stack()}
-			rec.ReportCrash(op, tid, perr)
-			err = perr
-		}
-	}()
-	n := h.K.Dim()
-	if err := h.requireEvalOracle(op); err != nil {
-		return err
-	}
-	if err := resilience.FromContext(ctx); err != nil {
-		return err
-	}
-	start := time.Now()
-	root := rec.StartSpan(op)
-	// Idempotent safety net: if a kernel panics mid-pass the span still ends
-	// (and reaches the flight recorder) before the backstop above reports.
-	defer root.End()
-	root.SetAttr(telemetry.AttrTraceID, tid)
+// interpret is the tree interpreter behind evaluations of an operator
+// without a compiled plan: one symbolic traversal and one workspace scope
+// serve the whole n×r block, so the per-pass kernels are r-wide GEMMs, and
+// the result lands in the caller's U. sp is the enclosing span (nil when
+// telemetry is off); the executors hang the four passes off it. It returns
+// the evaluation's flop count.
+func (h *Hierarchical) interpret(ctx context.Context, W, U *linalg.Matrix, sp *telemetry.Span) (float64, error) {
 	atomic.StoreInt64(&h.evalFlops, 0)
-	t := h.Tree
-	pool := h.Cfg.Workspace
-	st := &evalState{
-		r:     W.Cols,
-		Wt:    pool.GetMatrix(n, W.Cols),
-		Unear: pool.GetMatrix(n, W.Cols),
-		Ufar:  pool.GetMatrix(n, W.Cols),
-		skelW: make([]*linalg.Matrix, len(t.Nodes)),
-		skelU: make([]*linalg.Matrix, len(t.Nodes)),
-		down:  make([]*linalg.Matrix, len(t.Nodes)),
-		pool:  pool,
-	}
+	st := h.newEvalState(W.Cols, h.Cfg.Workspace)
 	// Release everything back to the pool on every exit path; U belongs to
 	// the caller and is never pooled.
 	defer st.release()
-	W.RowsGatherInto(t.Perm, st.Wt)
-	switch h.Cfg.Exec {
-	case Sequential:
-		sp := root.StartSpan("N2S")
-		t.PostOrder(func(nd *tree.Node) { h.n2s(st, nd.ID) })
-		sp.End()
-		if err = resilience.FromContext(ctx); err != nil {
-			break
-		}
-		sp = root.StartSpan("S2S")
-		for id := range t.Nodes {
-			h.s2s(st, id)
-		}
-		sp.End()
-		if err = resilience.FromContext(ctx); err != nil {
-			break
-		}
-		sp = root.StartSpan("S2N")
-		t.PreOrder(func(nd *tree.Node) { h.s2n(st, nd.ID) })
-		sp.End()
-		if err = resilience.FromContext(ctx); err != nil {
-			break
-		}
-		sp = root.StartSpan("L2L")
-		for _, beta := range t.Leaves() {
-			h.l2l(st, beta)
-		}
-		sp.End()
-	case LevelByLevel:
-		err = h.evalLevelByLevel(ctx, st, root)
-	case Dynamic, TaskDepend:
-		err = h.evalTasked(ctx, st, root)
+	W.RowsGatherInto(h.Tree.Perm, st.Wt)
+	var err error
+	if h.Cfg.tasked() {
+		err = h.runTasked(ctx, h.buildEvalGraph(st), sp, "sched.matvec")
+	} else {
+		err = h.evalLevelByLevel(ctx, st, sp)
 	}
 	if err != nil {
-		root.SetAttr("error", err.Error())
-		root.End()
-		// Stalls and in-task panics are flight-recorder events: they are the
-		// post-mortems the ring exists for. Plain cancellations are not.
-		var perr *resilience.PanicError
-		if errors.As(err, &perr) || errors.Is(err, resilience.ErrStalled) {
-			rec.ReportCrash(op, tid, err)
-		}
-		return err
+		return 0, err
 	}
 	st.Ufar.AddScaled(1, st.Unear)
-	st.Ufar.RowsGatherInto(t.IPerm, U)
-	secs := time.Since(start).Seconds()
-	if d := root.End(); d > 0 {
-		secs = d.Seconds()
+	st.Ufar.RowsGatherInto(h.Tree.IPerm, U)
+	return float64(atomic.LoadInt64(&h.evalFlops)), nil
+}
+
+// newEvalState allocates the buffers of an r-wide evaluation, from pool
+// when it is non-nil.
+func (h *Hierarchical) newEvalState(r int, pool *workspace.Pool) *evalState {
+	n, nodes := h.K.Dim(), len(h.Tree.Nodes)
+	return &evalState{
+		r:     r,
+		Wt:    pool.GetMatrix(n, r),
+		Unear: pool.GetMatrix(n, r),
+		Ufar:  pool.GetMatrix(n, r),
+		skelW: make([]*linalg.Matrix, nodes),
+		skelU: make([]*linalg.Matrix, nodes),
+		down:  make([]*linalg.Matrix, nodes),
+		pool:  pool,
 	}
-	h.noteEval(secs, float64(atomic.LoadInt64(&h.evalFlops)))
-	if rec != nil {
-		rec.Counter(op + ".calls").Add(1)
-		rec.Counter(op + ".flops").Add(atomic.LoadInt64(&h.evalFlops))
-		rec.Gauge(op + ".rhs").Set(float64(W.Cols))
-		rec.Histogram(op + ".latency_ms").Observe(time.Since(start).Seconds() * 1e3)
-	}
-	return nil
 }
 
 // n2s computes the skeleton weights w̃α = P_α̃α w_α (leaf) or
@@ -411,104 +415,47 @@ func (st *evalState) stackRows(a, b *linalg.Matrix) *linalg.Matrix {
 
 // evalLevelByLevel runs Algorithm 2.7 with a barrier per tree level:
 // N2S bottom-up, S2S as one dynamic batch, S2N top-down, then L2L as one
-// batch (the baseline traversal of Figure 4).
+// batch (the baseline traversal of Figure 4). Under Sequential its one
+// worker is the calling goroutine, which runs every batch in order.
 // sp is the enclosing "matvec" span (nil when telemetry is off); each of the
 // four passes gets a child span. Splitting the RunLevels call per pass keeps
 // the same semantics — RunLevels already barriers after every batch.
 func (h *Hierarchical) evalLevelByLevel(ctx context.Context, st *evalState, sp *telemetry.Span) error {
 	t := h.Tree
-	p := h.Cfg.workerCount()
 	levels := t.LevelNodes()
-	var n2sBatches [][]func()
+	batch := func(ids []int, kernel func(*evalState, int)) []func() {
+		b := make([]func(), len(ids))
+		for k, id := range ids {
+			b[k] = func() { kernel(st, id) }
+		}
+		return b
+	}
+	all := make([]int, len(t.Nodes))
+	for id := range all {
+		all[id] = id
+	}
+	var up, down [][]func()
 	for l := t.Depth; l >= 0; l-- {
-		batch := make([]func(), 0, len(levels[l]))
-		for _, id := range levels[l] {
-			id := id
-			batch = append(batch, func() { h.n2s(st, id) })
+		up = append(up, batch(levels[l], h.n2s))
+		down = append(down, batch(levels[t.Depth-l], h.s2n))
+	}
+	for _, pass := range []struct {
+		name    string
+		batches [][]func()
+	}{
+		{"N2S", up},
+		{"S2S", [][]func(){batch(all, h.s2s)}},
+		{"S2N", down},
+		{"L2L", [][]func(){batch(t.Leaves(), h.l2l)}},
+	} {
+		ps := sp.StartSpan(pass.name)
+		err := sched.RunLevelsCtx(ctx, pass.batches, h.Cfg.levelWorkers())
+		ps.End()
+		if err != nil {
+			return err
 		}
-		n2sBatches = append(n2sBatches, batch)
 	}
-	ps := sp.StartSpan("N2S")
-	err := sched.RunLevelsCtx(ctx, n2sBatches, p)
-	ps.End()
-	if err != nil {
-		return err
-	}
-	s2sBatch := make([]func(), 0, len(t.Nodes))
-	for id := range t.Nodes {
-		id := id
-		s2sBatch = append(s2sBatch, func() { h.s2s(st, id) })
-	}
-	ps = sp.StartSpan("S2S")
-	err = sched.RunLevelsCtx(ctx, [][]func(){s2sBatch}, p)
-	ps.End()
-	if err != nil {
-		return err
-	}
-	var s2nBatches [][]func()
-	for l := 0; l <= t.Depth; l++ {
-		batch := make([]func(), 0, len(levels[l]))
-		for _, id := range levels[l] {
-			id := id
-			batch = append(batch, func() { h.s2n(st, id) })
-		}
-		s2nBatches = append(s2nBatches, batch)
-	}
-	ps = sp.StartSpan("S2N")
-	err = sched.RunLevelsCtx(ctx, s2nBatches, p)
-	ps.End()
-	if err != nil {
-		return err
-	}
-	l2lBatch := make([]func(), 0, t.NumLeaves())
-	for _, beta := range t.Leaves() {
-		beta := beta
-		l2lBatch = append(l2lBatch, func() { h.l2l(st, beta) })
-	}
-	ps = sp.StartSpan("L2L")
-	err = sched.RunLevelsCtx(ctx, [][]func(){l2lBatch}, p)
-	ps.End()
-	return err
-}
-
-// evalTasked builds the Figure 3 dependency DAG by symbolic traversal and
-// executes it out of order (HEFT for Dynamic, FIFO for TaskDepend). The RAW
-// edges are exactly those of §2.3:
-//
-//	N2S(α)  ← N2S(l), N2S(r)            (w̃ of the children)
-//	S2S(β)  ← N2S(α) for α ∈ Far(β)     (reads w̃α — unknown at compile time)
-//	S2N(β)  ← S2S(β), S2N(parent(β))    (reads ũβ and the parent hand-down)
-//	L2L(β)  independent                  (separate output accumulator)
-func (h *Hierarchical) evalTasked(ctx context.Context, st *evalState, sp *telemetry.Span) error {
-	g := h.buildEvalGraph(st)
-	if err := g.Err(); err != nil {
-		return err
-	}
-	policy := sched.HEFT
-	if h.Cfg.Exec == TaskDepend {
-		policy = sched.FIFO
-	}
-	eng := h.Cfg.engine(policy)
-	rec := h.Cfg.Telemetry
-	if h.Cfg.CaptureTrace || rec != nil {
-		eng.EnableTrace()
-	}
-	if c := h.Cfg.Chaos; c != nil && c.Config().TaskFail > 0 {
-		eng.SetFaultInjector(c.TaskFail)
-	}
-	if h.Cfg.StallTimeout > 0 {
-		eng.SetStallTimeout(h.Cfg.StallTimeout)
-	}
-	runStart := rec.Since()
-	err := eng.RunCtx(ctx, g)
-	if n := eng.Retries(); n > 0 && rec != nil {
-		rec.Counter("sched.task_retries").Add(n)
-	}
-	if h.Cfg.CaptureTrace || rec != nil {
-		h.LastTrace = eng.Trace()
-	}
-	exportEngineTrace(rec, sp, "sched.matvec", eng, runStart)
-	return err
+	return nil
 }
 
 // buildEvalGraph performs the symbolic traversal that discovers the RAW
@@ -525,7 +472,6 @@ func (h *Hierarchical) buildEvalGraph(st *evalState) *sched.Graph {
 	n2sTasks := make([]*sched.Task, len(t.Nodes))
 	s2nTasks := make([]*sched.Task, len(t.Nodes))
 	for id := len(t.Nodes) - 1; id >= 0; id-- {
-		id := id
 		s := float64(len(h.nodes[id].skel))
 		n2sTasks[id] = g.Add(fmt.Sprintf("N2S(%d)", id), cost(2*m*s*r), func(*sched.Ctx) { h.n2s(st, id) })
 		if !t.IsLeaf(id) {
@@ -535,7 +481,6 @@ func (h *Hierarchical) buildEvalGraph(st *evalState) *sched.Graph {
 	}
 	s2sTasks := make([]*sched.Task, len(t.Nodes))
 	for id := range t.Nodes {
-		id := id
 		nd := &h.nodes[id]
 		s := float64(len(nd.skel))
 		s2sTasks[id] = g.Add(fmt.Sprintf("S2S(%d)", id), cost(2*s*s*r*float64(len(nd.far)+1)), func(*sched.Ctx) { h.s2s(st, id) })
@@ -544,7 +489,6 @@ func (h *Hierarchical) buildEvalGraph(st *evalState) *sched.Graph {
 		}
 	}
 	for id := 0; id < len(t.Nodes); id++ {
-		id := id
 		s := float64(len(h.nodes[id].skel))
 		s2nTasks[id] = g.Add(fmt.Sprintf("S2N(%d)", id), cost(2*m*s*r), func(*sched.Ctx) { h.s2n(st, id) })
 		g.AddDep(s2sTasks[id], s2nTasks[id])
@@ -562,7 +506,6 @@ func (h *Hierarchical) buildEvalGraph(st *evalState) *sched.Graph {
 		}
 	}
 	for li, beta := range t.Leaves() {
-		beta := beta
 		nd := &h.nodes[beta]
 		task := g.Add(fmt.Sprintf("L2L(%d)", beta), cost(2*m*m*r*float64(len(nd.near))), func(*sched.Ctx) { h.l2l(st, beta) })
 		if len(accel) > 0 {
@@ -576,14 +519,5 @@ func (h *Hierarchical) buildEvalGraph(st *evalState) *sched.Graph {
 // paper, generated from the actual symbolic traversal) in Graphviz DOT
 // format, without executing anything.
 func (h *Hierarchical) EvalGraphDOT(w io.Writer) error {
-	st := &evalState{
-		r:     1,
-		Wt:    linalg.NewMatrix(h.K.Dim(), 1),
-		Unear: linalg.NewMatrix(h.K.Dim(), 1),
-		Ufar:  linalg.NewMatrix(h.K.Dim(), 1),
-		skelW: make([]*linalg.Matrix, len(h.Tree.Nodes)),
-		skelU: make([]*linalg.Matrix, len(h.Tree.Nodes)),
-		down:  make([]*linalg.Matrix, len(h.Tree.Nodes)),
-	}
-	return h.buildEvalGraph(st).WriteDOT(w)
+	return h.buildEvalGraph(h.newEvalState(1, nil)).WriteDOT(w)
 }

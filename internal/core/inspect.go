@@ -3,50 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
-
-	"gofmm/internal/linalg"
 )
-
-// CountingSPD wraps an SPD oracle and counts entry evaluations — the
-// currency of GOFMM's complexity claims (compression must touch only
-// O(N log N) entries, versus the O(N²) that global low-rank methods need).
-type CountingSPD struct {
-	K     SPD
-	count int64
-}
-
-// NewCounting wraps K.
-func NewCounting(K SPD) *CountingSPD { return &CountingSPD{K: K} }
-
-// Dim returns the dimension.
-func (c *CountingSPD) Dim() int { return c.K.Dim() }
-
-// At counts one evaluation and forwards.
-func (c *CountingSPD) At(i, j int) float64 {
-	atomic.AddInt64(&c.count, 1)
-	return c.K.At(i, j)
-}
-
-// Submatrix counts len(I)·len(J) evaluations and forwards (using the
-// wrapped oracle's fast paths when available).
-func (c *CountingSPD) Submatrix(I, J []int, dst *linalg.Matrix) {
-	atomic.AddInt64(&c.count, int64(len(I)*len(J)))
-	Gather(c.K, I, J, dst)
-}
-
-// Column counts len(I) evaluations and forwards (using the wrapped
-// oracle's column read when available).
-func (c *CountingSPD) Column(I []int, j int, dst []float64) {
-	atomic.AddInt64(&c.count, int64(len(I)))
-	readColumn(c.K, I, j, dst)
-}
-
-// Count returns the number of entries evaluated so far.
-func (c *CountingSPD) Count() int64 { return atomic.LoadInt64(&c.count) }
-
-// Reset zeroes the counter.
-func (c *CountingSPD) Reset() { atomic.StoreInt64(&c.count, 0) }
 
 // CompressedBytes returns the memory footprint of the compressed
 // representation in bytes (interpolation matrices, skeleton index lists,

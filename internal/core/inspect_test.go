@@ -7,31 +7,8 @@ import (
 	"testing"
 
 	"gofmm/internal/linalg"
+	"gofmm/internal/telemetry"
 )
-
-func TestCountingSPD(t *testing.T) {
-	rng := rand.New(rand.NewSource(110))
-	K := linalg.RandomSPD(rng, 20, 10)
-	c := NewCounting(denseSPD{K})
-	if c.Dim() != 20 {
-		t.Fatal("Dim wrong")
-	}
-	if c.At(3, 4) != K.At(3, 4) {
-		t.Fatal("At forwards wrong value")
-	}
-	dst := linalg.NewMatrix(2, 3)
-	c.Submatrix([]int{0, 1}, []int{2, 3, 4}, dst)
-	if dst.At(1, 2) != K.At(1, 4) {
-		t.Fatal("Submatrix forwards wrong value")
-	}
-	if c.Count() != 1+6 {
-		t.Fatalf("count = %d, want 7", c.Count())
-	}
-	c.Reset()
-	if c.Count() != 0 {
-		t.Fatal("reset failed")
-	}
-}
 
 // TestCompressionTouchesSubquadraticEntries verifies the headline
 // complexity claim: compression touches O(N log N) matrix entries, not
@@ -43,16 +20,16 @@ func TestCompressionTouchesSubquadraticEntries(t *testing.T) {
 		X := linalg.GaussianMatrix(rng, 3, n)
 		Kd, _ := gaussKernelMatrix(rng, n, 0.8)
 		_ = X
-		c := NewCounting(denseSPD{Kd})
-		_, err := Compress(c, Config{
+		rec := telemetry.New()
+		_, err := Compress(denseSPD{Kd}, Config{
 			LeafSize: 64, MaxRank: 32, Tol: 1e-4, Kappa: 8, Budget: 0.05,
 			Distance: Kernel, Exec: Sequential, Seed: 5, CacheBlocks: true,
-			SampleRows: 96, ANNIters: 3,
+			SampleRows: 96, ANNIters: 3, Telemetry: rec,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts[n] = float64(c.Count())
+		counts[n] = float64(rec.Snapshot().Counters["oracle.entries"])
 		// At small N the per-leaf constants dominate, so only the largest
 		// size must already be clearly below N².
 		if n >= 2048 && counts[n] >= 0.75*float64(n)*float64(n) {

@@ -2,16 +2,11 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime/debug"
-	"sync/atomic"
 	"time"
 
-	"gofmm/internal/linalg"
 	"gofmm/internal/plan"
 	"gofmm/internal/resilience"
-	"gofmm/internal/telemetry"
 )
 
 // CompilePlan lowers the four-pass traversal into a flat execution plan
@@ -414,68 +409,4 @@ func (h *Hierarchical) lowerPairs(b *plan.Builder, passes []*pairPass) {
 			}
 		}
 	}
-}
-
-// replayBlock is the compiled counterpart of evalBlock: it spans and
-// accounts identically, but evaluates by replaying the installed plan into
-// the caller's U (already validated by checkBlock) instead of walking the
-// tree. With telemetry off it allocates nothing beyond what Execute draws
-// from the plan's state cache.
-func (h *Hierarchical) replayBlock(ctx context.Context, p *plan.Plan, W, U *linalg.Matrix, op string) (err error) {
-	rec := h.Cfg.Telemetry
-	tid, _ := telemetry.TraceIDFrom(ctx)
-	// Backstop: no panic escapes the public entry points (kernel bugs and
-	// injected replay faults alike become typed errors).
-	defer func() {
-		if r := recover(); r != nil {
-			perr := &resilience.PanicError{Label: op, Value: r, Stack: debug.Stack()}
-			rec.ReportCrash(op, tid, perr)
-			err = perr
-		}
-	}()
-	if err := resilience.FromContext(ctx); err != nil {
-		return err
-	}
-	start := time.Now()
-	root := rec.StartSpan(op)
-	defer root.End()
-	if root != nil {
-		root.SetAttr(telemetry.AttrTraceID, tid)
-		root.SetAttr("plan.digest", p.DigestHex()[:12])
-	}
-	workers := 1
-	if h.Cfg.Exec != Sequential {
-		workers = h.Cfg.workerCount()
-	}
-	opts := plan.ExecOptions{
-		Workers:   workers,
-		Pool:      h.Cfg.Workspace,
-		Telemetry: rec,
-	}
-	if c := h.Cfg.Chaos; c != nil && c.Config().TaskFail > 0 {
-		opts.Inject = c.TaskFail
-	}
-	if err = p.Execute(ctx, W, U, opts); err != nil {
-		root.SetAttr("error", err.Error())
-		root.End()
-		var perr *resilience.PanicError
-		if errors.As(err, &perr) || errors.Is(err, resilience.ErrStalled) {
-			rec.ReportCrash(op, tid, err)
-		}
-		return err
-	}
-	flops := p.FlopsPerCol() * float64(W.Cols)
-	atomic.StoreInt64(&h.evalFlops, int64(flops))
-	secs := time.Since(start).Seconds()
-	if d := root.End(); d > 0 {
-		secs = d.Seconds()
-	}
-	h.noteEval(secs, flops)
-	if rec != nil {
-		rec.Counter(op + ".calls").Add(1)
-		rec.Counter(op + ".flops").Add(int64(flops))
-		rec.Gauge(op + ".rhs").Set(float64(W.Cols))
-		rec.Histogram(op + ".latency_ms").Observe(time.Since(start).Seconds() * 1e3)
-	}
-	return nil
 }

@@ -67,6 +67,9 @@ func FuzzGemmPacked(f *testing.F) {
 	f.Add(int64(2), 9, 7, 5, true, false, -0.5, 1.0, 1, false)
 	f.Add(int64(3), 130, 48, 300, false, true, 2.0, 0.25, 2, false)
 	f.Add(int64(4), 16, 12, 8, true, true, 1.0, 1.0, 3, true)
+	// Large beta on the small path's ragged column: one Axpy rounding at
+	// |beta·c0| per row of B (k = 57), more than a fixed few ulps allow.
+	f.Add(int64(297), 5, -218, -197, false, true, -1.2534722222222214, 2.5542e+06, 148, false)
 	f.Fuzz(func(t *testing.T, seed int64, m, n, k int, transA, transB bool, alpha, beta float64, off int, poison bool) {
 		m, n, k = absInt(m)%140, absInt(n)%140, absInt(k)%140
 		if !isFinite(alpha) || !isFinite(beta) {
@@ -100,7 +103,7 @@ func FuzzGemmPacked(f *testing.F) {
 		for j := 0; j < n; j++ {
 			for i := 0; i < m; i++ {
 				g, w := C.At(i, j), want.At(i, j)
-				if g != w && !(math.IsNaN(g) && math.IsNaN(w)) && math.Abs(g-w) > tol+betaCRounding(beta, C0.At(i, j)) {
+				if g != w && !(math.IsNaN(g) && math.IsNaN(w)) && math.Abs(g-w) > tol+betaCRounding(gemmRoundings(transA, j, m, n, k), beta, C0.At(i, j)) {
 					t.Fatalf("C[%d,%d] = %g, want %g (m=%d n=%d k=%d tA=%v tB=%v)", i, j, g, w, m, n, k, transA, transB)
 				}
 			}
@@ -120,6 +123,10 @@ func FuzzGemmMixed(f *testing.F) {
 	f.Add(int64(2), 9, 5, 7, false, false, -0.5, 1.0, 1, true)
 	f.Add(int64(3), 33, 257, 6, true, false, 2.0, 0.25, 2, false)
 	f.Add(int64(4), 17, 40, 17, true, true, 1.0, 1.0, 3, true)
+	// Large beta on the untransposed GEMV, float32 and float64: the AVX
+	// kernel rounds at |beta·c0| five times per 8 columns (k = 95 and 69).
+	f.Add(int64(-112), 7, -95, -49, false, false, -0.020833333333333332, 6.638065714285714e+06, 108, false)
+	f.Add(int64(-112), -54, 69, 1, true, false, -0.08333333333333333, 3.982839428571428e+06, 12, false)
 	f.Fuzz(func(t *testing.T, seed int64, m, k, n int, wide, transA bool, alpha, beta float64, off int, poison bool) {
 		m, k, n = absInt(m)%70, absInt(k)%300, absInt(n)%24
 		if !isFinite(alpha) || !isFinite(beta) {
@@ -166,7 +173,7 @@ func FuzzGemmMixed(f *testing.F) {
 		for j := 0; j < n; j++ {
 			for i := 0; i < m; i++ {
 				g, w := C.At(i, j), want.At(i, j)
-				if g != w && !(math.IsNaN(g) && math.IsNaN(w)) && math.Abs(g-w) > tol+betaCRounding(beta, C0.At(i, j)) {
+				if g != w && !(math.IsNaN(g) && math.IsNaN(w)) && math.Abs(g-w) > tol+betaCRounding(constRoundings(transA, i, m, k, n), beta, C0.At(i, j)) {
 					t.Fatalf("C[%d,%d] = %g, want %g (m=%d k=%d n=%d wide=%v tA=%v)", i, j, g, w, m, k, n, wide, transA)
 				}
 			}
@@ -198,12 +205,63 @@ func FuzzHouseholderKernels(f *testing.F) {
 	})
 }
 
-// betaCRounding bounds the extra error from rounding beta·c0 where the
-// kernel does (scaling C before accumulating) rather than where the
-// reference does (one alpha·s + beta·c expression): a few ulps of |beta·c0|,
-// which dominates once |beta·c0| dwarfs alpha·A·B.
-func betaCRounding(beta, c0 float64) float64 {
-	return 4 * 0x1p-52 * math.Abs(beta*c0)
+// betaCRounding bounds the error that rounding at |beta·c0| adds once
+// |beta·c0| dwarfs alpha·A·B: each rounding of a running sum of that size
+// costs at most half an ulp, 2⁻⁵³·|beta·c0|, and the kernel and the
+// reference round in different places. roundings counts both sides.
+func betaCRounding(roundings int, beta, c0 float64) float64 {
+	return float64(roundings) * 0x1p-53 * math.Abs(beta*c0)
+}
+
+// refRoundings is the reference's share: beta·c0 and the final sum.
+const refRoundings = 2
+
+// gemmRoundings counts the roundings at |beta·c0| on column j of Gemm's
+// m×n product with inner dimension k: scaleC, then one tile add per
+// gemmKC block (packed), one add per dot (small path, op(A) = Aᵀ), one
+// add per four rows of B and per leftover row (small path, op(A) = A), or
+// one Axpy per row of B on the n mod 4 ragged columns.
+func gemmRoundings(transA bool, j, m, n, k int) int {
+	switch {
+	case gemmPacks(m, n, k):
+		return refRoundings + 1 + (k+gemmKC-1)/gemmKC
+	case transA:
+		return refRoundings + 2
+	case j < n&^3:
+		return refRoundings + 1 + k/4 + k%4
+	}
+	return refRoundings + 1 + k
+}
+
+// constRoundings counts the roundings at |beta·c0| on row i of
+// GemmConst's and GemmMixed's m×n product with inner dimension k:
+//
+//   - in-place micro-kernel: scaleC, then one tile add per gemmKC block;
+//   - transposed dot tile: scaleC, one add of the tile's (or a ragged row's
+//     or column's) dot, and one rank-1 update per k mod 4 leftover row;
+//   - transposed GEMV: beta·y and the add of alpha·s;
+//   - untransposed GEMV: beta·y, then per 8 columns of A one add of the
+//     two partial sums in Go; in the AVX kernel, on the 4-aligned rows,
+//     four FMAs into the chain seeded with y plus the add of the other
+//     chain, and on the ragged rows one add per column; then one add for
+//     a 4-column block and one per leftover column.
+func constRoundings(transA bool, i, m, k, n int) int {
+	switch {
+	case constWide(transA, n) && transA:
+		return refRoundings + 2 + k%4
+	case constWide(transA, n):
+		return refRoundings + 1 + (k+gemmKC-1)/gemmKC
+	case transA:
+		return refRoundings + 2
+	}
+	per8 := 1
+	if haveFMAKernel && m >= 4 {
+		per8 = 8
+		if i < m&^3 {
+			per8 = 5
+		}
+	}
+	return refRoundings + 1 + k/8*per8 + k%8/4 + k%4
 }
 
 // TestGemmAssociativity is the testing/quick identity (A·B)·x == A·(B·x):

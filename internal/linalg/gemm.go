@@ -72,10 +72,7 @@ func Gemm(transA, transB bool, alpha float64, A, B *Matrix, beta float64, C *Mat
 	if alpha == 0 || m == 0 || n == 0 || k == 0 {
 		return
 	}
-	// Packing only pays off when the n edge is at least one full micro-tile
-	// (thin right-hand sides would waste up to ⅔ of every 8×6 tile on
-	// zero-padding) and the flop count amortizes the packing traffic.
-	if m >= gemmMR && n >= gemmNR && k >= 4 && m*n*k >= gemmPackedMNK {
+	if gemmPacks(m, n, k) {
 		gemmPacked(transA, transB, alpha, A, B, C, m, n, k)
 		return
 	}
@@ -87,6 +84,14 @@ func Gemm(transA, transB bool, alpha float64, A, B *Matrix, beta float64, C *Mat
 }
 
 // --- packed path ---------------------------------------------------------
+
+// gemmPacks reports whether Gemm takes the packed path. Packing only pays
+// off when the n edge is at least one full micro-tile (thin right-hand
+// sides would waste up to ⅔ of every 8×6 tile on zero-padding) and the
+// flop count amortizes the packing traffic.
+func gemmPacks(m, n, k int) bool {
+	return m >= gemmMR && n >= gemmNR && k >= 4 && m*n*k >= gemmPackedMNK
+}
 
 func gemmPacked(transA, transB bool, alpha float64, A, B, C *Matrix, m, n, k int) {
 	for jc := 0; jc < n; jc += gemmNC {

@@ -15,12 +15,13 @@
 //
 // Replay guarantees:
 //
-//   - Every task writes a region no other task of its stage touches, and
-//     stages are separated by barriers, so parallel replay is race-free and
-//     bit-identical to sequential replay for any worker count.
-//   - Every arena region is written before it is read (the builder's
-//     lowering discipline, checked by Build), so the arena is never zeroed
-//     between replays.
+//   - Every task writes a region no other task of its stage touches
+//     (checked by Build), and stages are separated by barriers, so
+//     parallel replay is race-free and bit-identical to sequential replay
+//     for any worker count.
+//   - Every arena row is written before it is read, by an earlier stage or
+//     earlier in the reading task (the builder's lowering discipline,
+//     checked by Build), so the arena is never zeroed between replays.
 package plan
 
 import (
@@ -360,6 +361,9 @@ func (b *Builder) Build() (*Plan, error) {
 				resilience.ErrInvalidInput, i, op.Kind, op.C)
 		}
 	}
+	if err := b.checkDataflow(); err != nil {
+		return nil, err
+	}
 	p := &Plan{
 		n:         b.n,
 		arenaRows: b.arenaRows,
@@ -372,6 +376,65 @@ func (b *Builder) Build() (*Plan, error) {
 	p.batchGemms()
 	p.digest = p.computeDigest()
 	return p, nil
+}
+
+// checkDataflow sweeps the ops in schedule order and holds the lowering
+// to the replay guarantees: every arena row an op reads (B, and C where it
+// accumulates) was written by an earlier stage or earlier in the op's own
+// task, and a row one task of a parallel stage writes is touched by no
+// other task of that stage.
+func (b *Builder) checkDataflow() error {
+	// For arena row x, rows[x].w is 1 + the schedule-order index of the
+	// task that last wrote it, 0 while it is unwritten. Task indices grow
+	// with the stage, so a writer below the stage's first task wrote in an
+	// earlier stage. rows[x].r is, in the same numbering, the last task
+	// that read it, or -first once two tasks of the stage starting at task
+	// first have.
+	rows := make([]struct{ w, r int32 }, b.arenaRows)
+	var cur int32
+	for si := range b.stages {
+		st := &b.stages[si]
+		first := cur + 1
+		for _, tk := range st.tasks {
+			cur++
+			for i := tk.Lo; i < tk.Hi; i++ {
+				op := &b.ops[i]
+				reads := [2]Ref{}
+				if op.Kind != OpGather && op.Kind != OpZero {
+					reads[0] = op.B
+				}
+				if op.Kind == OpAdd || (op.Kind == OpGemm && op.Beta != 0) {
+					reads[1] = op.C
+				}
+				for _, f := range reads {
+					for x := f.Base + f.Sub; x < f.Base+f.Sub+f.Rows; x++ {
+						row := &rows[x]
+						if row.w == 0 || (row.w >= first && row.w != cur) {
+							return fmt.Errorf("%w: plan: op %d (%s) in stage %q reads arena row %d, which no earlier stage and no earlier op of its task wrote",
+								resilience.ErrInvalidInput, i, op.Kind, st.Name, x)
+						}
+						if row.r == -first || (row.r >= first && row.r != cur) {
+							row.r = -first
+						} else {
+							row.r = cur
+						}
+					}
+				}
+				if op.Kind == OpScatter {
+					continue
+				}
+				for x := op.C.Base + op.C.Sub; x < op.C.Base+op.C.Sub+op.C.Rows; x++ {
+					row := &rows[x]
+					if st.Parallel && ((row.w >= first && row.w != cur) || row.r == -first || (row.r >= first && row.r != cur)) {
+						return fmt.Errorf("%w: plan: op %d (%s) writes arena row %d, which another task of parallel stage %q touches",
+							resilience.ErrInvalidInput, i, op.Kind, x, st.Name)
+					}
+					row.w = cur
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // Plan is a compiled, immutable evaluation schedule. It is safe for

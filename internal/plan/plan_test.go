@@ -283,6 +283,47 @@ func TestBuilderRejectsMalformedLowerings(t *testing.T) {
 			b.BeginTask()
 			b.Zero(Ref{Base: base, Sub: 3, Rows: 2, Span: 4})
 		}},
+		{"read of an unwritten row", func(b *Builder) {
+			x, y := b.Region(2), b.Region(2)
+			b.BeginStage("s", false)
+			b.BeginTask()
+			b.Zero(Ref{Base: x.Base, Sub: 0, Rows: 1, Span: 2})
+			b.Copy(x, y)
+		}},
+		{"accumulate into an unwritten row", func(b *Builder) {
+			x, y := b.Region(2), b.Region(2)
+			b.BeginStage("s", false)
+			b.BeginTask()
+			b.Zero(x)
+			b.Add(x, y)
+		}},
+		{"read of a row another task of the stage wrote", func(b *Builder) {
+			x, y := b.Region(2), b.Region(2)
+			b.BeginStage("s", true)
+			b.BeginTask()
+			b.Zero(x)
+			b.BeginTask()
+			b.Copy(x, y)
+		}},
+		{"write of a row another task of the stage reads", func(b *Builder) {
+			x, y := b.Region(2), b.Region(2)
+			b.BeginStage("init", false)
+			b.BeginTask()
+			b.Zero(x)
+			b.BeginStage("s", true)
+			b.BeginTask()
+			b.Copy(x, y)
+			b.BeginTask()
+			b.Zero(Ref{Base: x.Base, Sub: 1, Rows: 1, Span: 2})
+		}},
+		{"two tasks of a parallel stage write one row", func(b *Builder) {
+			x := b.Region(2)
+			b.BeginStage("s", true)
+			b.BeginTask()
+			b.Zero(x)
+			b.BeginTask()
+			b.Zero(Ref{Base: x.Base, Sub: 1, Rows: 1, Span: 2})
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
