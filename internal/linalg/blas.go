@@ -164,12 +164,32 @@ func MatMul(transA, transB bool, A, B *Matrix) *Matrix {
 	return C
 }
 
+// gemvNextPanel returns the first column of the panel a GEMV micro-kernel
+// hints while it reads the width-column panel at column j of a block with
+// cols columns: j+width when a full panel follows, else j itself. The
+// kernel hints width·(m&^7) consecutive elements from that column's start,
+// and a full panel spans (width-1)·stride + m ≥ width·m elements, so the
+// hinted span ends inside the target panel, inside the block and inside
+// A.Data: a block that ends where a store mapping ends is never hinted
+// past its end. A hint cannot fault; the bound keeps hints from spending
+// bandwidth on memory the block does not own.
+func gemvNextPanel(j, width, cols int) int {
+	if j+2*width > cols {
+		return j
+	}
+	return j + width
+}
+
 // Gemv computes y = alpha*op(A)*x + beta*y for a single vector. Both
 // orientations process four columns of A per pass so the x (or y) vector is
 // streamed once per tile instead of once per column, with four independent
 // accumulator chains; beta = 0 overwrites y outright (mirroring Gemm's
 // semantics) so stale or non-finite contents of y can never leak into the
 // result. Compiled plan replays dispatch their width-1 GEMM records here.
+// On AVX2+FMA hardware the micro-kernels (eight columns per pass forward,
+// four transposed) prefetch the panel they read next while they read the
+// current one (gemvNextPanel), so a block streamed from DRAM keeps about a
+// panel of loads in flight; the hints change no arithmetic.
 func Gemv(trans bool, alpha float64, A *Matrix, x []float64, beta float64, y []float64) {
 	m, n := A.Rows, A.Cols
 	if trans {
@@ -183,7 +203,8 @@ func Gemv(trans bool, alpha float64, A *Matrix, x []float64, beta float64, y []f
 			mm := m &^ 3
 			var d [4]float64
 			for ; j+4 <= n; j += 4 {
-				gemvDots4F64(mm, &A.Data[j*A.Stride], A.Stride, &x[0], &d[0])
+				pf := &A.Data[gemvNextPanel(j, 4, n)*A.Stride]
+				gemvDots4F64(mm, &A.Data[j*A.Stride], A.Stride, &x[0], &d[0], pf)
 				for q := 0; q < 4; q++ {
 					s := d[q]
 					aq := A.Col(j + q)
@@ -247,7 +268,8 @@ func Gemv(trans bool, alpha float64, A *Matrix, x []float64, beta float64, y []f
 			for j := range coef {
 				coef[j] = alpha * x[kk+j]
 			}
-			gemvCols8F64(mm, &A.Data[kk*A.Stride], A.Stride, &coef[0], &y[0])
+			pf := &A.Data[gemvNextPanel(kk, 8, n)*A.Stride]
+			gemvCols8F64(mm, &A.Data[kk*A.Stride], A.Stride, &coef[0], &y[0], pf)
 			for j := 0; mm < m && j < 8; j++ {
 				aj := A.Col(kk + j)
 				c := coef[j]

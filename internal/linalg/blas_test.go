@@ -204,3 +204,40 @@ func TestIdxMax(t *testing.T) {
 		t.Fatal("IdxMax(nil) != -1")
 	}
 }
+
+// TestGemvPrefetchStaysInsideBlock walks the panel loops of the four GEMV
+// micro-kernels' callers (8-column forward panels, 4-column transposed
+// ones) and replays each call's prefetch hints as the kernels issue them:
+// one cache line per 64 bytes an 8-row step loads, consecutive from the
+// target gemvNextPanel names, none in the 4-row tail. Every hinted span
+// must lie inside the block's backing array, contiguous or a view whose
+// array ends with the block; each panel followed by a full one must
+// target it, and the last must target itself.
+func TestGemvPrefetchStaysInsideBlock(t *testing.T) {
+	for _, m := range []int{4, 13, 113, 128, 129} {
+		for _, k := range []int{8, 9, 16, 113, 128} {
+			for _, stride := range []int{m, m + 3} {
+				n := (k-1)*stride + m // A.Data ends with the block
+				for _, es := range []int{4, 8} {
+					for _, width := range []int{8, 4} {
+						steps := (m &^ 3) / 8
+						hints := steps * width * 8 * es / 64
+						for j := 0; j+width <= k; j += width {
+							next := gemvNextPanel(j, width, k)
+							switch last := j+2*width > k; {
+							case last && next != j:
+								t.Fatalf("m=%d k=%d width=%d j=%d: last panel targets column %d, want itself", m, k, width, j, next)
+							case !last && next != j+width:
+								t.Fatalf("m=%d k=%d width=%d j=%d: targets column %d, want the next panel %d", m, k, width, j, next, j+width)
+							}
+							start := next * stride * es
+							if end := start + 64*hints; hints > 0 && end > n*es {
+								t.Fatalf("m=%d k=%d stride=%d es=%d width=%d j=%d: hints bytes [%d, %d) of a %d-byte block", m, k, stride, es, width, j, start, end, n*es)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

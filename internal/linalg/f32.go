@@ -107,11 +107,15 @@ func GemmMixed(transA bool, alpha float64, A *Matrix32, B *Matrix, beta float64,
 // column; with the column-at-a-time form the y read-modify-write traffic
 // (16 bytes per element) dwarfed the 4-byte block reads and capped
 // DRAM-resident replays. Transposed, it takes four column dot products per
-// pass (gemvDots4F32). Its accumulation order differs from the wide
-// kernels' by rounding, so results agree across widths to 1e-13 rather
-// than bit for bit; a fixed width is bit-identical run to run. No
-// zero-coefficient skip: A is always finite (the oracle validates cached
-// blocks), so a zero coefficient contributes exact zeros either way.
+// pass (gemvDots4F32). Both kernels prefetch the panel they read next
+// (gemvNextPanel): a width-1 replay reads its float32 blocks from DRAM,
+// and each 8-row step loads half the bytes a float64 step does, so
+// without the hints too few bytes are in flight to reach the memory
+// bandwidth. Its accumulation order differs from the wide kernels' by
+// rounding, so results agree across widths to 1e-13 rather than bit for
+// bit; a fixed width is bit-identical run to run. No zero-coefficient
+// skip: A is always finite (the oracle validates cached blocks), so a zero
+// coefficient contributes exact zeros either way.
 func GemvMixed(trans bool, alpha float64, A *Matrix32, x []float64, beta float64, y []float64) {
 	if trans {
 		gemvMixedT(alpha, A, x, beta, y)
@@ -144,7 +148,8 @@ func GemvMixed(trans bool, alpha float64, A *Matrix32, x []float64, beta float64
 			for j := range coef {
 				coef[j] = alpha * x[kk+j]
 			}
-			gemvCols8F32(mm, &A.Data[kk*A.Stride], A.Stride, &coef[0], &y[0])
+			pf := &A.Data[gemvNextPanel(kk, 8, k)*A.Stride]
+			gemvCols8F32(mm, &A.Data[kk*A.Stride], A.Stride, &coef[0], &y[0], pf)
 			for j := 0; mm < m && j < 8; j++ {
 				aj := A.Col(kk + j)
 				c := coef[j]
@@ -202,7 +207,8 @@ func gemvMixedT(alpha float64, A *Matrix32, x []float64, beta float64, y []float
 		mm := m &^ 3
 		var d [4]float64
 		for ; j+4 <= n; j += 4 {
-			gemvDots4F32(mm, &A.Data[j*A.Stride], A.Stride, &x[0], &d[0])
+			pf := &A.Data[gemvNextPanel(j, 4, n)*A.Stride]
+			gemvDots4F32(mm, &A.Data[j*A.Stride], A.Stride, &x[0], &d[0], pf)
 			for q := 0; q < 4; q++ {
 				s := d[q]
 				for i, v := range A.Col(j + q)[mm:] {

@@ -38,6 +38,12 @@ const (
 	gemmPackedMNK = 16 * 1024
 )
 
+// AsmKernels reports whether this build runs the AVX2+FMA assembly
+// micro-kernels: amd64 without the purego tag, on a CPU and OS with AVX2,
+// FMA and YMM state. The kernels round differently from the portable
+// loops, so tests that pin output bits hold only when it is true.
+func AsmKernels() bool { return haveFMAKernel }
+
 // panelPool recycles packing buffers across Gemm calls (pointers so that
 // Put does not allocate).
 var panelPool = sync.Pool{New: func() any { return new([]float64) }}

@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// func gemvCols8F64(m int, a *float64, lda int, coef *float64, y *float64)
+// func gemvCols8F64(m int, a *float64, lda int, coef *float64, y *float64, pf *float64)
 //
 // y[0:m] += Σ_{j<8} coef[j]·col_j with col_j starting at a + j·lda. The
 // eight coefficients live broadcast in Y8–Y15 for the whole call. The main
@@ -12,13 +12,21 @@
 // off the stride: R9 = lda·8 bytes, R10 = 3·R9, R11 = 5·R9, R12 = 7·R9
 // reach all eight columns without per-column pointers. m must be a multiple
 // of 4 (callers pass m &^ 3 and finish ragged rows in Go).
-TEXT ·gemvCols8F64(SB), NOSPLIT, $0-40
+//
+// Prefetch: each 8-row step loads 512 bytes of the panel and hints the
+// eight consecutive cache lines at R8 = pf, which then advances 512 bytes,
+// so over the call the hints cover 8·(m&^7) elements from pf — the next
+// panel of a column-major block, fetched while this one is read. A hint
+// cannot fault, but the caller still keeps the span inside the block
+// (gemvNextPanel). The 4-row tail hints nothing.
+TEXT ·gemvCols8F64(SB), NOSPLIT, $0-48
 	MOVQ m+0(FP), CX
 	MOVQ a+8(FP), SI
 	MOVQ lda+16(FP), R9
 	SHLQ $3, R9
 	MOVQ coef+24(FP), DX
 	MOVQ y+32(FP), DI
+	MOVQ pf+40(FP), R8
 
 	VBROADCASTSD (DX), Y8
 	VBROADCASTSD 8(DX), Y9
@@ -42,34 +50,42 @@ loop8:
 	VXORPD  Y4, Y4, Y4
 	VXORPD  Y5, Y5, Y5
 
+	PREFETCHT0  (R8)
 	VMOVUPD     (SI), Y2
 	VMOVUPD     32(SI), Y3
 	VFMADD231PD Y2, Y8, Y0
 	VFMADD231PD Y3, Y8, Y1
+	PREFETCHT0  64(R8)
 	VMOVUPD     (SI)(R9*1), Y6
 	VMOVUPD     32(SI)(R9*1), Y7
 	VFMADD231PD Y6, Y9, Y4
 	VFMADD231PD Y7, Y9, Y5
+	PREFETCHT0  128(R8)
 	VMOVUPD     (SI)(R9*2), Y2
 	VMOVUPD     32(SI)(R9*2), Y3
 	VFMADD231PD Y2, Y10, Y0
 	VFMADD231PD Y3, Y10, Y1
+	PREFETCHT0  192(R8)
 	VMOVUPD     (SI)(R10*1), Y6
 	VMOVUPD     32(SI)(R10*1), Y7
 	VFMADD231PD Y6, Y11, Y4
 	VFMADD231PD Y7, Y11, Y5
+	PREFETCHT0  256(R8)
 	VMOVUPD     (SI)(R9*4), Y2
 	VMOVUPD     32(SI)(R9*4), Y3
 	VFMADD231PD Y2, Y12, Y0
 	VFMADD231PD Y3, Y12, Y1
+	PREFETCHT0  320(R8)
 	VMOVUPD     (SI)(R11*1), Y6
 	VMOVUPD     32(SI)(R11*1), Y7
 	VFMADD231PD Y6, Y13, Y4
 	VFMADD231PD Y7, Y13, Y5
+	PREFETCHT0  384(R8)
 	VMOVUPD     (SI)(R10*2), Y2
 	VMOVUPD     32(SI)(R10*2), Y3
 	VFMADD231PD Y2, Y14, Y0
 	VFMADD231PD Y3, Y14, Y1
+	PREFETCHT0  448(R8)
 	VMOVUPD     (SI)(R12*1), Y6
 	VMOVUPD     32(SI)(R12*1), Y7
 	VFMADD231PD Y6, Y15, Y4
@@ -82,6 +98,7 @@ loop8:
 
 	ADDQ $64, SI
 	ADDQ $64, DI
+	ADDQ $512, R8
 	SUBQ $8, CX
 	CMPQ CX, $8
 	JGE  loop8
@@ -115,19 +132,22 @@ done:
 	VZEROUPPER
 	RET
 
-// func gemvCols8F32(m int, a *float32, lda int, coef *float64, y *float64)
+// func gemvCols8F32(m int, a *float32, lda int, coef *float64, y *float64, pf *float32)
 //
 // Mixed-precision variant of gemvCols8F64: the columns hold float32, so
 // every 4-lane load is a VCVTPS2PD widening straight into the float64 FMA.
 // Structure and register roles are identical; the stride scale is 4 bytes
-// and the A pointer advances 32 bytes per 8 rows.
-TEXT ·gemvCols8F32(SB), NOSPLIT, $0-40
+// and the A pointer advances 32 bytes per 8 rows. Each 8-row step loads
+// 256 bytes of the panel, so it hints four cache lines at R8 = pf and
+// advances R8 by 256: again 8·(m&^7) elements from pf over the call.
+TEXT ·gemvCols8F32(SB), NOSPLIT, $0-48
 	MOVQ m+0(FP), CX
 	MOVQ a+8(FP), SI
 	MOVQ lda+16(FP), R9
 	SHLQ $2, R9
 	MOVQ coef+24(FP), DX
 	MOVQ y+32(FP), DI
+	MOVQ pf+40(FP), R8
 
 	VBROADCASTSD (DX), Y8
 	VBROADCASTSD 8(DX), Y9
@@ -151,6 +171,7 @@ f32loop8:
 	VXORPD  Y4, Y4, Y4
 	VXORPD  Y5, Y5, Y5
 
+	PREFETCHT0  (R8)
 	VCVTPS2PD   (SI), Y2
 	VCVTPS2PD   16(SI), Y3
 	VFMADD231PD Y2, Y8, Y0
@@ -159,6 +180,7 @@ f32loop8:
 	VCVTPS2PD   16(SI)(R9*1), Y7
 	VFMADD231PD Y6, Y9, Y4
 	VFMADD231PD Y7, Y9, Y5
+	PREFETCHT0  64(R8)
 	VCVTPS2PD   (SI)(R9*2), Y2
 	VCVTPS2PD   16(SI)(R9*2), Y3
 	VFMADD231PD Y2, Y10, Y0
@@ -167,6 +189,7 @@ f32loop8:
 	VCVTPS2PD   16(SI)(R10*1), Y7
 	VFMADD231PD Y6, Y11, Y4
 	VFMADD231PD Y7, Y11, Y5
+	PREFETCHT0  128(R8)
 	VCVTPS2PD   (SI)(R9*4), Y2
 	VCVTPS2PD   16(SI)(R9*4), Y3
 	VFMADD231PD Y2, Y12, Y0
@@ -175,6 +198,7 @@ f32loop8:
 	VCVTPS2PD   16(SI)(R11*1), Y7
 	VFMADD231PD Y6, Y13, Y4
 	VFMADD231PD Y7, Y13, Y5
+	PREFETCHT0  192(R8)
 	VCVTPS2PD   (SI)(R10*2), Y2
 	VCVTPS2PD   16(SI)(R10*2), Y3
 	VFMADD231PD Y2, Y14, Y0
@@ -191,6 +215,7 @@ f32loop8:
 
 	ADDQ $32, SI
 	ADDQ $64, DI
+	ADDQ $256, R8
 	SUBQ $8, CX
 	CMPQ CX, $8
 	JGE  f32loop8
@@ -224,21 +249,25 @@ f32done:
 	VZEROUPPER
 	RET
 
-// func gemvDots4F64(m int, a *float64, lda int, x *float64, dst *float64)
+// func gemvDots4F64(m int, a *float64, lda int, x *float64, dst *float64, pf *float64)
 //
 // dst[0:4] = [col_0·x, col_1·x, col_2·x, col_3·x] with col_j starting at
 // a + j·lda — the transposed-GEMV building block. Eight accumulators
 // (Y0–Y3 for even 4-row groups, Y4–Y7 for odd) keep four independent
 // two-deep FMA chains per column pair; the epilogue folds the pairs and
 // does the standard VHADDPD / VPERM2F128 cross reduction so dst gets all
-// four sums in one store. m must be a multiple of 4.
-TEXT ·gemvDots4F64(SB), NOSPLIT, $0-40
+// four sums in one store. m must be a multiple of 4. Each 8-row step loads
+// 256 bytes of the panel and hints the four cache lines at R8 = pf, which
+// advances 256 bytes: 4·(m&^7) elements from pf over the call, the next
+// 4-column panel (see gemvCols8F64 on the hints).
+TEXT ·gemvDots4F64(SB), NOSPLIT, $0-48
 	MOVQ m+0(FP), CX
 	MOVQ a+8(FP), SI
 	MOVQ lda+16(FP), R9
 	SHLQ $3, R9
 	MOVQ x+24(FP), DX
 	MOVQ dst+32(FP), DI
+	MOVQ pf+40(FP), R8
 	LEAQ (R9)(R9*2), R10
 
 	VXORPD Y0, Y0, Y0
@@ -256,24 +285,29 @@ TEXT ·gemvDots4F64(SB), NOSPLIT, $0-40
 dloop8:
 	VMOVUPD     (DX), Y8
 	VMOVUPD     32(DX), Y9
+	PREFETCHT0  (R8)
 	VMOVUPD     (SI), Y10
 	VFMADD231PD Y8, Y10, Y0
 	VMOVUPD     32(SI), Y11
 	VFMADD231PD Y9, Y11, Y4
+	PREFETCHT0  64(R8)
 	VMOVUPD     (SI)(R9*1), Y12
 	VFMADD231PD Y8, Y12, Y1
 	VMOVUPD     32(SI)(R9*1), Y13
 	VFMADD231PD Y9, Y13, Y5
+	PREFETCHT0  128(R8)
 	VMOVUPD     (SI)(R9*2), Y10
 	VFMADD231PD Y8, Y10, Y2
 	VMOVUPD     32(SI)(R9*2), Y11
 	VFMADD231PD Y9, Y11, Y6
+	PREFETCHT0  192(R8)
 	VMOVUPD     (SI)(R10*1), Y12
 	VFMADD231PD Y8, Y12, Y3
 	VMOVUPD     32(SI)(R10*1), Y13
 	VFMADD231PD Y9, Y13, Y7
 	ADDQ        $64, SI
 	ADDQ        $64, DX
+	ADDQ        $256, R8
 	SUBQ        $8, CX
 	CMPQ        CX, $8
 	JGE         dloop8
@@ -312,19 +346,22 @@ dreduce:
 	VZEROUPPER
 	RET
 
-// func gemvDots4F32(m int, a *float32, lda int, x *float64, dst *float64)
+// func gemvDots4F32(m int, a *float32, lda int, x *float64, dst *float64, pf *float32)
 //
 // Mixed-precision variant of gemvDots4F64: the columns hold float32, so
 // every 4-lane load of A is a VCVTPS2PD widening straight into the float64
 // FMA. Structure, accumulators and reduction are identical; the stride
-// scale is 4 bytes and the A pointer advances 32 bytes per 8 rows.
-TEXT ·gemvDots4F32(SB), NOSPLIT, $0-40
+// scale is 4 bytes and the A pointer advances 32 bytes per 8 rows. Each
+// 8-row step loads 128 bytes of the panel, so it hints two cache lines at
+// R8 = pf and advances R8 by 128: 4·(m&^7) elements from pf over the call.
+TEXT ·gemvDots4F32(SB), NOSPLIT, $0-48
 	MOVQ m+0(FP), CX
 	MOVQ a+8(FP), SI
 	MOVQ lda+16(FP), R9
 	SHLQ $2, R9
 	MOVQ x+24(FP), DX
 	MOVQ dst+32(FP), DI
+	MOVQ pf+40(FP), R8
 	LEAQ (R9)(R9*2), R10
 
 	VXORPD Y0, Y0, Y0
@@ -342,6 +379,7 @@ TEXT ·gemvDots4F32(SB), NOSPLIT, $0-40
 d32loop8:
 	VMOVUPD     (DX), Y8
 	VMOVUPD     32(DX), Y9
+	PREFETCHT0  (R8)
 	VCVTPS2PD   (SI), Y10
 	VFMADD231PD Y8, Y10, Y0
 	VCVTPS2PD   16(SI), Y11
@@ -350,6 +388,7 @@ d32loop8:
 	VFMADD231PD Y8, Y12, Y1
 	VCVTPS2PD   16(SI)(R9*1), Y13
 	VFMADD231PD Y9, Y13, Y5
+	PREFETCHT0  64(R8)
 	VCVTPS2PD   (SI)(R9*2), Y10
 	VFMADD231PD Y8, Y10, Y2
 	VCVTPS2PD   16(SI)(R9*2), Y11
@@ -360,6 +399,7 @@ d32loop8:
 	VFMADD231PD Y9, Y13, Y7
 	ADDQ        $32, SI
 	ADDQ        $64, DX
+	ADDQ        $128, R8
 	SUBQ        $8, CX
 	CMPQ        CX, $8
 	JGE         d32loop8
@@ -390,6 +430,34 @@ d32reduce:
 	VPERM2F128 $0x31, Y2, Y0, Y5
 	VADDPD     Y5, Y4, Y0
 	VMOVUPD    Y0, (DI)
+
+	VZEROUPPER
+	RET
+
+// func readStream(n int, p *byte)
+//
+// Reads n bytes from p, 128 per iteration, OR-ing each 32-byte load into
+// one of four YMM accumulators that are then dropped: a plain AVX2 read at
+// the rate the memory system sustains for one core, which
+// BenchmarkGemvStream divides the GEMV kernels' rates by. The integer OR
+// cannot take a floating-point assist on any bit pattern. n must be a
+// positive multiple of 128.
+TEXT ·readStream(SB), NOSPLIT, $0-16
+	MOVQ n+0(FP), CX
+	MOVQ p+8(FP), SI
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+
+rloop:
+	VPOR (SI), Y0, Y0
+	VPOR 32(SI), Y1, Y1
+	VPOR 64(SI), Y2, Y2
+	VPOR 96(SI), Y3, Y3
+	ADDQ $128, SI
+	SUBQ $128, CX
+	JGT  rloop
 
 	VZEROUPPER
 	RET

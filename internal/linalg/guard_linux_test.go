@@ -47,13 +47,16 @@ func guardedFloat64s(t *testing.T, n int) []float64 {
 // guard page, as a block served from a file mapping can be, and runs every
 // kernel width of the constant-operand entries in both precisions and both
 // orientations: a kernel that loads past the block's last element crashes
-// the test binary instead of reading stray memory. The row counts are not
-// multiples of 8 (the forward tile) and, but for the 12×8 block that the
-// transposed tile reads to its very last element, not multiples of 4 (the
-// transposed tile's row step).
+// the test binary instead of reading stray memory. Most row counts are not
+// multiples of 8 (the forward tile) or 4 (the transposed tile's row step);
+// the 12×8 block has the transposed tile read to its very last element, and
+// the 128×128 and 16×8 blocks have the width-1 GEMV kernels run every
+// 8-row step, prefetch hints included, up to the guard page. A hint cannot
+// fault, so the page cannot catch one past the block; the callers keep them
+// inside anyway (TestGemvPrefetchStaysInsideBlock).
 func TestConstOperandStaysInsideBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
-	for _, sh := range [][2]int{{13, 37}, {5, 300}, {129, 9}, {12, 8}} {
+	for _, sh := range [][2]int{{13, 37}, {5, 300}, {129, 9}, {12, 8}, {128, 128}, {16, 8}} {
 		m, k := sh[0], sh[1]
 		src := randMatrix(rng, m, k)
 		A32 := FromColumnMajor32(m, k, guardedFloat32s(t, m*k))

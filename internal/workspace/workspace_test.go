@@ -29,15 +29,28 @@ func TestGetZeroedAndSized(t *testing.T) {
 	}
 }
 
+// A Put buffer comes back from the next Get of its size class. Under the
+// race detector sync.Pool drops a share of Puts on purpose, so there the
+// test asserts the pool's accounting and that a hit hands back the one
+// buffer that was put, not that the hit happens.
 func TestPoolReusesBuffers(t *testing.T) {
 	p := New()
 	a := p.Get(1000)
 	p.Put(a)
 	b := p.Get(900) // same class (1024): must be the recycled buffer
+	st := p.Stats()
+	if raceEnabled {
+		if st.Hits+st.Misses != 2 || st.Returns != 1 || st.BytesReused != st.Hits*1024*8 {
+			t.Fatalf("stats = %+v, want 2 gets, 1 return and 8192 bytes reused per hit", st)
+		}
+		if st.Hits == 1 && &a[0] != &b[0] {
+			t.Fatalf("the hit handed back a buffer other than the one put")
+		}
+		return
+	}
 	if &a[0] != &b[0] {
 		t.Fatalf("expected buffer reuse within a size class")
 	}
-	st := p.Stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Returns != 1 {
 		t.Fatalf("stats = %+v, want 1 hit / 1 miss / 1 return", st)
 	}
