@@ -123,7 +123,7 @@ const (
 )
 
 // WorkerSpec describes one worker of a heterogeneous pool (speed factor,
-// nested-parallelism slots, task batch size, stealing policy).
+// task batch size, stealing policy, accelerator flag).
 type WorkerSpec = sched.WorkerSpec
 
 // Compress builds the hierarchical approximation of K (Algorithm 2.2:
@@ -325,8 +325,7 @@ func NewWorkspacePool() *WorkspacePool { return workspace.New() }
 type BatchEvaluator = core.BatchEvaluator
 
 // BatchOptions configures a BatchEvaluator's coalescing window (max batch
-// width, max delay, queue capacity); the zero value picks serving-oriented
-// defaults.
+// width, max delay); the zero value picks serving-oriented defaults.
 type BatchOptions = core.BatchOptions
 
 // BatchStats is a snapshot of a BatchEvaluator's coalescing counters

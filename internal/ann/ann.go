@@ -10,6 +10,7 @@ package ann
 
 import (
 	"cmp"
+	"context"
 	"math/rand"
 	"slices"
 	"sync"
@@ -155,11 +156,14 @@ func (l *List) merge(i int, candID []int32, candD []float64, buf *mergeBuf) int 
 	return changed
 }
 
+// minGain stops the search once an iteration updates fewer than this
+// fraction of the n·κ list slots.
+const minGain = 0.2
+
 // Options configures the iterative search.
 type Options struct {
-	LeafSize int     // random tree leaf size (paper: same m as the ball tree)
-	MaxIters int     // default 10
-	MinGain  float64 // stop when the fraction of updated slots falls below this (default 0.2)
+	LeafSize int // random tree leaf size (paper: same m as the ball tree)
+	MaxIters int // default 10
 	Seed     int64
 	// Workers parallelizes the per-leaf exhaustive searches (leaves touch
 	// disjoint index sets, so updates are race-free). Default 1.
@@ -167,16 +171,16 @@ type Options struct {
 }
 
 // Search runs the iterative randomized-tree ANN search over n indices with
-// the given distance space, returning κ neighbors per index.
-func Search(n, kappa int, space metric.Space, opt Options) *List {
+// the given distance space, returning κ neighbors per index. The context is
+// checked before every leaf search: once it is done, the search stops and
+// returns its error (a panic in a leaf search returns as a
+// *resilience.PanicError).
+func Search(ctx context.Context, n, kappa int, space metric.Space, opt Options) (*List, error) {
 	if opt.LeafSize <= 0 {
 		opt.LeafSize = 128
 	}
 	if opt.MaxIters <= 0 {
 		opt.MaxIters = 10
-	}
-	if opt.MinGain <= 0 {
-		opt.MinGain = 0.2
 	}
 	if kappa > n {
 		kappa = n
@@ -197,12 +201,14 @@ func Search(n, kappa int, space metric.Space, opt Options) *List {
 				atomic.AddInt64(&changed, int64(exhaustiveLeaf(l, space, idx)))
 			})
 		}
-		sched.RunLevels([][]func(){batch}, opt.Workers)
-		if float64(changed) < opt.MinGain*float64(n*kappa) {
+		if err := sched.RunLevelsCtx(ctx, [][]func(){batch}, opt.Workers); err != nil {
+			return nil, err
+		}
+		if float64(changed) < minGain*float64(n*kappa) {
 			break
 		}
 	}
-	return l
+	return l, nil
 }
 
 // leafBuf is the scratch of one exhaustive leaf search. Searches draw it

@@ -1,6 +1,7 @@
 package ann
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -10,6 +11,16 @@ import (
 	"gofmm/internal/linalg"
 	"gofmm/internal/metric"
 )
+
+// search runs Search without a deadline and fails the test on an error.
+func search(t *testing.T, n, kappa int, space metric.Space, opt Options) *List {
+	t.Helper()
+	l, err := Search(context.Background(), n, kappa, space, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
 
 func clusteredPoints(rng *rand.Rand, d, n, clusters int, sep float64) *linalg.Matrix {
 	X := linalg.NewMatrix(d, n)
@@ -270,7 +281,7 @@ func TestSearchRecallHighOnClusteredData(t *testing.T) {
 	n := 512
 	X := clusteredPoints(rng, 4, n, 8, 30)
 	sp := metric.GeometricSpace{X: X}
-	approx := Search(n, 8, sp, Options{LeafSize: 64, MaxIters: 10, Seed: 9})
+	approx := search(t, n, 8, sp, Options{LeafSize: 64, MaxIters: 10, Seed: 9})
 	exact := Exact(n, 8, sp)
 	if rec := Recall(approx, exact); rec < 0.8 {
 		t.Fatalf("recall = %.3f, want ≥ 0.8", rec)
@@ -286,7 +297,7 @@ func TestSearchKernelSpaceMatchesGeometric(t *testing.T) {
 	K := linalg.MatMul(true, false, X, X)
 	kg := metric.NewKernelSpace(gram{K})
 	gg := metric.GeometricSpace{X: X}
-	ak := Search(n, 6, kg, Options{LeafSize: 32, Seed: 1})
+	ak := search(t, n, 6, kg, Options{LeafSize: 32, Seed: 1})
 	eg := Exact(n, 6, gg)
 	if rec := Recall(ak, eg); rec < 0.75 {
 		t.Fatalf("kernel-space recall vs geometric truth = %.3f", rec)
@@ -304,7 +315,7 @@ func TestSearchPropertyValidLists(t *testing.T) {
 		n := 10 + rng.Intn(200)
 		k := 1 + rng.Intn(8)
 		X := linalg.GaussianMatrix(rng, 2, n)
-		l := Search(n, k, metric.GeometricSpace{X: X}, Options{LeafSize: 16, MaxIters: 3, Seed: seed})
+		l := search(t, n, k, metric.GeometricSpace{X: X}, Options{LeafSize: 16, MaxIters: 3, Seed: seed})
 		for i := 0; i < n; i++ {
 			of := l.Of(i)
 			if len(of) == 0 || of[0] != int32(i) {
@@ -334,7 +345,7 @@ func TestSearchPropertyValidLists(t *testing.T) {
 func TestKappaClampedToN(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	X := linalg.GaussianMatrix(rng, 2, 5)
-	l := Search(5, 32, metric.GeometricSpace{X: X}, Options{LeafSize: 4, Seed: 2})
+	l := search(t, 5, 32, metric.GeometricSpace{X: X}, Options{LeafSize: 4, Seed: 2})
 	if l.K != 5 {
 		t.Fatalf("kappa not clamped: %d", l.K)
 	}
@@ -363,8 +374,8 @@ func TestSearchParallelWorkersMatchSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	X := clusteredPoints(rng, 3, 300, 4, 20)
 	sp := metric.GeometricSpace{X: X}
-	a := Search(300, 5, sp, Options{LeafSize: 32, MaxIters: 4, Seed: 7, Workers: 1})
-	b := Search(300, 5, sp, Options{LeafSize: 32, MaxIters: 4, Seed: 7, Workers: 4})
+	a := search(t, 300, 5, sp, Options{LeafSize: 32, MaxIters: 4, Seed: 7, Workers: 1})
+	b := search(t, 300, 5, sp, Options{LeafSize: 32, MaxIters: 4, Seed: 7, Workers: 4})
 	for i := 0; i < 300; i++ {
 		oa, ob := a.Of(i), b.Of(i)
 		if len(oa) != len(ob) {

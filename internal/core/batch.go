@@ -30,9 +30,6 @@ type BatchOptions struct {
 	// MaxDelay bounds how long the oldest pending request waits for peers to
 	// coalesce with before the batch is flushed anyway (default 250µs).
 	MaxDelay time.Duration
-	// QueueCap is the submission queue capacity; submitters block (honouring
-	// their context) when it is full (default 4·MaxBatch).
-	QueueCap int
 }
 
 func (o BatchOptions) withDefaults() BatchOptions {
@@ -41,9 +38,6 @@ func (o BatchOptions) withDefaults() BatchOptions {
 	}
 	if o.MaxDelay <= 0 {
 		o.MaxDelay = 250 * time.Microsecond
-	}
-	if o.QueueCap <= 0 {
-		o.QueueCap = 4 * o.MaxBatch
 	}
 	return o
 }
@@ -120,7 +114,9 @@ func (h *Hierarchical) NewBatchEvaluatorCtx(ctx context.Context, opts BatchOptio
 		quit: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	e.reqs = make(chan *batchReq, e.opts.QueueCap)
+	// Room for four batches of single-column requests behind the one being
+	// flushed; past that, submitters block (honouring their context).
+	e.reqs = make(chan *batchReq, 4*e.opts.MaxBatch)
 	go e.loop()
 	return e
 }

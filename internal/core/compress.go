@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime/debug"
-	"sync/atomic"
 	"time"
 
 	"gofmm/internal/ann"
@@ -131,13 +130,17 @@ func CompressCtx(ctx context.Context, K SPD, cfg Config) (h *Hierarchical, err e
 	}
 	if cfg.Distance.HasNeighbors() {
 		p := startPhase(root, "ann")
-		h.Neighbors = ann.Search(n, cfg.Kappa, space, ann.Options{
+		h.Neighbors, err = ann.Search(ctx, n, cfg.Kappa, space, ann.Options{
 			LeafSize: cfg.LeafSize,
 			MaxIters: cfg.ANNIters,
 			Seed:     cfg.Seed,
 			Workers:  cfg.workerCount(),
 		})
 		h.Stats.ANNTime = p.End()
+		if err != nil {
+			root.End()
+			return nil, err
+		}
 	}
 
 	if err := resilience.FromContext(ctx); err != nil {
@@ -205,19 +208,13 @@ func CompressCtx(ctx context.Context, K SPD, cfg Config) (h *Hierarchical, err e
 	} else {
 		h.Stats.CompressTime = time.Since(start).Seconds()
 	}
-	h.Stats.CompressFlops = float64(atomic.LoadInt64(&h.compressFlops))
+	h.Stats.CompressFlops = float64(h.compressFlops.Load())
 	h.finishStats()
 	return h, nil
 }
 
-// compressFlops / evalFlops are atomic flop counters (units: flops).
-func (h *Hierarchical) addCompressFlops(f float64) {
-	atomic.AddInt64(&h.compressFlops, int64(f))
-}
-
-func (h *Hierarchical) addEvalFlops(f float64) {
-	atomic.AddInt64(&h.evalFlops, int64(f))
-}
+// addCompressFlops adds f to the compression's flop count.
+func (h *Hierarchical) addCompressFlops(f float64) { h.compressFlops.Add(int64(f)) }
 
 // nodeRng returns a deterministic per-node RNG so results do not depend on
 // task execution order.
@@ -242,10 +239,10 @@ func (h *Hierarchical) skeletonize(ctx context.Context, sp *telemetry.Span) erro
 		m := float64(h.Cfg.LeafSize)
 		s := float64(h.Cfg.MaxRank)
 		for id := len(t.Nodes) - 1; id >= 1; id-- {
-			skelTasks[id] = g.Add(fmt.Sprintf("SKEL(%d)", id), 2*s*s*s+2*m*m*m, func(*sched.Ctx) {
+			skelTasks[id] = g.Add(fmt.Sprintf("SKEL(%d)", id), 2*s*s*s+2*m*m*m, func() {
 				works[id] = h.skelNode(id, h.nodeRng(id))
 			})
-			coef := g.Add(fmt.Sprintf("COEF(%d)", id), s*s*s, func(*sched.Ctx) {
+			coef := g.Add(fmt.Sprintf("COEF(%d)", id), s*s*s, func() {
 				h.coefNode(id, works[id])
 			})
 			g.AddDep(skelTasks[id], coef)
@@ -260,8 +257,8 @@ func (h *Hierarchical) skeletonize(ctx context.Context, sp *telemetry.Span) erro
 		return h.runTasked(ctx, g, sp, "sched.compress")
 	}
 	// Level by level (one worker under Sequential): SKEL bottom-up with
-	// barriers; running one RunLevels call per level is equivalent
-	// (RunLevels already barriers after each batch) and lets each level
+	// barriers; running one RunLevelsCtx call per level is equivalent
+	// (RunLevelsCtx already barriers after each batch) and lets each level
 	// carry its own span.
 	p := h.Cfg.levelWorkers()
 	levels := t.LevelNodes()

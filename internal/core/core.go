@@ -240,13 +240,13 @@ type Config struct {
 	// symmetrizes (its K̃ is symmetric by construction); the ASKIT baseline
 	// sets this.
 	NoSymmetrize bool
-	// CaptureTrace records the task execution trace of Dynamic/TaskDepend
-	// runs into LastTrace (timings, worker placement) for analysis.
-	CaptureTrace bool
 	// Telemetry, when non-nil, records phase spans, oracle/flop counters,
 	// skeleton-rank histograms and scheduler task events into the attached
-	// recorder. Nil disables all recording; every instrumentation point is a
-	// no-op on a nil recorder, so the hot paths carry no conditionals.
+	// recorder. The task events are the trace of the Dynamic/TaskDepend
+	// runs: every execution with its worker, timing, queue wait and steal
+	// origin, in run order. Nil disables all recording; every
+	// instrumentation point is a no-op on a nil recorder, so the hot paths
+	// carry no conditionals.
 	Telemetry *telemetry.Recorder
 	// Chaos, when non-nil and enabled, injects deterministic faults (task
 	// failures during skeletonization, oracle poisoning) to exercise the
@@ -358,13 +358,8 @@ type Hierarchical struct {
 	// readers must go through LastEval.
 	// guarded by statsMu for EvalTime, EvalFlops
 	Stats Stats
-	// LastTrace holds the most recent traced task execution. It is
-	// populated when Config.CaptureTrace is set or a Telemetry recorder is
-	// attached (the recorder's TaskEvents carry the same executions plus
-	// queue-wait and steal-origin detail).
-	LastTrace []sched.Event
 
-	compressFlops, evalFlops int64 // atomic counters
+	compressFlops atomic.Int64
 
 	// statsMu serializes the "last evaluation" writes into Stats
 	// (EvalTime/EvalFlops). One Hierarchical legitimately serves many
@@ -455,7 +450,7 @@ func (c *Config) tasked() bool {
 
 // runTasked executes g on a task engine over the configured pool (HEFT for
 // Dynamic, FIFO for TaskDepend) with the chaos hook and the stall watchdog
-// armed, keeps the trace in LastTrace when one is wanted, and exports it
+// armed. With a recorder attached it traces the run and exports the trace
 // under sp with the metric prefix ("sched.compress" or "sched.matvec").
 func (h *Hierarchical) runTasked(ctx context.Context, g *sched.Graph, sp *telemetry.Span, prefix string) error {
 	if err := g.Err(); err != nil {
@@ -475,8 +470,7 @@ func (h *Hierarchical) runTasked(ctx context.Context, g *sched.Graph, sp *teleme
 	// same structured log as the telemetry layer's span/crash records.
 	eng.SetLogger(c.Telemetry.Logger())
 	rec := c.Telemetry
-	traced := c.CaptureTrace || rec != nil
-	if traced {
+	if rec != nil {
 		eng.EnableTrace()
 	}
 	if ch := c.Chaos; ch != nil && ch.Config().TaskFail > 0 {
@@ -489,9 +483,6 @@ func (h *Hierarchical) runTasked(ctx context.Context, g *sched.Graph, sp *teleme
 	err := eng.RunCtx(ctx, g)
 	if n := eng.Retries(); n > 0 && rec != nil {
 		rec.Counter("sched.task_retries").Add(n)
-	}
-	if traced {
-		h.LastTrace = eng.Trace()
 	}
 	exportEngineTrace(rec, sp, prefix, eng, runStart)
 	return err

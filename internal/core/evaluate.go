@@ -33,7 +33,13 @@ type evalState struct {
 	// release() returns them. Kernels must route transient matrices through
 	// getMat so pooled and unpooled evaluations stay byte-identical.
 	pool *workspace.Pool
+	// flops is this evaluation's flop count; the passes add to it from
+	// every worker.
+	flops atomic.Int64
 }
+
+// addFlops adds f to the evaluation's flop count.
+func (st *evalState) addFlops(f float64) { st.flops.Add(int64(f)) }
 
 // getMat returns a zeroed rows×cols scratch matrix, pooled when possible.
 func (st *evalState) getMat(rows, cols int) *linalg.Matrix {
@@ -169,7 +175,6 @@ func (h *Hierarchical) evalInto(ctx context.Context, p *plan.Plan, W, U *linalg.
 		}
 		if err = p.Execute(ctx, W, U, opts); err == nil {
 			flops = p.FlopsPerCol() * float64(W.Cols)
-			atomic.StoreInt64(&h.evalFlops, int64(flops))
 		}
 	} else {
 		flops, err = h.interpret(ctx, W, U, root)
@@ -245,7 +250,6 @@ func (h *Hierarchical) LastEval() (seconds, flops float64) {
 // telemetry is off); the executors hang the four passes off it. It returns
 // the evaluation's flop count.
 func (h *Hierarchical) interpret(ctx context.Context, W, U *linalg.Matrix, sp *telemetry.Span) (float64, error) {
-	atomic.StoreInt64(&h.evalFlops, 0)
 	st := h.newEvalState(W.Cols, h.Cfg.Workspace)
 	// Release everything back to the pool on every exit path; U belongs to
 	// the caller and is never pooled.
@@ -262,7 +266,7 @@ func (h *Hierarchical) interpret(ctx context.Context, W, U *linalg.Matrix, sp *t
 	}
 	st.Ufar.AddScaled(1, st.Unear)
 	st.Ufar.RowsGatherInto(h.Tree.IPerm, U)
-	return float64(atomic.LoadInt64(&h.evalFlops)), nil
+	return float64(st.flops.Load()), nil
 }
 
 // newEvalState allocates the buffers of an r-wide evaluation, from pool
@@ -295,13 +299,13 @@ func (h *Hierarchical) n2s(st *evalState, id int) {
 		tn := &t.Nodes[id]
 		wview := st.Wt.View(tn.Lo, 0, tn.Size(), st.r)
 		nd.proj.gemm(false, wview, 0, out)
-		h.addEvalFlops(2 * float64(s) * float64(tn.Size()) * float64(st.r))
+		st.addFlops(2 * float64(s) * float64(tn.Size()) * float64(st.r))
 	} else {
 		wl := st.skelW[t.Left(id)]
 		wr := st.skelW[t.Right(id)]
 		stacked := st.stackRows(wl, wr)
 		nd.proj.gemm(false, stacked, 0, out)
-		h.addEvalFlops(2 * float64(s) * float64(stacked.Rows) * float64(st.r))
+		st.addFlops(2 * float64(s) * float64(stacked.Rows) * float64(st.r))
 		if st.pool != nil {
 			st.pool.PutMatrix(stacked) // transient: safe to recycle immediately
 		}
@@ -336,7 +340,7 @@ func (h *Hierarchical) applySlot(st *evalState, kind listKind, id, k, alpha int,
 	}
 	blk.gemm(trans, B, 1, C)
 	rows, cols := blk.dims()
-	h.addEvalFlops(2 * float64(rows) * float64(cols) * float64(st.r))
+	st.addFlops(2 * float64(rows) * float64(cols) * float64(st.r))
 }
 
 // s2n pushes skeleton potentials down: ũβ += slice of parent's Pᵀũ, then
@@ -370,12 +374,12 @@ func (h *Hierarchical) s2n(st *evalState, id int) {
 		tn := &t.Nodes[id]
 		uview := st.Ufar.View(tn.Lo, 0, tn.Size(), st.r)
 		nd.proj.gemm(true, u, 1, uview)
-		h.addEvalFlops(2 * float64(s) * float64(tn.Size()) * float64(st.r))
+		st.addFlops(2 * float64(s) * float64(tn.Size()) * float64(st.r))
 	} else {
 		down := st.getMat(c, st.r)
 		nd.proj.gemm(true, u, 0, down)
 		st.down[id] = down
-		h.addEvalFlops(2 * float64(s) * float64(c) * float64(st.r))
+		st.addFlops(2 * float64(s) * float64(c) * float64(st.r))
 	}
 }
 
@@ -418,8 +422,8 @@ func (st *evalState) stackRows(a, b *linalg.Matrix) *linalg.Matrix {
 // batch (the baseline traversal of Figure 4). Under Sequential its one
 // worker is the calling goroutine, which runs every batch in order.
 // sp is the enclosing "matvec" span (nil when telemetry is off); each of the
-// four passes gets a child span. Splitting the RunLevels call per pass keeps
-// the same semantics — RunLevels already barriers after every batch.
+// four passes gets a child span. Splitting the RunLevelsCtx call per pass keeps
+// the same semantics — RunLevelsCtx already barriers after every batch.
 func (h *Hierarchical) evalLevelByLevel(ctx context.Context, st *evalState, sp *telemetry.Span) error {
 	t := h.Tree
 	levels := t.LevelNodes()
@@ -473,7 +477,7 @@ func (h *Hierarchical) buildEvalGraph(st *evalState) *sched.Graph {
 	s2nTasks := make([]*sched.Task, len(t.Nodes))
 	for id := len(t.Nodes) - 1; id >= 0; id-- {
 		s := float64(len(h.nodes[id].skel))
-		n2sTasks[id] = g.Add(fmt.Sprintf("N2S(%d)", id), cost(2*m*s*r), func(*sched.Ctx) { h.n2s(st, id) })
+		n2sTasks[id] = g.Add(fmt.Sprintf("N2S(%d)", id), cost(2*m*s*r), func() { h.n2s(st, id) })
 		if !t.IsLeaf(id) {
 			g.AddDep(n2sTasks[t.Left(id)], n2sTasks[id])
 			g.AddDep(n2sTasks[t.Right(id)], n2sTasks[id])
@@ -483,14 +487,14 @@ func (h *Hierarchical) buildEvalGraph(st *evalState) *sched.Graph {
 	for id := range t.Nodes {
 		nd := &h.nodes[id]
 		s := float64(len(nd.skel))
-		s2sTasks[id] = g.Add(fmt.Sprintf("S2S(%d)", id), cost(2*s*s*r*float64(len(nd.far)+1)), func(*sched.Ctx) { h.s2s(st, id) })
+		s2sTasks[id] = g.Add(fmt.Sprintf("S2S(%d)", id), cost(2*s*s*r*float64(len(nd.far)+1)), func() { h.s2s(st, id) })
 		for _, alpha := range nd.far {
 			g.AddDep(n2sTasks[alpha], s2sTasks[id])
 		}
 	}
 	for id := 0; id < len(t.Nodes); id++ {
 		s := float64(len(h.nodes[id].skel))
-		s2nTasks[id] = g.Add(fmt.Sprintf("S2N(%d)", id), cost(2*m*s*r), func(*sched.Ctx) { h.s2n(st, id) })
+		s2nTasks[id] = g.Add(fmt.Sprintf("S2N(%d)", id), cost(2*m*s*r), func() { h.s2n(st, id) })
 		g.AddDep(s2sTasks[id], s2nTasks[id])
 		if p := t.Parent(id); p >= 0 {
 			g.AddDep(s2nTasks[p], s2nTasks[id])
@@ -507,7 +511,7 @@ func (h *Hierarchical) buildEvalGraph(st *evalState) *sched.Graph {
 	}
 	for li, beta := range t.Leaves() {
 		nd := &h.nodes[beta]
-		task := g.Add(fmt.Sprintf("L2L(%d)", beta), cost(2*m*m*r*float64(len(nd.near))), func(*sched.Ctx) { h.l2l(st, beta) })
+		task := g.Add(fmt.Sprintf("L2L(%d)", beta), cost(2*m*m*r*float64(len(nd.near))), func() { h.l2l(st, beta) })
 		if len(accel) > 0 {
 			task.Affinity = accel[li%len(accel)]
 		}

@@ -3,10 +3,12 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"gofmm/internal/linalg"
 	"gofmm/internal/sched"
+	"gofmm/internal/telemetry"
 )
 
 // TestSkeletonsAreNested verifies the nesting property of Algorithm 2.6:
@@ -162,31 +164,36 @@ func TestRankProfile(t *testing.T) {
 }
 
 // TestL2LPinnedToAccelerator reproduces the §2.3 placement policy: with an
-// accelerator in the pool, every L2L task must execute on it.
+// accelerator in the pool, every L2L task must execute on it. Placement is
+// read from the matvec's task events, the recorder's after the
+// compression's.
 func TestL2LPinnedToAccelerator(t *testing.T) {
 	rng := rand.New(rand.NewSource(180))
 	Kd, _ := gaussKernelMatrix(rng, 300, 0.8)
+	rec := telemetry.New()
 	h, err := Compress(denseSPD{Kd}, Config{
 		LeafSize: 32, MaxRank: 24, Tol: 1e-5, Kappa: 8, Budget: 0.15,
 		Distance: Kernel, Exec: Dynamic, Seed: 181, CacheBlocks: true,
-		CaptureTrace: true,
+		Telemetry: rec,
 		WorkerSpecs: []sched.WorkerSpec{
 			{Speed: 1},
 			{Speed: 1},
-			{Speed: 8, Slots: 4, Batch: 8, NoSteal: true, Accelerator: true},
+			{Speed: 8, Batch: 8, NoSteal: true, Accelerator: true},
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	compressEvents := len(rec.TaskEvents())
 	W := linalg.GaussianMatrix(rng, 300, 4)
 	h.Matvec(W)
-	if len(h.LastTrace) == 0 {
-		t.Fatal("no trace captured")
+	evs := rec.TaskEvents()[compressEvents:]
+	if len(evs) == 0 {
+		t.Fatal("no task events recorded")
 	}
 	l2l, onAcc := 0, 0
-	for _, ev := range h.LastTrace {
-		if len(ev.Task.Label) >= 3 && ev.Task.Label[:3] == "L2L" {
+	for _, ev := range evs {
+		if strings.HasPrefix(ev.Name, "L2L") {
 			l2l++
 			if ev.Worker == 2 {
 				onAcc++

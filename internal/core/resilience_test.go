@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -216,6 +217,33 @@ func TestCompressCtxCancellation(t *testing.T) {
 	})
 	if !errors.Is(err, resilience.ErrCancelled) {
 		t.Fatalf("expected ErrCancelled, got %v", err)
+	}
+}
+
+// A cancelled CompressCtx stops the neighbor search between leaf searches.
+// The oracle (Dim and At only) cancels the context early in the search and
+// then serves less than one search iteration, n·LeafSize entries.
+func TestCompressCtxCancelStopsNeighborSearch(t *testing.T) {
+	const n, leaf, cancelAfter = 2048, 64, 52148
+	X := linalg.GaussianMatrix(rand.New(rand.NewSource(126)), 2, n)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var served atomic.Int64
+	K := funcOracle{n: n, f: func(i, j int) float64 {
+		if served.Add(1) == cancelAfter {
+			cancel()
+		}
+		dx, dy := X.At(0, i)-X.At(0, j), X.At(1, i)-X.At(1, j)
+		return math.Exp(-(dx*dx + dy*dy) / 2)
+	}}
+	_, err := CompressCtx(ctx, K, Config{LeafSize: leaf, MaxRank: 32, NumWorkers: 2, Seed: 7})
+	if !errors.Is(err, resilience.ErrCancelled) {
+		t.Fatalf("CompressCtx = %v, want ErrCancelled", err)
+	}
+	after := served.Load() - cancelAfter
+	t.Logf("%d entries served after the cancel", after)
+	if after >= n*leaf {
+		t.Fatalf("oracle served %d entries after the cancel, want fewer than %d", after, n*leaf)
 	}
 }
 

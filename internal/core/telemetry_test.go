@@ -101,13 +101,11 @@ func TestTelemetryMatvecPassesAllExecutors(t *testing.T) {
 	}
 }
 
+// The recorder's task events are the task trace: every execution of the
+// compression, then of the matvec, so the last run's trace is the events
+// after the compression's.
 func TestTelemetryTaskEventsAndLastTrace(t *testing.T) {
-	// A recorder alone (no CaptureTrace) must populate both the recorder's
-	// task events and the legacy LastTrace field.
-	rec, h := instrumentedRun(t, Dynamic)
-	if len(h.LastTrace) == 0 {
-		t.Fatal("LastTrace empty despite attached recorder")
-	}
+	rec, _ := instrumentedRun(t, Dynamic)
 	evs := rec.TaskEvents()
 	if len(evs) == 0 {
 		t.Fatal("no task events recorded")
@@ -125,8 +123,18 @@ func TestTelemetryTaskEventsAndLastTrace(t *testing.T) {
 		}
 	}
 	snap := rec.Snapshot()
-	if snap.Counters["sched.compress.tasks"] == 0 || snap.Counters["sched.matvec.tasks"] == 0 {
+	nc, nm := snap.Counters["sched.compress.tasks"], snap.Counters["sched.matvec.tasks"]
+	if nc == 0 || nm == 0 {
 		t.Fatal("scheduler task counters missing")
+	}
+	if int64(len(evs)) != nc+nm {
+		t.Fatalf("%d task events, want %d compress + %d matvec", len(evs), nc, nm)
+	}
+	for i, ev := range evs {
+		kind := taskPhase(ev.Name)
+		if compressTask := kind == "SKEL" || kind == "COEF"; compressTask != (int64(i) < nc) {
+			t.Fatalf("task event %d (%s) out of run order", i, ev.Name)
+		}
 	}
 }
 

@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"io"
+	"strings"
 
 	"gofmm/internal/core"
 	"gofmm/internal/linalg"
 	"gofmm/internal/sched"
+	"gofmm/internal/telemetry"
 )
 
 // Table5 reproduces Table 5 (#27–#46): GOFMM across "architectures". The
@@ -13,8 +15,8 @@ import (
 //
 //	ARM   → 1 plain worker (a small, slow node)
 //	CPU   → 4 homogeneous workers
-//	CPU+GPU → 4 workers + 1 fat accelerator worker (8× speed estimate,
-//	          4 nested slots, batches of 8, no stealing — §2.3's device)
+//	CPU+GPU → 4 workers + 1 accelerator worker (8× speed estimate,
+//	          batches of 8, no stealing, L2L pinned — §2.3's device)
 //	KNL   → 8 thin workers (many-core, weaker per-core)
 //
 // Rows report ε₂, compression and evaluation time, and achieved GFLOPS, so
@@ -29,7 +31,7 @@ func Table5(w io.Writer, n int, seed int64) []Result {
 		{"ARM-like", sched.Homogeneous(1)},
 		{"CPU", sched.Homogeneous(4)},
 		{"CPU+ACC", append(sched.Homogeneous(4),
-			sched.WorkerSpec{Speed: 8, Slots: 4, Batch: 8, NoSteal: true, Accelerator: true})},
+			sched.WorkerSpec{Speed: 8, Batch: 8, NoSteal: true, Accelerator: true})},
 		{"KNL-like", sched.Homogeneous(8)},
 	}
 	cases := []struct {
@@ -54,7 +56,6 @@ func Table5(w io.Writer, n int, seed int64) []Result {
 				LeafSize: c.m, MaxRank: c.s, Tol: 1e-5, Kappa: 32,
 				Budget: c.budget, Distance: core.Angle, Exec: core.Dynamic,
 				WorkerSpecs: a.specs, CacheBlocks: true, Seed: seed,
-				CaptureTrace: a.name == "CPU+ACC",
 			}
 			res, placed := runTraced(p, cfg, c.r, seed)
 			res.Experiment = "table5"
@@ -78,33 +79,38 @@ func Table5(w io.Writer, n int, seed int64) []Result {
 	return out
 }
 
-// runTraced runs the workload and, when tracing is on, reports the fraction
-// of L2L tasks placed on accelerator workers — the paper's #45 observation
-// ("we enforce our scheduler to schedule L2L tasks to the GPU").
+// runTraced runs the workload and, when the pool has accelerator workers,
+// reports the fraction of L2L tasks placed on them — the paper's #45
+// observation ("we enforce our scheduler to schedule L2L tasks to the GPU").
 func runTraced(p Problem, cfg core.Config, r int, seed int64) (Result, float64) {
-	if !cfg.CaptureTrace {
-		return Run(p, cfg, r, seed), 0
-	}
-	if cfg.Points == nil {
-		cfg.Points = p.Points
-	}
-	h, err := core.Compress(p.K, cfg)
-	if err != nil {
-		panic(err)
-	}
-	res := Run(p, cfg, r, seed) // timing row from a clean run
-	// Placement from a traced evaluation of the same compression.
-	W := linalg.GaussianMatrix(randNew(seed), p.K.Dim(), r)
-	h.Matvec(W)
 	accel := map[int]bool{}
 	for wIdx, spec := range cfg.WorkerSpecs {
 		if spec.Accelerator {
 			accel[wIdx] = true
 		}
 	}
+	if len(accel) == 0 {
+		return Run(p, cfg, r, seed), 0
+	}
+	if cfg.Points == nil {
+		cfg.Points = p.Points
+	}
+	traced := cfg
+	rec := telemetry.New()
+	traced.Telemetry = rec
+	h, err := core.Compress(p.K, traced)
+	if err != nil {
+		panic(err)
+	}
+	compressEvents := len(rec.TaskEvents())
+	res := Run(p, cfg, r, seed) // timing row from a clean run
+	// Placement from a traced evaluation of the same compression: the
+	// recorder's task events after the compression's.
+	W := linalg.GaussianMatrix(randNew(seed), p.K.Dim(), r)
+	h.Matvec(W)
 	l2l, on := 0, 0
-	for _, ev := range h.LastTrace {
-		if len(ev.Task.Label) >= 3 && ev.Task.Label[:3] == "L2L" {
+	for _, ev := range rec.TaskEvents()[compressEvents:] {
+		if strings.HasPrefix(ev.Name, "L2L") {
 			l2l++
 			if accel[ev.Worker] {
 				on++

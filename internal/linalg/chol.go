@@ -106,9 +106,6 @@ func (b *BandedSPD) Set(i, j int, v float64) {
 	b.Band[d][j] = v
 }
 
-// AddAt increments element (i, j).
-func (b *BandedSPD) AddAt(i, j int, v float64) { b.Set(i, j, b.At(i, j)+v) }
-
 // CholeskyInPlace overwrites the band with the lower Cholesky factor.
 // Cost is O(N·bw²), which makes building dense inverses of 2-D/3-D stencil
 // operators feasible at laptop scale.

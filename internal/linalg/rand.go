@@ -19,18 +19,6 @@ func GaussianMatrix(rng *rand.Rand, r, c int) *Matrix {
 	return m
 }
 
-// UniformMatrix returns an r×c matrix with i.i.d. U(-1,1) entries.
-func UniformMatrix(rng *rand.Rand, r, c int) *Matrix {
-	m := NewMatrix(r, c)
-	for j := 0; j < c; j++ {
-		col := m.Col(j)
-		for i := range col {
-			col[i] = 2*rng.Float64() - 1
-		}
-	}
-	return m
-}
-
 // RandomSPD returns a random n×n SPD matrix A = Q·diag(d)·Qᵀ with Q a random
 // orthogonal matrix and d log-spaced in [1/cond, 1]; handy for tests.
 func RandomSPD(rng *rand.Rand, n int, cond float64) *Matrix {

@@ -10,14 +10,12 @@
 //   - TaskDepend: emulates OpenMP's `omp task depend` — the same DAG but a
 //     single FIFO ready queue, no cost model, no stealing.
 //   - Level-by-level: the classic traversal with a barrier per tree level
-//     (RunLevels), the baseline the paper improves upon.
+//     (RunLevelsCtx), the baseline the paper improves upon.
 //
 // Workers are goroutines. A WorkerSpec carries a relative Speed (used only
-// by the HEFT estimate), a Slots count for nested parallelism (the paper's
-// "each worker can use more than one physical core ... or employ a device"),
-// a Batch size (accelerators consume up to 8 tasks per dispatch), and a
-// NoSteal flag (stealing is disabled for accelerator workers so the device
-// never idles waiting on stolen scraps).
+// by the HEFT estimate), a Batch size (accelerators consume up to 8 tasks
+// per dispatch), and a NoSteal flag (stealing is disabled for accelerator
+// workers so the device never idles waiting on stolen scraps).
 package sched
 
 import (
@@ -42,19 +40,12 @@ import (
 // RunCtx refuses to execute it even if the caller ignored the return value.
 var ErrSelfDependency = errors.New("sched: self dependency")
 
-// Ctx is passed to every task body; it identifies the executing worker so
-// compute kernels can exploit nested parallelism on fat workers.
-type Ctx struct {
-	Worker int
-	Spec   WorkerSpec
-}
-
 // Task is one schedulable unit. Create tasks through Graph.Add.
 type Task struct {
 	ID    int
 	Label string
 	Cost  float64 // estimated work, arbitrary units consistent across tasks
-	Run   func(ctx *Ctx)
+	Run   func()
 	// Affinity pins the task to a specific worker index (HEFT policy only;
 	// -1 means any worker). Pinned tasks are never stolen — this is the
 	// paper's "enforce our scheduler to schedule L2L tasks to the GPU".
@@ -75,7 +66,6 @@ type Task struct {
 // Graph is a DAG of tasks built by symbolic execution of an algorithm phase.
 type Graph struct {
 	tasks []*Task
-	edges int
 	err   error // first construction error (e.g. self dependency)
 }
 
@@ -83,16 +73,16 @@ type Graph struct {
 func NewGraph() *Graph { return &Graph{} }
 
 // Add registers a task with an estimated cost and body and returns it.
-func (g *Graph) Add(label string, cost float64, run func(ctx *Ctx)) *Task {
+func (g *Graph) Add(label string, cost float64, run func()) *Task {
 	t := &Task{ID: len(g.tasks), Label: label, Cost: cost, Run: run, Affinity: -1, stolenFrom: -1}
 	g.tasks = append(g.tasks, t)
 	return t
 }
 
 // AddDep records that after cannot start until before finishes (a RAW edge
-// in the paper's data-flow analysis). Duplicate edges are permitted and
-// counted; self-edges are rejected with ErrSelfDependency, which is also
-// remembered on the graph so a later Run refuses to execute it.
+// in the paper's data-flow analysis). Duplicate edges are permitted;
+// self-edges are rejected with ErrSelfDependency, which is also remembered
+// on the graph so a later RunCtx refuses to execute it.
 func (g *Graph) AddDep(before, after *Task) error {
 	if before == nil || after == nil {
 		err := fmt.Errorf("%w: nil task", ErrSelfDependency)
@@ -110,24 +100,17 @@ func (g *Graph) AddDep(before, after *Task) error {
 	}
 	before.succ = append(before.succ, after)
 	atomic.AddInt32(&after.nprec, 1)
-	g.edges++
 	return nil
 }
 
 // Err returns the first construction error recorded on the graph, if any.
 func (g *Graph) Err() error { return g.err }
 
-// Size returns the number of tasks; Edges the number of dependency edges.
-func (g *Graph) Size() int  { return len(g.tasks) }
-func (g *Graph) Edges() int { return g.edges }
-
 // WorkerSpec describes one worker of a (possibly heterogeneous) pool.
 type WorkerSpec struct {
 	// Speed is the relative throughput used by the HEFT finish-time
 	// estimate; 1 is a baseline CPU core.
 	Speed float64
-	// Slots is the nested parallelism available to task bodies (≥ 1).
-	Slots int
 	// Batch is how many ready tasks the worker consumes per dispatch
 	// (accelerators use up to 8 to amortize launch latency).
 	Batch int
@@ -139,7 +122,7 @@ type WorkerSpec struct {
 }
 
 // DefaultWorker is a plain CPU worker.
-var DefaultWorker = WorkerSpec{Speed: 1, Slots: 1, Batch: 1}
+var DefaultWorker = WorkerSpec{Speed: 1, Batch: 1}
 
 // Homogeneous returns p identical CPU workers.
 func Homogeneous(p int) []WorkerSpec {
@@ -186,16 +169,15 @@ type Engine struct {
 	// Resilience state.
 	curGraph    *Graph // guarded by mu
 	running     int    // guarded by mu (tasks currently inside exec)
-	completions int64  // guarded by mu (tasks finished this Run; watchdog progress signal)
-	retries     int64  // guarded by mu (failed attempts redelivered this Run)
+	completions int64  // guarded by mu (tasks finished this run; watchdog progress signal)
+	retries     int64  // guarded by mu (failed attempts redelivered this run)
 	cancelled   bool   // guarded by mu (stop dispatching; workers drain and exit)
-	runErr      error  // guarded by mu (first fatal error of the Run)
+	runErr      error  // guarded by mu (first fatal error of the run)
 
-	// Resilience configuration (set before Run).
-	failTask       func(label string) bool     // fault-injection hook (may be nil)
-	maxTaskRetries int                         // redeliveries per task (default 8)
-	stallTimeout   time.Duration               // watchdog; 0 disables
-	logger         atomic.Pointer[slog.Logger] // health-event sink (may be empty)
+	// Resilience configuration (set before RunCtx).
+	failTask     func(label string) bool     // fault-injection hook (may be nil)
+	stallTimeout time.Duration               // watchdog; 0 disables
+	logger       atomic.Pointer[slog.Logger] // health-event sink (may be empty)
 
 	// trace support
 	traceOn  bool
@@ -203,7 +185,7 @@ type Engine struct {
 	trace    []Event
 	runStart time.Time
 	runWall  time.Duration
-	maxDepth int // deepest ready queue observed during the Run
+	maxDepth int // deepest ready queue observed during the run
 }
 
 // Event records one task execution for tests and the tracing tools.
@@ -214,7 +196,7 @@ type Event struct {
 	End    int64         // logical clock at completion
 	Dur    time.Duration // wall-clock execution time of the task body
 	// WallStart is the wall-clock offset of the task body's start relative
-	// to the Run's start (so traces from one Run share a time base).
+	// to the run's start (so traces from one run share a time base).
 	WallStart time.Duration
 	// QueueWait is how long the task sat on a ready queue between becoming
 	// ready (all predecessors done) and starting execution.
@@ -233,34 +215,26 @@ func NewEngine(policy Policy, specs []WorkerSpec) *Engine {
 		if specs[i].Speed <= 0 {
 			specs[i].Speed = 1
 		}
-		if specs[i].Slots < 1 {
-			specs[i].Slots = 1
-		}
 		if specs[i].Batch < 1 {
 			specs[i].Batch = 1
 		}
 	}
-	e := &Engine{specs: specs, policy: policy, maxTaskRetries: 8}
+	e := &Engine{specs: specs, policy: policy}
 	e.cond = sync.NewCond(&e.mu)
 	return e
 }
 
-// EnableTrace turns on event recording (Run resets the trace).
+// maxTaskRetries bounds the redeliveries of one task after injected
+// failures.
+const maxTaskRetries = 8
+
+// EnableTrace turns on event recording (RunCtx resets the trace).
 func (e *Engine) EnableTrace() { e.traceOn = true }
 
 // SetFaultInjector installs a chaos hook consulted before every task
 // execution attempt; returning true fails the attempt (the engine
 // redelivers the task, up to the retry budget). Pass nil to disable.
 func (e *Engine) SetFaultInjector(f func(label string) bool) { e.failTask = f }
-
-// SetMaxTaskRetries bounds redeliveries per task (n ≤ 0 restores the
-// default of 8).
-func (e *Engine) SetMaxTaskRetries(n int) {
-	if n <= 0 {
-		n = 8
-	}
-	e.maxTaskRetries = n
-}
 
 // SetStallTimeout arms the watchdog: if no task completes for d while work
 // remains, RunCtx gives up and returns ErrStalled with the stuck frontier.
@@ -270,33 +244,19 @@ func (e *Engine) SetStallTimeout(d time.Duration) { e.stallTimeout = d }
 // SetLogger attaches a structured logger for scheduler health events —
 // stall-watchdog fires and provable deadlocks at Error, chaos-injected
 // retry redeliveries at Warn. Pass nil to detach; nothing is logged while
-// no logger is set. Safe to call concurrently with a Run.
+// no logger is set. Safe to call concurrently with a run.
 func (e *Engine) SetLogger(l *slog.Logger) { e.logger.Store(l) }
 
 // Retries returns the number of failed task attempts redelivered during the
-// last Run.
+// last run.
 func (e *Engine) Retries() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.retries
 }
 
-// Trace returns the events of the last Run.
+// Trace returns the events of the last run.
 func (e *Engine) Trace() []Event { return e.trace }
-
-// Workers returns the pool size.
-func (e *Engine) Workers() int { return len(e.specs) }
-
-// Run executes every task of g respecting dependencies, blocking until all
-// finish. A Graph can only be run once (its dependency counters are
-// consumed). Run is the legacy uncancellable entry point; it panics on the
-// errors RunCtx would return (invalid graph, unrecovered task failure) —
-// prefer RunCtx.
-func (e *Engine) Run(g *Graph) {
-	if err := e.RunCtx(context.Background(), g); err != nil {
-		panic(err)
-	}
-}
 
 // RunCtx executes every task of g respecting dependencies, blocking until
 // all finish, the context is cancelled, or execution fails. Worker panics
@@ -399,7 +359,7 @@ func (e *Engine) abort(err error) {
 	e.mu.Unlock()
 }
 
-// watchdog monitors completion progress and closes fired when the Run makes
+// watchdog monitors completion progress and closes fired when the run makes
 // none for stallTimeout while tasks remain.
 func (e *Engine) watchdog(fired, stop chan struct{}) {
 	period := e.stallTimeout / 4
@@ -577,7 +537,7 @@ func (e *Engine) worker(w int) {
 		}
 		e.mu.Unlock()
 		for _, t := range batch {
-			e.exec(w, spec, t)
+			e.exec(w, t)
 		}
 	}
 }
@@ -631,8 +591,8 @@ func (e *Engine) stealLocked(self int) *Task {
 
 // exec runs one task and releases its successors. Injected failures are
 // redelivered up to the retry budget; panics in the task body are recovered
-// into a typed error that aborts the Run.
-func (e *Engine) exec(w int, spec WorkerSpec, t *Task) {
+// into a typed error that aborts the run.
+func (e *Engine) exec(w int, t *Task) {
 	e.mu.Lock()
 	if e.cancelled {
 		e.running--
@@ -642,7 +602,7 @@ func (e *Engine) exec(w int, spec WorkerSpec, t *Task) {
 	// Fault injection (chaos hook): fail this attempt before the body runs,
 	// so redelivery is clean.
 	if e.failTask != nil && e.failTask(t.Label) {
-		if t.attempts < e.maxTaskRetries {
+		if t.attempts < maxTaskRetries {
 			t.attempts++
 			e.retries++
 			attempt := t.attempts
@@ -651,7 +611,7 @@ func (e *Engine) exec(w int, spec WorkerSpec, t *Task) {
 			e.mu.Unlock()
 			if l := e.logger.Load(); l != nil {
 				l.Warn("task attempt failed; redelivered",
-					"task", t.Label, "attempt", attempt, "max", e.maxTaskRetries)
+					"task", t.Label, "attempt", attempt, "max", maxTaskRetries)
 			}
 			return
 		}
@@ -678,8 +638,7 @@ func (e *Engine) exec(w int, spec WorkerSpec, t *Task) {
 		start = atomic.AddInt64(&e.clock, 1)
 		wall = time.Now()
 	}
-	ctx := &Ctx{Worker: w, Spec: spec}
-	perr := runRecovered(t, ctx)
+	perr := runRecovered(t)
 	e.mu.Lock()
 	e.running--
 	if perr != nil {
@@ -716,27 +675,17 @@ func (e *Engine) exec(w int, spec WorkerSpec, t *Task) {
 
 // runRecovered executes the task body, converting a panic into a typed
 // *resilience.PanicError carrying the label and stack.
-func runRecovered(t *Task, ctx *Ctx) (err error) {
+func runRecovered(t *Task) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &resilience.PanicError{Label: t.Label, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	t.Run(ctx)
+	t.Run()
 	return nil
 }
 
-// Utilization summarizes the last traced Run: per-worker busy wall-clock
-// time (the basis for the strong-scaling analysis of Figure 4).
-func (e *Engine) Utilization() []time.Duration {
-	busy := make([]time.Duration, len(e.specs))
-	for _, ev := range e.trace {
-		busy[ev.Worker] += ev.Dur
-	}
-	return busy
-}
-
-// Summary condenses the last traced Run into the scheduler health numbers
+// Summary condenses the last traced run into the scheduler health numbers
 // the strong-scaling analysis needs: wall time, per-worker utilization,
 // steal count, queue-wait totals and a critical-path estimate (the longest
 // dependency chain weighted by measured body times — the lower bound no
@@ -744,8 +693,9 @@ func (e *Engine) Utilization() []time.Duration {
 type Summary struct {
 	Workers int
 	Tasks   int
-	// Wall is the wall-clock duration of the Run; Busy is per-worker time
-	// spent inside task bodies.
+	// Wall is the wall-clock duration of the run; Busy is per-worker time
+	// spent inside task bodies (the basis for the strong-scaling analysis of
+	// Figure 4).
 	Wall time.Duration
 	Busy []time.Duration
 	// Utilization is sum(Busy) / (Wall × Workers) ∈ [0, 1].
@@ -758,23 +708,24 @@ type Summary struct {
 	Retries int64
 	// TotalQueueWait sums the ready-to-execution latency over all tasks.
 	TotalQueueWait time.Duration
-	// MaxQueueDepth is the deepest any ready queue got during the Run.
+	// MaxQueueDepth is the deepest any ready queue got during the run.
 	MaxQueueDepth int
 	// CriticalPath is the longest chain of dependent task body times.
 	CriticalPath time.Duration
 }
 
-// Summary computes the summary of the last traced Run (zero-valued apart
+// Summary computes the summary of the last traced run (zero-valued apart
 // from Workers when tracing was off).
 func (e *Engine) Summary() Summary {
 	s := Summary{Workers: len(e.specs), Tasks: len(e.trace), Wall: e.runWall,
-		Busy: e.Utilization(), MaxQueueDepth: e.maxDepth, Retries: e.retries}
+		Busy: make([]time.Duration, len(e.specs)), MaxQueueDepth: e.maxDepth, Retries: e.retries}
 	if len(e.trace) == 0 {
 		return s
 	}
 	var busyTotal time.Duration
-	for _, b := range s.Busy {
-		busyTotal += b
+	for _, ev := range e.trace {
+		s.Busy[ev.Worker] += ev.Dur
+		busyTotal += ev.Dur
 	}
 	if e.runWall > 0 {
 		s.Utilization = float64(busyTotal) / (float64(e.runWall) * float64(len(e.specs)))
@@ -812,40 +763,14 @@ func (e *Engine) Summary() Summary {
 	return s
 }
 
-// WriteTraceCSV dumps the last traced Run as CSV for offline timeline
-// analysis. The leading comment line documents the units of every column.
-func (e *Engine) WriteTraceCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "# gofmm task trace: start/end are logical-clock ticks (dimensionless, ordered); wait_ns and exec_ns are wall-clock nanoseconds; stolen_from is the victim worker index or -1"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "task,worker,start,end,wait_ns,exec_ns,stolen_from"); err != nil {
-		return err
-	}
-	for _, ev := range e.trace {
-		if _, err := fmt.Fprintf(w, "%s,%d,%d,%d,%d,%d,%d\n",
-			ev.Task.Label, ev.Worker, ev.Start, ev.End,
-			ev.QueueWait.Nanoseconds(), ev.Dur.Nanoseconds(), ev.StolenFrom); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RunLevels executes batches of independent closures with a barrier after
-// each batch — the level-by-level traversal baseline. Within a batch the
-// closures run on up to p goroutines (dynamic self-scheduling, like
-// `omp parallel for schedule(dynamic)`).
-func RunLevels(levels [][]func(), p int) {
-	if err := RunLevelsCtx(context.Background(), levels, p); err != nil {
-		panic(err)
-	}
-}
-
-// RunLevelsCtx is RunLevels with cancellation and panic safety: the context
-// is checked at each barrier and before each closure (pending closures of the
-// current batch are abandoned on cancellation, running ones finish), and a
-// closure panic is recovered into a *resilience.PanicError that aborts the
-// traversal after the current batch drains.
+// RunLevelsCtx executes batches of independent closures with a barrier
+// after each batch — the level-by-level traversal baseline. Within a batch
+// the closures run on up to p goroutines (dynamic self-scheduling, like
+// `omp parallel for schedule(dynamic)`). The context is checked at each
+// barrier and before each closure (pending closures of the current batch
+// are abandoned on cancellation, running ones finish), and a closure panic
+// is recovered into a *resilience.PanicError that aborts the traversal
+// after the current batch drains.
 //
 // One crew of goroutines, the caller among them, runs every batch: p of
 // them, but no more than the widest batch or GOMAXPROCS (with one, the

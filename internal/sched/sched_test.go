@@ -15,16 +15,24 @@ import (
 	"gofmm/internal/resilience"
 )
 
+// run executes g on e and fails the test on an error.
+func run(t *testing.T, e *Engine, g *Graph) {
+	t.Helper()
+	if err := e.RunCtx(context.Background(), g); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestEmptyGraph(t *testing.T) {
 	e := NewEngine(HEFT, Homogeneous(4))
-	e.Run(NewGraph()) // must not hang
+	run(t, e, NewGraph()) // must not hang
 }
 
 func TestSingleTask(t *testing.T) {
 	g := NewGraph()
 	ran := false
-	g.Add("only", 1, func(*Ctx) { ran = true })
-	NewEngine(HEFT, Homogeneous(2)).Run(g)
+	g.Add("only", 1, func() { ran = true })
+	run(t, NewEngine(HEFT, Homogeneous(2)), g)
 	if !ran {
 		t.Fatal("task did not run")
 	}
@@ -36,9 +44,9 @@ func TestAllTasksRunOnce(t *testing.T) {
 		var count int64
 		n := 200
 		for i := 0; i < n; i++ {
-			g.Add("t", 1, func(*Ctx) { atomic.AddInt64(&count, 1) })
+			g.Add("t", 1, func() { atomic.AddInt64(&count, 1) })
 		}
-		NewEngine(pol, Homogeneous(4)).Run(g)
+		run(t, NewEngine(pol, Homogeneous(4)), g)
 		if count != int64(n) {
 			t.Fatalf("%v: ran %d of %d tasks", pol, count, n)
 		}
@@ -51,7 +59,7 @@ func buildChain(n int, order *[]int, mu *sync.Mutex) *Graph {
 	var prev *Task
 	for i := 0; i < n; i++ {
 		i := i
-		t := g.Add("chain", 1, func(*Ctx) {
+		t := g.Add("chain", 1, func() {
 			mu.Lock()
 			*order = append(*order, i)
 			mu.Unlock()
@@ -69,7 +77,7 @@ func TestChainRespectsOrder(t *testing.T) {
 		var order []int
 		var mu sync.Mutex
 		g := buildChain(50, &order, &mu)
-		NewEngine(pol, Homogeneous(4)).Run(g)
+		run(t, NewEngine(pol, Homogeneous(4)), g)
 		if len(order) != 50 {
 			t.Fatalf("%v: len(order) = %d", pol, len(order))
 		}
@@ -90,7 +98,7 @@ func TestRandomDAGDependenciesHonored(t *testing.T) {
 		g := NewGraph()
 		tasks := make([]*Task, n)
 		for i := range tasks {
-			tasks[i] = g.Add("t", float64(1+rng.Intn(5)), func(*Ctx) {})
+			tasks[i] = g.Add("t", float64(1+rng.Intn(5)), func() {})
 		}
 		type edge struct{ a, b int }
 		var edges []edge
@@ -108,7 +116,7 @@ func TestRandomDAGDependenciesHonored(t *testing.T) {
 		}
 		e := NewEngine(pol, Homogeneous(1+rng.Intn(4)))
 		e.EnableTrace()
-		e.Run(g)
+		run(t, e, g)
 		tr := e.Trace()
 		if len(tr) != n {
 			return false
@@ -137,7 +145,7 @@ func TestDiamondDependency(t *testing.T) {
 	var log []string
 	var mu sync.Mutex
 	add := func(name string) *Task {
-		return g.Add(name, 1, func(*Ctx) {
+		return g.Add(name, 1, func() {
 			mu.Lock()
 			log = append(log, name)
 			mu.Unlock()
@@ -148,7 +156,7 @@ func TestDiamondDependency(t *testing.T) {
 	g.AddDep(a, c)
 	g.AddDep(b, d)
 	g.AddDep(c, d)
-	NewEngine(HEFT, Homogeneous(3)).Run(g)
+	run(t, NewEngine(HEFT, Homogeneous(3)), g)
 	if len(log) != 4 || log[0] != "a" || log[3] != "d" {
 		t.Fatalf("diamond order wrong: %v", log)
 	}
@@ -156,7 +164,7 @@ func TestDiamondDependency(t *testing.T) {
 
 func TestSelfDependencyIsTypedError(t *testing.T) {
 	g := NewGraph()
-	a := g.Add("a", 1, func(*Ctx) {})
+	a := g.Add("a", 1, func() {})
 	if err := g.AddDep(a, a); !errors.Is(err, ErrSelfDependency) {
 		t.Fatalf("AddDep(a, a) = %v, want ErrSelfDependency", err)
 	}
@@ -177,8 +185,8 @@ func TestSelfDependencyIsTypedError(t *testing.T) {
 func TestPanicRecoveredIntoTypedError(t *testing.T) {
 	for _, pol := range []Policy{HEFT, FIFO} {
 		g := NewGraph()
-		g.Add("ok", 1, func(*Ctx) {})
-		g.Add("boom", 1, func(*Ctx) { panic("kaboom") })
+		g.Add("ok", 1, func() {})
+		g.Add("boom", 1, func() { panic("kaboom") })
 		err := NewEngine(pol, Homogeneous(4)).RunCtx(context.Background(), g)
 		var pe *resilience.PanicError
 		if !errors.As(err, &pe) {
@@ -197,7 +205,7 @@ func TestRunCtxCancellation(t *testing.T) {
 	var ran int64
 	var prev *Task
 	for i := 0; i < 100; i++ {
-		task := g.Add("step", 1, func(*Ctx) {
+		task := g.Add("step", 1, func() {
 			atomic.AddInt64(&ran, 1)
 			time.Sleep(time.Millisecond)
 		})
@@ -224,7 +232,7 @@ func TestRunCtxDeadline(t *testing.T) {
 	g := NewGraph()
 	var prev *Task
 	for i := 0; i < 100; i++ {
-		task := g.Add("step", 1, func(*Ctx) { time.Sleep(time.Millisecond) })
+		task := g.Add("step", 1, func() { time.Sleep(time.Millisecond) })
 		if prev != nil {
 			g.AddDep(prev, task)
 		}
@@ -243,8 +251,8 @@ func TestDeadlockDetectedWithFrontier(t *testing.T) {
 	// predecessor that never completes. The engine must detect the provable
 	// deadlock immediately (no watchdog armed) and name the stuck task.
 	g := NewGraph()
-	a := g.Add("a", 1, func(*Ctx) {})
-	b := g.Add("blocked-task", 1, func(*Ctx) {})
+	a := g.Add("a", 1, func() {})
+	b := g.Add("blocked-task", 1, func() {})
 	g.AddDep(a, b)
 	atomic.AddInt32(&b.nprec, 1) // phantom predecessor — b can never run
 	err := NewEngine(HEFT, Homogeneous(2)).RunCtx(context.Background(), g)
@@ -259,7 +267,7 @@ func TestDeadlockDetectedWithFrontier(t *testing.T) {
 func TestWatchdogCatchesHungTask(t *testing.T) {
 	g := NewGraph()
 	release := make(chan struct{})
-	g.Add("hung", 1, func(*Ctx) { <-release })
+	g.Add("hung", 1, func() { <-release })
 	e := NewEngine(HEFT, Homogeneous(2))
 	e.SetStallTimeout(20 * time.Millisecond)
 	err := e.RunCtx(context.Background(), g)
@@ -278,7 +286,7 @@ func TestInjectedFailuresAreRetried(t *testing.T) {
 		var count int64
 		n := 50
 		for i := 0; i < n; i++ {
-			g.Add(fmt.Sprintf("t%d", i), 1, func(*Ctx) { atomic.AddInt64(&count, 1) })
+			g.Add(fmt.Sprintf("t%d", i), 1, func() { atomic.AddInt64(&count, 1) })
 		}
 		e := NewEngine(pol, Homogeneous(4))
 		// Fail every task's first two attempts.
@@ -307,9 +315,8 @@ func TestInjectedFailuresAreRetried(t *testing.T) {
 
 func TestRetryBudgetExhaustionIsTyped(t *testing.T) {
 	g := NewGraph()
-	g.Add("doomed", 1, func(*Ctx) {})
+	g.Add("doomed", 1, func() {})
 	e := NewEngine(HEFT, Homogeneous(2))
-	e.SetMaxTaskRetries(3)
 	e.SetFaultInjector(func(string) bool { return true })
 	err := e.RunCtx(context.Background(), g)
 	if !errors.Is(err, resilience.ErrTaskFailed) {
@@ -430,11 +437,11 @@ func TestHEFTBalancesByCost(t *testing.T) {
 	specs := []WorkerSpec{{Speed: 3}, {Speed: 1}}
 	g := NewGraph()
 	for i := 0; i < 100; i++ {
-		g.Add("t", 1, func(*Ctx) {})
+		g.Add("t", 1, func() {})
 	}
 	e := NewEngine(HEFT, specs)
 	e.EnableTrace()
-	e.Run(g)
+	run(t, e, g)
 	byWorker := map[int]int{}
 	for _, ev := range e.Trace() {
 		byWorker[ev.Worker]++
@@ -458,32 +465,40 @@ func TestWorkStealingDrainsImbalance(t *testing.T) {
 	g := NewGraph()
 	var count int64
 	for i := 0; i < 64; i++ {
-		g.Add("t", 1, func(*Ctx) { atomic.AddInt64(&count, 1) })
+		g.Add("t", 1, func() { atomic.AddInt64(&count, 1) })
 	}
 	e := NewEngine(HEFT, Homogeneous(8))
-	e.Run(g)
+	run(t, e, g)
 	if count != 64 {
 		t.Fatalf("count = %d", count)
 	}
 }
 
+// The "device" worker, worker 1, batches and never steals; the trace
+// identifies the worker that ran each task.
 func TestAcceleratorBatchAndCtx(t *testing.T) {
 	specs := []WorkerSpec{
 		{Speed: 1},
-		{Speed: 50, Slots: 4, Batch: 8, NoSteal: true}, // the "device" worker
+		{Speed: 50, Batch: 8, NoSteal: true},
 	}
 	g := NewGraph()
-	var sawFat int64
+	var count int64
 	for i := 0; i < 40; i++ {
-		g.Add("gemm", 100, func(ctx *Ctx) {
-			if ctx.Spec.Slots == 4 {
-				atomic.AddInt64(&sawFat, 1)
-			}
-		})
+		g.Add("gemm", 100, func() { atomic.AddInt64(&count, 1) })
 	}
 	e := NewEngine(HEFT, specs)
-	e.Run(g)
-	if sawFat == 0 {
+	e.EnableTrace()
+	run(t, e, g)
+	onDevice := 0
+	for _, ev := range e.Trace() {
+		if ev.Worker == 1 {
+			onDevice++
+		}
+	}
+	if count != 40 {
+		t.Fatalf("ran %d of 40 tasks", count)
+	}
+	if onDevice == 0 {
 		t.Fatal("accelerator worker never ran a task despite 50× speed")
 	}
 }
@@ -495,9 +510,9 @@ func TestFIFOSingleQueueOrder(t *testing.T) {
 	var order []int
 	for i := 0; i < 20; i++ {
 		i := i
-		g.Add("t", 1, func(*Ctx) { order = append(order, i) })
+		g.Add("t", 1, func() { order = append(order, i) })
 	}
-	NewEngine(FIFO, Homogeneous(1)).Run(g)
+	run(t, NewEngine(FIFO, Homogeneous(1)), g)
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("FIFO order broken: %v", order)
@@ -521,31 +536,26 @@ func TestRunLevelsBarrier(t *testing.T) {
 			}
 		}
 	}
-	RunLevels([][]func(){level0, level1}, 4)
+	if err := RunLevelsCtx(context.Background(), [][]func(){level0, level1}, 4); err != nil {
+		t.Fatal(err)
+	}
 	if violation != 0 {
 		t.Fatalf("%d barrier violations", violation)
 	}
 }
 
 func TestRunLevelsEmpty(t *testing.T) {
-	RunLevels(nil, 4)
-	RunLevels([][]func(){{}}, 4) // must not hang
-}
-
-func TestGraphCounts(t *testing.T) {
-	g := NewGraph()
-	a := g.Add("a", 1, func(*Ctx) {})
-	b := g.Add("b", 1, func(*Ctx) {})
-	g.AddDep(a, b)
-	if g.Size() != 2 || g.Edges() != 1 {
-		t.Fatalf("size %d edges %d", g.Size(), g.Edges())
+	for _, levels := range [][][]func(){nil, {{}}} { // must not hang
+		if err := RunLevelsCtx(context.Background(), levels, 4); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
 func TestWriteDOT(t *testing.T) {
 	g := NewGraph()
-	a := g.Add("N2S(1)", 1, func(*Ctx) {})
-	b := g.Add("S2S(0)", 1, func(*Ctx) {})
+	a := g.Add("N2S(1)", 1, func() {})
+	b := g.Add("S2S(0)", 1, func() {})
 	g.AddDep(a, b)
 	var sb strings.Builder
 	if err := g.WriteDOT(&sb); err != nil {
@@ -565,26 +575,11 @@ func TestBatchConsumption(t *testing.T) {
 	g := NewGraph()
 	var count int64
 	for i := 0; i < 30; i++ {
-		g.Add("t", 1, func(*Ctx) { atomic.AddInt64(&count, 1) })
+		g.Add("t", 1, func() { atomic.AddInt64(&count, 1) })
 	}
-	NewEngine(HEFT, specs).Run(g)
+	run(t, NewEngine(HEFT, specs), g)
 	if count != 30 {
 		t.Fatalf("count = %d", count)
-	}
-}
-
-func TestCtxCarriesWorkerIdentity(t *testing.T) {
-	specs := []WorkerSpec{{Speed: 1, Slots: 3}}
-	g := NewGraph()
-	var sawSlots int64
-	g.Add("t", 1, func(ctx *Ctx) {
-		if ctx.Worker == 0 && ctx.Spec.Slots == 3 {
-			atomic.AddInt64(&sawSlots, 1)
-		}
-	})
-	NewEngine(HEFT, specs).Run(g)
-	if sawSlots != 1 {
-		t.Fatal("ctx did not carry worker spec")
 	}
 }
 
@@ -594,54 +589,11 @@ func TestEngineReusableAcrossRuns(t *testing.T) {
 		g := NewGraph()
 		var count int64
 		for i := 0; i < 10; i++ {
-			g.Add("t", 1, func(*Ctx) { atomic.AddInt64(&count, 1) })
+			g.Add("t", 1, func() { atomic.AddInt64(&count, 1) })
 		}
-		e.Run(g)
+		run(t, e, g)
 		if count != 10 {
 			t.Fatalf("round %d: count = %d", round, count)
-		}
-	}
-}
-
-func TestUtilizationAndTraceCSV(t *testing.T) {
-	g := NewGraph()
-	for i := 0; i < 10; i++ {
-		g.Add("work", 1, func(*Ctx) {
-			s := 0.0
-			for k := 0; k < 10000; k++ {
-				s += float64(k)
-			}
-			_ = s
-		})
-	}
-	e := NewEngine(HEFT, Homogeneous(2))
-	e.EnableTrace()
-	e.Run(g)
-	var total int64
-	for _, d := range e.Utilization() {
-		total += d.Nanoseconds()
-	}
-	if total <= 0 {
-		t.Fatal("no busy time recorded")
-	}
-	var sb strings.Builder
-	if err := e.WriteTraceCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.HasPrefix(out, "# gofmm task trace:") {
-		t.Fatalf("CSV units comment missing:\n%s", out)
-	}
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if lines[1] != "task,worker,start,end,wait_ns,exec_ns,stolen_from" {
-		t.Fatalf("CSV column header wrong: %q", lines[1])
-	}
-	if len(lines) != 12 {
-		t.Fatalf("expected 12 lines (comment+header+10 tasks), got %d", len(lines))
-	}
-	for _, line := range lines[2:] {
-		if got := strings.Count(line, ","); got != 6 {
-			t.Fatalf("row %q has %d commas, want 6", line, got)
 		}
 	}
 }
@@ -652,7 +604,7 @@ func TestSummary(t *testing.T) {
 	// and at most Wall.
 	g := NewGraph()
 	const nTasks = 8
-	spin := func(*Ctx) {
+	spin := func() {
 		s := 0.0
 		for k := 0; k < 50000; k++ {
 			s += float64(k)
@@ -669,7 +621,7 @@ func TestSummary(t *testing.T) {
 	}
 	e := NewEngine(HEFT, Homogeneous(2))
 	e.EnableTrace()
-	e.Run(g)
+	run(t, e, g)
 	s := e.Summary()
 	if s.Workers != 2 || s.Tasks != nTasks {
 		t.Fatalf("workers/tasks = %d/%d", s.Workers, s.Tasks)
@@ -681,6 +633,10 @@ func TestSummary(t *testing.T) {
 		t.Fatalf("utilization = %v", s.Utilization)
 	}
 	var busy, maxBody int64
+	var perWorker time.Duration
+	for _, b := range s.Busy {
+		perWorker += b
+	}
 	for _, ev := range e.Trace() {
 		busy += ev.Dur.Nanoseconds()
 		if ev.Dur.Nanoseconds() > maxBody {
@@ -692,6 +648,9 @@ func TestSummary(t *testing.T) {
 		if ev.WallStart < 0 || ev.WallStart > s.Wall {
 			t.Fatalf("wall start %v outside run [0, %v]", ev.WallStart, s.Wall)
 		}
+	}
+	if len(s.Busy) != 2 || perWorker.Nanoseconds() != busy {
+		t.Fatalf("per-worker busy %v sums to %v, trace to %dns", s.Busy, perWorker, busy)
 	}
 	// A pure chain executes serially: its critical path is the total busy
 	// time (allow for measurement granularity at the low end).
@@ -705,9 +664,9 @@ func TestSummary(t *testing.T) {
 
 func TestSummaryWithoutTrace(t *testing.T) {
 	g := NewGraph()
-	g.Add("t", 1, func(*Ctx) {})
+	g.Add("t", 1, func() {})
 	e := NewEngine(HEFT, Homogeneous(2))
-	e.Run(g)
+	run(t, e, g)
 	s := e.Summary()
 	if s.Workers != 2 || s.Tasks != 0 || s.CriticalPath != 0 {
 		t.Fatalf("untraced summary = %+v", s)
@@ -719,7 +678,7 @@ func TestStealOriginRecorded(t *testing.T) {
 	// worker 1 has nothing: worker 1 must steal, and every stolen event has
 	// to carry the victim index.
 	g := NewGraph()
-	slow := g.Add("slow", 1000, func(*Ctx) {
+	slow := g.Add("slow", 1000, func() {
 		s := 0.0
 		for k := 0; k < 3_000_000; k++ {
 			s += float64(k)
@@ -728,7 +687,7 @@ func TestStealOriginRecorded(t *testing.T) {
 	})
 	slow.Affinity = 0
 	for i := 0; i < 64; i++ {
-		task := g.Add("quick", 1, func(*Ctx) {
+		task := g.Add("quick", 1, func() {
 			s := 0.0
 			for k := 0; k < 20000; k++ {
 				s += float64(k)
@@ -740,7 +699,7 @@ func TestStealOriginRecorded(t *testing.T) {
 	}
 	e := NewEngine(HEFT, Homogeneous(2))
 	e.EnableTrace()
-	e.Run(g)
+	run(t, e, g)
 	// Affinity pins tasks, so no steals are possible here...
 	if got := e.Summary().Steals; got != 0 {
 		t.Fatalf("pinned tasks were stolen %d times", got)
@@ -749,9 +708,9 @@ func TestStealOriginRecorded(t *testing.T) {
 	// ...now the same shape without pinning: dispatch is backlog-driven, so
 	// load all tasks behind one slow head via dependencies on worker 0.
 	g2 := NewGraph()
-	head := g2.Add("head", 1, func(*Ctx) {})
+	head := g2.Add("head", 1, func() {})
 	for i := 0; i < 64; i++ {
-		task := g2.Add("quick", 1, func(*Ctx) {
+		task := g2.Add("quick", 1, func() {
 			s := 0.0
 			for k := 0; k < 50000; k++ {
 				s += float64(k)
@@ -762,7 +721,7 @@ func TestStealOriginRecorded(t *testing.T) {
 	}
 	e2 := NewEngine(HEFT, Homogeneous(4))
 	e2.EnableTrace()
-	e2.Run(g2)
+	run(t, e2, g2)
 	for _, ev := range e2.Trace() {
 		if ev.StolenFrom >= 0 {
 			if ev.StolenFrom >= 4 {
@@ -823,10 +782,10 @@ func TestStealOnlyWhenThiefFinishesSooner(t *testing.T) {
 func TestEqualSpeedPoolSteals(t *testing.T) {
 	const quick = 15
 	g := NewGraph()
-	head := g.Add("head", 1, func(*Ctx) {})
+	head := g.Add("head", 1, func() {})
 	var done int64
 	release := make(chan struct{})
-	block := g.Add("block", 1, func(*Ctx) {
+	block := g.Add("block", 1, func() {
 		select {
 		case <-release:
 		case <-time.After(10 * time.Second):
@@ -834,7 +793,7 @@ func TestEqualSpeedPoolSteals(t *testing.T) {
 	})
 	g.AddDep(head, block)
 	for i := 0; i < quick; i++ {
-		q := g.Add("quick", 1, func(*Ctx) {
+		q := g.Add("quick", 1, func() {
 			if atomic.AddInt64(&done, 1) == quick {
 				close(release)
 			}
@@ -843,7 +802,7 @@ func TestEqualSpeedPoolSteals(t *testing.T) {
 	}
 	e := NewEngine(HEFT, Homogeneous(2))
 	e.EnableTrace()
-	e.Run(g)
+	run(t, e, g)
 	if atomic.LoadInt64(&done) != quick {
 		t.Fatalf("%d of %d quick tasks ran", done, quick)
 	}
