@@ -37,11 +37,10 @@ type BranchAnalysis interface {
 }
 
 // A Result carries the solved facts. Blocks (and their nodes) unreachable
-// from Entry have no facts: In/Before/After return (nil, false) for them.
+// from Entry have no facts: In and Before return (nil, false) for them.
 type Result struct {
 	in     map[*Block]Fact
 	before map[ast.Node]Fact
-	after  map[ast.Node]Fact
 }
 
 // In returns the fact at block entry.
@@ -58,12 +57,6 @@ func (r *Result) Before(n ast.Node) (Fact, bool) {
 	return f, ok
 }
 
-// After returns the fact immediately after node n.
-func (r *Result) After(n ast.Node) (Fact, bool) {
-	f, ok := r.after[n]
-	return f, ok
-}
-
 // Exit returns the fact at the synthetic exit block of g — the merge over
 // every return, explicit panic, and fall-off path.
 func (r *Result) Exit(g *Graph) (Fact, bool) {
@@ -72,7 +65,7 @@ func (r *Result) Exit(g *Graph) (Fact, bool) {
 
 // Solve runs the worklist algorithm on g for a. It terminates at the least
 // fixpoint under the Analysis contract and then materializes per-node
-// before/after facts in one final pass.
+// before facts in one final pass.
 func Solve(g *Graph, a Analysis) *Result {
 	ba, hasBranch := a.(BranchAnalysis)
 	in := map[*Block]Fact{g.Entry: a.EntryFact()}
@@ -112,7 +105,7 @@ func Solve(g *Graph, a Analysis) *Result {
 		}
 	}
 
-	res := &Result{in: in, before: map[ast.Node]Fact{}, after: map[ast.Node]Fact{}}
+	res := &Result{in: in, before: map[ast.Node]Fact{}}
 	for _, b := range g.Blocks {
 		f, ok := in[b]
 		if !ok {
@@ -121,7 +114,6 @@ func Solve(g *Graph, a Analysis) *Result {
 		for _, n := range b.Nodes {
 			res.before[n] = f
 			f = a.Transfer(f, n)
-			res.after[n] = f
 		}
 	}
 	return res

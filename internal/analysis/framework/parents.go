@@ -24,24 +24,3 @@ func BuildParents(root ast.Node) Parents {
 	})
 	return p
 }
-
-// EnclosingStmt returns the innermost statement containing n (or nil).
-func (p Parents) EnclosingStmt(n ast.Node) ast.Stmt {
-	for cur := n; cur != nil; cur = p[cur] {
-		if s, ok := cur.(ast.Stmt); ok {
-			return s
-		}
-	}
-	return nil
-}
-
-// Enclosing returns the nearest ancestor of n (inclusive) for which match
-// returns true.
-func (p Parents) Enclosing(n ast.Node, match func(ast.Node) bool) ast.Node {
-	for cur := n; cur != nil; cur = p[cur] {
-		if match(cur) {
-			return cur
-		}
-	}
-	return nil
-}

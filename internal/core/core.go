@@ -224,10 +224,11 @@ type Config struct {
 	// One block is stored per symmetric pair (see pairs.go): the partner's
 	// list slot applies it transposed.
 	CacheBlocks bool
-	// CacheSingle stores the interpolation bases and, with CacheBlocks, the
+	// CacheSingle stores the interpolation coefficients (each basis's T
+	// block; its identity columns are implicit) and, with CacheBlocks, the
 	// cached blocks in float32 (half the memory, the paper's
 	// single-precision storage regime); accumulation stays float64. Proj
-	// widens a basis back to float64.
+	// widens T exactly when it forms a full basis.
 	CacheSingle bool
 	// SampleRows bounds the number of importance-sampled rows used per
 	// skeletonization (default 4·MaxRank + LeafSize).
@@ -297,11 +298,23 @@ func (c Config) withDefaults(n int) Config {
 }
 
 // node holds the per-tree-node state of the compressed representation.
+//
+// A node's interpolation basis P (P_α̃α for a leaf, P_α̃[l̃r̃] for an
+// interior node) is s×c over its c candidate columns (the leaf's indices,
+// or [l̃; r̃]) and is [I T]Π by construction: each skeleton column
+// interpolates itself, and only the s×(c−s) block T of the redundant
+// columns carries information. The node stores T alone and the column
+// order Π as candidate positions; Proj forms the full P.
 type node struct {
 	skel []int // skeleton indices α̃ (original matrix indices)
-	// proj is P_α̃α (leaf) or P_α̃[l̃r̃] (interior), absent for the root;
-	// float32 under Config.CacheSingle.
-	proj block
+	// pos is Π: the candidate positions in the column order of [I T], the
+	// skeleton's in skeleton order (pos[k] holds skel[k]), then the
+	// redundant ones ascending. Nil for the root and for a node without
+	// candidates.
+	pos []int
+	// coef is T, float32 under Config.CacheSingle; absent when no
+	// column is redundant (s = c) or the rank is 0.
+	coef block
 	near []int // near node IDs (leaves only, includes self; sorted)
 	far  []int // far node IDs (after MergeFar; sorted)
 	// denseFallback marks a node whose sampled block could not reach Tol at
@@ -488,18 +501,34 @@ func (h *Hierarchical) runTasked(ctx context.Context, g *sched.Graph, sp *teleme
 	return err
 }
 
-// Proj returns a float64 copy of node id's interpolation matrix (P_α̃α for
-// leaves, P_α̃[l̃r̃] for interior nodes; nil for the root), for conversions
-// and inspection. A float32 basis is widened exactly.
+// Proj returns node id's interpolation matrix in float64 (P_α̃α for
+// leaves, P_α̃[l̃r̃] for interior nodes; nil for the root), for
+// conversions and inspection. It is the one place the full basis is
+// formed: an identity column per skeleton index and T's columns, widened
+// exactly from float32, at the redundant positions.
 func (h *Hierarchical) Proj(id int) *linalg.Matrix {
-	p := h.nodes[id].proj
-	switch {
-	case p.m32 != nil:
-		return p.m32.ToMatrix()
-	case p.m != nil:
-		return p.m.Clone()
+	nd := &h.nodes[id]
+	if nd.pos == nil {
+		return nil
 	}
-	return nil
+	s := len(nd.skel)
+	P := linalg.NewMatrix(s, len(nd.pos))
+	for k, c := range nd.pos[:s] {
+		P.Set(k, c, 1)
+	}
+	var T *linalg.Matrix
+	switch {
+	case nd.coef.m32 != nil:
+		T = nd.coef.m32.ToMatrix()
+	case nd.coef.m != nil:
+		T = nd.coef.m
+	}
+	if T != nil {
+		for j, c := range nd.pos[s:] {
+			copy(P.Col(c), T.Col(j))
+		}
+	}
+	return P
 }
 
 // Skeleton returns a copy of node id's skeleton indices α̃.

@@ -286,29 +286,34 @@ func (h *Hierarchical) newEvalState(r int, pool *workspace.Pool) *evalState {
 }
 
 // n2s computes the skeleton weights w̃α = P_α̃α w_α (leaf) or
-// P_α̃[l̃r̃] [w̃l; w̃r] (interior).
+// P_α̃[l̃r̃] [w̃l; w̃r] (interior) with the stored form P = [I T]Π: the
+// skeleton rows of the input seed w̃, and T times the redundant rows is
+// added to them.
 func (h *Hierarchical) n2s(st *evalState, id int) {
 	nd := &h.nodes[id]
-	if !nd.proj.ok() {
+	s := len(nd.skel)
+	if s == 0 {
 		return // root or skeleton-less node
 	}
 	t := h.Tree
-	s, _ := nd.proj.dims()
-	out := st.getMat(s, st.r)
+	var in *linalg.Matrix
 	if t.IsLeaf(id) {
 		tn := &t.Nodes[id]
-		wview := st.Wt.View(tn.Lo, 0, tn.Size(), st.r)
-		nd.proj.gemm(false, wview, 0, out)
-		st.addFlops(2 * float64(s) * float64(tn.Size()) * float64(st.r))
+		in = st.Wt.View(tn.Lo, 0, tn.Size(), st.r)
 	} else {
-		wl := st.skelW[t.Left(id)]
-		wr := st.skelW[t.Right(id)]
-		stacked := st.stackRows(wl, wr)
-		nd.proj.gemm(false, stacked, 0, out)
-		st.addFlops(2 * float64(s) * float64(stacked.Rows) * float64(st.r))
-		if st.pool != nil {
-			st.pool.PutMatrix(stacked) // transient: safe to recycle immediately
-		}
+		in = st.stackRows(st.skelW[t.Left(id)], st.skelW[t.Right(id)])
+	}
+	out := st.getMat(s, st.r)
+	in.RowsGatherInto(nd.pos[:s], out)
+	if nd.coef.ok() {
+		red := st.getMat(len(nd.pos)-s, st.r)
+		in.RowsGatherInto(nd.pos[s:], red)
+		nd.coef.gemm(false, red, 1, out)
+		st.addFlops(2 * float64(s) * float64(red.Rows) * float64(st.r))
+		st.pool.PutMatrix(red) // transient: safe to recycle immediately
+	}
+	if !t.IsLeaf(id) {
+		st.pool.PutMatrix(in)
 	}
 	st.skelW[id] = out
 }
@@ -344,8 +349,9 @@ func (h *Hierarchical) applySlot(st *evalState, kind listKind, id, k, alpha int,
 }
 
 // s2n pushes skeleton potentials down: ũβ += slice of parent's Pᵀũ, then
-// either hands its own Pᵀũβ to its children (interior) or accumulates
-// P_β̃βᵀ ũβ into the output rows (leaf).
+// either hands its own Pᵀũβ to its children (interior) or writes
+// P_β̃βᵀ ũβ into the output rows (leaf). With P = [I T]Π, Pᵀũ is ũ at
+// the skeleton rows and Tᵀũ at the redundant ones.
 func (h *Hierarchical) s2n(st *evalState, id int) {
 	t := h.Tree
 	nd := &h.nodes[id]
@@ -366,20 +372,25 @@ func (h *Hierarchical) s2n(st *evalState, id int) {
 		}
 	}
 	u := st.skelU[id]
-	if u == nil || u.Rows == 0 || !nd.proj.ok() {
+	s := len(nd.skel)
+	if u == nil || u.Rows == 0 || s == 0 {
 		return
 	}
-	s, c := nd.proj.dims()
+	var out *linalg.Matrix
 	if t.IsLeaf(id) {
 		tn := &t.Nodes[id]
-		uview := st.Ufar.View(tn.Lo, 0, tn.Size(), st.r)
-		nd.proj.gemm(true, u, 1, uview)
-		st.addFlops(2 * float64(s) * float64(tn.Size()) * float64(st.r))
+		out = st.Ufar.View(tn.Lo, 0, tn.Size(), st.r)
 	} else {
-		down := st.getMat(c, st.r)
-		nd.proj.gemm(true, u, 0, down)
-		st.down[id] = down
-		st.addFlops(2 * float64(s) * float64(c) * float64(st.r))
+		out = st.getMat(len(nd.pos), st.r)
+		st.down[id] = out
+	}
+	out.RowsScatter(nd.pos[:s], u)
+	if nd.coef.ok() {
+		red := st.getMat(len(nd.pos)-s, st.r)
+		nd.coef.gemm(true, u, 0, red)
+		out.RowsScatter(nd.pos[s:], red)
+		st.addFlops(2 * float64(s) * float64(red.Rows) * float64(st.r))
+		st.pool.PutMatrix(red)
 	}
 }
 

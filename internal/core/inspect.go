@@ -6,17 +6,18 @@ import (
 )
 
 // CompressedBytes returns the memory footprint of the compressed
-// representation in bytes (interpolation matrices, skeleton index lists,
-// interaction lists, cached blocks, permutation), counting each block in
-// the precision it is stored in and each symmetric pair's block once. The
-// paper's storage claim is O(N log N) versus the dense 8·N² — see Stats
-// and the compression-ratio tests.
+// representation in bytes (interpolation coefficients T and their column
+// order, skeleton index lists, interaction lists, cached blocks,
+// permutation), counting each block in the precision it is stored in and
+// each symmetric pair's block once. The paper's storage claim is
+// O(N log N) versus the dense 8·N² — see Stats and the compression-ratio
+// tests.
 func (h *Hierarchical) CompressedBytes() int64 {
 	var b int64
 	for id := range h.nodes {
 		nd := &h.nodes[id]
-		b += int64(len(nd.skel)+len(nd.near)+len(nd.far)) * 8
-		b += nd.proj.bytes()
+		b += int64(len(nd.skel)+len(nd.pos)+len(nd.near)+len(nd.far)) * 8
+		b += nd.coef.bytes()
 		for _, blk := range nd.cacheNear {
 			b += blk.bytes()
 		}

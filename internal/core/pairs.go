@@ -17,8 +17,8 @@ import (
 // rule covers both list modes. Caching, the interpreter, the plan lowering
 // and the store all resolve slots through slotOwner, so the rule lives here.
 
-// block is a constant operand — an interpolation basis or a cached near or
-// far block — stored in float64 (m) or in float32 (m32). The zero block is
+// block is a constant operand — a basis's T block or a cached near or far
+// block — stored in float64 (m) or in float32 (m32). The zero block is
 // absent.
 type block struct {
 	m   *linalg.Matrix

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -80,10 +81,10 @@ func TestPairsStoredOnce(t *testing.T) {
 			}
 			for id := range h.nodes {
 				nd := &h.nodes[id]
-				want += int64(len(nd.skel)+len(nd.near)+len(nd.far)) * 8
-				if rows, cols := nd.proj.dims(); nd.proj.ok() {
+				want += int64(len(nd.skel)+len(nd.pos)+len(nd.near)+len(nd.far)) * 8
+				if rows, cols := nd.coef.dims(); nd.coef.ok() {
 					want += prec * int64(rows) * int64(cols)
-					if cfg.CacheSingle != (nd.proj.m32 != nil) {
+					if cfg.CacheSingle != (nd.coef.m32 != nil) {
 						t.Fatalf("node %d basis precision does not follow CacheSingle", id)
 					}
 				}
@@ -153,11 +154,11 @@ func TestCachedOperatorSymmetric(t *testing.T) {
 	}
 }
 
-// TestStoreV3RoundTrip: a compiled float64-cached, float32-cached and
+// TestStoreV4RoundTrip: a compiled float64-cached, float32-cached and
 // NoSymmetrize operator each reload through SaveTo → LoadFrom, mapped and
 // portable, to the same plan digest and bit-identical replays at r = 1
 // and r = 16.
-func TestStoreV3RoundTrip(t *testing.T) {
+func TestStoreV4RoundTrip(t *testing.T) {
 	for _, v := range pairVariants {
 		t.Run(v.name, func(t *testing.T) {
 			cfg := pairsConfig()
@@ -202,9 +203,17 @@ func TestStoreV3RoundTrip(t *testing.T) {
 	}
 }
 
-// topoRefOffsets walks a topo payload and returns, per node, the byte
-// offsets of its near and far ref entries (nil for an absent list).
-func topoRefOffsets(t *testing.T, topo []byte) [][2][]int {
+// topoNode holds the byte offsets of one node's fields in a topo payload:
+// its skeleton entries, its T ref, and its near and far ref entries (nil
+// for an absent list).
+type topoNode struct {
+	skel []int
+	coef int
+	refs [2][]int
+}
+
+// topoNodes walks a topo payload and returns every node's field offsets.
+func topoNodes(t testing.TB, topo []byte) []topoNode {
 	t.Helper()
 	off := 0
 	next := func() int {
@@ -218,10 +227,14 @@ func topoRefOffsets(t *testing.T, topo []byte) [][2][]int {
 	}
 	skip(32) // matrix table
 	skip(8)  // permutation
-	out := make([][2][]int, next())
+	out := make([]topoNode, next())
 	for id := range out {
-		skip(8)  // skeleton
-		off += 8 // basis ref
+		for k := next(); k > 0; k-- {
+			out[id].skel = append(out[id].skel, off)
+			off += 8
+		}
+		out[id].coef = off
+		off += 8
 		nearLen := next()
 		off += 8 * nearLen
 		farLen := next()
@@ -234,7 +247,7 @@ func topoRefOffsets(t *testing.T, topo []byte) [][2][]int {
 				continue
 			}
 			for k := 0; k < count; k++ {
-				out[id][i] = append(out[id][i], off)
+				out[id].refs[i] = append(out[id].refs[i], off)
 				off += 8
 			}
 		}
@@ -245,16 +258,19 @@ func topoRefOffsets(t *testing.T, topo []byte) [][2][]int {
 	return out
 }
 
-// TestStoreV3RejectsOldAndMisownedPayloads: a payload of an older version,
-// a ref list that stores a block its partner owns and a ref list that
-// omits a block its node owns each fail with ErrBadFormat.
+// TestStoreV3RejectsOldAndMisownedPayloads: a payload of an older version
+// (3, whose bases held their identity columns, or 2), a ref list that
+// stores a block its partner owns and a ref list that omits a block its
+// node owns each fail with ErrBadFormat.
 func TestStoreV3RejectsOldAndMisownedPayloads(t *testing.T) {
 	f := newPayloadFixture(t, payloadConfig, false)
-	f.requireBadPayload(t, "v2 payload", store.SecMeta, patch64(f.meta, 0, 2))
+	for _, v := range []uint64{2, 3} {
+		f.requireBadPayload(t, fmt.Sprintf("v%d payload", v), store.SecMeta, patch64(f.meta, 0, v))
+	}
 
 	var partner, owned int
-	for _, node := range topoRefOffsets(t, f.topo) {
-		for _, offs := range node {
+	for _, node := range topoNodes(t, f.topo) {
+		for _, offs := range node.refs {
 			for _, off := range offs {
 				if int64(binary.LittleEndian.Uint64(f.topo[off:])) == -1 {
 					partner = off
@@ -278,6 +294,43 @@ func TestStoreV3RejectsOldAndMisownedPayloads(t *testing.T) {
 		err := f.requireBadPayload(t, c.name, store.SecTopo, patch64(f.topo, c.off, uint64(c.v)))
 		if err != nil && !strings.Contains(err.Error(), c.msg) {
 			t.Errorf("%s: got %v, want the ownership check", c.name, err)
+		}
+	}
+}
+
+// TestStoreRejectsBadBases: the loader derives each basis's column order
+// from its skeleton, so a skeleton index outside the node's candidates, a
+// repeated skeleton index, a T block that is not s×(c−s) and a missing T
+// each fail with ErrBadFormat. The cases edit node 1, a child of the root: no other
+// node's candidates hold its skeleton, so only its own check can fire.
+func TestStoreRejectsBadBases(t *testing.T) {
+	f := newPayloadFixture(t, payloadConfig, false)
+	nd := &f.h.nodes[1]
+	node := topoNodes(t, f.topo)[1]
+	if f.h.Tree.IsLeaf(1) || len(nd.skel) < 2 || !nd.coef.ok() {
+		t.Fatal("fixture's node 1 is not an interior node with rank ≥ 2 and a T block")
+	}
+	// An index of the right half of the tree, which node 1 does not hold.
+	outside := f.h.Tree.Perm[f.h.Tree.Nodes[2].Lo]
+	rec := int(binary.LittleEndian.Uint64(f.topo[node.coef:]))
+	colsOff := 8 + 32*rec + 16 // the cols field of node 1's T record
+	rows, cols := nd.coef.dims()
+	if got := binary.LittleEndian.Uint64(f.topo[colsOff:]); got != uint64(cols) || rows != len(nd.skel) {
+		t.Fatalf("node 1's T record reads %d columns, want %d", got, cols)
+	}
+	for _, c := range []struct {
+		name, msg string
+		off       int
+		v         uint64
+	}{
+		{"skeleton index outside the candidates", "outside the node's candidates", node.skel[0], uint64(outside)},
+		{"repeated skeleton index", "repeats", node.skel[1], uint64(nd.skel[0])},
+		{"mis-shaped T", "interpolation block", colsOff, uint64(cols - 1)},
+		{"missing T", "interpolation block", node.coef, math.MaxUint64},
+	} {
+		err := f.requireBadPayload(t, c.name, store.SecTopo, patch64(f.topo, c.off, c.v))
+		if err != nil && !strings.Contains(err.Error(), c.msg) {
+			t.Errorf("%s: got %v, want the basis check", c.name, err)
 		}
 	}
 }

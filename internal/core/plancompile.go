@@ -87,11 +87,19 @@ func (h *Hierarchical) DropPlan() { h.evalPlan.Store(nil) }
 //
 // Arena layout: Wt, Unear, Ufar (n rows each, tree order), then per
 // interior node one stacked region [w̃l; w̃r] whose halves ARE the
-// children's skeleton-weight buffers (no copy op needed), then skeleton
-// potentials ũ and hand-down buffers Pᵀũ for exactly the nodes the
-// reachability pass proves live, then one region per mirrored pair (see
-// lowerPairs). Every region has a unique writing task per stage, and every
-// region is written before it is read, so replays never zero the arena.
+// children's skeleton-weight buffers (no copy op needed), then per node
+// with a T block one region for its redundant rows (T's operand in N2S,
+// Tᵀũ in S2N), then skeleton potentials ũ and hand-down buffers Pᵀũ for
+// exactly the nodes the reachability pass proves live, then one region
+// per mirrored pair (see lowerPairs). Every region has a unique writing
+// task per stage, and every region is written before it is read, so
+// replays never zero the arena.
+//
+// A basis P = [I T]Π lowers to row records around one GEMM on T. N2S
+// gathers the input's skeleton rows into w̃ and its redundant rows into
+// the node's region, then adds T times that region to w̃. S2N scatters ũ
+// to the skeleton rows of its output and, through the region, Tᵀũ to the
+// redundant rows.
 func (h *Hierarchical) lowerPlan() (*plan.Plan, error) {
 	t := h.Tree
 	n := h.K.Dim()
@@ -113,7 +121,7 @@ func (h *Hierarchical) lowerPlan() (*plan.Plan, error) {
 		if p := t.Parent(id); p >= 0 && hasDown[p] && s > 0 {
 			hasU[id] = true
 		}
-		hasDown[id] = !t.IsLeaf(id) && nd.proj.ok() && hasU[id] && s > 0
+		hasDown[id] = !t.IsLeaf(id) && hasU[id]
 	}
 
 	// Region allocation. Sibling skeleton-weight buffers are laid out as
@@ -124,19 +132,16 @@ func (h *Hierarchical) lowerPlan() (*plan.Plan, error) {
 	ufar := b.Region(n)
 	skelW := make([]plan.Ref, nn)   // w̃ per node (zero Rows = absent)
 	stacked := make([]plan.Ref, nn) // [w̃l; w̃r] per interior node with a basis
+	red := make([]plan.Ref, nn)     // redundant rows per node with a T block
 	skelU := make([]plan.Ref, nn)   // ũ per node with hasU
 	down := make([]plan.Ref, nn)    // Pᵀũ per node with hasDown
-	projRows := func(id int) int {
-		rows, _ := h.nodes[id].proj.dims()
-		return rows
-	}
 	for id := 0; id < nn; id++ {
 		if t.IsLeaf(id) {
 			continue
 		}
 		l, r := t.Left(id), t.Right(id)
-		ra, rb := projRows(l), projRows(r)
-		if h.nodes[id].proj.ok() {
+		ra, rb := len(h.nodes[l].skel), len(h.nodes[r].skel)
+		if len(h.nodes[id].skel) > 0 {
 			base := b.Alloc(ra + rb)
 			stacked[id] = plan.Ref{Base: base, Sub: 0, Rows: ra + rb, Span: ra + rb}
 			if ra > 0 {
@@ -155,12 +160,15 @@ func (h *Hierarchical) lowerPlan() (*plan.Plan, error) {
 		}
 	}
 	for id := 0; id < nn; id++ {
+		nd := &h.nodes[id]
+		if nd.coef.ok() {
+			red[id] = b.Region(len(nd.pos) - len(nd.skel))
+		}
 		if hasU[id] {
-			skelU[id] = b.Region(len(h.nodes[id].skel))
+			skelU[id] = b.Region(len(nd.skel))
 		}
 		if hasDown[id] {
-			_, cols := h.nodes[id].proj.dims()
-			down[id] = b.Region(cols)
+			down[id] = b.Region(len(nd.pos))
 		}
 	}
 	// Sub-views of the three tree-order blocks (stride n).
@@ -177,16 +185,18 @@ func (h *Hierarchical) lowerPlan() (*plan.Plan, error) {
 	// Stage 0: permute the external input into tree order.
 	b.BeginStage("gather", false)
 	b.BeginTask()
-	b.Gather(t.Perm, wt)
+	b.Gather(plan.External, t.Perm, wt)
 
-	// N2S bottom-up, one barrier per level; a node's GEMM writes its w̃
-	// half of the parent's stacked region.
+	// N2S bottom-up, one barrier per level; a node's records write its w̃
+	// half of the parent's stacked region: the skeleton rows of its input,
+	// then T times the redundant rows added with beta = 1.
 	levels := t.LevelNodes()
 	for l := t.Depth; l >= 0; l-- {
 		opened := false
 		for _, id := range levels[l] {
 			nd := &h.nodes[id]
-			if !nd.proj.ok() {
+			s := len(nd.skel)
+			if s == 0 {
 				continue
 			}
 			if !opened {
@@ -194,11 +204,15 @@ func (h *Hierarchical) lowerPlan() (*plan.Plan, error) {
 				opened = true
 			}
 			b.BeginTask()
+			in := stacked[id]
 			if t.IsLeaf(id) {
 				tn := &t.Nodes[id]
-				nd.proj.emit(b, false, rows(wt, tn.Lo, tn.Size()), skelW[id], 0)
-			} else {
-				nd.proj.emit(b, false, stacked[id], skelW[id], 0)
+				in = rows(wt, tn.Lo, tn.Size())
+			}
+			b.Gather(in, nd.pos[:s], skelW[id])
+			if nd.coef.ok() {
+				b.Gather(in, nd.pos[s:], red[id])
+				nd.coef.emit(b, false, red[id], skelW[id], 1)
 			}
 		}
 	}
@@ -221,7 +235,8 @@ func (h *Hierarchical) lowerPlan() (*plan.Plan, error) {
 	})
 
 	// S2N top-down, one barrier per level: fold the parent's hand-down
-	// slice into ũ, then either hand Pᵀũ further down (interior) or emit
+	// slice into ũ, then write Pᵀũ, ũ to the skeleton rows and Tᵀũ to the
+	// redundant ones, either into the hand-down buffer (interior) or into
 	// the far-field output rows (leaf).
 	for l := 0; l <= t.Depth; l++ {
 		opened := false
@@ -238,7 +253,7 @@ func (h *Hierarchical) lowerPlan() (*plan.Plan, error) {
 				}
 			}
 			hasFold := fold.Rows > 0
-			hasOut := hasU[id] && s > 0 && nd.proj.ok()
+			hasOut := hasU[id]
 			// A leaf whose far field is empty still owns its Ufar rows;
 			// they must be cleared exactly once per replay.
 			zeroUfar := t.IsLeaf(id) && !hasOut
@@ -258,11 +273,15 @@ func (h *Hierarchical) lowerPlan() (*plan.Plan, error) {
 				}
 			}
 			if hasOut {
+				out := down[id]
 				if t.IsLeaf(id) {
 					tn := &t.Nodes[id]
-					nd.proj.emit(b, true, skelU[id], rows(ufar, tn.Lo, tn.Size()), 0)
-				} else {
-					nd.proj.emit(b, true, skelU[id], down[id], 0)
+					out = rows(ufar, tn.Lo, tn.Size())
+				}
+				b.Scatter(skelU[id], nd.pos[:s], out)
+				if nd.coef.ok() {
+					nd.coef.emit(b, true, skelU[id], red[id], 0)
+					b.Scatter(red[id], nd.pos[s:], out)
 				}
 			}
 			if zeroUfar {
@@ -276,7 +295,7 @@ func (h *Hierarchical) lowerPlan() (*plan.Plan, error) {
 	b.BeginStage("finish", false)
 	b.BeginTask()
 	b.Add(unear, ufar)
-	b.Scatter(ufar, t.IPerm)
+	b.Gather(ufar, t.IPerm, plan.External)
 
 	return b.Build()
 }

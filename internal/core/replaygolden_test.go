@@ -30,15 +30,15 @@ func TestReplayBitsGolden(t *testing.T) {
 		digest string
 		out    [3]string // r = 1, 2, 16
 	}{
-		{"f64", false, "daedf5d61328d67661e9198ad94c5a40ccd6de01247626784197635ec6e3d7df", [3]string{
-			"380f49e99e686b366cba4b11343e8a0bd3b4dbba1631ab37ab7af3ecd7e7febf",
-			"288551ec4e648d28fefe4586d36e3c6c6a0fecbca0c4563db58bd4f3cb536737",
-			"5137125f9b7986cd1ffe7b5504e16ad0d11fe132a26455a0c81b69bed1dddaf4",
+		{"f64", false, "861598f23126ca650f3052df3bc4668a8ac093065f897849328033a837e9c014", [3]string{
+			"fdb851eed7a6042575e07dc7079fe73e2542c44a0e240efc2393978001589b6d",
+			"7e835a3519fb7a2c2d33326f503ad48033caa477087a298133eeb97df79d3013",
+			"da2782f2409bed292fdd86abbbb24d3dba6808bdea76497fe998a9db2fb5f900",
 		}},
-		{"f32", true, "4cd2d7689e0dfd0474e29a4a7485ce5ba23e8d17ea89ae28a80c73ad4509e39b", [3]string{
-			"7e165e4cd4b64e36d62b941d852207308e0f6a1b9538a6f46e9c34034e60f9ef",
-			"39e9e291c4b10d5432adce20446482200007ec0cac57c854b7adda1ef7200a20",
-			"f42e53abe812ecf2419fbdf1087d33d50cac6fb37ef1d7b4e11be49772114f9e",
+		{"f32", true, "8ed2eb3686fff87c864d640b810cd4099112a75166d705e5aabcf70dbbf8dab2", [3]string{
+			"bec4b141919e90f6a26ed7c9311361c4cb2a73824fec51fc3f54f91848e9138d",
+			"9b1963fa9187f50a04961c8fcbdcb988231e5f8873e31b9d843ca6acf4265b3f",
+			"933c34e222bf73a91906067b826fca12e50068e204cc951baa31fafe38d4564f",
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -79,4 +79,62 @@ func bitsSHA256(M *linalg.Matrix) string {
 		}
 	}
 	return hex.EncodeToString(d.Sum(nil))
+}
+
+// TestProjBitsGolden pins the SHA-256 over every node's Proj(id) — its
+// shape and float64 bits, node by node — of K05 at n = 1024 compressed
+// with the bench's knobs, with float64 and with float32 bases. Proj forms
+// the full interpolation basis P from what the node stores, and the HSS
+// conversion (hss.FromGOFMM) is built from it, so a change to the basis
+// layout that drops or rounds an entry fails here. Like the replay golden
+// it skips without the AVX2+FMA kernels, whose rounding the compression's
+// kernel evaluations inherit.
+func TestProjBitsGolden(t *testing.T) {
+	if !linalg.AsmKernels() {
+		t.Skip("basis bits are pinned for the AVX2+FMA kernels")
+	}
+	K := smallK05(t)
+	for _, c := range []struct {
+		name   string
+		single bool
+		want   string
+	}{
+		{"f64", false, "c6e5b9e71f14fbc37275d33959903de1a32adaff9d16796430c4d72367acba9c"},
+		{"f32", true, "1ce5de2d3779215edb2591fa4bc1c053ee8d56bed388285c13e24172c3057cd4"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			h, err := Compress(K, Config{
+				LeafSize: 128, MaxRank: 128, Tol: 1e-5, Kappa: 32, Budget: 0.03,
+				Distance: Angle, Exec: Sequential, Seed: 1,
+				CacheBlocks: true, CacheSingle: c.single,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := sha256.New()
+			var b [8]byte
+			put := func(v uint64) {
+				binary.LittleEndian.PutUint64(b[:], v)
+				d.Write(b[:])
+			}
+			for id := range h.Tree.Nodes {
+				P := h.Proj(id)
+				put(uint64(id))
+				if P == nil {
+					put(math.MaxUint64)
+					continue
+				}
+				put(uint64(P.Rows))
+				put(uint64(P.Cols))
+				for j := 0; j < P.Cols; j++ {
+					for _, v := range P.Col(j) {
+						put(math.Float64bits(v))
+					}
+				}
+			}
+			if got := hex.EncodeToString(d.Sum(nil)); got != c.want {
+				t.Errorf("Proj bits SHA-256 %s, want %s", got, c.want)
+			}
+		})
+	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -119,7 +120,7 @@ func (h *Hierarchical) skelNode(id int, rng *rand.Rand) *skelWork {
 	}
 	rows := h.sampleRows(id, cols, rng)
 	if len(rows) == 0 {
-		// No complement (root-like): keep everything, identity coefficients.
+		// No complement (root-like): keep everything, identity interpolation.
 		h.nodes[id].skel = cols
 		return w
 	}
@@ -158,34 +159,43 @@ func (h *Hierarchical) skelNode(id int, rng *rand.Rand) *skelWork {
 	return w
 }
 
-// coefNode runs COEF(α): form P from the stored QR factor via a triangular
-// solve (s³ in Table 2).
+// coefNode runs COEF(α): order the candidate positions as the basis
+// P = [I T]Π takes them and form T = R₁₁⁻¹R₁₂ from the stored QR factor
+// via a triangular solve (s³ in Table 2), its columns in ascending
+// candidate order.
 func (h *Hierarchical) coefNode(id int, w *skelWork) {
+	nd := &h.nodes[id]
 	if w.fact == nil {
-		// Identity interpolation (root or degenerate node).
-		if h.nodes[id].skel != nil {
-			h.nodes[id].proj = h.storeBlock(linalg.Eye(len(h.nodes[id].skel)))
+		// Identity interpolation (root-like or dense-fallback node): every
+		// candidate is a skeleton column, in candidate order, and no T.
+		if len(nd.skel) > 0 {
+			nd.pos = make([]int, len(nd.skel))
+			for k := range nd.pos {
+				nd.pos[k] = k
+			}
 		}
 		return
 	}
-	s := w.fact.Rank
-	n := len(w.cols)
-	coef := linalg.NewMatrix(s, n)
-	for k := 0; k < s; k++ {
-		coef.Set(k, w.fact.Piv[k], 1)
-	}
-	if n > s {
-		T := linalg.NewMatrix(s, n-s)
-		for j := 0; j < n-s; j++ {
+	s, c := w.fact.Rank, len(w.cols)
+	piv := w.fact.Piv
+	nd.pos = append([]int(nil), piv...)
+	slices.Sort(nd.pos[s:])
+	if s > 0 && c > s {
+		T := linalg.NewMatrix(s, c-s)
+		for j := 0; j < c-s; j++ {
 			copy(T.Col(j), w.fact.QR.Col(s + j)[:s])
 		}
 		linalg.TrsmLeftUpper(false, w.fact.QR, T)
-		for j := 0; j < n-s; j++ {
-			copy(coef.Col(w.fact.Piv[s+j]), T.Col(j))
+		// Column j of T belongs to candidate piv[s+j]; store the columns
+		// in ascending candidate order, the order of pos[s:].
+		sorted := linalg.NewMatrix(s, c-s)
+		for j := 0; j < c-s; j++ {
+			k, _ := slices.BinarySearch(nd.pos[s:], piv[s+j])
+			copy(sorted.Col(k), T.Col(j))
 		}
-		h.addCompressFlops(float64(s) * float64(s) * float64(n-s))
+		nd.coef = h.storeBlock(sorted)
+		h.addCompressFlops(float64(s) * float64(s) * float64(c-s))
 	}
-	h.nodes[id].proj = h.storeBlock(coef)
 	w.fact = nil // release the factor
 }
 

@@ -13,8 +13,9 @@ import (
 // sections core writes:
 //
 //	meta : scalar payload version + dimensions + the Config snapshot
-//	topo : matrix table, permutation, per-node lists and matrix refs (one
-//	       per list slot; -1 where the partner owns the pair's block)
+//	topo : matrix table, permutation, per-node skeleton, T ref, lists and
+//	       matrix refs (one per list slot; -1 where the partner owns the
+//	       pair's block)
 //	plan : a presence byte, then (when set) the 32-byte digest of the
 //	       compiled plan, which the loader re-lowers and checks against it
 //	arena: raw little-endian column-major float data (one per precision)
@@ -31,7 +32,11 @@ const (
 	// Version 3 stores one block per symmetric near/far pair: each node
 	// has one near and one far ref list, with -1 at the slots whose block
 	// the partner owns, and a basis may be a float32 record.
-	storePayloadVersion = 3
+	// Version 4 stores each basis P = [I T]Π as its block T alone: s×(c−s)
+	// over the c candidate columns, its columns in ascending candidate
+	// order, ref -1 where no column is redundant. The loader derives Π
+	// from the skeleton and the tree.
+	storePayloadVersion = 4
 
 	// maxSerialDim bounds every dimension-like field in a payload. A
 	// corrupted or adversarial length field must produce ErrBadFormat, not

@@ -17,8 +17,9 @@ import (
 // mutation reaches the payload decoder and, through it, the plan lowering
 // that a compiled store's load runs on untrusted nodes. The seeds are a
 // small operator cached in float64, cached in float32 with float32 bases,
-// the same under NoSymmetrize lists, and uncached HSS (Budget 0), whose
-// store carries the blocks its plan gathered. ReadStore
+// the same under NoSymmetrize lists, uncached HSS (Budget 0), whose
+// store carries the blocks its plan gathered, and one whose dense-fallback
+// nodes keep every candidate (s = c, no T block). ReadStore
 // without an oracle must either fail with ErrBadFormat or return an
 // operator whose replay and interpreter return without a panic, recovered
 // or not.
@@ -27,14 +28,18 @@ func FuzzReadStore(f *testing.F) {
 		LeafSize: 16, MaxRank: 12, Tol: 1e-5, Kappa: 8, Budget: 0.1,
 		Distance: Kernel, Exec: Sequential, Seed: 31,
 	}
-	f64, f32, nosym, hss := base, base, base, base
+	f64, f32, nosym, hss, dense := base, base, base, base, base
 	f64.CacheBlocks = true
 	f32.CacheBlocks, f32.CacheSingle = true, true
 	nosym.CacheBlocks, nosym.CacheSingle, nosym.NoSymmetrize = true, true, true
 	hss.Budget = 0
+	dense.CacheBlocks, dense.MaxRank, dense.Tol, dense.Degrade = true, 4, 1e-12, DegradeDense
 	var images [][]store.Section
-	for _, cfg := range []Config{f64, f32, hss, nosym} {
+	for _, cfg := range []Config{f64, f32, hss, nosym, dense} {
 		h, _ := compressGauss(f, 128, cfg)
+		if cfg.Degrade == DegradeDense && len(h.DenseFallbacks()) == 0 {
+			f.Fatal("the dense-fallback image has no s = c node")
+		}
 		if _, err := h.CompilePlan(); err != nil {
 			f.Fatal(err)
 		}
@@ -53,6 +58,14 @@ func FuzzReadStore(f *testing.F) {
 	f.Add(uint8(2), uint8(0), uint8(2), uint32(0), []byte{1})       // payload version 1
 	f.Add(uint8(1), uint8(1), uint8(2), uint32(600), []byte{0xff})  // clobber a float32 ref list
 	f.Add(uint8(3), uint8(1), uint8(0), uint32(900), []byte{0x01})  // flip an asymmetric list
+	// Clobber node 1's skeleton list with a repeated index.
+	for _, sec := range images[0] {
+		if sec.Kind == store.SecTopo {
+			skel := topoNodes(f, sec.Data)[1].skel
+			f.Add(uint8(0), uint8(1), uint8(2), uint32(skel[1]), sec.Data[skel[0]:skel[0]+8])
+		}
+	}
+	f.Add(uint8(4), uint8(1), uint8(0), uint32(700), []byte{0x04}) // flip a bit of an s = c operator
 	f.Fuzz(func(t *testing.T, image, section, mode uint8, pos uint32, data []byte) {
 		sections := images[int(image)%len(images)]
 		kind := kinds[int(section)%len(kinds)]

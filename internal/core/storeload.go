@@ -185,6 +185,72 @@ func increasing(xs []int) bool {
 	return true
 }
 
+// basisOrder derives node id's basis column order Π from its skeleton:
+// the candidate position of each skeleton index (its row among the leaf's
+// indices, or in [l̃; r̃]), then the remaining positions ascending. It
+// fails on a skeleton index outside the candidates or repeated, a root
+// with a basis, and a stored T that is not s×(c−s), present where no
+// column is redundant or missing where one is.
+func (h *Hierarchical) basisOrder(id int) ([]int, error) {
+	t := h.Tree
+	nd := &h.nodes[id]
+	s := len(nd.skel)
+	if id == 0 {
+		if s > 0 || nd.coef.ok() {
+			return nil, fmt.Errorf("the root carries a basis")
+		}
+		return nil, nil
+	}
+	var c int
+	var at func(x int) (int, bool) // candidate position of index x
+	if t.IsLeaf(id) {
+		tn := &t.Nodes[id]
+		c = tn.Size()
+		at = func(x int) (int, bool) {
+			p := t.IPerm[x] - tn.Lo
+			return p, p >= 0 && p < c
+		}
+	} else {
+		where := make(map[int]int)
+		for _, child := range []int{t.Left(id), t.Right(id)} {
+			for _, x := range h.nodes[child].skel {
+				where[x] = c
+				c++
+			}
+		}
+		at = func(x int) (int, bool) {
+			p, ok := where[x]
+			return p, ok
+		}
+	}
+	var pos []int
+	if c > 0 {
+		pos = make([]int, 0, c)
+	}
+	taken := make([]bool, c)
+	for _, x := range nd.skel {
+		p, ok := at(x)
+		switch {
+		case !ok:
+			return nil, fmt.Errorf("skeleton index %d outside the node's candidates", x)
+		case taken[p]:
+			return nil, fmt.Errorf("skeleton index %d repeats", x)
+		}
+		taken[p] = true
+		pos = append(pos, p)
+	}
+	for p, in := range taken {
+		if !in {
+			pos = append(pos, p)
+		}
+	}
+	want := s > 0 && c > s
+	if rows, cols := nd.coef.dims(); nd.coef.ok() != want || want && (rows != s || cols != c-s) {
+		return nil, fmt.Errorf("interpolation block %d×%d for rank %d of %d candidates", rows, cols, s, c)
+	}
+	return pos, nil
+}
+
 // decodeStore parses a validated store container into an operator.
 func decodeStore(f *store.File, opts LoadOptions) (*Hierarchical, *StoreInfo, error) {
 	metab, ok := f.Section(store.SecMeta)
@@ -353,7 +419,7 @@ func decodeStore(f *store.File, opts LoadOptions) (*Hierarchical, *StoreInfo, er
 		}
 		nd := &h.nodes[id]
 		nd.skel = tr.ints(n)
-		nd.proj = refBlock(tr.i64())
+		nd.coef = refBlock(tr.i64())
 		nd.near = tr.ints(len(t.Nodes))
 		nd.far = tr.ints(len(t.Nodes))
 		nd.denseFallback = tr.boolean()
@@ -393,6 +459,18 @@ func decodeStore(f *store.File, opts LoadOptions) (*Hierarchical, *StoreInfo, er
 			_, dst := h.list(kind, id)
 			*dst = cache
 		}
+	}
+	// The bases' column order is derived, not stored, and checked against
+	// the stored T blocks.
+	for id := range h.nodes {
+		if tr.err() != nil {
+			break
+		}
+		pos, err := h.basisOrder(id)
+		if err != nil {
+			tr.failf("node %d: %v", id, err)
+		}
+		h.nodes[id].pos = pos
 	}
 	if err := tr.finish(); err != nil {
 		return nil, nil, err

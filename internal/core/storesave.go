@@ -12,7 +12,7 @@ import (
 
 // Saving a compressed operator into the on-disk store (gofmm.store/v1),
 // the one persisted form of an operator. The store packs every constant
-// matrix — interpolation bases and the owned near/far blocks, one per
+// matrix — each basis's T block and the owned near/far blocks, one per
 // symmetric pair, in the precision each is stored in — into one contiguous
 // 64-byte-aligned arena per precision,
 // addressed by a flat table of (precision, rows, cols, offset) records. A
@@ -100,17 +100,17 @@ func (h *Hierarchical) storeSections() ([]store.Section, error) {
 	// here, in float64 as the plan holds them, into the saved lists only.
 	var mt matTable
 
-	// Walk nodes in id order so arena layout is deterministic: proj first,
+	// Walk nodes in id order so arena layout is deterministic: T first,
 	// then the near and the far list. A list holds one ref per slot: the
 	// owned block, or -1 where the partner owns the block (see slotOwner).
 	type nodeRefs struct {
-		proj int64
+		coef int64
 		// near, far; nil when the node has no such list.
 		lists [2][]int64
 	}
 	refs := make([]nodeRefs, len(h.nodes))
 	for id := range h.nodes {
-		refs[id].proj = mt.ref(h.nodes[id].proj)
+		refs[id].coef = mt.ref(h.nodes[id].coef)
 		for i, kind := range []listKind{nearList, farList} {
 			lst, cache := h.list(kind, id)
 			blocks := *cache
@@ -158,7 +158,7 @@ func (h *Hierarchical) storeSections() ([]store.Section, error) {
 	for id := range h.nodes {
 		nd := &h.nodes[id]
 		topo.ints(nd.skel)
-		topo.i64(refs[id].proj)
+		topo.i64(refs[id].coef)
 		topo.ints(nd.near)
 		topo.ints(nd.far)
 		topo.boolean(nd.denseFallback)

@@ -219,16 +219,17 @@ func (m *Matrix) ColsGather(idx []int) *Matrix {
 	return out
 }
 
-// RowsScatterAdd adds the rows of src into rows idx of m: m[idx[k],:] += src[k,:].
-func (m *Matrix) RowsScatterAdd(idx []int, src *Matrix) {
+// RowsScatter copies the rows of src into rows idx of m:
+// m[idx[k],:] = src[k,:]. It is the inverse of RowsGatherInto.
+func (m *Matrix) RowsScatter(idx []int, src *Matrix) {
 	if len(idx) != src.Rows || m.Cols != src.Cols {
-		panic("linalg: RowsScatterAdd dimension mismatch")
+		panic("linalg: RowsScatter dimension mismatch")
 	}
 	for j := 0; j < m.Cols; j++ {
 		dst := m.Col(j)
 		s := src.Col(j)
 		for k, i := range idx {
-			dst[i] += s[k]
+			dst[i] = s[k]
 		}
 	}
 }

@@ -49,6 +49,11 @@ type Ref struct {
 	Span int // total rows of the region (the view's column stride)
 }
 
+// External stands for the replay's external n×r operands in OpGather
+// records: the input W as a source, the output U as a destination. It
+// addresses no arena rows.
+var External = Ref{Base: -1}
+
 // valid reports whether the ref addresses a well-formed slice of an arena
 // with arenaRows total rows.
 func (f Ref) valid(arenaRows int) bool {
@@ -56,12 +61,16 @@ func (f Ref) valid(arenaRows int) bool {
 		f.Base+f.Span <= arenaRows
 }
 
+// first returns the arena row of the view's first row.
+func (f Ref) first() int { return f.Base + f.Sub }
+
 // OpKind enumerates the replayable operation records.
 type OpKind uint8
 
 const (
-	// OpGather permutes the external input into an arena region:
-	// arena[C][k,:] = W[Idx[k],:].
+	// OpGather copies rows by index: dst[k,:] = src[Idx[k],:], where src is
+	// arena region B, or the external input W when B is External, and dst
+	// is arena region C, or the external output U when C is External.
 	OpGather OpKind = iota
 	// OpGemm is C = A·B + Beta·C with A a constant operand (an
 	// interpolation basis or a cached kernel block, optionally float32) and
@@ -73,8 +82,9 @@ const (
 	OpAdd
 	// OpZero clears arena region C.
 	OpZero
-	// OpScatter permutes an arena region into the external output:
-	// U[k,:] = arena[B][Idx[k],:].
+	// OpScatter copies the rows of arena region B to the rows of arena
+	// region C that Idx names: C[Idx[k],:] = B[k,:]. Idx holds no index
+	// twice.
 	OpScatter
 )
 
@@ -105,7 +115,7 @@ type Op struct {
 	A      *linalg.Matrix   // constant float64 operand (OpGemm)
 	A32    *linalg.Matrix32 // constant float32 operand (OpGemm, mixed precision)
 	B, C   Ref
-	Idx    []int // permutation (OpGather/OpScatter)
+	Idx    []int // row indices (OpGather/OpScatter)
 }
 
 // flopsPerCol returns the op's flop cost per RHS column, matching the
@@ -240,36 +250,61 @@ func (b *Builder) emit(op Op) {
 	b.ops = append(b.ops, op)
 }
 
-// Gather emits arena[dst] = W[idx, :]: one index per destination row, each
-// addressing a row of the n-row external input.
-func (b *Builder) Gather(idx []int, dst Ref) {
-	if len(idx) != dst.Rows {
-		b.fail("Gather: %d indices into %d rows", len(idx), dst.Rows)
+// Gather emits dst = src[idx, :]: one index per row of dst, each
+// addressing a row of src; an External src is the n-row input, an
+// External dst the n-row output.
+func (b *Builder) Gather(src Ref, idx []int, dst Ref) {
+	if len(idx) != b.extent(dst) {
+		b.fail("Gather: %d indices into %d rows", len(idx), b.extent(dst))
 		return
 	}
-	for _, v := range idx {
-		if v < 0 || v >= b.n {
-			b.fail("Gather: index %d outside the %d-row input", v, b.n)
-			return
-		}
+	if b.rowIndices("Gather", idx, b.extent(src), false) {
+		b.emit(Op{Kind: OpGather, Idx: idx, B: src, C: dst})
 	}
-	b.emit(Op{Kind: OpGather, Idx: idx, C: dst})
 }
 
-// Scatter emits U = arena[src][idx, :]: one index per row of the n-row
-// external output, each addressing a row of the source view.
-func (b *Builder) Scatter(src Ref, idx []int) {
-	if len(idx) != b.n {
-		b.fail("Scatter: %d indices for the %d-row output", len(idx), b.n)
+// Scatter emits dst[idx, :] = src between arena regions: one distinct
+// index per row of src, each addressing a row of dst.
+func (b *Builder) Scatter(src Ref, idx []int, dst Ref) {
+	if src == External || dst == External || len(idx) != src.Rows {
+		b.fail("Scatter: %d indices from %d rows", len(idx), src.Rows)
 		return
 	}
+	if b.rowIndices("Scatter", idx, dst.Rows, true) {
+		b.emit(Op{Kind: OpScatter, Idx: idx, B: src, C: dst})
+	}
+}
+
+// extent returns the rows of a gather's operand: the view's, or n for the
+// external input and output.
+func (b *Builder) extent(f Ref) int {
+	if f == External {
+		return b.n
+	}
+	return f.Rows
+}
+
+// rowIndices reports whether every index lies in [0, rows) and, when
+// distinct is set, none repeats; it records the failure when not.
+func (b *Builder) rowIndices(op string, idx []int, rows int, distinct bool) bool {
+	var seen []bool
+	if distinct {
+		seen = make([]bool, rows)
+	}
 	for _, v := range idx {
-		if v < 0 || v >= src.Rows {
-			b.fail("Scatter: index %d outside the %d-row source", v, src.Rows)
-			return
+		if v < 0 || v >= rows {
+			b.fail("%s: index %d outside %d rows", op, v, rows)
+			return false
+		}
+		if distinct {
+			if seen[v] {
+				b.fail("%s: index %d repeats", op, v)
+				return false
+			}
+			seen[v] = true
 		}
 	}
-	b.emit(Op{Kind: OpScatter, Idx: idx, B: src})
+	return true
 }
 
 // Gemm emits arena[dst] = op(A)·arena[src] + beta·arena[dst] with a
@@ -350,8 +385,8 @@ func (b *Builder) Build() (*Plan, error) {
 	}
 	for i := range b.ops {
 		op := &b.ops[i]
-		needB := op.Kind == OpGemm || op.Kind == OpCopy || op.Kind == OpAdd || op.Kind == OpScatter
-		needC := op.Kind != OpScatter
+		needB := op.Kind != OpZero && !(op.Kind == OpGather && op.B == External)
+		needC := !(op.Kind == OpGather && op.C == External)
 		if needB && !op.B.valid(b.arenaRows) {
 			return nil, fmt.Errorf("%w: plan: op %d (%s) reads invalid ref %+v",
 				resilience.ErrInvalidInput, i, op.Kind, op.B)
@@ -382,7 +417,8 @@ func (b *Builder) Build() (*Plan, error) {
 // to the replay guarantees: every arena row an op reads (B, and C where it
 // accumulates) was written by an earlier stage or earlier in the op's own
 // task, and a row one task of a parallel stage writes is touched by no
-// other task of that stage.
+// other task of that stage. A gather reads, and a scatter writes, only the
+// rows its indices name.
 func (b *Builder) checkDataflow() error {
 	// For arena row x, rows[x].w is 1 + the schedule-order index of the
 	// task that last wrote it, 0 while it is unwritten. Task indices grow
@@ -391,45 +427,78 @@ func (b *Builder) checkDataflow() error {
 	// that read it, or -first once two tasks of the stage starting at task
 	// first have.
 	rows := make([]struct{ w, r int32 }, b.arenaRows)
-	var cur int32
+	var cur, first int32
+	var st *Stage
+	var i int
+	read := func(x int) error {
+		row := &rows[x]
+		if row.w == 0 || (row.w >= first && row.w != cur) {
+			return fmt.Errorf("%w: plan: op %d (%s) in stage %q reads arena row %d, which no earlier stage and no earlier op of its task wrote",
+				resilience.ErrInvalidInput, i, b.ops[i].Kind, st.Name, x)
+		}
+		if row.r == -first || (row.r >= first && row.r != cur) {
+			row.r = -first
+		} else {
+			row.r = cur
+		}
+		return nil
+	}
+	write := func(x int) error {
+		row := &rows[x]
+		if st.Parallel && ((row.w >= first && row.w != cur) || row.r == -first || (row.r >= first && row.r != cur)) {
+			return fmt.Errorf("%w: plan: op %d (%s) writes arena row %d, which another task of parallel stage %q touches",
+				resilience.ErrInvalidInput, i, b.ops[i].Kind, x, st.Name)
+		}
+		row.w = cur
+		return nil
+	}
+	// visit applies fn to the rows of f, or to the rows idx names within
+	// f when idx is set.
+	visit := func(f Ref, idx []int, fn func(int) error) error {
+		if f == External {
+			return nil
+		}
+		if idx != nil {
+			for _, k := range idx {
+				if err := fn(f.first() + k); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		for x := f.first(); x < f.first()+f.Rows; x++ {
+			if err := fn(x); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	for si := range b.stages {
-		st := &b.stages[si]
-		first := cur + 1
+		st = &b.stages[si]
+		first = cur + 1
 		for _, tk := range st.tasks {
 			cur++
-			for i := tk.Lo; i < tk.Hi; i++ {
+			for i = tk.Lo; i < tk.Hi; i++ {
 				op := &b.ops[i]
-				reads := [2]Ref{}
-				if op.Kind != OpGather && op.Kind != OpZero {
-					reads[0] = op.B
+				var readIdx, writeIdx []int // nil: the whole view
+				switch op.Kind {
+				case OpGather:
+					readIdx = op.Idx
+				case OpScatter:
+					writeIdx = op.Idx
 				}
-				if op.Kind == OpAdd || (op.Kind == OpGemm && op.Beta != 0) {
-					reads[1] = op.C
+				var err error
+				if op.Kind != OpZero {
+					err = visit(op.B, readIdx, read)
 				}
-				for _, f := range reads {
-					for x := f.Base + f.Sub; x < f.Base+f.Sub+f.Rows; x++ {
-						row := &rows[x]
-						if row.w == 0 || (row.w >= first && row.w != cur) {
-							return fmt.Errorf("%w: plan: op %d (%s) in stage %q reads arena row %d, which no earlier stage and no earlier op of its task wrote",
-								resilience.ErrInvalidInput, i, op.Kind, st.Name, x)
-						}
-						if row.r == -first || (row.r >= first && row.r != cur) {
-							row.r = -first
-						} else {
-							row.r = cur
-						}
-					}
+				if err == nil && (op.Kind == OpAdd || (op.Kind == OpGemm && op.Beta != 0)) {
+					err = visit(op.C, nil, read)
 				}
-				if op.Kind == OpScatter {
-					continue
+				if err == nil {
+					err = visit(op.C, writeIdx, write)
 				}
-				for x := op.C.Base + op.C.Sub; x < op.C.Base+op.C.Sub+op.C.Rows; x++ {
-					row := &rows[x]
-					if st.Parallel && ((row.w >= first && row.w != cur) || row.r == -first || (row.r >= first && row.r != cur)) {
-						return fmt.Errorf("%w: plan: op %d (%s) writes arena row %d, which another task of parallel stage %q touches",
-							resilience.ErrInvalidInput, i, op.Kind, x, st.Name)
-					}
-					row.w = cur
+				if err != nil {
+					return err
 				}
 			}
 		}

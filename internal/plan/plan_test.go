@@ -26,13 +26,13 @@ func buildDense(t *testing.T, A *linalg.Matrix) *Plan {
 	}
 	b.BeginStage("gather", false)
 	b.BeginTask()
-	b.Gather(perm, wt)
+	b.Gather(External, perm, wt)
 	b.BeginStage("compute", true)
 	b.BeginTask()
 	b.Gemm(false, A, wt, out, 0)
 	b.BeginStage("finish", false)
 	b.BeginTask()
-	b.Scatter(out, perm)
+	b.Gather(out, perm, External)
 	p, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestStackedRefAliasing(t *testing.T) {
 	perm := []int{0, 1, 2, 3}
 	b.BeginStage("gather", false)
 	b.BeginTask()
-	b.Gather(perm, wt)
+	b.Gather(External, perm, wt)
 	b.BeginStage("children", true)
 	b.BeginTask()
 	b.Gemm(false, Bl, Ref{Base: wt.Base, Sub: 0, Rows: 2, Span: 4}, top, 0)
@@ -93,7 +93,7 @@ func TestStackedRefAliasing(t *testing.T) {
 	b.Gemm(false, P, stacked, out, 0)
 	b.BeginStage("finish", false)
 	b.BeginTask()
-	b.Scatter(out, perm)
+	b.Gather(out, perm, External)
 	p, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -125,6 +125,42 @@ func TestStackedRefAliasing(t *testing.T) {
 	}
 }
 
+// TestRowRecords replays gathers and scatters between arena regions, the
+// records an interpolation basis lowers to: two gathers split the input's
+// rows, a scatter pair writes them back to a region in a new order, and
+// the output gather permutes that region into U.
+func TestRowRecords(t *testing.T) {
+	b := NewBuilder(4)
+	wt, x, y, out := b.Region(4), b.Region(2), b.Region(2), b.Region(4)
+	b.BeginStage("gather", false)
+	b.BeginTask()
+	b.Gather(External, []int{2, 0, 3, 1}, wt) // wt = W[2, 0, 3, 1]
+	b.BeginStage("split", true)
+	b.BeginTask()
+	b.Gather(wt, []int{3, 0}, x) // x = W[1, 2]
+	b.BeginTask()
+	b.Gather(wt, []int{1, 2}, y) // y = W[0, 3]
+	b.BeginStage("merge", false)
+	b.BeginTask()
+	b.Scatter(x, []int{0, 3}, out) // out = W[1, 3, 0, 2]
+	b.Scatter(y, []int{2, 1}, out)
+	b.Gather(out, []int{2, 0, 3, 1}, External) // U = W
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	W := linalg.GaussianMatrix(rand.New(rand.NewSource(9)), 4, 3)
+	U := linalg.NewMatrix(4, 3)
+	for _, workers := range []int{1, 2} {
+		if err := p.Execute(context.Background(), W, U, ExecOptions{Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		if !linalg.EqualApprox(U, W, 0) {
+			t.Fatalf("workers=%d: row records did not round-trip the input", workers)
+		}
+	}
+}
+
 // buildBatchable lowers a parallel stage of `tasks` single-GEMM tasks with
 // identical 2×2 shapes over disjoint regions.
 func buildBatchable(t *testing.T, tasks int, A *linalg.Matrix) *Plan {
@@ -139,7 +175,7 @@ func buildBatchable(t *testing.T, tasks int, A *linalg.Matrix) *Plan {
 	}
 	b.BeginStage("gather", false)
 	b.BeginTask()
-	b.Gather(perm, wt)
+	b.Gather(External, perm, wt)
 	b.BeginStage("blocks", true)
 	for k := 0; k < tasks; k++ {
 		b.BeginTask()
@@ -149,7 +185,7 @@ func buildBatchable(t *testing.T, tasks int, A *linalg.Matrix) *Plan {
 	}
 	b.BeginStage("finish", false)
 	b.BeginTask()
-	b.Scatter(out, perm)
+	b.Gather(out, perm, External)
 	p, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -254,12 +290,51 @@ func TestBuilderRejectsMalformedLowerings(t *testing.T) {
 		{"gather arity", func(b *Builder) {
 			b.BeginStage("s", false)
 			b.BeginTask()
-			b.Gather([]int{0, 1}, b.Region(3))
+			b.Gather(External, []int{0, 1}, b.Region(3))
 		}},
 		{"scatter arity", func(b *Builder) {
 			b.BeginStage("s", false)
 			b.BeginTask()
-			b.Scatter(b.Region(3), []int{0})
+			b.Scatter(b.Region(3), []int{0}, b.Region(3))
+		}},
+		{"row index out of range", func(b *Builder) {
+			// Index 2 of the two-row x is y's first row, which is written,
+			// so only the index check can catch it.
+			x, y, z := b.Region(2), b.Region(2), b.Region(2)
+			b.BeginStage("s", false)
+			b.BeginTask()
+			b.Zero(x)
+			b.Zero(y)
+			b.Gather(x, []int{0, 2}, z)
+		}},
+		{"scatter repeats a row", func(b *Builder) {
+			x, d := b.Region(2), b.Region(2)
+			b.BeginStage("s", false)
+			b.BeginTask()
+			b.Zero(x)
+			b.Scatter(x, []int{1, 1}, d)
+		}},
+		{"scatter pair leaves a row unwritten", func(b *Builder) {
+			x, y, d, e := b.Region(2), b.Region(1), b.Region(4), b.Region(4)
+			b.BeginStage("s", false)
+			b.BeginTask()
+			b.Zero(x)
+			b.Zero(y)
+			b.Scatter(x, []int{0, 2}, d)
+			b.Scatter(y, []int{3}, d)
+			b.Copy(d, e) // row 1 of d was never written
+		}},
+		{"two tasks of a parallel stage scatter into one region", func(b *Builder) {
+			x, y, d := b.Region(2), b.Region(2), b.Region(3)
+			b.BeginStage("init", false)
+			b.BeginTask()
+			b.Zero(x)
+			b.Zero(y)
+			b.BeginStage("s", true)
+			b.BeginTask()
+			b.Scatter(x, []int{0, 1}, d)
+			b.BeginTask()
+			b.Scatter(y, []int{2, 1}, d)
 		}},
 		{"copy mismatch", func(b *Builder) {
 			b.BeginStage("s", false)

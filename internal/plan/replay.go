@@ -39,15 +39,16 @@ type ExecOptions struct {
 type replayState struct {
 	r     int
 	arena *workspace.Arena
-	bview []*linalg.Matrix // per-op B operand header (nil where unused)
-	cview []*linalg.Matrix // per-op C operand header (nil where unused)
+	bview []*linalg.Matrix // per-op B operand header (nil where unused or External)
+	cview []*linalg.Matrix // per-op C operand header (nil where External)
 
 	// levels holds the parallel replay closures, one level per stage,
 	// built lazily on first parallel Execute and rebound through W/U below.
 	levels [][]func()
 
 	// External bindings of the current replay, set by Execute before the
-	// ops run and cleared after. Gather reads W; Scatter writes U.
+	// ops run and cleared after: the input and the output of External
+	// gathers.
 	W, U *linalg.Matrix
 }
 
@@ -67,14 +68,11 @@ func (p *Plan) newState(r int, pool *workspace.Pool) *replayState {
 	}
 	for i := range p.ops {
 		op := &p.ops[i]
-		switch op.Kind {
-		case OpGemm, OpCopy, OpAdd:
+		if op.Kind != OpZero && op.B != External {
 			st.bview[i] = st.bind(op.B)
+		}
+		if op.C != External {
 			st.cview[i] = st.bind(op.C)
-		case OpGather, OpZero:
-			st.cview[i] = st.bind(op.C)
-		case OpScatter:
-			st.bview[i] = st.bind(op.B)
 		}
 	}
 	return st
@@ -190,7 +188,14 @@ func (p *Plan) runTask(st *replayState, lo, hi int) {
 		op := &p.ops[i]
 		switch op.Kind {
 		case OpGather:
-			st.W.RowsGatherInto(op.Idx, st.cview[i])
+			src, dst := st.bview[i], st.cview[i]
+			if op.B == External {
+				src = st.W
+			}
+			if op.C == External {
+				dst = st.U
+			}
+			src.RowsGatherInto(op.Idx, dst)
 		case OpGemm:
 			// One call per precision: the linalg entry picks the kernel from
 			// the record's orientation and the replay width alone, so width-1
@@ -208,7 +213,7 @@ func (p *Plan) runTask(st *replayState, lo, hi int) {
 		case OpZero:
 			st.cview[i].Zero()
 		case OpScatter:
-			st.bview[i].RowsGatherInto(op.Idx, st.U)
+			st.cview[i].RowsScatter(op.Idx, st.bview[i])
 		}
 	}
 }
