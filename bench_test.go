@@ -7,7 +7,6 @@ package gofmm
 // sampling) and micro-benchmarks of the linalg substrate.
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -286,54 +285,19 @@ func BenchmarkAblateCacheSingle(b *testing.B) {
 	ablate(b, c)
 }
 
-// matvecBenchSetup is the shared fixture of the fresh-vs-pooled matvec
-// benchmarks: identical operator, identical weights (fixed RNG seed), so the
-// timings differ only in buffer management. When pooled is set the operator
-// gets a workspace pool and the evaluation runs sequentially — the
-// configuration the allocs/op acceptance target is stated for.
-func matvecBenchSetup(b *testing.B, pooled bool) (*core.Hierarchical, *linalg.Matrix) {
-	b.Helper()
+// BenchmarkMatvecFreshBuffers times the sequential tree interpreter on
+// K05 at n = 1024 with four right-hand sides; every call allocates its own
+// scratch.
+func BenchmarkMatvecFreshBuffers(b *testing.B) {
 	p := experiments.GetProblem("K05", 1024, 1)
-	cfg := baseCfg()
-	if pooled {
-		cfg.Exec = core.Sequential
-		cfg.Workspace = NewWorkspacePool()
-	}
-	h, err := core.Compress(p.K, cfg)
+	h, err := core.Compress(p.K, baseCfg())
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(7))
-	return h, linalg.GaussianMatrix(rng, p.K.Dim(), 4)
-}
-
-func BenchmarkMatvecFreshBuffers(b *testing.B) {
-	h, W := matvecBenchSetup(b, false)
+	W := linalg.GaussianMatrix(rand.New(rand.NewSource(7)), p.K.Dim(), 4)
 	h.Cfg.Exec = core.Sequential
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Matvec(W)
-	}
-}
-
-// BenchmarkMatvecPooled is the steady-state zero-allocation path: a
-// compiled, pooled operator replaying its plan into a caller-owned output
-// through MatvecInto (0 allocs/op with telemetry off).
-func BenchmarkMatvecPooled(b *testing.B) {
-	h, W := matvecBenchSetup(b, true)
-	ctx := context.Background()
-	if _, err := h.CompilePlanCtx(ctx); err != nil {
-		b.Fatal(err)
-	}
-	U := linalg.NewMatrix(W.Rows, W.Cols)
-	if err := h.MatvecInto(ctx, W, U); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := h.MatvecInto(ctx, W, U); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

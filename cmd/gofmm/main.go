@@ -33,7 +33,6 @@ import (
 	"gofmm/internal/spdmat"
 	"gofmm/internal/telemetry"
 	"gofmm/internal/telemetry/live"
-	"gofmm/internal/workspace"
 )
 
 func main() {
@@ -62,7 +61,6 @@ func run(args []string, out io.Writer) error {
 		r         = fs.Int("r", 16, "number of right-hand sides")
 		seed      = fs.Int64("seed", 1, "RNG seed")
 		nocache   = fs.Bool("nocache", false, "disable near/far block caching")
-		pool      = fs.Bool("pool", false, "pool evaluation/solve scratch buffers (workspace.* counters)")
 		structure = fs.Bool("structure", false, "print the leaf-level block structure (Figure 2 style)")
 		dotFile   = fs.String("dot", "", "write the evaluation dependency DAG (Figure 3) to this file in DOT format")
 		storeFile = fs.String("store", "", "write a gofmm.store/v1 operator store (flat arena + compiled-plan digest, servable by gofmmd -store-dir) to this file after compression")
@@ -173,12 +171,6 @@ func run(args []string, out io.Writer) error {
 		NumWorkers: *workers, Seed: *seed, CacheBlocks: !*nocache,
 		Points: p.Points, Telemetry: rec, Chaos: chaos,
 	}
-	var ws *workspace.Pool
-	if *pool {
-		ws = workspace.New()
-		ws.AttachTelemetry(rec)
-		cfg.Workspace = ws
-	}
 	switch *degrade {
 	case "truncate":
 		cfg.Degrade = core.DegradeTruncate
@@ -220,7 +212,7 @@ func run(args []string, out io.Writer) error {
 	if *loadFile != "" {
 		h, _, err = core.LoadFrom(*loadFile, core.LoadOptions{
 			Exec: cfg.Exec, NumWorkers: cfg.NumWorkers,
-			Workspace: cfg.Workspace, Telemetry: cfg.Telemetry,
+			Telemetry: cfg.Telemetry,
 		})
 		if err != nil {
 			return err
@@ -331,12 +323,6 @@ func run(args []string, out io.Writer) error {
 		evalS, evalFlops := h.LastEval()
 		fmt.Fprintf(out, "evaluation (%d rhs): %.4fs, %.2f GFLOP, %.2f GFLOPS\n",
 			*r, evalS, evalFlops/1e9, evalFlops/evalS/1e9)
-	}
-
-	if ws != nil {
-		s := ws.Stats()
-		fmt.Fprintf(out, "workspace pool: %d hits, %d misses, %d returns, %.1f MB reused\n",
-			s.Hits, s.Misses, s.Returns, float64(s.BytesReused)/1e6)
 	}
 
 	entry := h.EntryErrors(W, U, 10)

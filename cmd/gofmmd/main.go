@@ -42,7 +42,6 @@ import (
 	"gofmm/internal/spdmat"
 	"gofmm/internal/telemetry"
 	"gofmm/internal/telemetry/live"
-	"gofmm/internal/workspace"
 )
 
 func main() {
@@ -167,8 +166,6 @@ func run(args []string, out io.Writer) error {
 	lv.SetReady(false) // warming up: compressing operators
 
 	reg := serve.NewRegistry(rec)
-	pool := workspace.New()
-	pool.AttachTelemetry(rec)
 	lim := serve.Limits{
 		Admission: serve.AdmissionConfig{
 			MaxConcurrent: *maxConc, MaxQueue: *maxQueue, RetryAfter: *retryAfter,
@@ -189,7 +186,7 @@ func run(args []string, out io.Writer) error {
 			name := strings.TrimSuffix(e.Name(), ".store")
 			t0 := time.Now()
 			h, info, err := core.LoadFrom(filepath.Join(*storeDir, e.Name()), core.LoadOptions{
-				Mmap: *storeMmap, NumWorkers: *workers, Workspace: pool, Telemetry: rec,
+				Mmap: *storeMmap, NumWorkers: *workers, Telemetry: rec,
 			})
 			if err != nil {
 				return fmt.Errorf("loading %s: %w", e.Name(), err)
@@ -214,7 +211,7 @@ func run(args []string, out io.Writer) error {
 		cfg := core.Config{
 			LeafSize: *m, MaxRank: *s, Tol: *tol, Kappa: *kappa, Budget: *budget,
 			NumWorkers: *workers, Seed: *seed, CacheBlocks: true,
-			Points: p.Points, Telemetry: rec, Workspace: pool,
+			Points: p.Points, Telemetry: rec,
 		}
 		t0 := time.Now()
 		h, err := core.CompressCtx(ctx, p.K, cfg)
@@ -247,7 +244,6 @@ func run(args []string, out io.Writer) error {
 			Batch:      batch,
 			Limits:     lim,
 			NumWorkers: *workers,
-			Workspace:  pool,
 		}
 	}
 	srv, err := serve.NewServer(scfg)

@@ -57,8 +57,6 @@ func pr8Bench(w io.Writer, n int, seed int64, rec *telemetry.Recorder) *telemetr
 	rr.Metrics["plan_ops"] = float64(pl.NumOps())
 	rr.Metrics["plan_stages"] = float64(pl.NumStages())
 	rr.Metrics["plan_tasks"] = float64(pl.NumTasks())
-	rr.Metrics["plan_batched_gemms"] = float64(pl.BatchedGemms())
-	rr.Metrics["plan_gemm_batches"] = float64(pl.GemmBatches())
 	fmt.Fprintf(w, "compiled %s in %.1f ms\n", pl, h.Stats.PlanTime*1e3)
 
 	best := func(reps int, f func()) time.Duration {

@@ -42,7 +42,6 @@ import (
 	"gofmm/internal/resilience"
 	"gofmm/internal/sched"
 	"gofmm/internal/telemetry"
-	"gofmm/internal/workspace"
 )
 
 // Matrix is a dense column-major matrix (element (i,j) at Data[j*Stride+i]).
@@ -296,21 +295,6 @@ type RunRecord = telemetry.RunRecord
 
 // NewRunRecord starts a named run record.
 func NewRunRecord(name string) *RunRecord { return telemetry.NewRunRecord(name) }
-
-// WorkspacePool is a size-classed buffer pool for the transient scratch of
-// Matvec, Factor and Solve. Attach one via Config.Workspace to make
-// repeated evaluations allocation-free in steady state; nil keeps the
-// historical allocate-per-call behavior. Safe for concurrent use. Pooling
-// never changes results: pooled and unpooled paths run the same kernels in
-// the same order. Call AttachTelemetry to publish hit/miss/bytes-reused
-// counters ("workspace.*") to a Recorder.
-type WorkspacePool = workspace.Pool
-
-// WorkspaceStats is a point-in-time snapshot of a pool's counters.
-type WorkspaceStats = workspace.Stats
-
-// NewWorkspacePool returns an empty workspace pool.
-func NewWorkspacePool() *WorkspacePool { return workspace.New() }
 
 // --- Batched evaluation --------------------------------------------------
 

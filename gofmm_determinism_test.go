@@ -25,7 +25,7 @@ func determinismConfig(workers int) Config {
 	return Config{
 		LeafSize: 32, MaxRank: 48, Tol: 1e-5, Kappa: 8, Budget: 0.05,
 		Distance: core.Angle, Exec: core.Dynamic, NumWorkers: workers,
-		Seed: 42, CacheBlocks: true, Workspace: NewWorkspacePool(),
+		Seed: 42, CacheBlocks: true,
 	}
 }
 

@@ -39,7 +39,7 @@ func TestPlanConcurrentReplayStorm(t *testing.T) {
 	cfg := Config{
 		LeafSize: 32, MaxRank: 48, Tol: 1e-5, Kappa: 8, Budget: 0.05,
 		Distance: core.Angle, Exec: core.Dynamic, NumWorkers: 4, Seed: 11,
-		CacheBlocks: true, Workspace: NewWorkspacePool(),
+		CacheBlocks: true,
 	}
 	h, err := Compress(NewDense(K), cfg)
 	if err != nil {

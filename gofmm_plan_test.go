@@ -49,7 +49,6 @@ func planCompress(t *testing.T, K *Matrix, dist core.Distance, tol float64, fixe
 	cfg := Config{
 		LeafSize: 32, MaxRank: 48, Kappa: 8, Budget: 0.05,
 		Distance: dist, Exec: core.Sequential, Seed: 3, CacheBlocks: true,
-		Workspace: NewWorkspacePool(),
 	}
 	if fixedRank {
 		// An unreachable tolerance saturates every node at MaxRank.

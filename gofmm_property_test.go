@@ -13,9 +13,8 @@ package gofmm
 //	    tolerance).
 //
 // The harness sweeps {angle, kernel} × {adaptive, fixed-rank} over
-// randomized SPD matrices, so a regression in any pass kernel, the
-// workspace threading, or the batched entry point trips at least one
-// identity.
+// randomized SPD matrices, so a regression in any pass kernel or the
+// batched entry point trips at least one identity.
 
 import (
 	"math"
@@ -61,7 +60,6 @@ func propertyCompress(t *testing.T, K *Matrix, dist core.Distance, adaptive bool
 	cfg := Config{
 		LeafSize: 32, MaxRank: 48, Kappa: 8, Budget: 0.05,
 		Distance: dist, Exec: core.Sequential, Seed: 3, CacheBlocks: true,
-		Workspace: NewWorkspacePool(),
 	}
 	if adaptive {
 		cfg.Tol = 1e-5

@@ -2,7 +2,7 @@
 // a testdata directory and checks its diagnostics against `// want "regexp"`
 // annotations, in the style of x/tools' analysistest. Golden packages live
 // in testdata/src/<pkg>/*.go; imports between golden packages resolve from
-// the same tree (so a stub `workspace` package can mimic the real API), and
+// the same tree (so a stub `telemetry` package can mimic the real API), and
 // standard-library imports resolve through export data from the local
 // toolchain. When a file has an associated <file>.golden, the suggested
 // fixes reported for that file are applied and the result must match.

@@ -18,7 +18,6 @@ import (
 	"gofmm/internal/analysis/lockguard"
 	"gofmm/internal/analysis/mmaplife"
 	"gofmm/internal/analysis/refcount"
-	"gofmm/internal/analysis/scopecheck"
 	"gofmm/internal/analysis/spancheck"
 	"gofmm/internal/analysis/unsafeview"
 )
@@ -31,8 +30,8 @@ type Entry struct {
 
 // All returns the registered suite in stable order.
 //
-//   - scopecheck, spancheck: pooling and span contracts hold everywhere —
-//     including internal/telemetry/live, whose HTTP handlers produce spans.
+//   - spancheck: the span contract holds everywhere — including
+//     internal/telemetry/live, whose HTTP handlers produce spans.
 //   - ctxcheck: context discipline is an internal/ convention; cmd/ mains
 //     legitimately start at context.Background. internal/telemetry/live is
 //     covered: handlers must thread the request context (r.Context()) into
@@ -64,7 +63,6 @@ type Entry struct {
 //   - unsafeview: the allowlist is the point — it must see every package.
 func All() []Entry {
 	return []Entry{
-		{scopecheck.Analyzer, everywhere},
 		{spancheck.Analyzer, everywhere},
 		{ctxcheck.Analyzer, underAny("gofmm/internal/")},
 		{detorder.Analyzer, underAny(

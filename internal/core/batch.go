@@ -255,8 +255,7 @@ func (e *BatchEvaluator) drain() {
 }
 
 // flush assembles the pending requests into one n×cols block, evaluates it
-// with a single Matmat, and scatters per-request results. All assembly
-// scratch comes from the configured workspace pool.
+// with a single Matmat, and scatters per-request results.
 //
 // Each flush mints its own trace ID: the flush span carries it, every
 // member request gets a zero-length "batch.request" child span linking the
@@ -323,15 +322,13 @@ func (e *BatchEvaluator) flush(batch []*batchReq) {
 		rec.Counter("batch.flushes").Add(1)
 	}
 	n := e.h.K.Dim()
-	pool := e.h.Cfg.Workspace
-	X := pool.GetMatrix(n, cols)
+	X := linalg.NewMatrix(n, cols)
 	at := 0
 	for _, req := range live {
 		X.View(0, at, n, req.W.Cols).CopyFrom(req.W)
 		at += req.W.Cols
 	}
 	U, err := e.h.MatmatCtx(telemetry.ContextWithTraceID(e.ctx, flushID), X)
-	pool.PutMatrix(X)
 	if err != nil {
 		fsp.SetAttr("error", err.Error())
 		for _, req := range live {
@@ -347,7 +344,4 @@ func (e *BatchEvaluator) flush(batch []*batchReq) {
 		at += k
 		req.out <- batchRes{U: out}
 	}
-	// U was freshly allocated by MatmatCtx; file it in the pool for the
-	// next assembly of a similar size.
-	pool.PutMatrix(U)
 }

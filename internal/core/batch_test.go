@@ -23,7 +23,7 @@ import (
 
 // batchTestOperator compresses a small Gauss-kernel problem with the
 // dynamic executor, chaos-injected task failures (exercising the scheduler
-// retry path inside batched evaluations), telemetry and a workspace pool.
+// retry path inside batched evaluations) and telemetry.
 func batchTestOperator(t *testing.T) *Hierarchical {
 	t.Helper()
 	rec := telemetry.New()
@@ -33,7 +33,6 @@ func batchTestOperator(t *testing.T) *Hierarchical {
 		Distance: Kernel, Exec: Dynamic, NumWorkers: 2, Seed: 1,
 		CacheBlocks: true, Telemetry: rec, Chaos: chaos,
 	})
-	h.Cfg.Workspace = nil // pool attached per test where wanted
 	return h
 }
 

@@ -260,11 +260,10 @@ type Config struct {
 	// if no task completes for this long while work remains, CompressCtx
 	// fails with ErrStalled naming the stuck frontier. 0 disables.
 	StallTimeout time.Duration
-	// Workspace, when non-nil, supplies the per-call scratch of Matvec (and
-	// of the HSS layer that inherits this Config) from a size-classed buffer
-	// pool instead of the allocator, so steady-state evaluation traffic
-	// stops churning the GC. Nil keeps the historical allocate-per-call
-	// behavior. The pool is safe for concurrent use across evaluations.
+	// Workspace, when non-nil, counts the arena each new replay binding
+	// allocates (plan.ExecOptions.Pool); nothing else reads it. It stays
+	// only for the benchmark's workspace.hit_frac and goes in the last step
+	// of ROADMAP item 11.
 	Workspace *workspace.Pool
 }
 

@@ -14,7 +14,6 @@ import (
 	"gofmm/internal/resilience"
 	"gofmm/internal/sched"
 	"gofmm/internal/telemetry"
-	"gofmm/internal/workspace"
 )
 
 // evalState holds the per-Matvec buffers of Algorithm 2.7.
@@ -29,10 +28,6 @@ type evalState struct {
 	// down[α] = P_α̃[l̃r̃]ᵀ · ũα, the contribution node α hands its children
 	// during S2N (nil for leaves and skeleton-less nodes).
 	down []*linalg.Matrix
-	// pool, when non-nil, is where every buffer above came from and where
-	// release() returns them. Kernels must route transient matrices through
-	// getMat so pooled and unpooled evaluations stay byte-identical.
-	pool *workspace.Pool
 	// flops is this evaluation's flop count; the passes add to it from
 	// every worker.
 	flops atomic.Int64
@@ -40,31 +35,6 @@ type evalState struct {
 
 // addFlops adds f to the evaluation's flop count.
 func (st *evalState) addFlops(f float64) { st.flops.Add(int64(f)) }
-
-// getMat returns a zeroed rows×cols scratch matrix, pooled when possible.
-func (st *evalState) getMat(rows, cols int) *linalg.Matrix {
-	return st.pool.GetMatrix(rows, cols) // nil pool falls back to NewMatrix
-}
-
-// release returns every buffer to the pool. Safe to call with nil pool
-// (no-op) and with nil entries; the state must not be used afterwards.
-func (st *evalState) release() {
-	if st.pool == nil {
-		return
-	}
-	st.pool.PutMatrix(st.Wt)
-	st.pool.PutMatrix(st.Unear)
-	st.pool.PutMatrix(st.Ufar)
-	for _, m := range st.skelW {
-		st.pool.PutMatrix(m)
-	}
-	for _, m := range st.skelU {
-		st.pool.PutMatrix(m)
-	}
-	for _, m := range st.down {
-		st.pool.PutMatrix(m)
-	}
-}
 
 // Matvec computes U ≈ K·W for an N×r block of right-hand sides using the
 // compressed representation (Algorithm 2.7: N2S, S2S, S2N, L2L) under the
@@ -100,11 +70,10 @@ func (h *Hierarchical) InterpMatvecCtx(ctx context.Context, W *linalg.Matrix) (*
 // W.Cols; W and U must not overlap. With a compiled plan installed
 // (CompilePlanCtx, or a load of a store saved compiled) it replays the
 // plan straight into U, and with telemetry off a steady-state call
-// allocates nothing: the replay arena comes from the plan's state cache
-// (or Config.Workspace). On an uncompiled operator it runs the tree
-// interpreter and allocates exactly as MatvecCtx does, minus the output.
-// Errors are those of MatvecCtx, plus ErrInvalidInput for a nil or
-// mis-shaped U.
+// allocates nothing: the replay arena comes from the plan's state cache.
+// On an uncompiled operator it runs the tree interpreter and allocates
+// exactly as MatvecCtx does, minus the output. Errors are those of
+// MatvecCtx, plus ErrInvalidInput for a nil or mis-shaped U.
 func (h *Hierarchical) MatvecInto(ctx context.Context, W, U *linalg.Matrix) error {
 	if U == nil {
 		return fmt.Errorf("%w: core: matvec output is nil", resilience.ErrInvalidInput)
@@ -244,16 +213,13 @@ func (h *Hierarchical) LastEval() (seconds, flops float64) {
 }
 
 // interpret is the tree interpreter behind evaluations of an operator
-// without a compiled plan: one symbolic traversal and one workspace scope
-// serve the whole n×r block, so the per-pass kernels are r-wide GEMMs, and
-// the result lands in the caller's U. sp is the enclosing span (nil when
-// telemetry is off); the executors hang the four passes off it. It returns
-// the evaluation's flop count.
+// without a compiled plan: one symbolic traversal and one set of
+// allocated buffers serve the whole n×r block, so the per-pass kernels are
+// r-wide GEMMs, and the result lands in the caller's U. sp is the
+// enclosing span (nil when telemetry is off); the executors hang the four
+// passes off it. It returns the evaluation's flop count.
 func (h *Hierarchical) interpret(ctx context.Context, W, U *linalg.Matrix, sp *telemetry.Span) (float64, error) {
-	st := h.newEvalState(W.Cols, h.Cfg.Workspace)
-	// Release everything back to the pool on every exit path; U belongs to
-	// the caller and is never pooled.
-	defer st.release()
+	st := h.newEvalState(W.Cols)
 	W.RowsGatherInto(h.Tree.Perm, st.Wt)
 	var err error
 	if h.Cfg.tasked() {
@@ -269,19 +235,17 @@ func (h *Hierarchical) interpret(ctx context.Context, W, U *linalg.Matrix, sp *t
 	return float64(st.flops.Load()), nil
 }
 
-// newEvalState allocates the buffers of an r-wide evaluation, from pool
-// when it is non-nil.
-func (h *Hierarchical) newEvalState(r int, pool *workspace.Pool) *evalState {
+// newEvalState allocates the buffers of an r-wide evaluation.
+func (h *Hierarchical) newEvalState(r int) *evalState {
 	n, nodes := h.K.Dim(), len(h.Tree.Nodes)
 	return &evalState{
 		r:     r,
-		Wt:    pool.GetMatrix(n, r),
-		Unear: pool.GetMatrix(n, r),
-		Ufar:  pool.GetMatrix(n, r),
+		Wt:    linalg.NewMatrix(n, r),
+		Unear: linalg.NewMatrix(n, r),
+		Ufar:  linalg.NewMatrix(n, r),
 		skelW: make([]*linalg.Matrix, nodes),
 		skelU: make([]*linalg.Matrix, nodes),
 		down:  make([]*linalg.Matrix, nodes),
-		pool:  pool,
 	}
 }
 
@@ -303,17 +267,13 @@ func (h *Hierarchical) n2s(st *evalState, id int) {
 	} else {
 		in = st.stackRows(st.skelW[t.Left(id)], st.skelW[t.Right(id)])
 	}
-	out := st.getMat(s, st.r)
+	out := linalg.NewMatrix(s, st.r)
 	in.RowsGatherInto(nd.pos[:s], out)
 	if nd.coef.ok() {
-		red := st.getMat(len(nd.pos)-s, st.r)
+		red := linalg.NewMatrix(len(nd.pos)-s, st.r)
 		in.RowsGatherInto(nd.pos[s:], red)
 		nd.coef.gemm(false, red, 1, out)
 		st.addFlops(2 * float64(s) * float64(red.Rows) * float64(st.r))
-		st.pool.PutMatrix(red) // transient: safe to recycle immediately
-	}
-	if !t.IsLeaf(id) {
-		st.pool.PutMatrix(in)
 	}
 	st.skelW[id] = out
 }
@@ -324,7 +284,7 @@ func (h *Hierarchical) s2s(st *evalState, id int) {
 	if len(nd.far) == 0 || len(nd.skel) == 0 {
 		return
 	}
-	acc := st.getMat(len(nd.skel), st.r)
+	acc := linalg.NewMatrix(len(nd.skel), st.r)
 	for k, alpha := range nd.far {
 		wa := st.skelW[alpha]
 		if wa == nil || wa.Rows == 0 {
@@ -366,7 +326,7 @@ func (h *Hierarchical) s2n(st *evalState, id int) {
 		}
 		if part.Rows > 0 {
 			if st.skelU[id] == nil {
-				st.skelU[id] = st.getMat(part.Rows, st.r)
+				st.skelU[id] = linalg.NewMatrix(part.Rows, st.r)
 			}
 			st.skelU[id].AddScaled(1, part)
 		}
@@ -381,16 +341,15 @@ func (h *Hierarchical) s2n(st *evalState, id int) {
 		tn := &t.Nodes[id]
 		out = st.Ufar.View(tn.Lo, 0, tn.Size(), st.r)
 	} else {
-		out = st.getMat(len(nd.pos), st.r)
+		out = linalg.NewMatrix(len(nd.pos), st.r)
 		st.down[id] = out
 	}
 	out.RowsScatter(nd.pos[:s], u)
 	if nd.coef.ok() {
-		red := st.getMat(len(nd.pos)-s, st.r)
+		red := linalg.NewMatrix(len(nd.pos)-s, st.r)
 		nd.coef.gemm(true, u, 0, red)
 		out.RowsScatter(nd.pos[s:], red)
 		st.addFlops(2 * float64(s) * float64(red.Rows) * float64(st.r))
-		st.pool.PutMatrix(red)
 	}
 }
 
@@ -408,8 +367,7 @@ func (h *Hierarchical) l2l(st *evalState, beta int) {
 	}
 }
 
-// stackRows returns [a; b] (either may be nil/empty) as a pooled scratch
-// matrix; the caller returns it to the pool when done.
+// stackRows returns [a; b] (either may be nil/empty) as a new matrix.
 func (st *evalState) stackRows(a, b *linalg.Matrix) *linalg.Matrix {
 	ra, rb := 0, 0
 	if a != nil {
@@ -418,7 +376,7 @@ func (st *evalState) stackRows(a, b *linalg.Matrix) *linalg.Matrix {
 	if b != nil {
 		rb = b.Rows
 	}
-	out := st.getMat(ra+rb, st.r)
+	out := linalg.NewMatrix(ra+rb, st.r)
 	if ra > 0 {
 		out.View(0, 0, ra, st.r).CopyFrom(a)
 	}
@@ -534,5 +492,5 @@ func (h *Hierarchical) buildEvalGraph(st *evalState) *sched.Graph {
 // paper, generated from the actual symbolic traversal) in Graphviz DOT
 // format, without executing anything.
 func (h *Hierarchical) EvalGraphDOT(w io.Writer) error {
-	return h.buildEvalGraph(h.newEvalState(1, nil)).WriteDOT(w)
+	return h.buildEvalGraph(h.newEvalState(1)).WriteDOT(w)
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // Matmat computes U ≈ K·X for an n×r block of right-hand sides — the
-// batched form of Matvec. One symbolic traversal and one workspace scope
-// serve the whole block, so every N2S/S2S/S2N/L2L kernel runs as an r-wide
+// batched form of Matvec. One replay (or one interpreter traversal)
+// serves the whole block, so every N2S/S2S/S2N/L2L kernel runs as an r-wide
 // GEMM instead of r GEMV-shaped passes; at r ≥ 16 the register-tiled
 // kernels saturate and a single Matmat substantially outruns r Matvec
 // calls (see `repro pr4`). Column j of the result is bit-identical to

@@ -62,7 +62,6 @@ func (h *Hierarchical) CompilePlanCtx(ctx context.Context) (*plan.Plan, error) {
 	if rec != nil {
 		rec.Counter("plan.compiles").Add(1)
 		rec.Gauge("plan.ops").Set(float64(p.NumOps()))
-		rec.Gauge("plan.batched_gemms").Set(float64(p.BatchedGemms()))
 		rec.Gauge("plan.stages").Set(float64(p.NumStages()))
 		rec.Gauge("plan.arena_rows").Set(float64(p.ArenaRows()))
 	}

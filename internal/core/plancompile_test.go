@@ -45,6 +45,7 @@ func TestCompiledPlanMatchesInterpreter(t *testing.T) {
 		{"cached32", 384, wide, func(c *Config) { c.CacheSingle = true }},
 		{"uncached", 384, narrow, func(c *Config) { c.CacheBlocks = false }},
 		{"hss", 384, narrow, func(c *Config) { c.Budget = 0 }},
+		// The benchmark's configuration: Config.Workspace counts the arenas.
 		{"pooled", 384, narrow, func(c *Config) { c.Workspace = workspace.New() }},
 		{"fixedrank", 1280, wide, fixedRank},
 		{"fixedrank32", 1280, wide, func(c *Config) { fixedRank(c); c.CacheSingle = true }},
@@ -193,7 +194,6 @@ func TestEvaluatorRepeatedCallsIndependent(t *testing.T) {
 	cfg := Config{
 		LeafSize: 32, MaxRank: 24, Tol: 1e-6, Kappa: 8, Budget: 0.1,
 		Distance: Kernel, Exec: Sequential, Seed: 152, CacheBlocks: true,
-		Workspace: workspace.New(),
 	}
 	h, _ := compressGauss(t, 300, cfg)
 	rng := rand.New(rand.NewSource(153))
@@ -218,9 +218,7 @@ func TestEvaluatorRepeatedCallsIndependent(t *testing.T) {
 // beta-0 writes where the interpreter zeroes then accumulates), and replays
 // into the same U are bit-identical to each other and to Matvec.
 func TestEvaluatorReplaysPlan(t *testing.T) {
-	cfg := planConfig()
-	cfg.Workspace = workspace.New()
-	h, _ := compressGauss(t, 256, cfg)
+	h, _ := compressGauss(t, 256, planConfig())
 	rng := rand.New(rand.NewSource(13))
 	W := linalg.GaussianMatrix(rng, 256, 2)
 	want := matvecInto(t, h, W)
@@ -279,7 +277,7 @@ func TestMatvecIntoRejectsWrongShape(t *testing.T) {
 }
 
 // TestMatvecIntoAllocs is the zero-allocation contract of the replay
-// engine: on a compiled, pooled, Sequential operator with telemetry off, a
+// engine: on a compiled, Sequential operator with telemetry off, a
 // steady-state MatvecInto allocates nothing at any width, with float64 and
 // with float32 cached blocks.
 func TestMatvecIntoAllocs(t *testing.T) {
@@ -289,7 +287,6 @@ func TestMatvecIntoAllocs(t *testing.T) {
 	for _, single := range []bool{false, true} {
 		cfg := planConfig()
 		cfg.CacheSingle = single
-		cfg.Workspace = workspace.New()
 		const n = 1024
 		h, _ := compressGauss(t, n, cfg)
 		if _, err := h.CompilePlan(); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -134,6 +135,54 @@ func TestProjBitsGolden(t *testing.T) {
 			}
 			if got := hex.EncodeToString(d.Sum(nil)); got != c.want {
 				t.Errorf("Proj bits SHA-256 %s, want %s", got, c.want)
+			}
+		})
+	}
+}
+
+// TestInterpBitsGolden pins the SHA-256 of the tree interpreter's width 1
+// and 16 outputs (InterpMatvecCtx) of K05 at n = 1024, compressed with the
+// bench's knobs on the Dynamic executor with two workers, with float64
+// and with float32 cached blocks. Where the interpreter's scratch comes
+// from must not move these bits. Like the replay golden it skips without
+// the AVX2+FMA kernels.
+func TestInterpBitsGolden(t *testing.T) {
+	if !linalg.AsmKernels() {
+		t.Skip("interpreter bits are pinned for the AVX2+FMA kernels")
+	}
+	K := smallK05(t)
+	for _, c := range []struct {
+		name   string
+		single bool
+		out    [2]string // r = 1, 16
+	}{
+		{"f64", false, [2]string{
+			"366c93768a06711a9af40514384e76ec42d625f686362b8bda8ebc6545c2ca93",
+			"1903e9f4e1b21238e8eb6863f9b84c4b39c9be388f7b81b2a9c741b80fc82ff3",
+		}},
+		{"f32", true, [2]string{
+			"f83da79594f023c388d6573f635aa2cc52f732735138abc1f3ca10567dfc5878",
+			"b653cf9b4e261505d08f546d467e23d91a69a167dffdbdc6b87537ee4d5040e2",
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			h, err := Compress(K, Config{
+				LeafSize: 128, MaxRank: 128, Tol: 1e-5, Kappa: 32, Budget: 0.03,
+				Distance: Angle, Exec: Dynamic, NumWorkers: 2, Seed: 1,
+				CacheBlocks: true, CacheSingle: c.single,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range []int{1, 16} {
+				W := linalg.GaussianMatrix(rand.New(rand.NewSource(int64(r))), K.Dim(), r)
+				U, err := h.InterpMatvecCtx(context.Background(), W)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := bitsSHA256(U); got != c.out[i] {
+					t.Errorf("r=%d: output SHA-256 %s, want %s", r, got, c.out[i])
+				}
 			}
 		})
 	}

@@ -41,8 +41,7 @@ import (
 // ErrBadFormat, never a panic.
 
 // LoadOptions configures LoadFrom. The zero value is a sequentialish
-// portable load: no mmap, Dynamic executor with one worker, no pooling, no
-// telemetry.
+// portable load: no mmap, Dynamic executor with one worker, no telemetry.
 type LoadOptions struct {
 	// Mmap requests the zero-copy mapped load. On failure of any kind the
 	// load silently falls back to the portable path; StoreInfo.Mapped reports
@@ -51,9 +50,11 @@ type LoadOptions struct {
 	// Exec and NumWorkers seed the returned operator's executor config.
 	Exec       ExecMode
 	NumWorkers int
-	// Workspace and Telemetry attach the evaluation scratch pool and the
-	// metrics recorder, as in Config.
+	// Workspace is Config.Workspace of the loaded operator. It stays only
+	// for the benchmark's workspace.hit_frac and goes in the last step of
+	// ROADMAP item 11.
 	Workspace *workspace.Pool
+	// Telemetry attaches the metrics recorder, as in Config.
 	Telemetry *telemetry.Recorder
 }
 

@@ -38,7 +38,6 @@ func FromGOFMM(g *core.Hierarchical) (*HSS, error) {
 		Perm:      append([]int(nil), t.Perm...),
 		IPerm:     append([]int(nil), t.IPerm...),
 		Telemetry: g.Cfg.Telemetry,
-		Workspace: g.Cfg.Workspace,
 	}
 	for id := range t.Nodes {
 		if t.IsLeaf(id) {

@@ -1,9 +1,11 @@
 package hss
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"gofmm/internal/core"
@@ -105,4 +107,55 @@ func TestFromGOFMMRejectsFMMMode(t *testing.T) {
 	if _, err := FromGOFMM(g); !errors.Is(err, ErrNotHSS) {
 		t.Fatalf("expected ErrNotHSS, got %v", err)
 	}
+}
+
+// TestConcurrentSolves runs 8 goroutines × 5 solves on one factorization,
+// as gofmmd's solve endpoint does, and requires each output to match a
+// serial solve of the same right-hand side bit for bit: every call owns
+// its scratch, and the factors are only read.
+func TestConcurrentSolves(t *testing.T) {
+	rng := rand.New(rand.NewSource(142))
+	n := 400
+	g, err := core.Compress(denseOracle{gauss2D(rng, n, 0.6)}, core.Config{
+		LeafSize: 64, MaxRank: 64, Tol: 1e-11, Kappa: 8, Budget: 0,
+		Distance: core.Kernel, Exec: core.Sequential, Seed: 2, CacheBlocks: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := FromGOFMM(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := h.Factor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines, solves = 8, 5
+	rhs := make([]*linalg.Matrix, solves)
+	want := make([]string, solves)
+	for k := range rhs {
+		rhs[k] = linalg.GaussianMatrix(rng, n, 1+k%3)
+		want[k] = bitsSHA256(f.Solve(rhs[k]))
+	}
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for w := 0; w < goroutines; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < solves; i++ {
+				k := (w + i) % solves
+				X, err := f.SolveCtx(ctx, rhs[k])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if bitsSHA256(X) != want[k] {
+					t.Errorf("goroutine %d: solve of rhs %d differs from the serial solve", w, k)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -15,7 +15,6 @@ import (
 	"gofmm/internal/linalg"
 	"gofmm/internal/telemetry"
 	"gofmm/internal/tree"
-	"gofmm/internal/workspace"
 )
 
 // Oracle is the matrix access HSS compression needs: entries (for selected
@@ -96,11 +95,6 @@ type HSS struct {
 	// Telemetry records factor/solve phase spans; nil disables recording.
 	// FromGOFMM inherits it from the source operator's Config.Telemetry.
 	Telemetry *telemetry.Recorder
-	// Workspace, when non-nil, pools the transient scratch of Factor/Solve
-	// (Schur-solve intermediates, stacked right-hand sides). Persistent
-	// factors and returned solutions are never pooled. FromGOFMM inherits it
-	// from the source operator's Config.Workspace.
-	Workspace *workspace.Pool
 }
 
 // skelSize returns the skeleton size of node id (0 for the root).

@@ -7,7 +7,6 @@ import (
 	"gofmm/internal/linalg"
 	"gofmm/internal/resilience"
 	"gofmm/internal/tree"
-	"gofmm/internal/workspace"
 )
 
 // Factorization is a direct solver for the compressed operator K̃ — the
@@ -140,12 +139,6 @@ func (h *HSS) Factor() (*Factorization, error) {
 func (h *HSS) FactorCtx(ctx context.Context) (*Factorization, error) {
 	defer h.Telemetry.StartSpan("hss.factor").End()
 	t := h.Tree
-	// Transient per-node scratch (D⁻¹E, the coupled system, M⁻¹E, diag(S)·X)
-	// comes from the workspace pool when one is configured; the persisted
-	// factors (chol, schur, lu) never do — LUFactor and MatMul allocate their
-	// own storage.
-	sc := h.Workspace.NewScope()
-	defer sc.Release()
 	f := &Factorization{
 		h:     h,
 		chol:  make([]*linalg.Matrix, len(t.Nodes)),
@@ -178,14 +171,14 @@ func (h *HSS) FactorCtx(ctx context.Context) (*Factorization, error) {
 			f.chol[id] = L
 			// S = Eᵀ D⁻¹ E.
 			E := h.nodes[id].E
-			DinvE := cloneInto(sc, E)
+			DinvE := E.Clone()
 			linalg.CholSolve(L, DinvE)
 			f.schur[id] = linalg.MatMul(true, false, E, DinvE)
 			return
 		}
 		l, r := t.Left(id), t.Right(id)
 		sl, sr := f.schur[l], f.schur[r]
-		M := coupledSystem(sc, h.nodes[id].B, sl, sr)
+		M := coupledSystem(h.nodes[id].B, sl, sr)
 		lu, lam, lerr := luJittered(M)
 		if lerr != nil {
 			err = fmt.Errorf("hss: node %d reduced system: %w", id, lerr)
@@ -199,9 +192,9 @@ func (h *HSS) FactorCtx(ctx context.Context) (*Factorization, error) {
 		f.lu[id] = lu
 		// S_α = E_αᵀ · diag(S) · M⁻¹ · E_α.
 		E := h.nodes[id].E
-		MinvE := cloneInto(sc, E)
+		MinvE := E.Clone()
 		lu.Solve(MinvE)
-		DS := applyDiagSchur(sc, sl, sr, MinvE)
+		DS := applyDiagSchur(sl, sr, MinvE)
 		f.schur[id] = linalg.MatMul(true, false, E, DS)
 	})
 	if err != nil {
@@ -214,18 +207,11 @@ func (h *HSS) FactorCtx(ctx context.Context) (*Factorization, error) {
 	return f, nil
 }
 
-// cloneInto copies A into a scope-owned scratch matrix (A stays untouched).
-func cloneInto(sc *workspace.Scope, A *linalg.Matrix) *linalg.Matrix {
-	out := sc.Matrix(A.Rows, A.Cols)
-	out.CopyFrom(A)
-	return out
-}
-
-// coupledSystem forms M = I + [0 B; Bᵀ 0]·diag(S_l, S_r) in scope scratch
-// (its LU factorization clones it, so M itself is transient).
-func coupledSystem(sc *workspace.Scope, B, sl, sr *linalg.Matrix) *linalg.Matrix {
+// coupledSystem forms M = I + [0 B; Bᵀ 0]·diag(S_l, S_r) (its LU
+// factorization clones it, so M itself is transient).
+func coupledSystem(B, sl, sr *linalg.Matrix) *linalg.Matrix {
 	nl, nr := sl.Rows, sr.Rows
-	M := sc.Matrix(nl+nr, nl+nr)
+	M := linalg.NewMatrix(nl+nr, nl+nr)
 	for i := 0; i < nl+nr; i++ {
 		M.Set(i, i, 1)
 	}
@@ -239,10 +225,9 @@ func coupledSystem(sc *workspace.Scope, B, sl, sr *linalg.Matrix) *linalg.Matrix
 	return M
 }
 
-// applyDiagSchur returns diag(S_l, S_r)·X for X with S_l.Rows+S_r.Rows rows,
-// in scope scratch.
-func applyDiagSchur(sc *workspace.Scope, sl, sr, X *linalg.Matrix) *linalg.Matrix {
-	out := sc.Matrix(X.Rows, X.Cols)
+// applyDiagSchur returns diag(S_l, S_r)·X for X with S_l.Rows+S_r.Rows rows.
+func applyDiagSchur(sl, sr, X *linalg.Matrix) *linalg.Matrix {
+	out := linalg.NewMatrix(X.Rows, X.Cols)
 	nl := sl.Rows
 	if nl > 0 {
 		linalg.Gemm(false, false, 1, sl, X.View(0, 0, nl, X.Cols), 0, out.View(0, 0, nl, X.Cols))
@@ -256,10 +241,9 @@ func applyDiagSchur(sc *workspace.Scope, sl, sr, X *linalg.Matrix) *linalg.Matri
 // Solve returns x with K̃·x = B (multiple right-hand sides supported: both
 // sweeps process all of B's columns as one block, so a multi-column solve
 // amortizes every small factor application the same way Matmat amortizes
-// the evaluation passes). The returned matrix is always freshly allocated;
-// all intermediate sweeps draw from the workspace pool when one is
-// configured. Solve is the legacy uncancellable entry point; it panics on
-// the errors SolveCtx would return.
+// the evaluation passes). Each call allocates its own scratch and result,
+// so concurrent solves on one factorization are safe. Solve is the legacy
+// uncancellable entry point; it panics on the errors SolveCtx would return.
 func (f *Factorization) Solve(B *linalg.Matrix) *linalg.Matrix {
 	X, err := f.SolveCtx(context.Background(), B)
 	if err != nil {
@@ -281,12 +265,8 @@ func (f *Factorization) SolveCtx(ctx context.Context, B *linalg.Matrix) (*linalg
 	}
 	defer h.Telemetry.StartSpan("hss.solve").End()
 	t := h.Tree
-	sc := h.Workspace.NewScope()
-	defer sc.Release()
 	if h.Perm != nil {
-		Bp := sc.Matrix(B.Rows, B.Cols)
-		B.RowsGatherInto(h.Perm, Bp)
-		B = Bp
+		B = B.RowsGather(h.Perm)
 	}
 	r := B.Cols
 	if t.IsLeaf(0) {
@@ -312,19 +292,17 @@ func (f *Factorization) SolveCtx(ctx context.Context, B *linalg.Matrix) (*linalg
 		}
 		E := h.nodes[id].E
 		if t.IsLeaf(id) {
-			xb := cloneInto(sc, B.View(nd.Lo, 0, nd.Size(), r))
+			xb := B.View(nd.Lo, 0, nd.Size(), r).Clone()
 			linalg.CholSolve(f.chol[id], xb)
 			dinvB[id] = xb
 			g[id] = linalg.MatMul(true, false, E, xb)
 			return
 		}
 		l, rr := t.Left(id), t.Right(id)
-		glr := stack(sc, g[l], g[rr])
-		red := f.reduceDown(sc, id, glr) // M⁻¹·C·g_lr
-		ds := applyDiagSchur(sc, f.schur[l], f.schur[rr], red)
-		tmp := cloneInto(sc, glr)
-		tmp.AddScaled(-1, ds)
-		g[id] = linalg.MatMul(true, false, E, tmp)
+		glr := stack(g[l], g[rr])
+		red := f.reduceDown(id, glr) // M⁻¹·C·g_lr
+		glr.AddScaled(-1, applyDiagSchur(f.schur[l], f.schur[rr], red))
+		g[id] = linalg.MatMul(true, false, E, glr)
 	})
 	if err != nil {
 		return nil, err
@@ -340,8 +318,8 @@ func (f *Factorization) SolveCtx(ctx context.Context, B *linalg.Matrix) (*linalg
 			return
 		}
 		l, rr := t.Left(id), t.Right(id)
-		glr := stack(sc, g[l], g[rr])
-		rhs := applyCoupling(sc, h.nodes[id].B, glr)
+		glr := stack(g[l], g[rr])
+		rhs := applyCoupling(h.nodes[id].B, glr)
 		if id != 0 && y[id] != nil {
 			linalg.Gemm(false, false, 1, h.nodes[id].E, y[id], 1, rhs)
 		}
@@ -351,8 +329,8 @@ func (f *Factorization) SolveCtx(ctx context.Context, B *linalg.Matrix) (*linalg
 			f.lu[id].Solve(rhs)
 		}
 		nl := g[l].Rows
-		y[l] = cloneInto(sc, rhs.View(0, 0, nl, r))
-		y[rr] = cloneInto(sc, rhs.View(nl, 0, rhs.Rows-nl, r))
+		y[l] = rhs.View(0, 0, nl, r).Clone()
+		y[rr] = rhs.View(nl, 0, rhs.Rows-nl, r).Clone()
 	})
 	if err != nil {
 		return nil, err
@@ -376,8 +354,8 @@ func (f *Factorization) SolveCtx(ctx context.Context, B *linalg.Matrix) (*linalg
 }
 
 // reduceDown computes M⁻¹·C·g for node id.
-func (f *Factorization) reduceDown(sc *workspace.Scope, id int, glr *linalg.Matrix) *linalg.Matrix {
-	rhs := applyCoupling(sc, f.h.nodes[id].B, glr)
+func (f *Factorization) reduceDown(id int, glr *linalg.Matrix) *linalg.Matrix {
+	rhs := applyCoupling(f.h.nodes[id].B, glr)
 	if id == 0 {
 		f.luRt.Solve(rhs)
 	} else {
@@ -387,11 +365,11 @@ func (f *Factorization) reduceDown(sc *workspace.Scope, id int, glr *linalg.Matr
 }
 
 // applyCoupling computes C·g with C = [0 B; Bᵀ 0] where the split point is
-// B.Rows, in scope scratch.
-func applyCoupling(sc *workspace.Scope, B, glr *linalg.Matrix) *linalg.Matrix {
+// B.Rows.
+func applyCoupling(B, glr *linalg.Matrix) *linalg.Matrix {
 	nl := B.Rows
 	nr := glr.Rows - nl
-	out := sc.Matrix(glr.Rows, glr.Cols)
+	out := linalg.NewMatrix(glr.Rows, glr.Cols)
 	if nl > 0 && nr > 0 {
 		linalg.Gemm(false, false, 1, B, glr.View(nl, 0, nr, glr.Cols), 0, out.View(0, 0, nl, glr.Cols))
 		linalg.Gemm(true, false, 1, B, glr.View(0, 0, nl, glr.Cols), 0, out.View(nl, 0, nr, glr.Cols))
@@ -399,9 +377,9 @@ func applyCoupling(sc *workspace.Scope, B, glr *linalg.Matrix) *linalg.Matrix {
 	return out
 }
 
-// stack returns [a; b] in scope scratch.
-func stack(sc *workspace.Scope, a, b *linalg.Matrix) *linalg.Matrix {
-	out := sc.Matrix(a.Rows+b.Rows, a.Cols)
+// stack returns [a; b].
+func stack(a, b *linalg.Matrix) *linalg.Matrix {
+	out := linalg.NewMatrix(a.Rows+b.Rows, a.Cols)
 	if a.Rows > 0 {
 		out.View(0, 0, a.Rows, a.Cols).CopyFrom(a)
 	}

@@ -130,36 +130,9 @@ func (o *Op) flopsPerCol() float64 {
 	return 2 * float64(o.A.Rows) * float64(o.A.Cols)
 }
 
-// gemmShape returns a batching signature for single-GEMM tasks: tasks with
-// equal signatures are the "same shape" the batcher may group into one
-// dispatch unit. ok is false for non-GEMM ops.
-func (o *Op) gemmShape() (sig [4]int, ok bool) {
-	if o.Kind != OpGemm {
-		return sig, false
-	}
-	tag, rows, cols := 1, 0, 0
-	if o.A32 != nil {
-		tag, rows, cols = 2, o.A32.Rows, o.A32.Cols
-	} else {
-		rows, cols = o.A.Rows, o.A.Cols
-	}
-	trans := 0
-	if o.TransA {
-		trans = 1
-	}
-	beta := 0
-	if o.Beta != 0 {
-		beta = 1
-	}
-	return [4]int{tag<<2 | trans<<1 | beta, rows, cols, o.B.Rows}, true
-}
-
 // task is a contiguous op range [Lo, Hi) executed in order by one worker.
 type task struct {
 	Lo, Hi int
-	// batched marks a task formed by grouping ≥2 same-shape single-GEMM
-	// node tasks into one dispatch unit.
-	batched bool
 }
 
 // Stage is a barrier-separated group of tasks. Tasks within a stage write
@@ -171,13 +144,8 @@ type Stage struct {
 	tasks    []task
 }
 
-// NumTasks returns the stage's dispatch-unit count after batching.
+// NumTasks returns the stage's dispatch-unit count.
 func (s *Stage) NumTasks() int { return len(s.tasks) }
-
-// batchLimit caps how many same-shape GEMMs merge into one dispatch unit:
-// enough to amortize dispatch, small enough to keep parallel stages
-// load-balanced at typical worker counts.
-const batchLimit = 8
 
 // Builder assembles a Plan. The lowering in internal/core drives it:
 // allocate regions, open stages, emit ops inside tasks, Build.
@@ -376,8 +344,8 @@ func (b *Builder) fail(format string, args ...any) {
 	}
 }
 
-// Build validates the lowered schedule, groups same-shape GEMM runs into
-// batched dispatch units, seals the digest and returns the immutable Plan.
+// Build validates the lowered schedule, seals the digest and returns the
+// immutable Plan.
 func (b *Builder) Build() (*Plan, error) {
 	b.closeTask()
 	if b.err != nil {
@@ -408,7 +376,6 @@ func (b *Builder) Build() (*Plan, error) {
 	for i := range p.ops {
 		p.flopsPerCol += p.ops[i].flopsPerCol()
 	}
-	p.batchGemms()
 	p.digest = p.computeDigest()
 	return p, nil
 }
@@ -515,61 +482,12 @@ type Plan struct {
 	ops       []Op
 	stages    []Stage
 
-	flopsPerCol  float64
-	batchedGemms int
-	gemmBatches  int
-	digest       [sha256.Size]byte
+	flopsPerCol float64
+	digest      [sha256.Size]byte
 
 	// states caches replay bindings per RHS width (see replay.go).
 	statesMu sync.Mutex
 	states   map[int]*sync.Pool // guarded by statesMu
-}
-
-// batchGemms merges runs of consecutive single-GEMM tasks with identical
-// shapes into one dispatch unit (up to batchLimit per unit). Tasks stay
-// output-disjoint — merging only coarsens dispatch, never reorders ops.
-func (p *Plan) batchGemms() {
-	for si := range p.stages {
-		st := &p.stages[si]
-		merged := st.tasks[:0]
-		i := 0
-		for i < len(st.tasks) {
-			t := st.tasks[i]
-			sig, ok := p.taskShape(t)
-			if !ok {
-				merged = append(merged, t)
-				i++
-				continue
-			}
-			j := i + 1
-			for j < len(st.tasks) && j-i < batchLimit {
-				nt := st.tasks[j]
-				nsig, nok := p.taskShape(nt)
-				if !nok || nsig != sig || nt.Lo != st.tasks[j-1].Hi {
-					break
-				}
-				j++
-			}
-			if j-i >= 2 {
-				group := task{Lo: t.Lo, Hi: st.tasks[j-1].Hi, batched: true}
-				merged = append(merged, group)
-				p.batchedGemms += j - i
-				p.gemmBatches++
-			} else {
-				merged = append(merged, t)
-			}
-			i = j
-		}
-		st.tasks = merged
-	}
-}
-
-// taskShape returns the batching signature of a single-GEMM task.
-func (p *Plan) taskShape(t task) (sig [4]int, ok bool) {
-	if t.Hi-t.Lo != 1 {
-		return sig, false
-	}
-	return p.ops[t.Lo].gemmShape()
 }
 
 // N returns the operator dimension the plan evaluates.
@@ -588,7 +506,7 @@ func (p *Plan) NumOps() int { return len(p.ops) }
 // NumStages returns the barrier count of the schedule.
 func (p *Plan) NumStages() int { return len(p.stages) }
 
-// NumTasks returns the total dispatch-unit count after batching.
+// NumTasks returns the total dispatch-unit count.
 func (p *Plan) NumTasks() int {
 	total := 0
 	for i := range p.stages {
@@ -597,12 +515,10 @@ func (p *Plan) NumTasks() int {
 	return total
 }
 
-// BatchedGemms returns how many GEMM ops were folded into multi-op batched
-// dispatch units.
-func (p *Plan) BatchedGemms() int { return p.batchedGemms }
-
-// GemmBatches returns the number of batched dispatch units.
-func (p *Plan) GemmBatches() int { return p.gemmBatches }
+// BatchedGemms returns 0: a plan no longer folds GEMMs into batched
+// dispatch units. It stays only for the benchmark's plan.batched_gemms and
+// goes in the last step of ROADMAP item 11.
+func (p *Plan) BatchedGemms() int { return 0 }
 
 // FlopsPerCol returns the flop cost of one replay per RHS column.
 func (p *Plan) FlopsPerCol() float64 { return p.flopsPerCol }
@@ -628,8 +544,8 @@ func (p *Plan) DigestHex() string {
 
 // String summarizes the plan for logs and debug output.
 func (p *Plan) String() string {
-	return fmt.Sprintf("plan{n=%d ops=%d stages=%d tasks=%d batched=%d arena=%d rows digest=%s}",
-		p.n, len(p.ops), len(p.stages), p.NumTasks(), p.batchedGemms, p.arenaRows, p.DigestHex()[:12])
+	return fmt.Sprintf("plan{n=%d ops=%d stages=%d tasks=%d arena=%d rows digest=%s}",
+		p.n, len(p.ops), len(p.stages), p.NumTasks(), p.arenaRows, p.DigestHex()[:12])
 }
 
 // computeDigest hashes the structural schedule.

@@ -9,7 +9,6 @@ import (
 
 	"gofmm/internal/linalg"
 	"gofmm/internal/resilience"
-	"gofmm/internal/workspace"
 )
 
 // buildDense lowers U = A·W for a constant n×n A as a three-stage plan
@@ -161,9 +160,9 @@ func TestRowRecords(t *testing.T) {
 	}
 }
 
-// buildBatchable lowers a parallel stage of `tasks` single-GEMM tasks with
+// buildSameShape lowers a parallel stage of `tasks` single-GEMM tasks with
 // identical 2×2 shapes over disjoint regions.
-func buildBatchable(t *testing.T, tasks int, A *linalg.Matrix) *Plan {
+func buildSameShape(t *testing.T, tasks int, A *linalg.Matrix) *Plan {
 	t.Helper()
 	n := 2 * tasks
 	b := NewBuilder(n)
@@ -193,19 +192,17 @@ func buildBatchable(t *testing.T, tasks int, A *linalg.Matrix) *Plan {
 	return p
 }
 
+// TestGemmBatching replays a parallel stage of same-shape single-GEMM
+// tasks on four workers: each task stays its own dispatch unit and every
+// block lands in its own rows.
 func TestGemmBatching(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	A := linalg.GaussianMatrix(rng, 2, 2)
-	// 11 same-shape tasks with batchLimit 8 → one batch of 8 and one of 3.
-	p := buildBatchable(t, 11, A)
-	if p.BatchedGemms() != 11 || p.GemmBatches() != 2 {
-		t.Fatalf("batched %d GEMMs in %d batches, want 11 in 2", p.BatchedGemms(), p.GemmBatches())
+	p := buildSameShape(t, 11, A)
+	// gather + 11 GEMM tasks + scatter.
+	if p.NumTasks() != 13 {
+		t.Fatalf("NumTasks = %d, want 13", p.NumTasks())
 	}
-	// gather + 2 batched units + scatter.
-	if p.NumTasks() != 4 {
-		t.Fatalf("NumTasks = %d, want 4", p.NumTasks())
-	}
-	// Batching must not change results.
 	W := linalg.GaussianMatrix(rng, 22, 2)
 	U := linalg.NewMatrix(22, 2)
 	if err := p.Execute(context.Background(), W, U, ExecOptions{Workers: 4}); err != nil {
@@ -214,12 +211,8 @@ func TestGemmBatching(t *testing.T) {
 	for k := 0; k < 11; k++ {
 		want := linalg.MatMul(false, false, A, W.View(2*k, 0, 2, 2))
 		if d := linalg.RelFrobDiff(U.View(2*k, 0, 2, 2), want); d > 1e-14 {
-			t.Fatalf("block %d off by %g after batching", k, d)
+			t.Fatalf("block %d off by %g", k, d)
 		}
-	}
-	// A single task never forms a batch.
-	if p1 := buildBatchable(t, 1, A); p1.BatchedGemms() != 0 || p1.GemmBatches() != 0 {
-		t.Fatal("singleton task was batched")
 	}
 }
 
@@ -455,19 +448,18 @@ func TestInjectedReplayFaultPanics(t *testing.T) {
 	})
 }
 
-// TestPooledStateReuse checks that repeated replays through a workspace
-// pool reuse the arena binding (the steady-state zero-allocation path) and
-// stay correct when widths interleave.
+// TestPooledStateReuse checks that repeated replays reuse the arena
+// bindings of the plan's per-width state cache (the steady-state
+// zero-allocation path) and stay correct when widths interleave.
 func TestPooledStateReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	A := linalg.GaussianMatrix(rng, 8, 8)
 	p := buildDense(t, A)
-	pool := workspace.New()
 	for i := 0; i < 10; i++ {
 		r := 1 + i%3
 		W := linalg.GaussianMatrix(rng, 8, r)
 		U := linalg.NewMatrix(8, r)
-		if err := p.Execute(context.Background(), W, U, ExecOptions{Pool: pool, Workers: 2}); err != nil {
+		if err := p.Execute(context.Background(), W, U, ExecOptions{Workers: 2}); err != nil {
 			t.Fatal(err)
 		}
 		want := linalg.MatMul(false, false, A, W)

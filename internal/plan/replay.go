@@ -19,8 +19,9 @@ type ExecOptions struct {
 	// level runner (one barrier per stage); otherwise the whole schedule
 	// runs in order on the calling goroutine.
 	Workers int
-	// Pool supplies the arena (one plan-sized reservation per replay
-	// binding); nil falls back to plain allocation.
+	// Pool, when non-nil, counts the arena each new replay binding
+	// allocates. It stays only for the benchmark's workspace.hit_frac and
+	// goes in the last step of ROADMAP item 11.
 	Pool *workspace.Pool
 	// Telemetry, when non-nil, records the plan.replay_ms histogram and the
 	// plan.replays counter. Nil disables recording.
@@ -38,7 +39,7 @@ type ExecOptions struct {
 // replay at a time; Plan.Execute checks states out of a per-width pool.
 type replayState struct {
 	r     int
-	arena *workspace.Arena
+	arena []float64
 	bview []*linalg.Matrix // per-op B operand header (nil where unused or External)
 	cview []*linalg.Matrix // per-op C operand header (nil where External)
 
@@ -52,9 +53,12 @@ type replayState struct {
 	W, U *linalg.Matrix
 }
 
-// bind returns a matrix header over ref's slice of the arena.
+// bind returns a matrix header over ref's slice of the arena. The slice's
+// capacity is clamped, so an append or reslice cannot reach a neighbouring
+// region.
 func (st *replayState) bind(ref Ref) *linalg.Matrix {
-	region := linalg.FromColumnMajor(ref.Span, st.r, st.arena.Slice(ref.Base*st.r, ref.Span*st.r))
+	lo, hi := ref.Base*st.r, (ref.Base+ref.Span)*st.r
+	region := linalg.FromColumnMajor(ref.Span, st.r, st.arena[lo:hi:hi])
 	return region.View(ref.Sub, 0, ref.Rows, st.r)
 }
 
@@ -62,7 +66,7 @@ func (st *replayState) bind(ref Ref) *linalg.Matrix {
 func (p *Plan) newState(r int, pool *workspace.Pool) *replayState {
 	st := &replayState{
 		r:     r,
-		arena: pool.GetArena(p.ArenaFloats(r)),
+		arena: pool.Get(p.ArenaFloats(r)),
 		bview: make([]*linalg.Matrix, len(p.ops)),
 		cview: make([]*linalg.Matrix, len(p.ops)),
 	}

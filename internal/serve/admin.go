@@ -12,7 +12,6 @@ import (
 
 	"gofmm/internal/core"
 	"gofmm/internal/resilience"
-	"gofmm/internal/workspace"
 )
 
 // AdminConfig enables the store-backed operator administration endpoints:
@@ -38,9 +37,8 @@ type AdminConfig struct {
 	Batch core.BatchOptions
 	// Limits is the protection stack for swapped-in operators.
 	Limits Limits
-	// NumWorkers and Workspace seed the loaded operator's evaluation config.
+	// NumWorkers seeds the loaded operator's evaluation config.
 	NumWorkers int
-	Workspace  *workspace.Pool
 }
 
 // validOperatorName accepts bare file stems only — no separators, no dot
@@ -80,7 +78,6 @@ func (s *Server) handleAdminLoad(w http.ResponseWriter, r *http.Request) {
 	h, info, err := core.LoadFrom(path, core.LoadOptions{
 		Mmap:       a.Mmap,
 		NumWorkers: a.NumWorkers,
-		Workspace:  a.Workspace,
 		Telemetry:  s.rec,
 	})
 	if err != nil {
