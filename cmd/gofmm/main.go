@@ -63,7 +63,7 @@ func run(args []string, out io.Writer) error {
 		nocache   = fs.Bool("nocache", false, "disable near/far block caching")
 		structure = fs.Bool("structure", false, "print the leaf-level block structure (Figure 2 style)")
 		dotFile   = fs.String("dot", "", "write the evaluation dependency DAG (Figure 3) to this file in DOT format")
-		storeFile = fs.String("store", "", "write a gofmm.store/v1 operator store (flat arena + compiled-plan digest, servable by gofmmd -store-dir) to this file after compression")
+		storeFile = fs.String("store", "", "write a gofmm.store/v1 operator store (flat arena, servable by gofmmd -store-dir) to this file after compression")
 		loadFile  = fs.String("load", "", "load an operator store written by -store (reattaching the matrix oracle) instead of compressing")
 		traceFile = fs.String("trace", "", "write a Chrome trace-event JSON (load in Perfetto / chrome://tracing) to this file")
 		metrics   = fs.String("metrics", "", "write the telemetry metrics snapshot (counters, histograms, spans) as JSON to this file")
@@ -228,9 +228,8 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if *storeFile != "" {
-		// Compile first so the store is saved compiled: it carries every
-		// block the plan reads and the plan's digest, and a load lowers the
-		// same plan again without the oracle.
+		// Compile first so the store carries every block the plan reads,
+		// and a load lowers the same plan again without the oracle.
 		if _, err := h.CompilePlanCtx(ctx); err != nil {
 			return err
 		}

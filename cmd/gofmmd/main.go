@@ -196,7 +196,7 @@ func run(args []string, out io.Writer) error {
 				return err
 			}
 			fmt.Fprintf(out, "operator %q: loaded %d-byte store in %.0fms (N=%d, mapped=%v, plan=%v, solve=%v)\n",
-				name, info.Bytes, time.Since(t0).Seconds()*1e3, h.N(), info.Mapped, info.HasPlan, op.CanSolve())
+				name, info.Bytes, time.Since(t0).Seconds()*1e3, h.N(), info.Mapped, h.Plan() != nil, op.CanSolve())
 			loaded++
 		}
 		if loaded == 0 && len(ops) == 0 {

@@ -81,8 +81,8 @@ func pr9Bench(w io.Writer, n int, seed int64, rec *telemetry.Recorder) *telemetr
 	rr.Metrics["store_bytes"] = float64(nb)
 
 	// Cold start B: store file → mapped operator → first matvec. The load
-	// verifies section checksums, rebuilds the tree, lowers the plan again
-	// and checks its digest, but moves no arena bytes: the blocks serve
+	// verifies section checksums, rebuilds the tree and lowers the plan
+	// again, but moves no arena bytes: the blocks serve
 	// straight from the page cache (warm here — the file was just written —
 	// matching a daemon restart, the scenario the store exists for).
 	t0 = time.Now()

@@ -64,9 +64,8 @@ func main() {
 	// Reload. The arena is mapped read-only: skeleton bases, projections
 	// and cached blocks serve straight from the page cache, zero-copy. The
 	// loaded operator has no oracle — matvec/matmat run entirely from the
-	// persisted state. The store keeps only the plan's digest: the load
-	// lowers the plan again from the loaded operator and checks that digest,
-	// which proves it replays the schedule that was saved.
+	// persisted state. The store holds the operator, not its schedule: the
+	// load lowers the plan again from the blocks it maps.
 	t0 = time.Now()
 	H2, info, err := gofmm.LoadOperator(path, gofmm.LoadOptions{Mmap: true, NumWorkers: 4})
 	if err != nil {
@@ -74,7 +73,7 @@ func main() {
 	}
 	defer H2.ReleaseStore()
 	fmt.Printf("loaded in %.1fms (mapped=%v, plan=%v)  →  %.0f× faster than compressing\n",
-		time.Since(t0).Seconds()*1e3, info.Mapped, info.HasPlan,
+		time.Since(t0).Seconds()*1e3, info.Mapped, H2.Plan() != nil,
 		compressT.Seconds()/time.Since(t0).Seconds())
 
 	// The loaded operator is the saved operator, bit for bit.

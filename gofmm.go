@@ -33,7 +33,6 @@ package gofmm
 
 import (
 	"context"
-	"io"
 
 	"gofmm/internal/core"
 	"gofmm/internal/hss"
@@ -41,6 +40,7 @@ import (
 	"gofmm/internal/plan"
 	"gofmm/internal/resilience"
 	"gofmm/internal/sched"
+	"gofmm/internal/spdmat"
 	"gofmm/internal/telemetry"
 )
 
@@ -139,25 +139,9 @@ func CompressCtx(ctx context.Context, K SPD, cfg Config) (*Hierarchical, error) 
 // baseline (use for verification on small problems).
 func ExactMatvec(K SPD, W *Matrix) *Matrix { return core.ExactMatvec(K, W) }
 
-// dense adapts a *Matrix into an SPD oracle with the bulk fast path.
-type dense struct{ m *Matrix }
-
-func (d dense) Dim() int            { return d.m.Rows }
-func (d dense) At(i, j int) float64 { return d.m.At(i, j) }
-func (d dense) Submatrix(I, J []int, dst *Matrix) {
-	for c, j := range J {
-		d.Column(I, j, dst.Col(c))
-	}
-}
-func (d dense) Column(I []int, j int, dst []float64) {
-	src := d.m.Col(j)
-	for r, i := range I {
-		dst[r] = src[i]
-	}
-}
-
-// NewDense wraps an in-memory symmetric matrix as an SPD oracle.
-func NewDense(m *Matrix) SPD { return dense{m} }
+// NewDense wraps an in-memory symmetric matrix as an SPD oracle with the
+// block and column fast paths.
+func NewDense(m *Matrix) SPD { return &spdmat.Dense{M: m} }
 
 // Factorization is a hierarchical direct solver for a compressed operator
 // (recursive Schur elimination through the skeleton hierarchy): Solve(B)
@@ -197,8 +181,8 @@ var (
 	ErrCancelled = resilience.ErrCancelled
 	// ErrTimeout wraps failures caused by a context deadline.
 	ErrTimeout = resilience.ErrTimeout
-	// ErrStalled is reported by the scheduler watchdog for deadlocked or
-	// hung DAG execution, together with the stuck task frontier.
+	// ErrStalled is reported by the scheduler for a provably deadlocked
+	// DAG execution, together with the stuck task frontier.
 	ErrStalled = resilience.ErrStalled
 	// ErrTaskFailed marks a scheduler task whose retry budget ran out.
 	ErrTaskFailed = resilience.ErrTaskFailed
@@ -263,7 +247,7 @@ func NewRecorder() *Recorder { return telemetry.New() }
 
 // FlightRecorder is the bounded post-mortem ring over a Recorder: the last
 // N completed spans, the recorded errors, and a metrics snapshot, dumped as
-// JSON (schema gofmm.flight/v1) automatically from the panic/stall/deadlock
+// JSON (schema gofmm.flight/v1) automatically from the panic and deadlock
 // crash paths (set a dump directory with SetDumpDir) or on demand. The live
 // debug server serves the same dump at POST /debug/flightrecord.
 type FlightRecorder = telemetry.FlightRecorder
@@ -332,25 +316,6 @@ var ErrEvaluatorClosed = core.ErrEvaluatorClosed
 // InterpMatvecCtx/InterpMatmatCtx.
 type Plan = plan.Plan
 
-// Save writes a compressed representation to w in the operator-store
-// format (gofmm.store/v1): structure, skeletons, interpolation matrices,
-// interaction lists, the cached blocks (one per symmetric pair) and the
-// installed compiled plan — not the matrix oracle itself. It is the stream form of
-// (*Hierarchical).SaveTo; LoadOperator reads the same bytes from a file.
-func Save(h *Hierarchical, w io.Writer) error {
-	_, err := h.WriteStore(w)
-	return err
-}
-
-// Load reads a compressed representation written by Save (or SaveTo) and
-// attaches it to the entry oracle K, which must have the stored dimension
-// (a mismatch wraps ErrInvalidInput). Executor fields of the loaded Cfg
-// default to sequential; adjust before calling Matvec if desired. Passing a
-// nil oracle is allowed: the loaded operator evaluates from its cached
-// blocks alone and returns a typed error from any path that would need
-// fresh K(i,j) entries.
-func Load(r io.Reader, K SPD) (*Hierarchical, error) { return core.ReadStore(r, K) }
-
 // LoadOptions configures LoadOperator. See core.LoadOptions.
 type LoadOptions = core.LoadOptions
 
@@ -358,11 +323,13 @@ type LoadOptions = core.LoadOptions
 type StoreInfo = core.StoreInfo
 
 // LoadOperator opens a gofmm.store/v1 operator store written by
-// (*Hierarchical).SaveTo and returns a ready-to-serve oracle-free operator.
-// With opts.Mmap set the arena is mapped read-only and matvecs run zero-copy
-// straight out of the page cache; otherwise (or when mapping is unsupported)
-// the file is read and verified portably. Call ReleaseStore (or keep the
-// operator for the process lifetime) to unmap.
+// (*Hierarchical).SaveTo and returns an oracle-free operator: compiled and
+// ready to serve when the store carries its blocks, else evaluable after
+// AttachOracle (see core.LoadFrom). With opts.Mmap set the arena is mapped
+// read-only and matvecs run zero-copy straight out of the page cache;
+// otherwise (or when mapping is unsupported) the file is read and verified
+// portably. Call ReleaseStore (or keep the operator for the process
+// lifetime) to unmap.
 func LoadOperator(path string, opts LoadOptions) (*Hierarchical, *StoreInfo, error) {
 	return core.LoadFrom(path, opts)
 }

@@ -15,6 +15,8 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"gofmm/internal/core"
@@ -29,14 +31,18 @@ func determinismConfig(workers int) Config {
 	}
 }
 
-// serialize round-trips h through Save and returns the bytes.
+// serialize saves h to a store file and returns its bytes.
 func serialize(t *testing.T, h *Hierarchical) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := Save(h, &buf); err != nil {
+	path := filepath.Join(t.TempDir(), "op.store")
+	if _, err := h.SaveTo(path); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // bitIdentical reports whether two matrices are equal under ==, i.e. the

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"gofmm/internal/ann"
 	"gofmm/internal/linalg"
@@ -256,10 +255,6 @@ type Config struct {
 	// Degrade selects what happens when a node cannot reach Tol at MaxRank
 	// (default DegradeTruncate, the historical behavior).
 	Degrade DegradeMode
-	// StallTimeout arms the scheduler watchdog for Dynamic/TaskDepend runs:
-	// if no task completes for this long while work remains, CompressCtx
-	// fails with ErrStalled naming the stuck frontier. 0 disables.
-	StallTimeout time.Duration
 	// Workspace, when non-nil, counts the arena each new replay binding
 	// allocates (plan.ExecOptions.Pool); nothing else reads it. It stays
 	// only for the benchmark's workspace.hit_frac and goes in the last step
@@ -461,8 +456,7 @@ func (c *Config) tasked() bool {
 }
 
 // runTasked executes g on a task engine over the configured pool (HEFT for
-// Dynamic, FIFO for TaskDepend) with the chaos hook and the stall watchdog
-// armed. With a recorder attached it traces the run and exports the trace
+// Dynamic, FIFO for TaskDepend) with the chaos hook armed. With a recorder attached it traces the run and exports the trace
 // under sp with the metric prefix ("sched.compress" or "sched.matvec").
 func (h *Hierarchical) runTasked(ctx context.Context, g *sched.Graph, sp *telemetry.Span, prefix string) error {
 	if err := g.Err(); err != nil {
@@ -478,7 +472,7 @@ func (h *Hierarchical) runTasked(ctx context.Context, g *sched.Graph, sp *teleme
 		specs = sched.Homogeneous(c.NumWorkers)
 	}
 	eng := sched.NewEngine(policy, specs)
-	// Scheduler health events (watchdog, deadlock, retries) flow into the
+	// Scheduler health events (deadlock, retries) flow into the
 	// same structured log as the telemetry layer's span/crash records.
 	eng.SetLogger(c.Telemetry.Logger())
 	rec := c.Telemetry
@@ -487,9 +481,6 @@ func (h *Hierarchical) runTasked(ctx context.Context, g *sched.Graph, sp *teleme
 	}
 	if ch := c.Chaos; ch != nil && ch.Config().TaskFail > 0 {
 		eng.SetFaultInjector(ch.TaskFail)
-	}
-	if c.StallTimeout > 0 {
-		eng.SetStallTimeout(c.StallTimeout)
 	}
 	runStart := rec.Since()
 	err := eng.RunCtx(ctx, g)

@@ -7,10 +7,10 @@ import (
 	"gofmm/internal/resilience"
 )
 
-// The nil-oracle contract. An operator loaded from the store without an
-// oracle (LoadFrom, or ReadStore with a nil K) serves evaluations from its
-// persisted blocks alone: the compiled plan and the fully-cached
-// interpreter never touch K's entries. Paths that must sample fresh entries — interpreting with
+// The nil-oracle contract. An operator loaded from the store (LoadFrom)
+// has no oracle and serves evaluations from its persisted blocks alone:
+// the compiled plan and the fully-cached interpreter never touch K's
+// entries. Paths that must sample fresh entries — interpreting with
 // uncached blocks, compiling a plan that would gather, building an HSS
 // factorization — fail fast with ErrNoOracle instead of computing garbage.
 
@@ -33,8 +33,8 @@ func (o noOracle) At(i, j int) float64 {
 }
 
 // HasOracle reports whether the operator carries a live entry oracle.
-// Operators built by Compress always do; operators loaded by LoadFrom (or
-// ReadStore with a nil K) do not, until AttachOracle provides one.
+// Operators built by Compress always do; operators loaded by LoadFrom do
+// not, until AttachOracle provides one.
 func (h *Hierarchical) HasOracle() bool {
 	_, bare := h.K.(noOracle)
 	return !bare

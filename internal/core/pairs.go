@@ -147,14 +147,23 @@ func (h *Hierarchical) ownedBlocks(kind listKind, id int, round bool) []block {
 	return out
 }
 
+// contributes reports whether node id's list of the given kind enters the
+// evaluation: leaves' near lists do, and far lists of nodes with a
+// skeleton.
+func (h *Hierarchical) contributes(kind listKind, id int) bool {
+	if kind == nearList {
+		return h.Tree.IsLeaf(id)
+	}
+	return len(h.nodes[id].skel) > 0
+}
+
 // uncached reports whether a contributing slot of node id's list lacks a
 // cached block, so that evaluating it must gather from the oracle.
-// Leaves' near lists contribute, and far lists of nodes with a skeleton.
 func (h *Hierarchical) uncached(kind listKind, id int) bool {
-	lst, _ := h.list(kind, id)
-	if kind == nearList && !h.Tree.IsLeaf(id) || kind == farList && len(h.nodes[id].skel) == 0 {
+	if !h.contributes(kind, id) {
 		return false
 	}
+	lst, _ := h.list(kind, id)
 	for k := range lst {
 		if blk, _ := h.slotBlock(kind, id, k); !blk.ok() {
 			return true

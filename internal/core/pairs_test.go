@@ -154,9 +154,10 @@ func TestCachedOperatorSymmetric(t *testing.T) {
 	}
 }
 
-// TestStoreV4RoundTrip: a compiled float64-cached, float32-cached and
-// NoSymmetrize operator each reload through SaveTo → LoadFrom, mapped and
-// portable, to the same plan digest and bit-identical replays at r = 1
+// TestStoreV4RoundTrip: a float64-cached, float32-cached and NoSymmetrize
+// operator, each saved once cached but uncompiled and once compiled,
+// reload through SaveTo → LoadFrom, mapped and portable, compiled to the
+// compiled operator's plan digest and replaying it bit for bit at r = 1
 // and r = 16.
 func TestStoreV4RoundTrip(t *testing.T) {
 	for _, v := range pairVariants {
@@ -164,39 +165,54 @@ func TestStoreV4RoundTrip(t *testing.T) {
 			cfg := pairsConfig()
 			v.mut(&cfg)
 			h, _ := compressGauss(t, 384, cfg)
+			dir := t.TempDir()
+			cached := filepath.Join(dir, "cached.store")
+			if _, err := h.SaveTo(cached); err != nil {
+				t.Fatal(err)
+			}
 			if _, err := h.CompilePlan(); err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join(t.TempDir(), "op.store")
-			if _, err := h.SaveTo(path); err != nil {
+			compiled := filepath.Join(dir, "compiled.store")
+			if _, err := h.SaveTo(compiled); err != nil {
 				t.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(8))
 			ctx := context.Background()
-			for _, mm := range []bool{false, true} {
-				h2, info, err := LoadFrom(path, LoadOptions{Mmap: mm})
-				if err != nil {
-					t.Fatalf("mmap=%v: %v", mm, err)
-				}
-				if info.PlanDigest != h.Plan().DigestHex() {
-					t.Fatalf("mmap=%v: digest %s, want %s", mm, info.PlanDigest, h.Plan().DigestHex())
-				}
-				for _, r := range []int{1, 16} {
-					W := linalg.GaussianMatrix(rng, 384, r)
-					want, err := h.MatmatCtx(ctx, W)
+			for _, path := range []string{cached, compiled} {
+				for _, mm := range []bool{false, true} {
+					name := fmt.Sprintf("%s mmap=%v", filepath.Base(path), mm)
+					h2, info, err := LoadFrom(path, LoadOptions{Mmap: mm})
 					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					switch {
+					case h2.Plan() == nil:
+						t.Fatalf("%s: loaded uncompiled", name)
+					case h2.Plan().DigestHex() != h.Plan().DigestHex():
+						t.Fatalf("%s: digest %s, want %s", name, h2.Plan().DigestHex(), h.Plan().DigestHex())
+					case !mm && info.Mapped:
+						t.Fatalf("%s: the portable load reports a mapping", name)
+					case mm && !info.Mapped:
+						t.Logf("%s: mmap load fell back to the portable path on this platform", name)
+					}
+					for _, r := range []int{1, 16} {
+						W := linalg.GaussianMatrix(rng, 384, r)
+						want, err := h.MatmatCtx(ctx, W)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := h2.MatmatCtx(ctx, W)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !linalg.EqualApprox(want, got, 0) {
+							t.Fatalf("%s r=%d: replay not bit-identical (max |Δ| = %g)", name, r, maxAbsDiff(want, got))
+						}
+					}
+					if err := h2.ReleaseStore(); err != nil {
 						t.Fatal(err)
 					}
-					got, err := h2.MatmatCtx(ctx, W)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !linalg.EqualApprox(want, got, 0) {
-						t.Fatalf("mmap=%v r=%d: replay not bit-identical (max |Δ| = %g)", mm, r, maxAbsDiff(want, got))
-					}
-				}
-				if err := h2.ReleaseStore(); err != nil {
-					t.Fatal(err)
 				}
 			}
 		})
@@ -259,12 +275,12 @@ func topoNodes(t testing.TB, topo []byte) []topoNode {
 }
 
 // TestStoreV3RejectsOldAndMisownedPayloads: a payload of an older version
-// (3, whose bases held their identity columns, or 2), a ref list that
-// stores a block its partner owns and a ref list that omits a block its
-// node owns each fail with ErrBadFormat.
+// (4, which pinned the plan digest, 3, whose bases held their identity
+// columns, 2 or 1), a ref list that stores a block its partner owns and a
+// ref list that omits a block its node owns each fail with ErrBadFormat.
 func TestStoreV3RejectsOldAndMisownedPayloads(t *testing.T) {
 	f := newPayloadFixture(t, payloadConfig, false)
-	for _, v := range []uint64{2, 3} {
+	for _, v := range []uint64{1, 2, 3, 4} {
 		f.requireBadPayload(t, fmt.Sprintf("v%d payload", v), store.SecMeta, patch64(f.meta, 0, v))
 	}
 

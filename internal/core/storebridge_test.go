@@ -6,11 +6,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
-	"io"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gofmm/internal/linalg"
@@ -21,10 +21,11 @@ import (
 // The store round-trip property: across distances, tolerance regimes and
 // cache precisions, SaveTo → LoadFrom (both the portable and the mmap path)
 // reproduces the in-memory operator bit for bit — identical Matvec and
-// Matmat results, identical re-lowered plan digest — with no oracle
-// attached to the loaded side. The uncached HSS variant is the operator a
-// plan compiled by gathering: the store must carry the blocks the plan
-// gathered, so the loaded side lowers, replays and interprets oracle-free.
+// Matmat results, identical plan digest of the plan the load lowers — with
+// no oracle attached to the loaded side. The uncached HSS variant is the
+// operator a plan compiled by gathering: the store must carry the blocks
+// the plan gathered, so the loaded side lowers, replays and interprets
+// oracle-free.
 // Its loaded interpreter applies each pair's stored block transposed where
 // the in-memory one gathers K(β, α) afresh, so those two agree to rounding,
 // and the two loads bit for bit.
@@ -89,15 +90,15 @@ func TestStoreRoundTripProperty(t *testing.T) {
 				if mm {
 					name = "mmap"
 				}
-				h2, info, err := LoadFrom(path, LoadOptions{Mmap: mm})
+				h2, _, err := LoadFrom(path, LoadOptions{Mmap: mm})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				if h2.HasOracle() {
 					t.Fatalf("%s: loaded operator claims an oracle", name)
 				}
-				if !info.HasPlan || info.PlanDigest != wantDigest {
-					t.Fatalf("%s: plan digest %q, want %q", name, info.PlanDigest, wantDigest)
+				if h2.Plan() == nil {
+					t.Fatalf("%s: loaded uncompiled", name)
 				}
 				if got := h2.Plan().DigestHex(); got != wantDigest {
 					t.Fatalf("%s: re-lowered plan digest %q, want %q", name, got, wantDigest)
@@ -179,34 +180,59 @@ func TestStoreLoadWithoutCachesNeedsOracle(t *testing.T) {
 	}
 }
 
-// storeImage compresses a small operator and returns its WriteStore bytes
-// with the oracle it was compressed from.
+// storeImage compresses a small operator and returns the image SaveTo
+// would write, with the oracle it was compressed from.
 func storeImage(t *testing.T, n int, cfg Config) (*Hierarchical, []byte, SPD) {
 	t.Helper()
 	h, K := compressGauss(t, n, cfg)
-	var buf bytes.Buffer
-	sz, err := h.WriteStore(&buf)
+	return h, image(t, h), denseSPD{K}
+}
+
+// image returns the store image SaveTo would write for h.
+func image(t testing.TB, h *Hierarchical) []byte {
+	t.Helper()
+	sections, err := h.storeSections()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sz != int64(buf.Len()) {
-		t.Fatalf("WriteStore reported %d bytes, buffer has %d", sz, buf.Len())
+	var buf bytes.Buffer
+	if _, err := store.Write(&buf, sections); err != nil {
+		t.Fatal(err)
 	}
-	return h, buf.Bytes(), denseSPD{K}
+	return buf.Bytes()
 }
 
-// readStoreErr runs ReadStore on data and requires an error; a panic is
+// readImage decodes a store image as LoadFrom decodes a file, on the
+// Sequential executor, and attaches K when it is not nil.
+func readImage(data []byte, K SPD) (*Hierarchical, error) {
+	f, err := store.Decode(data)
+	if err != nil {
+		return nil, err
+	}
+	h, _, err := decodeStore(f, LoadOptions{Exec: Sequential})
+	if err != nil {
+		return nil, err
+	}
+	if K != nil {
+		if err := h.AttachOracle(K); err != nil {
+			return nil, err
+		}
+	}
+	return h, nil
+}
+
+// readStoreErr runs readImage on data and requires an error; a panic is
 // converted into a test failure rather than crashing the suite.
 func readStoreErr(t *testing.T, name string, data []byte, K SPD) (err error) {
 	t.Helper()
 	defer func() {
 		if r := recover(); r != nil {
-			t.Errorf("%s: ReadStore panicked: %v", name, r)
+			t.Errorf("%s: decode panicked: %v", name, r)
 			err = errors.New("panicked")
 		}
 	}()
-	if _, err = ReadStore(bytes.NewReader(data), K); err == nil {
-		t.Errorf("%s: ReadStore accepted a malformed store", name)
+	if _, err = readImage(data, K); err == nil {
+		t.Errorf("%s: decode accepted a malformed store", name)
 	}
 	return err
 }
@@ -227,20 +253,30 @@ func requireSameMatvec(t *testing.T, want, got *Hierarchical, seed int64) {
 	}
 }
 
-// A cached operator streamed through WriteStore/ReadStore with its oracle
-// evaluates bit-identically and keeps its structure.
+// compileSource compiles the saved operator: a cached store loads
+// compiled, so the source replays the same plan once it compiles too.
+func compileSource(t *testing.T, h *Hierarchical) {
+	t.Helper()
+	if _, err := h.CompilePlan(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A cached operator's image read back with its oracle evaluates
+// bit-identically and keeps its structure.
 func TestSerializeRoundTrip(t *testing.T) {
 	h, data, K := storeImage(t, 300, Config{
 		LeafSize: 32, MaxRank: 24, Tol: 1e-6, Kappa: 8, Budget: 0.1,
 		Distance: Kernel, Exec: Sequential, Seed: 101, CacheBlocks: true,
 	})
-	h2, err := ReadStore(bytes.NewReader(data), K)
+	h2, err := readImage(data, K)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !h2.HasOracle() {
-		t.Fatal("ReadStore dropped the oracle it was given")
+		t.Fatal("the load dropped the oracle it was given")
 	}
+	compileSource(t, h)
 	requireSameMatvec(t, h, h2, 102)
 	for id := range h.nodes {
 		if h.Rank(id) != h2.Rank(id) {
@@ -252,16 +288,19 @@ func TestSerializeRoundTrip(t *testing.T) {
 	}
 }
 
-// An uncached operator needs its oracle back to evaluate: ReadStore with K
-// reattaches it, and the products are bit-identical.
+// An uncached operator loads uncompiled and needs its oracle back to
+// evaluate: with K reattached, the products are bit-identical.
 func TestSerializeWithoutCaches(t *testing.T) {
 	h, data, K := storeImage(t, 200, Config{
 		LeafSize: 32, MaxRank: 24, Tol: 1e-6, Kappa: 8, Budget: 0.1,
 		Distance: Angle, Exec: Sequential, Seed: 103, CacheBlocks: false,
 	})
-	h2, err := ReadStore(bytes.NewReader(data), K)
+	h2, err := readImage(data, K)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if h2.Plan() != nil {
+		t.Fatal("a store without blocks loaded compiled")
 	}
 	requireSameMatvec(t, h, h2, 104)
 }
@@ -274,30 +313,32 @@ func TestSerializeWithSingleCache(t *testing.T) {
 		Distance: Kernel, Exec: Sequential, Seed: 211, CacheBlocks: true,
 		CacheSingle: true,
 	})
-	h2, err := ReadStore(bytes.NewReader(data), K)
+	h2, err := readImage(data, K)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !h2.Cfg.CacheSingle {
 		t.Fatal("CacheSingle lost in the round trip")
 	}
+	compileSource(t, h)
 	requireSameMatvec(t, h, h2, 212)
 }
 
-// ReadStore with a nil oracle (the serving workflow) must evaluate from the
+// A load without an oracle (the serving workflow) must evaluate from the
 // cached blocks and type-fail the oracle-requiring paths.
 func TestReadFromNilOracle(t *testing.T) {
 	h, data, _ := storeImage(t, 200, Config{
 		LeafSize: 32, MaxRank: 24, Tol: 1e-5, Kappa: 8, Budget: 0.1,
 		Distance: Angle, Exec: Sequential, Seed: 11, CacheBlocks: true,
 	})
-	h2, err := ReadStore(bytes.NewReader(data), nil)
+	h2, err := readImage(data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h2.HasOracle() {
 		t.Fatal("nil-oracle load claims an oracle")
 	}
+	compileSource(t, h)
 	requireSameMatvec(t, h, h2, 12)
 	if err := h2.AttachOracle(nil); !errors.Is(err, ErrNoOracle) {
 		t.Fatalf("AttachOracle(nil): got %v", err)
@@ -355,10 +396,10 @@ func TestReadFromRandomCorruption(t *testing.T) {
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
-					t.Fatalf("trial %d: ReadStore panicked on a corrupted store: %v", trial, r)
+					t.Fatalf("trial %d: decode panicked on a corrupted store: %v", trial, r)
 				}
 			}()
-			_, _ = ReadStore(bytes.NewReader(mut), K)
+			_, _ = readImage(mut, K)
 		}()
 	}
 }
@@ -372,14 +413,13 @@ const (
 )
 
 // payloadFixture holds the decoded sections of a valid store, for tests that
-// re-encode the meta, topo and plan payloads with bad values.
+// re-encode the meta and topo payloads with bad values.
 type payloadFixture struct {
 	h        *Hierarchical
 	K        SPD
 	sections []store.Section
 	meta     []byte
 	topo     []byte
-	plan     []byte
 	// The topo section opens with the matrix table (a count, then four
 	// int64s per record) followed by the length-prefixed permutation.
 	topoPermLen int
@@ -416,8 +456,6 @@ func newPayloadFixture(t *testing.T, cfg Config, compiled bool) payloadFixture {
 			f.meta = s.Data
 		case store.SecTopo:
 			f.topo = s.Data
-		case store.SecPlan:
-			f.plan = s.Data
 		}
 	}
 	numRecs := int(binary.LittleEndian.Uint64(f.topo))
@@ -513,41 +551,33 @@ func TestReadFromHugeMatrixClaim(t *testing.T) {
 		patch64(patch64(f.topo, 16, payloadN+1), 24, 0))
 }
 
-// The plan section is a presence byte and, when set, the 32-byte digest of
-// the compiled plan, which the loader lowers again from the decoded nodes.
-// A digest the re-lowered plan does not reproduce, any other byte in the
-// section, and a payload of an older version are ErrBadFormat.
-func TestStoreRejectsBadPlanSection(t *testing.T) {
-	f := newPayloadFixture(t, payloadConfig, true)
-	if len(f.plan) != 1+sha256.Size || f.plan[0] != 1 {
-		t.Fatalf("compiled plan section is %d bytes, flag %d", len(f.plan), f.plan[0])
-	}
-	flipped := append([]byte(nil), f.plan...)
-	flipped[1+sha256.Size/2] ^= 0x01
-	cases := []struct {
-		name string
-		kind store.SectionKind
-		data []byte
-	}{
-		{"flipped digest byte", store.SecPlan, flipped},
-		{"presence byte 2", store.SecPlan, append([]byte{2}, f.plan[1:]...)},
-		{"trailing byte after digest", store.SecPlan, append(append([]byte(nil), f.plan...), 0)},
-		{"truncated digest", store.SecPlan, f.plan[:1+sha256.Size/2]},
-		{"no flag, digest left over", store.SecPlan, append([]byte{0}, f.plan[1:]...)},
-		{"payload version 1", store.SecMeta, patch64(f.meta, 0, 1)},
-	}
-	for _, tc := range cases {
-		f.requireBadPayload(t, tc.name, tc.kind, tc.data)
+// A store carries the blocks of every contributing list, and loads
+// compiled, or of none. A topo section with one leaf's ref lists removed
+// is neither and fails with ErrBadFormat, not with ErrNoOracle. A store
+// that still carries the plan section of payload versions up to 4 fails
+// with ErrBadStore.
+func TestStoreRejectsPartlyCarriedLists(t *testing.T) {
+	f := newPayloadFixture(t, payloadConfig, false)
+	leaf := f.h.Tree.Leaves()[0]
+	refs := topoNodes(t, f.topo)[leaf].refs
+	// The near list holds the leaf itself, so its ref list is present and
+	// not empty; the far list's presence byte follows its last ref.
+	near := refs[0]
+	farFlag := near[len(near)-1] + 8
+	topo := append(append(append([]byte(nil), f.topo[:near[0]-1]...), 0, 0),
+		f.topo[farFlag+1+8*len(refs[1]):]...)
+	err := f.requireBadPayload(t, "one leaf's ref lists removed", store.SecTopo, topo)
+	if errors.Is(err, ErrNoOracle) || err != nil && !strings.Contains(err.Error(), "contributing lists") {
+		t.Errorf("one leaf's ref lists removed: got %v, want the load rule's ErrBadFormat", err)
 	}
 
-	// The flag on a store whose operator cached no blocks: its plan would
-	// have to gather them, which an oracle-free decode cannot do. The
-	// store is malformed, not waiting for an oracle.
-	uncached := payloadConfig
-	uncached.CacheBlocks = false
-	u := newPayloadFixture(t, uncached, false)
-	if err := u.requireBadPayload(t, "flag on an uncached store", store.SecPlan, f.plan); errors.Is(err, ErrNoOracle) {
-		t.Errorf("flag on an uncached store: got %v, want ErrBadFormat without ErrNoOracle", err)
+	var buf bytes.Buffer
+	if _, err := store.Write(&buf, append(f.sections[:len(f.sections):len(f.sections)],
+		store.Section{Kind: 3, Data: make([]byte, 1+sha256.Size)})); err != nil {
+		t.Fatal(err)
+	}
+	if err := readStoreErr(t, "plan section", buf.Bytes(), nil); !errors.Is(err, store.ErrBadStore) {
+		t.Errorf("plan section: got %v, want ErrBadStore", err)
 	}
 }
 
@@ -559,7 +589,7 @@ func TestReadFromRejectsWrongDimension(t *testing.T) {
 	})
 	rng := rand.New(rand.NewSource(107))
 	wrong := linalg.RandomSPD(rng, 50, 10)
-	if _, err := ReadStore(bytes.NewReader(data), denseSPD{wrong}); !errors.Is(err, resilience.ErrInvalidInput) {
+	if _, err := readImage(data, denseSPD{wrong}); !errors.Is(err, resilience.ErrInvalidInput) {
 		t.Fatalf("wrong-dimension oracle: got %v, want ErrInvalidInput", err)
 	}
 }
@@ -573,11 +603,7 @@ func TestSerializeVersion2RoundTripsDenseFallback(t *testing.T) {
 		Exec: Sequential, Seed: 112, Tol: 1e-5,
 	})
 	h.nodes[1].denseFallback = true
-	var buf bytes.Buffer
-	if _, err := h.WriteStore(&buf); err != nil {
-		t.Fatal(err)
-	}
-	h2, err := ReadStore(&buf, denseSPD{K})
+	h2, err := readImage(image(t, h), denseSPD{K})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -606,7 +632,7 @@ func TestStoreLoadRejectsCorruptPayload(t *testing.T) {
 	dir := t.TempDir()
 	// Mutate each payload section in turn and rewrite the container (with
 	// fresh checksums, so only the core decoder can catch it).
-	for _, target := range []store.SectionKind{store.SecMeta, store.SecTopo, store.SecPlan} {
+	for _, target := range []store.SectionKind{store.SecMeta, store.SecTopo} {
 		for _, cut := range []bool{false, true} {
 			mutated := make([]store.Section, len(sections))
 			copy(mutated, sections)
@@ -632,7 +658,12 @@ func TestStoreLoadRejectsCorruptPayload(t *testing.T) {
 		}
 	}
 	// Dropping the arenas while the topo still references them must fail too.
-	noArena := []store.Section{sections[0], sections[1], sections[2]}
+	var noArena []store.Section
+	for _, s := range sections {
+		if s.Kind != store.SecArena64 && s.Kind != store.SecArena32 {
+			noArena = append(noArena, s)
+		}
+	}
 	path := filepath.Join(dir, "noarena.store")
 	if _, err := store.WriteFile(path, noArena); err != nil {
 		t.Fatal(err)
@@ -648,41 +679,5 @@ func TestSaveToRejectsUncompressed(t *testing.T) {
 	h := &Hierarchical{K: noOracle{n: 10}}
 	if _, err := h.SaveTo(filepath.Join(t.TempDir(), "x.store")); err == nil {
 		t.Fatal("expected error saving uncompressed operator")
-	}
-	if _, err := h.WriteStore(io.Discard); err == nil {
-		t.Fatal("expected error streaming uncompressed operator")
-	}
-}
-
-// WriteStore streams the same bytes SaveTo lands on disk: the container is
-// deterministic for a given operator, so the two paths must agree exactly.
-func TestWriteStoreMatchesSaveTo(t *testing.T) {
-	cfg := Config{
-		LeafSize: 32, MaxRank: 16, Tol: 1e-3, Kappa: 8, Budget: 0.1,
-		Distance: Angle, Exec: Sequential, NumWorkers: 1, Seed: 7,
-		CacheBlocks: true,
-	}
-	h, _ := compressGauss(t, 200, cfg)
-	if _, err := h.CompilePlan(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "w.store")
-	if _, err := h.SaveTo(path); err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	n, err := h.WriteStore(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(buf.Len()) {
-		t.Fatalf("WriteStore returned %d, wrote %d bytes", n, buf.Len())
-	}
-	if !bytes.Equal(want, buf.Bytes()) {
-		t.Fatal("WriteStore bytes differ from SaveTo file")
 	}
 }

@@ -9,15 +9,13 @@ import (
 
 // Section payload codec for the operator store (gofmm.store/v1). The
 // container framing — header, section table, checksums, alignment — lives
-// in internal/store; this file owns the byte layout inside the four
-// sections core writes:
+// in internal/store; this file owns the byte layout inside the sections
+// core writes:
 //
 //	meta : scalar payload version + dimensions + the Config snapshot
 //	topo : matrix table, permutation, per-node skeleton, T ref, lists and
 //	       matrix refs (one per list slot; -1 where the partner owns the
 //	       pair's block)
-//	plan : a presence byte, then (when set) the 32-byte digest of the
-//	       compiled plan, which the loader re-lowers and checks against it
 //	arena: raw little-endian column-major float data (one per precision)
 //
 // Everything integer is little-endian int64; booleans are one byte. The
@@ -36,7 +34,9 @@ const (
 	// over the c candidate columns, its columns in ascending candidate
 	// order, ref -1 where no column is redundant. The loader derives Π
 	// from the skeleton and the tree.
-	storePayloadVersion = 4
+	// Version 5 drops the plan section: the loader lowers the plan from
+	// the operator whenever the store carries every block it reads.
+	storePayloadVersion = 5
 
 	// maxSerialDim bounds every dimension-like field in a payload. A
 	// corrupted or adversarial length field must produce ErrBadFormat, not
@@ -191,19 +191,5 @@ func (r *secReader) ints(bound int) []int {
 		}
 		out[i] = int(v)
 	}
-	return out
-}
-
-// raw reads exactly n bytes.
-func (r *secReader) raw(n int) []byte {
-	if r.fail != nil {
-		return nil
-	}
-	if r.remaining() < n {
-		r.failf("truncated at byte %d", r.off)
-		return nil
-	}
-	out := r.b[r.off : r.off+n : r.off+n]
-	r.off += n
 	return out
 }

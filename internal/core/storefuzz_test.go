@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"math/rand"
@@ -12,17 +11,16 @@ import (
 	"gofmm/internal/store"
 )
 
-// FuzzReadStore mutates one payload section (meta, topo or plan) of a
-// compiled store and re-wraps the sections with fresh checksums, so every
-// mutation reaches the payload decoder and, through it, the plan lowering
-// that a compiled store's load runs on untrusted nodes. The seeds are a
-// small operator cached in float64, cached in float32 with float32 bases,
-// the same under NoSymmetrize lists, uncached HSS (Budget 0), whose
-// store carries the blocks its plan gathered, and one whose dense-fallback
-// nodes keep every candidate (s = c, no T block). ReadStore
-// without an oracle must either fail with ErrBadFormat or return an
-// operator whose replay and interpreter return without a panic, recovered
-// or not.
+// FuzzReadStore mutates one payload section (meta or topo) of a compiled
+// store and re-wraps the sections with fresh checksums, so every mutation
+// reaches the payload decoder and, through it, the plan lowering that the
+// load runs on untrusted nodes. The seeds are a small operator cached in
+// float64, cached in float32 with float32 bases, the same under
+// NoSymmetrize lists, uncached HSS (Budget 0), whose store carries the
+// blocks its plan gathered, and one whose dense-fallback nodes keep every
+// candidate (s = c, no T block). A load without an oracle must either fail
+// with ErrBadFormat or return an operator whose replay and interpreter
+// return without a panic, recovered or not.
 func FuzzReadStore(f *testing.F) {
 	base := Config{
 		LeafSize: 16, MaxRank: 12, Tol: 1e-5, Kappa: 8, Budget: 0.1,
@@ -49,20 +47,24 @@ func FuzzReadStore(f *testing.F) {
 		}
 		images = append(images, sections)
 	}
-	kinds := []store.SectionKind{store.SecMeta, store.SecTopo, store.SecPlan}
+	kinds := []store.SectionKind{store.SecMeta, store.SecTopo}
 	W := linalg.GaussianMatrix(rand.New(rand.NewSource(32)), 128, 2)
 
-	f.Add(uint8(0), uint8(2), uint8(0), uint32(9), []byte{0x01})    // flip a digest bit
 	f.Add(uint8(1), uint8(1), uint8(1), uint32(400), []byte{})      // truncate the topo
 	f.Add(uint8(2), uint8(1), uint8(2), uint32(8), []byte{0xff, 7}) // overwrite the matrix table
 	f.Add(uint8(2), uint8(0), uint8(2), uint32(0), []byte{1})       // payload version 1
 	f.Add(uint8(1), uint8(1), uint8(2), uint32(600), []byte{0xff})  // clobber a float32 ref list
 	f.Add(uint8(3), uint8(1), uint8(0), uint32(900), []byte{0x01})  // flip an asymmetric list
-	// Clobber node 1's skeleton list with a repeated index.
+	// Clobber node 1's skeleton list with a repeated index, and clear the
+	// presence byte of a leaf's near ref list, which leaves its refs to be
+	// read as the next fields.
 	for _, sec := range images[0] {
 		if sec.Kind == store.SecTopo {
-			skel := topoNodes(f, sec.Data)[1].skel
+			nodes := topoNodes(f, sec.Data)
+			skel := nodes[1].skel
 			f.Add(uint8(0), uint8(1), uint8(2), uint32(skel[1]), sec.Data[skel[0]:skel[0]+8])
+			near := nodes[len(nodes)-1].refs[0]
+			f.Add(uint8(0), uint8(1), uint8(0), uint32(near[0]-1), []byte{0x01})
 		}
 	}
 	f.Add(uint8(4), uint8(1), uint8(0), uint32(700), []byte{0x04}) // flip a bit of an s = c operator
@@ -91,7 +93,7 @@ func FuzzReadStore(f *testing.F) {
 			mut = append(append(append([]byte(nil), mut[:at]...), data...), tail...)
 		}
 
-		h, err := ReadStore(bytes.NewReader(withSection(t, sections, kind, mut)), nil)
+		h, err := readImage(withSection(t, sections, kind, mut), nil)
 		if err != nil {
 			if !errors.Is(err, ErrBadFormat) {
 				t.Fatalf("load failed with %v, want ErrBadFormat", err)

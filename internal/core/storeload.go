@@ -1,11 +1,8 @@
 package core
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
-	"io"
 	"math"
 
 	"gofmm/internal/linalg"
@@ -15,10 +12,10 @@ import (
 	"gofmm/internal/workspace"
 )
 
-// Loading a compressed operator from the on-disk store. Three entry points
-// share one validator and one payload parser (decodeStore):
+// Loading a compressed operator from the on-disk store. LoadFrom's two
+// paths share one validator and one payload parser (decodeStore):
 //
-//   - LoadFrom with Mmap maps the file read-only and binds every constant
+//   - With Mmap it maps the file read-only and binds every constant
 //     matrix as a column-major view straight into the mapping — zero copies
 //     of arena data, first matvec limited by page faults, the mapping held
 //     until ReleaseStore. Any mmap failure (unsupported platform, filesystem
@@ -26,18 +23,16 @@ import (
 //   - The portable path reads the file into memory and, when the host can
 //     reinterpret little-endian IEEE floats in place, still binds views into
 //     that buffer; otherwise (big-endian hosts) it decodes by copy.
-//   - ReadStore is the portable path over an io.Reader, optionally
-//     reattaching the entry oracle.
 //
-// In every case the container is validated section-by-section (magic,
+// In both cases the container is validated section-by-section (magic,
 // bounds, alignment, sha256 checksums) by internal/store before a byte of
 // payload is parsed, and the payload parser treats its input as untrusted:
 // every length is bounded by the bytes actually present, every index is
 // range-checked, and the permutation is verified to be a permutation before
-// the tree is rebuilt. A store flagged as compiled carries only its plan's
-// digest: the loader lowers the decoded operator with CompilePlanCtx, so
-// the Builder validates the schedule on the load path exactly as on the
-// compile path, and the digests must match. Malformed payloads yield
+// the tree is rebuilt. The store holds no schedule: when it carries the
+// blocks of every contributing list, the loader lowers the decoded
+// operator with CompilePlan, so the Builder validates the schedule on the
+// load path exactly as on the compile path. Malformed payloads yield
 // ErrBadFormat, never a panic.
 
 // LoadOptions configures LoadFrom. The zero value is a sequentialish
@@ -64,18 +59,15 @@ type StoreInfo struct {
 	Mapped bool
 	// Bytes is the store file size.
 	Bytes int64
-	// HasPlan reports whether the store was saved compiled, in which case
-	// the load re-lowered the plan and matched the saved digest.
-	HasPlan bool
-	// PlanDigest is the hex digest of the re-lowered plan ("" without one).
-	PlanDigest string
 }
 
 // LoadFrom opens an operator store written by SaveTo and reconstructs the
-// operator. The result carries no entry oracle (HasOracle is false): Matvec,
-// Matmat and, for a store saved compiled, the re-lowered plan work
-// immediately, while paths that must sample fresh entries return
-// ErrNoOracle until AttachOracle provides one. Close the returned
+// operator. The result carries no entry oracle (HasOracle is false). A
+// store that carries the blocks of every contributing near and far list,
+// as every compiled or cached operator's does, loads with its plan lowered
+// and evaluates at once; one that carries none evaluates after
+// AttachOracle provides the entries to gather. Paths that must sample
+// fresh entries return ErrNoOracle until then. Close the returned
 // operator's backing file with ReleaseStore when it leaves service.
 func LoadFrom(path string, opts LoadOptions) (*Hierarchical, *StoreInfo, error) {
 	var f *store.File
@@ -101,39 +93,6 @@ func LoadFrom(path string, opts LoadOptions) (*Hierarchical, *StoreInfo, error) 
 		opts.Telemetry.Counter("store.mmap_hits").Add(1)
 	}
 	return h, info, nil
-}
-
-// ReadStore reads an operator store written by WriteStore (or SaveTo) from
-// r. K is the optional entry oracle:
-//
-//   - Passing the matrix that was compressed (only its dimension can be
-//     validated; a mismatch wraps resilience.ErrInvalidInput) restores the
-//     full API, including the paths that sample fresh entries.
-//   - Passing nil loads the operator oracle-free, exactly as LoadFrom does:
-//     Matvec/Matmat work when every block they touch was persisted, and
-//     oracle-requiring paths return ErrNoOracle until AttachOracle.
-//
-// The returned operator runs the Sequential executor with one worker; set
-// Cfg.Exec and Cfg.NumWorkers before evaluating for a parallel one.
-func ReadStore(r io.Reader, K SPD) (*Hierarchical, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	f, err := store.Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	h, _, err := decodeStore(f, LoadOptions{Exec: Sequential, NumWorkers: 1})
-	if err != nil {
-		return nil, err
-	}
-	if K != nil {
-		if err := h.AttachOracle(K); err != nil {
-			return nil, err
-		}
-	}
-	return h, nil
 }
 
 // arenaFloats64 views (or on big-endian hosts decodes) a float64 arena
@@ -262,7 +221,6 @@ func decodeStore(f *store.File, opts LoadOptions) (*Hierarchical, *StoreInfo, er
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: store missing topo section", ErrBadFormat)
 	}
-	planb, _ := f.Section(store.SecPlan) // absent plan == no plan
 	a64b, _ := f.Section(store.SecArena64)
 	a32b, _ := f.Section(store.SecArena32)
 
@@ -477,31 +435,33 @@ func decodeStore(f *store.File, opts LoadOptions) (*Hierarchical, *StoreInfo, er
 		return nil, nil, err
 	}
 
-	// --- plan: the compiled flag and digest. The plan itself is lowered
-	// again from the decoded operator, and the Builder validates it ---
-	pr := newSecReader("plan", planb)
-	var digest []byte
-	if len(planb) > 0 && pr.boolean() {
-		digest = pr.raw(sha256.Size)
-	}
-	if err := pr.finish(); err != nil {
-		return nil, nil, err
-	}
-	info := &StoreInfo{Mapped: mapped, Bytes: f.Size()}
-	if digest != nil {
-		p, err := h.CompilePlan()
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: store plan does not lower: %v", ErrBadFormat, err)
+	// A store carries the blocks of every contributing list, as a compiled
+	// or cached operator saves them, and loads compiled; or of none, and
+	// waits for AttachOracle. No operator saves a store between the two.
+	var carried, bare int
+	for id := range h.nodes {
+		for i, kind := range []listKind{nearList, farList} {
+			if lst, _ := h.list(kind, id); len(lst) == 0 || !h.contributes(kind, id) {
+				continue
+			}
+			if lists[id][i] != nil {
+				carried++
+			} else {
+				bare++
+			}
 		}
-		if d := p.Digest(); string(d[:]) != string(digest) {
-			return nil, nil, fmt.Errorf("%w: plan digest mismatch: stored %s, re-lowered %s",
-				ErrBadFormat, hex.EncodeToString(digest), p.DigestHex())
+	}
+	if carried > 0 && bare > 0 {
+		return nil, nil, fmt.Errorf("%w: store carries the blocks of %d of %d contributing lists",
+			ErrBadFormat, carried, carried+bare)
+	}
+	if bare == 0 {
+		if _, err := h.CompilePlan(); err != nil {
+			return nil, nil, fmt.Errorf("%w: stored operator does not lower: %v", ErrBadFormat, err)
 		}
-		info.HasPlan = true
-		info.PlanDigest = p.DigestHex()
 	}
 
 	h.backing = f
 	h.finishStats()
-	return h, info, nil
+	return h, &StoreInfo{Mapped: mapped, Bytes: f.Size()}, nil
 }

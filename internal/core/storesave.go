@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 
 	"gofmm/internal/resilience"
@@ -18,9 +17,9 @@ import (
 // addressed by a flat table of (precision, rows, cols, offset) records. A
 // loader can therefore map the file and bind matrix headers directly over
 // the mapping: zero copies, no pointer fixups, first matvec bounded by
-// page-cache faults rather than by decompression. A compiled plan is not
-// persisted, only its digest: the loader lowers the decoded operator again
-// and checks the digest, so the plan reads exactly the blocks saved here.
+// page-cache faults rather than by decompression. The store holds the
+// operator alone, not its evaluation schedule: the loader lowers the plan
+// from the decoded operator, which reads exactly the blocks saved here.
 
 // storeAlign64 rounds n up to the store's 64-byte arena alignment.
 func storeAlign64(n int64) int64 {
@@ -94,7 +93,7 @@ func (h *Hierarchical) storeSections() ([]store.Section, error) {
 	}
 	n := h.K.Dim()
 	p := h.evalPlan.Load()
-	// A compiled operator must reload oracle-free to the same plan, so it
+	// A compiled operator must reload oracle-free and compiled, so it
 	// persists every block its plan reads. Blocks the compression did not
 	// cache were gathered for the plan alone; gather the owned ones again
 	// here, in float64 as the plan holds them, into the saved lists only.
@@ -170,38 +169,19 @@ func (h *Hierarchical) storeSections() ([]store.Section, error) {
 		}
 	}
 
-	// plan section: the compiled flag and the plan digest.
-	var ps secWriter
-	ps.boolean(p != nil)
-	if p != nil {
-		d := p.Digest()
-		ps.b = append(ps.b, d[:]...)
-	}
-
 	arena64, arena32 := mt.pack()
 	return []store.Section{
 		{Kind: store.SecMeta, Data: meta.b},
 		{Kind: store.SecTopo, Data: topo.b},
-		{Kind: store.SecPlan, Data: ps.b},
 		{Kind: store.SecArena64, Data: arena64},
 		{Kind: store.SecArena32, Data: arena32},
 	}, nil
 }
 
-// WriteStore writes the operator in store format (gofmm.store/v1) to w:
-// the compressed representation, its cached blocks and the installed
-// compiled plan, but not the entry oracle. ReadStore reads it back from a
-// stream; SaveTo/LoadFrom add atomic files and the zero-copy mmap load.
-func (h *Hierarchical) WriteStore(w io.Writer) (int64, error) {
-	sections, err := h.storeSections()
-	if err != nil {
-		return 0, err
-	}
-	return store.Write(w, sections)
-}
-
-// SaveTo atomically writes the operator to path in store format and returns
-// the file size. See WriteStore for the format and LoadFrom for loading.
+// SaveTo atomically writes the operator to path in store format
+// (gofmm.store/v1) and returns the file size: the compressed
+// representation and its blocks, but not the entry oracle. LoadFrom reads
+// it back.
 func (h *Hierarchical) SaveTo(path string) (int64, error) {
 	sections, err := h.storeSections()
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"time"
 
+	"gofmm/internal/core"
 	"gofmm/internal/linalg"
 	"gofmm/internal/telemetry"
 	"gofmm/internal/tree"
@@ -22,26 +23,6 @@ import (
 type Oracle interface {
 	Dim() int
 	At(i, j int) float64
-}
-
-// bulk is the optional block-gather fast path (structurally core.Bulk).
-type bulk interface {
-	Submatrix(I, J []int, dst *linalg.Matrix)
-}
-
-func gather(K Oracle, I, J []int) *linalg.Matrix {
-	dst := linalg.NewMatrix(len(I), len(J))
-	if b, ok := K.(bulk); ok {
-		b.Submatrix(I, J, dst)
-		return dst
-	}
-	for c, j := range J {
-		col := dst.Col(c)
-		for r, i := range I {
-			col[r] = K.At(i, j)
-		}
-	}
-	return dst
 }
 
 // Config tunes the compression.
@@ -127,7 +108,7 @@ func Compress(K Oracle, cfg Config) *HSS {
 	const blk = 512
 	for lo := 0; lo < n; lo += blk {
 		hi := min(lo+blk, n)
-		block := gather(K, all[lo:hi], all)
+		block := core.NewGathered(K, all[lo:hi], all)
 		yv := Y.View(lo, 0, hi-lo, p)
 		linalg.Gemm(false, false, 1, block, Omega, 0, yv)
 	}
@@ -145,11 +126,11 @@ func Compress(K Oracle, cfg Config) *HSS {
 		if id == 0 {
 			if h.Tree.IsLeaf(0) {
 				// Degenerate single-leaf tree: store K densely.
-				h.nodes[0].D = gather(K, all, all)
+				h.nodes[0].D = core.NewGathered(K, all, all)
 			} else {
 				// Root: only the coupling between its children is needed.
 				l, r := h.Tree.Left(0), h.Tree.Right(0)
-				h.nodes[0].B = gather(K, h.nodes[l].skel, h.nodes[r].skel)
+				h.nodes[0].B = core.NewGathered(K, h.nodes[l].skel, h.nodes[r].skel)
 			}
 			return
 		}
@@ -159,13 +140,13 @@ func Compress(K Oracle, cfg Config) *HSS {
 		if h.Tree.IsLeaf(id) {
 			rows = append([]int(nil), h.Tree.Indices(id)...)
 			Z = Y.RowsGather(rows)
-			D := gather(K, rows, rows)
+			D := core.NewGathered(K, rows, rows)
 			omegaIn = Omega.RowsGather(rows)
 			linalg.Gemm(false, false, -1, D, omegaIn, 1, Z)
 			h.nodes[id].D = D
 		} else {
 			l, r := h.Tree.Left(id), h.Tree.Right(id)
-			B := gather(K, h.nodes[l].skel, h.nodes[r].skel)
+			B := core.NewGathered(K, h.nodes[l].skel, h.nodes[r].skel)
 			h.nodes[id].B = B
 			Sl := redS[l].Clone()
 			linalg.Gemm(false, false, -1, B, redOmega[r], 1, Sl)

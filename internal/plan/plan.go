@@ -529,14 +529,11 @@ func (p *Plan) Stages() []Stage { return p.stages }
 // Ops exposes the op records (read-only) for inspection and tests.
 func (p *Plan) Ops() []Op { return p.ops }
 
-// Digest returns the SHA-256 over the plan's structure: op kinds, shapes,
-// arena offsets, permutations, stage and task boundaries — everything that
-// determines the replay schedule, and nothing that depends on block values.
-// Two compressions with the same seed and configuration produce
-// byte-identical digests.
-func (p *Plan) Digest() [sha256.Size]byte { return p.digest }
-
-// DigestHex returns Digest as a hex string.
+// DigestHex returns the hex SHA-256 over the plan's structure: op kinds,
+// shapes, arena offsets, permutations, stage and task boundaries —
+// everything that determines the replay schedule, and nothing that depends
+// on block values. Two compressions with the same seed and configuration
+// produce identical digests.
 func (p *Plan) DigestHex() string {
 	d := p.digest
 	return hex.EncodeToString(d[:])

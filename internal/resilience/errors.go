@@ -31,9 +31,9 @@ var (
 	ErrCancelled = errors.New("resilience: operation cancelled")
 	// ErrTimeout is returned when a context deadline expires mid-operation.
 	ErrTimeout = errors.New("resilience: operation timed out")
-	// ErrStalled is returned by the scheduler watchdog when DAG execution
-	// makes no progress: either a dependency cycle left tasks that can never
-	// become ready, or a task body hung past the stall timeout.
+	// ErrStalled is returned by the scheduler when DAG execution can make
+	// no progress: a dependency cycle left tasks that can never become
+	// ready.
 	ErrStalled = errors.New("resilience: execution stalled")
 	// ErrTaskFailed is returned when a task keeps failing after exhausting
 	// its retry budget.

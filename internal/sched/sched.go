@@ -167,17 +167,15 @@ type Engine struct {
 	pending int       // guarded by mu (tasks not yet finished)
 
 	// Resilience state.
-	curGraph    *Graph // guarded by mu
-	running     int    // guarded by mu (tasks currently inside exec)
-	completions int64  // guarded by mu (tasks finished this run; watchdog progress signal)
-	retries     int64  // guarded by mu (failed attempts redelivered this run)
-	cancelled   bool   // guarded by mu (stop dispatching; workers drain and exit)
-	runErr      error  // guarded by mu (first fatal error of the run)
+	curGraph  *Graph // guarded by mu
+	running   int    // guarded by mu (tasks currently inside exec)
+	retries   int64  // guarded by mu (failed attempts redelivered this run)
+	cancelled bool   // guarded by mu (stop dispatching; workers drain and exit)
+	runErr    error  // guarded by mu (first fatal error of the run)
 
 	// Resilience configuration (set before RunCtx).
-	failTask     func(label string) bool     // fault-injection hook (may be nil)
-	stallTimeout time.Duration               // watchdog; 0 disables
-	logger       atomic.Pointer[slog.Logger] // health-event sink (may be empty)
+	failTask func(label string) bool     // fault-injection hook (may be nil)
+	logger   atomic.Pointer[slog.Logger] // health-event sink (may be empty)
 
 	// trace support
 	traceOn  bool
@@ -236,15 +234,10 @@ func (e *Engine) EnableTrace() { e.traceOn = true }
 // redelivers the task, up to the retry budget). Pass nil to disable.
 func (e *Engine) SetFaultInjector(f func(label string) bool) { e.failTask = f }
 
-// SetStallTimeout arms the watchdog: if no task completes for d while work
-// remains, RunCtx gives up and returns ErrStalled with the stuck frontier.
-// Zero disables the timer (provable deadlocks are still detected instantly).
-func (e *Engine) SetStallTimeout(d time.Duration) { e.stallTimeout = d }
-
 // SetLogger attaches a structured logger for scheduler health events —
-// stall-watchdog fires and provable deadlocks at Error, chaos-injected
-// retry redeliveries at Warn. Pass nil to detach; nothing is logged while
-// no logger is set. Safe to call concurrently with a run.
+// provable deadlocks at Error, chaos-injected retry redeliveries at Warn.
+// Pass nil to detach; nothing is logged while no logger is set. Safe to
+// call concurrently with a run.
 func (e *Engine) SetLogger(l *slog.Logger) { e.logger.Store(l) }
 
 // Retries returns the number of failed task attempts redelivered during the
@@ -263,11 +256,10 @@ func (e *Engine) Trace() []Event { return e.trace }
 // are recovered into *resilience.PanicError; injected task failures are
 // redelivered up to the retry budget and surface as ErrTaskFailed when it
 // is exhausted; a DAG that can make no progress (dependency cycle) is
-// detected immediately and a hung task body is caught by the stall-timeout
-// watchdog, both reported as ErrStalled with the stuck frontier. On
-// cancellation, queued tasks are abandoned and running bodies are allowed
-// to finish. A Graph can only be run once (its dependency counters are
-// consumed).
+// detected immediately and reported as ErrStalled with the stuck
+// frontier. On cancellation, queued tasks are abandoned and running bodies
+// are allowed to finish. A Graph can only be run once (its dependency
+// counters are consumed).
 func (e *Engine) RunCtx(ctx context.Context, g *Graph) error {
 	if g.err != nil {
 		return g.err
@@ -282,7 +274,6 @@ func (e *Engine) RunCtx(ctx context.Context, g *Graph) error {
 	e.pending = len(g.tasks)
 	e.curGraph = g
 	e.running = 0
-	e.completions = 0
 	e.retries = 0
 	e.cancelled = false
 	e.runErr = nil
@@ -303,8 +294,6 @@ func (e *Engine) RunCtx(ctx context.Context, g *Graph) error {
 	}
 	var wg sync.WaitGroup
 	wg.Add(len(e.specs))
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
 	stop := make(chan struct{})
 	defer close(stop)
 	// Cancellation watcher: flips the cancelled flag so sleeping workers
@@ -316,14 +305,6 @@ func (e *Engine) RunCtx(ctx context.Context, g *Graph) error {
 		case <-stop:
 		}
 	}()
-	// Stall watchdog: fires when no task completes for stallTimeout while
-	// work remains (a hung task body — running workers cannot be interrupted,
-	// so RunCtx abandons them and reports the stuck frontier).
-	var stalled chan struct{}
-	if e.stallTimeout > 0 {
-		stalled = make(chan struct{})
-		go e.watchdog(stalled, stop)
-	}
 	// Workers spawn last so they are first in line for the scheduler (on a
 	// single P the last-spawned goroutine runs next — keep that a worker,
 	// not a watcher, so heterogeneous pools start the way they always have).
@@ -333,14 +314,7 @@ func (e *Engine) RunCtx(ctx context.Context, g *Graph) error {
 			e.worker(w)
 		}(w)
 	}
-	if stalled != nil {
-		select {
-		case <-done:
-		case <-stalled:
-		}
-	} else {
-		<-done
-	}
+	wg.Wait()
 	e.mu.Lock()
 	e.runWall = time.Since(e.runStart)
 	err := e.runErr
@@ -357,56 +331,6 @@ func (e *Engine) abort(err error) {
 	e.cancelled = true
 	e.cond.Broadcast()
 	e.mu.Unlock()
-}
-
-// watchdog monitors completion progress and closes fired when the run makes
-// none for stallTimeout while tasks remain.
-func (e *Engine) watchdog(fired, stop chan struct{}) {
-	period := e.stallTimeout / 4
-	if period < time.Millisecond {
-		period = time.Millisecond
-	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	lastSeen := int64(-1)
-	lastProgress := time.Now()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-tick.C:
-		}
-		e.mu.Lock()
-		comp, pending := e.completions, e.pending
-		if pending == 0 || e.cancelled {
-			e.mu.Unlock()
-			return
-		}
-		if comp != lastSeen {
-			lastSeen = comp
-			lastProgress = time.Now()
-			e.mu.Unlock()
-			continue
-		}
-		if time.Since(lastProgress) < e.stallTimeout {
-			e.mu.Unlock()
-			continue
-		}
-		frontier := e.frontierLocked()
-		if e.runErr == nil {
-			e.runErr = fmt.Errorf("%w: no task completed in %v; stuck frontier: %s",
-				resilience.ErrStalled, e.stallTimeout, frontier)
-		}
-		e.cancelled = true
-		e.cond.Broadcast()
-		e.mu.Unlock()
-		if l := e.logger.Load(); l != nil {
-			l.Error("sched stall watchdog fired",
-				"timeout", e.stallTimeout.String(), "frontier", frontier)
-		}
-		close(fired)
-		return
-	}
 }
 
 // frontierLocked describes the unfinished tasks blocking progress: running
@@ -660,7 +584,6 @@ func (e *Engine) exec(w int, t *Task) {
 		})
 	}
 	t.done = true
-	e.completions++
 	for _, s := range t.succ {
 		if atomic.AddInt32(&s.nprec, -1) == 0 {
 			e.dispatchLocked(s)

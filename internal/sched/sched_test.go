@@ -264,22 +264,6 @@ func TestDeadlockDetectedWithFrontier(t *testing.T) {
 	}
 }
 
-func TestWatchdogCatchesHungTask(t *testing.T) {
-	g := NewGraph()
-	release := make(chan struct{})
-	g.Add("hung", 1, func() { <-release })
-	e := NewEngine(HEFT, Homogeneous(2))
-	e.SetStallTimeout(20 * time.Millisecond)
-	err := e.RunCtx(context.Background(), g)
-	close(release) // let the abandoned worker exit
-	if !errors.Is(err, resilience.ErrStalled) {
-		t.Fatalf("RunCtx = %v, want ErrStalled", err)
-	}
-	if !strings.Contains(err.Error(), "hung") {
-		t.Fatalf("watchdog error does not name the hung task: %v", err)
-	}
-}
-
 func TestInjectedFailuresAreRetried(t *testing.T) {
 	for _, pol := range []Policy{HEFT, FIFO} {
 		g := NewGraph()

@@ -95,10 +95,15 @@ func (s *Server) handleAdminLoad(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err, "")
 		return
 	}
+	// The swap compiled the operator unless its load already had.
+	p, digest := h.Plan(), ""
+	if p != nil {
+		digest = p.DigestHex()
+	}
 	if l := s.rec.Logger(); l != nil {
 		l.Info("serve: operator loaded from store",
 			"operator", name, "bytes", info.Bytes, "mapped", info.Mapped,
-			"plan", info.HasPlan)
+			"plan", p != nil)
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	resp := map[string]any{
@@ -106,8 +111,8 @@ func (s *Server) handleAdminLoad(w http.ResponseWriter, r *http.Request) {
 		"dim":         op.Dim(),
 		"bytes":       info.Bytes,
 		"mapped":      info.Mapped,
-		"plan":        info.HasPlan,
-		"plan_digest": info.PlanDigest,
+		"plan":        p != nil,
+		"plan_digest": digest,
 		"solve":       op.CanSolve(),
 	}
 	if err := json.NewEncoder(w).Encode(resp); err != nil {

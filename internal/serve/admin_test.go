@@ -78,6 +78,16 @@ func TestAdminLoadSwapDeregister(t *testing.T) {
 	if err := json.Unmarshal(doc["mapped"], &mapped); err != nil {
 		t.Fatal(err)
 	}
+	// The response reports the plan the load lowered, which is the saved
+	// operator's.
+	var plan bool
+	var digest string
+	if err := errors.Join(json.Unmarshal(doc["plan"], &plan), json.Unmarshal(doc["plan_digest"], &digest)); err != nil {
+		t.Fatal(err)
+	}
+	if !plan || digest != h.Plan().DigestHex() {
+		t.Fatalf("load response plan=%v plan_digest=%q, want true and %q", plan, digest, h.Plan().DigestHex())
+	}
 	op, err := reg.Get("alpha")
 	if err != nil {
 		t.Fatal(err)

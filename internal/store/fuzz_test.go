@@ -42,7 +42,8 @@ func FuzzStoreOpen(f *testing.F) {
 			}
 			return
 		}
-		for _, kind := range file.Kinds() {
+		for _, sec := range file.sections {
+			kind := sec.kind
 			payload, ok := file.Section(kind)
 			if !ok {
 				t.Fatalf("listed section %s not retrievable", kind)

@@ -43,7 +43,7 @@ const (
 	headerSize = 64
 	entrySize  = 56
 	// maxSections bounds the section count a header may declare; v1 writes
-	// five sections, so 64 leaves ample room for future kinds while keeping
+	// four sections, so 64 leaves ample room for future kinds while keeping
 	// the table allocation trivially bounded.
 	maxSections = 64
 )
@@ -61,10 +61,8 @@ const (
 	// interaction lists, and the matrix table mapping every stored matrix
 	// to its arena range.
 	SecTopo SectionKind = 2
-	// SecPlan records whether the operator was saved with a compiled plan
-	// and, if so, the plan's digest; the loader lowers the plan again and
-	// checks the digest (an absent section means no plan).
-	SecPlan SectionKind = 3
+	// Kind 3 is retired: it held the plan digest of payload versions up
+	// to 4, so a file that carries it fails as an unknown kind.
 	// SecArena64 is the packed float64 arena (column-major matrix data,
 	// each matrix starting at a 64-byte-aligned offset).
 	SecArena64 SectionKind = 4
@@ -78,8 +76,6 @@ func (k SectionKind) String() string {
 		return "meta"
 	case SecTopo:
 		return "topo"
-	case SecPlan:
-		return "plan"
 	case SecArena64:
 		return "arena64"
 	case SecArena32:
@@ -148,15 +144,6 @@ func (f *File) Section(kind SectionKind) ([]byte, bool) {
 	return nil, false
 }
 
-// Kinds lists the file's section kinds in file order.
-func (f *File) Kinds() []SectionKind {
-	out := make([]SectionKind, len(f.sections))
-	for i, s := range f.sections {
-		out[i] = s.kind
-	}
-	return out
-}
-
 // Close releases the backing buffer (unmapping it when mmap'd). Idempotent.
 func (f *File) Close() error {
 	if f.closed {
@@ -218,7 +205,7 @@ func Decode(data []byte) (*File, error) {
 		off := le.Uint64(e[8:16])
 		sz := le.Uint64(e[16:24])
 		switch kind {
-		case SecMeta, SecTopo, SecPlan, SecArena64, SecArena32:
+		case SecMeta, SecTopo, SecArena64, SecArena32:
 		default:
 			return nil, fmt.Errorf("%w: unknown section kind %d", ErrBadStore, uint32(kind))
 		}

@@ -18,7 +18,7 @@ func sha256sum(b []byte) []byte {
 	return s[:]
 }
 
-// testSections builds a representative five-section payload set with
+// testSections builds a representative four-section payload set with
 // deliberately awkward (non-aligned) lengths.
 func testSections() []Section {
 	arena64 := make([]byte, 8*129)
@@ -32,7 +32,6 @@ func testSections() []Section {
 	return []Section{
 		{Kind: SecMeta, Data: []byte("meta-payload")},
 		{Kind: SecTopo, Data: bytes.Repeat([]byte{0xAB}, 777)},
-		{Kind: SecPlan, Data: []byte{1}},
 		{Kind: SecArena64, Data: arena64},
 		{Kind: SecArena32, Data: arena32},
 	}
@@ -49,7 +48,7 @@ func writeTemp(t *testing.T, sections []Section) string {
 
 func checkSections(t *testing.T, f *File, want []Section) {
 	t.Helper()
-	if got, wantN := len(f.Kinds()), len(want); got != wantN {
+	if got, wantN := len(f.sections), len(want); got != wantN {
 		t.Fatalf("got %d sections, want %d", got, wantN)
 	}
 	for _, s := range want {
@@ -220,6 +219,7 @@ func TestDecodeRejectsStructuralAttacks(t *testing.T) {
 		img  []byte
 	}{
 		{"unknown kind", build(77, uint32(SecTopo), 192, 8, 256, 8)},
+		{"retired plan kind", build(3, uint32(SecTopo), 192, 8, 256, 8)},
 		{"duplicate kind", build(uint32(SecMeta), uint32(SecMeta), 192, 8, 256, 8)},
 		{"misaligned", build(uint32(SecMeta), uint32(SecTopo), 200, 8, 256, 8)},
 		{"overlap", build(uint32(SecMeta), uint32(SecTopo), 192, 100, 192, 8)},

@@ -38,8 +38,8 @@ type FlightRecorder struct {
 // than spans, so the bound is fixed rather than configurable).
 const flightErrKeep = 64
 
-// FlightError is one recorded failure: a recovered panic, a stall-watchdog
-// fire, a provable deadlock, or anything else routed through ReportCrash.
+// FlightError is one recorded failure: a recovered panic, a provable
+// deadlock, or anything else routed through ReportCrash.
 type FlightError struct {
 	Label     string  `json:"label"`
 	TraceID   string  `json:"trace_id,omitempty"`

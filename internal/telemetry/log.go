@@ -48,11 +48,11 @@ func (r *Recorder) Flight() *FlightRecorder {
 }
 
 // ReportCrash is the single funnel for "this run just went badly wrong":
-// recovered panics, stall-watchdog fires and provable deadlocks all land
-// here. It logs at Error through the attached logger and forwards to the
-// attached flight recorder, which records the error and — when a dump
-// directory is configured — writes a post-mortem dump to disk. Nil-safe in
-// every position (nil recorder, nil error, no logger, no flight recorder).
+// recovered panics and provable deadlocks both land here. It logs at Error
+// through the attached logger and forwards to the attached flight
+// recorder, which records the error and — when a dump directory is
+// configured — writes a post-mortem dump to disk. Nil-safe in every
+// position (nil recorder, nil error, no logger, no flight recorder).
 func (r *Recorder) ReportCrash(label, traceID string, err error) {
 	if r == nil || err == nil {
 		return
