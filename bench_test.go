@@ -1,14 +1,13 @@
 package gofmm
 
-// Benchmark harness: one testing.B benchmark per paper table/figure (at
-// reduced sizes — run `go run ./cmd/repro <id>` for the full paper-style
-// row dumps) plus ablation benchmarks for the design choices called out in
-// DESIGN.md (budget, distance metric, scheduler, caching, importance
-// sampling) and micro-benchmarks of the linalg substrate.
+// Benchmarks of compression and evaluation scaling, ablations of the
+// design choices called out in DESIGN.md (budget, distance metric,
+// scheduler, caching, importance sampling) and micro-benchmarks of the
+// linalg substrate. The paper's tables and figures run through
+// `go run ./cmd/repro <id>`, whose -benchjson records them.
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"testing"
@@ -40,56 +39,6 @@ func emitBenchRecord(b *testing.B, name string, rows []experiments.Result, metri
 	}
 	if _, err := rr.WriteBenchFile(dir); err != nil {
 		b.Fatalf("writing bench record: %v", err)
-	}
-}
-
-// --- Figure/Table benchmarks -------------------------------------------
-
-func BenchmarkFig1DenseVsGOFMM(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig1(io.Discard, []int{512, 1024}, []int{64}, 1)
-	}
-}
-
-func BenchmarkFig4Scheduling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig4(io.Discard, []int{1, 4}, 1024, 1)
-	}
-}
-
-func BenchmarkFig5AllMatrices(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig5(io.Discard, 400, 1)
-	}
-}
-
-func BenchmarkFig6HSSvsFMM(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig6(io.Discard, 800, 1)
-	}
-}
-
-func BenchmarkFig7Permutations(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig7(io.Discard, 400, 1)
-	}
-}
-
-func BenchmarkTable3Codes(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Table3(io.Discard, 400, 1)
-	}
-}
-
-func BenchmarkTable4ASKIT(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Table4(io.Discard, []int{512}, 1)
-	}
-}
-
-func BenchmarkTable5Architectures(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Table5(io.Discard, 512, 1)
 	}
 }
 

@@ -135,7 +135,7 @@ func run(args []string, out io.Writer) error {
 	}
 	var srv *live.Server
 	if *debugAddr != "" {
-		srv = live.New(rec, live.WithFlightRecorder(flight))
+		srv = live.New(rec, flight)
 		if err := srv.Start(*debugAddr); err != nil {
 			return err
 		}
@@ -261,10 +261,14 @@ func run(args []string, out io.Writer) error {
 		srv.SetReady(true) // compressed form is in memory: the operator can serve
 	}
 	st := h.Stats
-	fmt.Fprintf(out, "compression: %.3fs (ann %.3fs, tree %.3fs, lists %.3fs, skel %.3fs, cache %.3fs)\n",
-		st.CompressTime, st.ANNTime, st.TreeTime, st.ListsTime, st.SkelTime, st.CacheTime)
-	fmt.Fprintf(out, "  total %.2f GFLOP, %.2f GFLOPS | avg rank %.1f | max near %d | direct %.2f%%\n",
-		st.CompressFlops/1e9, st.CompressFlops/st.CompressTime/1e9, st.AvgRank, st.MaxNear, 100*st.DirectFrac)
+	if *loadFile == "" {
+		fmt.Fprintf(out, "compression: %.3fs (ann %.3fs, tree %.3fs, lists %.3fs, skel %.3fs, cache %.3fs)\n",
+			st.CompressTime, st.ANNTime, st.TreeTime, st.ListsTime, st.SkelTime, st.CacheTime)
+		fmt.Fprintf(out, "  total %.2f GFLOP, %.2f GFLOPS | ", st.CompressFlops/1e9, st.CompressFlops/st.CompressTime/1e9)
+	} else {
+		fmt.Fprint(out, "structure: ") // a loaded operator has no compression timing or flops
+	}
+	fmt.Fprintf(out, "avg rank %.1f | max near %d | direct %.2f%%\n", st.AvgRank, st.MaxNear, 100*st.DirectFrac)
 
 	if fb := h.Stats.DenseFallbacks; fb > 0 {
 		fmt.Fprintf(out, "graceful degradation: %d nodes stored dense (missed tol %g at rank %d)\n",

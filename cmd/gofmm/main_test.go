@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -85,13 +86,21 @@ func TestRunSaveLoadRoundTrip(t *testing.T) {
 	if !strings.Contains(sb.String(), "operator store to") {
 		t.Fatalf("store message missing:\n%s", sb.String())
 	}
+	maxNear := regexp.MustCompile(`max near [0-9]+`)
+	stored := maxNear.FindString(sb.String())
 	sb.Reset()
 	if err := run([]string{"-matrix", "K09", "-n", "128", "-m", "32", "-s", "16",
 		"-r", "1", "-exec", "seq", "-load", path}, &sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "loaded compressed form") {
-		t.Fatalf("load message missing:\n%s", sb.String())
+	out := sb.String()
+	if !strings.Contains(out, "loaded compressed form") {
+		t.Fatalf("load message missing:\n%s", out)
+	}
+	// The loaded operator reports the saved one's structure, and no
+	// compression rate it never measured.
+	if loaded := maxNear.FindString(out); stored == "" || loaded != stored || strings.Contains(out, "NaN") {
+		t.Fatalf("loaded summary %q against stored %q:\n%s", loaded, stored, out)
 	}
 }
 

@@ -162,7 +162,7 @@ func run(args []string, out io.Writer) error {
 	evalCtx, evalCancel := context.WithCancel(context.Background())
 	defer evalCancel()
 
-	lv := live.New(rec, live.WithFlightRecorder(flight))
+	lv := live.New(rec, flight)
 	lv.SetReady(false) // warming up: compressing operators
 
 	reg := serve.NewRegistry(rec)

@@ -66,7 +66,7 @@ func cli(args []string, w io.Writer) error {
 	if *debugAddr != "" {
 		rec = telemetry.New()
 		flight := telemetry.NewFlightRecorder(rec, 512)
-		srv := live.New(rec, live.WithFlightRecorder(flight))
+		srv := live.New(rec, flight)
 		if err := srv.Start(*debugAddr); err != nil {
 			return err
 		}

@@ -132,7 +132,6 @@ func CompressCtx(ctx context.Context, K SPD, cfg Config) (h *Hierarchical, err e
 		p := startPhase(root, "ann")
 		h.Neighbors, err = ann.Search(ctx, n, cfg.Kappa, space, ann.Options{
 			LeafSize: cfg.LeafSize,
-			MaxIters: cfg.ANNIters,
 			Seed:     cfg.Seed,
 			Workers:  cfg.workerCount(),
 		})
@@ -318,6 +317,7 @@ func (h *Hierarchical) finishStats() {
 	n := float64(h.K.Dim())
 	for _, beta := range t.Leaves() {
 		bs := float64(t.Nodes[beta].Size())
+		h.Stats.MaxNear = max(h.Stats.MaxNear, len(h.nodes[beta].near))
 		for _, alpha := range h.nodes[beta].near {
 			direct += bs * float64(t.Nodes[alpha].Size())
 		}

@@ -232,8 +232,6 @@ type Config struct {
 	// SampleRows bounds the number of importance-sampled rows used per
 	// skeletonization (default 4·MaxRank + LeafSize).
 	SampleRows int
-	// ANNIters caps the neighbor-search iterations (default 10).
-	ANNIters int
 	// Seed makes all randomized components deterministic.
 	Seed int64
 	// NoSymmetrize skips the near-list symmetrization step. GOFMM always
@@ -284,9 +282,6 @@ func (c Config) withDefaults(n int) Config {
 	}
 	if c.SampleRows <= 0 {
 		c.SampleRows = 4*c.MaxRank + c.LeafSize
-	}
-	if c.ANNIters <= 0 {
-		c.ANNIters = 10
 	}
 	return c
 }

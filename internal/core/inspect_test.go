@@ -24,7 +24,7 @@ func TestCompressionTouchesSubquadraticEntries(t *testing.T) {
 		_, err := Compress(denseSPD{Kd}, Config{
 			LeafSize: 64, MaxRank: 32, Tol: 1e-4, Kappa: 8, Budget: 0.05,
 			Distance: Kernel, Exec: Sequential, Seed: 5, CacheBlocks: true,
-			SampleRows: 96, ANNIters: 3, Telemetry: rec,
+			SampleRows: 96, Telemetry: rec,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -67,7 +67,6 @@ func (h *Hierarchical) buildNearLists() {
 			}
 		}
 	}
-	maxNear := 0
 	for _, beta := range t.Leaves() {
 		lst := make([]int, 0, len(nearSets[beta]))
 		for a := range nearSets[beta] {
@@ -75,11 +74,7 @@ func (h *Hierarchical) buildNearLists() {
 		}
 		sort.Ints(lst)
 		h.nodes[beta].near = lst
-		if len(lst) > maxNear {
-			maxNear = len(lst)
-		}
 	}
-	h.Stats.MaxNear = maxNear
 }
 
 // buildFarLists constructs the far interaction lists. Two constructions are

@@ -100,6 +100,10 @@ func TestStoreRoundTripProperty(t *testing.T) {
 				if h2.Plan() == nil {
 					t.Fatalf("%s: loaded uncompiled", name)
 				}
+				if a, b := h2.Stats, h.Stats; a.AvgRank != b.AvgRank || a.MaxNear != b.MaxNear ||
+					a.DirectFrac != b.DirectFrac || a.DenseFallbacks != b.DenseFallbacks {
+					t.Fatalf("%s: loaded structure stats %+v, want %+v", name, a, b)
+				}
 				if got := h2.Plan().DigestHex(); got != wantDigest {
 					t.Fatalf("%s: re-lowered plan digest %q, want %q", name, got, wantDigest)
 				}

@@ -25,12 +25,15 @@ type Oracle interface {
 	At(i, j int) float64
 }
 
+// oversample is the number of sketch columns beyond the target rank.
+const oversample = 10
+
 // Config tunes the compression.
 type Config struct {
 	LeafSize int
-	// Rank is the target HSS rank of the sketch; Oversample adds columns to
-	// Ω for robustness (default 10).
-	Rank, Oversample int
+	// Rank is the target HSS rank of the sketch; Ω has oversample more
+	// columns for robustness.
+	Rank int
 	// Tol is the interpolative-decomposition truncation tolerance.
 	Tol  float64
 	Seed int64
@@ -42,9 +45,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Rank <= 0 {
 		c.Rank = 128
-	}
-	if c.Oversample <= 0 {
-		c.Oversample = 10
 	}
 	if c.Tol <= 0 {
 		c.Tol = 1e-8
@@ -98,7 +98,7 @@ func Compress(K Oracle, cfg Config) *HSS {
 	// Global sketch Y = K·Ω — the O(N²·r) step.
 	t0 := time.Now()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	p := cfg.Rank + cfg.Oversample
+	p := cfg.Rank + oversample
 	Omega := linalg.GaussianMatrix(rng, n, p)
 	all := make([]int, n)
 	for i := range all {

@@ -19,11 +19,8 @@ type BreakerConfig struct {
 	// the breaker (default 5).
 	Threshold int
 	// Cooldown is how long the breaker stays open before allowing a
-	// half-open probe (default 5s).
+	// half-open probe (default 5s). One successful probe closes it again.
 	Cooldown time.Duration
-	// ProbeSuccesses is the number of consecutive successful half-open
-	// probes required to close again (default 1).
-	ProbeSuccesses int
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
@@ -32,9 +29,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 5 * time.Second
-	}
-	if c.ProbeSuccesses <= 0 {
-		c.ProbeSuccesses = 1
 	}
 	return c
 }
@@ -78,7 +72,6 @@ type breaker struct {
 	consecFails int          // guarded by mu
 	openedAt    time.Time    // guarded by mu
 	probeBusy   bool         // guarded by mu
-	probeOK     int          // guarded by mu
 }
 
 func newBreaker(cfg BreakerConfig, now func() time.Time, onState func(BreakerState)) *breaker {
@@ -121,7 +114,6 @@ func (b *breaker) allow() error {
 				fmt.Errorf("%w: cooling down", ErrBreakerOpen), remaining)
 		}
 		b.state = BreakerHalfOpen
-		b.probeOK = 0
 		b.probeBusy = false
 		notify, newState = b.onState, b.state
 		fallthrough
@@ -165,12 +157,9 @@ func (b *breaker) record(err error) {
 		b.probeBusy = false
 		switch {
 		case err == nil:
-			b.probeOK++
-			if b.probeOK >= b.cfg.ProbeSuccesses {
-				b.state = BreakerClosed
-				b.consecFails = 0
-				notify, newState = b.onState, b.state
-			}
+			b.state = BreakerClosed
+			b.consecFails = 0
+			notify, newState = b.onState, b.state
 		case trippable(err):
 			b.state = BreakerOpen
 			b.openedAt = b.now()

@@ -19,11 +19,12 @@ type QuotaConfig struct {
 	// Burst is the bucket capacity (default max(RatePerSec, 1)): how many
 	// columns a tenant may spend instantaneously after an idle period.
 	Burst float64
-	// MaxTenants bounds the bucket table (default 4096). At the bound, the
-	// stalest bucket is evicted — a returning tenant restarts with a full
-	// bucket, which errs toward admission, never toward unbounded memory.
-	MaxTenants int
 }
+
+// maxTenants bounds the bucket table. At the bound, the stalest bucket is
+// evicted — a returning tenant restarts with a full bucket, which errs
+// toward admission, never toward unbounded memory.
+const maxTenants = 4096
 
 func (c QuotaConfig) withDefaults() QuotaConfig {
 	if c.Burst <= 0 {
@@ -31,9 +32,6 @@ func (c QuotaConfig) withDefaults() QuotaConfig {
 		if c.Burst < 1 {
 			c.Burst = 1
 		}
-	}
-	if c.MaxTenants <= 0 {
-		c.MaxTenants = 4096
 	}
 	return c
 }
@@ -79,7 +77,7 @@ func (q *quotas) allow(tenant string, cost float64) error {
 	now := q.now()
 	b := q.buckets[tenant]
 	if b == nil {
-		if len(q.buckets) >= q.cfg.MaxTenants {
+		if len(q.buckets) >= maxTenants {
 			q.evictStalest()
 		}
 		b = &bucket{tokens: q.cfg.Burst, last: now}
@@ -103,7 +101,7 @@ func (q *quotas) allow(tenant string, cost float64) error {
 }
 
 // evictStalest removes the bucket with the oldest refill stamp. Linear
-// scan: eviction only runs at the MaxTenants bound.
+// scan: eviction only runs at the maxTenants bound.
 // called with q.mu held.
 func (q *quotas) evictStalest() {
 	var stalest string

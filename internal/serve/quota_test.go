@@ -73,19 +73,19 @@ func TestQuotaOversizedRequest(t *testing.T) {
 	}
 }
 
-// The bucket table is bounded: tenant number MaxTenants+1 evicts the
+// The bucket table is bounded: tenant number maxTenants+1 evicts the
 // stalest bucket rather than growing without limit.
 func TestQuotaTenantTableBounded(t *testing.T) {
 	clk := newFakeClock()
-	q := newQuotas(QuotaConfig{RatePerSec: 1, Burst: 1, MaxTenants: 8}, clk.now)
-	for i := 0; i < 64; i++ {
+	q := newQuotas(QuotaConfig{RatePerSec: 1, Burst: 1}, clk.now)
+	for i := 0; i < maxTenants+64; i++ {
 		clk.advance(time.Millisecond) // distinct staleness stamps
 		if err := q.allow(fmt.Sprintf("tenant-%d", i), 1); err != nil {
 			t.Fatalf("tenant %d rejected: %v", i, err)
 		}
 	}
-	if got := q.tenants(); got > 8 {
-		t.Fatalf("bucket table grew to %d, bound is 8", got)
+	if got := q.tenants(); got > maxTenants {
+		t.Fatalf("bucket table grew to %d, bound is %d", got, maxTenants)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -31,8 +30,7 @@ type Config struct {
 	// Quota is the per-tenant admission policy (zero RatePerSec disables).
 	Quota QuotaConfig
 	// Live, when set, is mounted on the same mux: /metrics, /healthz,
-	// /readyz, /debug/*. The server registers a "serving" ready check that
-	// fails once drain begins, and flips the coarse ready flag on drain.
+	// /readyz, /debug/*. Drain clears its ready flag.
 	Live *live.Server
 	// MaxBodyBytes bounds request bodies (default 64 MiB). Oversized
 	// bodies fail with 400, not unbounded buffering.
@@ -98,10 +96,7 @@ type Server struct {
 	inflight int           // guarded by mu
 	idle     chan struct{} // closed when draining and inflight == 0
 
-	lifeMu sync.Mutex
-	srv    *http.Server  // guarded by lifeMu
-	ln     net.Listener  // guarded by lifeMu
-	done   chan struct{} // guarded by lifeMu
+	ln live.Listener
 }
 
 // NewServer builds the serving mux over cfg.Registry.
@@ -129,7 +124,6 @@ func NewServer(cfg Config) (*Server, error) {
 		mux.HandleFunc("DELETE /admin/operators/{name}", s.handleAdminDelete)
 	}
 	if cfg.Live != nil {
-		cfg.Live.AddReadyCheck("serving", s.ReadyCheck)
 		mux.Handle("/metrics", cfg.Live.Handler())
 		mux.Handle("/healthz", cfg.Live.Handler())
 		mux.Handle("/readyz", cfg.Live.Handler())
@@ -142,70 +136,28 @@ func NewServer(cfg Config) (*Server, error) {
 // Handler returns the route set for mounting inside another server.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// ReadyCheck is a live.Check that fails once drain has begun — wire it
-// into a load balancer's readiness probe so traffic stops before the
-// listener does.
-func (s *Server) ReadyCheck(context.Context) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return ErrDraining
-	}
-	return nil
-}
-
-// Start serves on addr (port 0 picks a free port) with a hardened
-// http.Server: header and body read timeouts bound slowloris clients, and
-// idle keep-alive connections are reaped.
+// Start serves on addr (port 0 picks a free port) behind live.Listener's
+// hardened http.Server, with Config.ReadTimeout as its read timeout.
 func (s *Server) Start(addr string) error {
-	s.lifeMu.Lock()
-	defer s.lifeMu.Unlock()
-	if s.ln != nil {
-		return fmt.Errorf("%w: serve: already started on %s", resilience.ErrInvalidInput, s.ln.Addr())
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("serve: listen %s: %w", addr, err)
-	}
-	s.ln = ln
-	s.srv = &http.Server{
-		Handler:           s.mux,
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       s.cfg.ReadTimeout,
-		IdleTimeout:       60 * time.Second,
-		MaxHeaderBytes:    1 << 20,
-	}
-	s.done = make(chan struct{})
-	go func(srv *http.Server, ln net.Listener, done chan struct{}) {
-		defer close(done)
-		if serr := srv.Serve(ln); serr != nil && serr != http.ErrServerClosed {
-			if l := s.rec.Logger(); l != nil {
-				l.Error("serve: listener exited", "err", serr.Error())
-			}
-		}
-	}(s.srv, ln, s.done)
-	return nil
+	return s.ln.Start(addr, s.mux, s.cfg.ReadTimeout, s.rec)
 }
 
 // Addr returns the bound listen address ("" before Start).
-func (s *Server) Addr() string {
-	s.lifeMu.Lock()
-	defer s.lifeMu.Unlock()
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
+func (s *Server) Addr() string { return s.ln.Addr() }
 
-// Drain performs the graceful half of shutdown: stop admitting (new
-// requests get 503 ErrDraining and /readyz flips via ReadyCheck), wait for
-// every in-flight request to be answered, then close the registry so each
-// BatchEvaluator runs its final flush. The elapsed time lands in the
-// serve.drain_ms gauge. Bounded by ctx: on expiry it returns a typed
-// timeout but still closes the registry — a drain deadline means "stop
-// now", not "keep serving". Idempotent; concurrent calls all wait.
+// Drain performs the graceful half of shutdown: clear the live server's
+// ready flag (so /readyz answers 503 before admission closes), stop
+// admitting (new requests get 503 ErrDraining), wait for every in-flight
+// request to be answered, then close the registry so each BatchEvaluator
+// runs its final flush. The elapsed time lands in the serve.drain_ms
+// gauge. Bounded by ctx: on expiry it returns a typed timeout but still
+// closes the registry — a drain deadline means "stop now", not "keep
+// serving". Idempotent; concurrent calls all wait.
 func (s *Server) Drain(ctx context.Context) error {
 	start := time.Now()
+	if s.cfg.Live != nil {
+		s.cfg.Live.SetReady(false)
+	}
 	s.mu.Lock()
 	first := !s.draining
 	s.draining = true
@@ -213,9 +165,6 @@ func (s *Server) Drain(ctx context.Context) error {
 		close(s.idle)
 	}
 	s.mu.Unlock()
-	if s.cfg.Live != nil {
-		s.cfg.Live.SetReady(false)
-	}
 	var err error
 	select {
 	case <-s.idle:
@@ -233,21 +182,7 @@ func (s *Server) Drain(ctx context.Context) error {
 // Shutdown closes the listener after in-flight requests finish (call Drain
 // first for the full graceful sequence). Safe without Start and safe to
 // call twice.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.lifeMu.Lock()
-	srv, done := s.srv, s.done
-	s.srv, s.ln = nil, nil
-	s.lifeMu.Unlock()
-	if srv == nil {
-		return nil
-	}
-	err := srv.Shutdown(ctx)
-	<-done
-	if err != nil {
-		return fmt.Errorf("serve: shutdown: %w", err)
-	}
-	return nil
-}
+func (s *Server) Shutdown(ctx context.Context) error { return s.ln.Shutdown(ctx) }
 
 // begin registers an in-flight request unless draining. It returns the
 // matching end function, or a typed error when admission is closed.

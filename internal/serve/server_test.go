@@ -373,7 +373,7 @@ func TestServeOperatorList(t *testing.T) {
 // drain begins.
 func TestReadyzTransitionsUnderConcurrentScrape(t *testing.T) {
 	rec := telemetry.New()
-	lv := live.New(rec)
+	lv := live.New(rec, nil)
 	lv.SetReady(false) // warm-up
 
 	reg := NewRegistry(rec)
@@ -469,8 +469,8 @@ func TestReadyzTransitionsUnderConcurrentScrape(t *testing.T) {
 	phase.drained = true
 	phase.Unlock()
 	if code, body := scrape(); code != http.StatusServiceUnavailable ||
-		!strings.Contains(body, "serving") {
-		t.Fatalf("post-drain /readyz = %d %q, want 503 naming the serving check", code, body)
+		!strings.HasPrefix(body, "not ready") {
+		t.Fatalf("post-drain /readyz = %d %q, want 503 not ready", code, body)
 	}
 	time.Sleep(10 * time.Millisecond) // let scrapers observe the drained phase
 	close(stop)

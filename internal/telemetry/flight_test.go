@@ -143,17 +143,6 @@ func TestTraceIDContextRoundTrip(t *testing.T) {
 	if id, _ := TraceIDFrom(ContextWithTraceID(ctx, "")); id != "abc123" {
 		t.Fatalf("empty ID overwrote: %q", id)
 	}
-	ctx2, id := EnsureTraceID(context.Background())
-	if id == "" {
-		t.Fatal("EnsureTraceID minted nothing")
-	}
-	if got, ok := TraceIDFrom(ctx2); !ok || got != id {
-		t.Fatalf("EnsureTraceID ctx carries %q, returned %q", got, id)
-	}
-	// Already-tagged contexts keep their ID.
-	if _, again := EnsureTraceID(ctx2); again != id {
-		t.Fatalf("EnsureTraceID re-minted: %q vs %q", again, id)
-	}
 }
 
 func TestNewTraceIDUnique(t *testing.T) {

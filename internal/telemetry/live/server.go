@@ -9,31 +9,26 @@ import (
 	"net/http/pprof"
 	"os"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"gofmm/internal/resilience"
 	"gofmm/internal/telemetry"
 )
 
-// Check is one pluggable health/readiness probe. It receives the probe
-// request's context (so a hung dependency cannot wedge the handler past the
-// client's deadline) and returns nil when healthy.
-type Check func(ctx context.Context) error
-
 // Server is the live introspection endpoint set over one telemetry
 // Recorder. Zero-dependency (stdlib only), embeddable two ways: Start/
 // Shutdown run it on its own listener (the CLIs' -debug-addr), or Handler
 // mounts the same routes inside another process's HTTP server (gofmmd's
-// admin port, ROADMAP item 1).
+// serving port).
 //
 // Endpoints:
 //
 //	GET  /metrics            Prometheus text exposition (0.0.4)
-//	GET  /healthz            liveness + registered health checks
-//	GET  /readyz             readiness flag + registered ready checks
+//	GET  /healthz            liveness: 200 "ok"
+//	GET  /readyz             readiness: 200 while the ready flag is set
 //	GET  /debug/vars         cmdline, memstats, goroutines, metrics snapshot
 //	GET  /debug/pprof/*      stdlib profiling endpoints
 //	GET  /debug/spans        completed spans as NDJSON (?replay=N&limit=K)
@@ -43,42 +38,23 @@ type Server struct {
 	flight *telemetry.FlightRecorder
 	mux    *http.ServeMux
 	feed   *spanFeed
-
-	checkMu      sync.Mutex
-	healthChecks map[string]Check // guarded by checkMu
-	readyChecks  map[string]Check // guarded by checkMu
-	ready        atomic.Bool
-
-	lifeMu sync.Mutex
-	srv    *http.Server  // guarded by lifeMu
-	ln     net.Listener  // guarded by lifeMu
-	done   chan struct{} // guarded by lifeMu
+	ready  atomic.Bool
+	ln     Listener
 }
 
-// Option configures a Server at construction.
-type Option func(*Server)
-
-// WithFlightRecorder attaches a flight recorder so POST /debug/flightrecord
-// has a ring to dump and GET /debug/spans?replay=N has history to replay.
-func WithFlightRecorder(f *telemetry.FlightRecorder) Option {
-	return func(s *Server) { s.flight = f }
-}
+// debugReadTimeout bounds how long a debug-port client may spend sending
+// its request.
+const debugReadTimeout = 30 * time.Second
 
 // New builds a Server over rec (which may be nil: every endpoint still
-// answers, exposing empty telemetry). The server subscribes to the
-// recorder's span-end feed immediately; spans completed before the first
-// /debug/spans client connects are only visible via ?replay= when a flight
-// recorder is attached.
-func New(rec *telemetry.Recorder, opts ...Option) *Server {
-	s := &Server{
-		rec:          rec,
-		feed:         newSpanFeed(),
-		healthChecks: map[string]Check{},
-		readyChecks:  map[string]Check{},
-	}
-	for _, o := range opts {
-		o(s)
-	}
+// answers, exposing empty telemetry). flight, which may be nil, gives POST
+// /debug/flightrecord a ring to dump and GET /debug/spans?replay=N history
+// to replay. The server subscribes to the recorder's span-end feed
+// immediately; spans completed before the first /debug/spans client
+// connects are only visible via ?replay= when a flight recorder is
+// attached.
+func New(rec *telemetry.Recorder, flight *telemetry.FlightRecorder) *Server {
+	s := &Server{rec: rec, flight: flight, feed: newSpanFeed()}
 	s.ready.Store(true)
 	rec.OnSpanEnd(s.feed.publish)
 
@@ -102,74 +78,94 @@ func New(rec *telemetry.Recorder, opts ...Option) *Server {
 // Handler returns the route set for mounting inside another server.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// AddHealthCheck registers a liveness probe under name (replacing any
-// previous check of that name).
-func (s *Server) AddHealthCheck(name string, c Check) {
-	s.checkMu.Lock()
-	s.healthChecks[name] = c
-	s.checkMu.Unlock()
-}
-
-// AddReadyCheck registers a readiness probe under name.
-func (s *Server) AddReadyCheck(name string, c Check) {
-	s.checkMu.Lock()
-	s.readyChecks[name] = c
-	s.checkMu.Unlock()
-}
-
-// SetReady flips the coarse readiness flag consulted by /readyz before the
-// registered checks run. Servers start ready; a CLI run flips it off while
-// compressing so load balancers (or CI probes) can tell warm-up from serving.
+// SetReady sets the readiness flag /readyz reports. Servers start ready;
+// a CLI run clears it while compressing and a serving drain clears it for
+// good, so load balancers (or CI probes) can tell warm-up and drain from
+// serving.
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 
 // Start listens on addr (host:port; port 0 picks a free port) and serves in
 // a background goroutine until Shutdown. Call Addr to learn the bound
 // address.
 func (s *Server) Start(addr string) error {
-	s.lifeMu.Lock()
-	defer s.lifeMu.Unlock()
-	if s.ln != nil {
-		return fmt.Errorf("live: server already started on %s: %w",
-			s.ln.Addr(), resilience.ErrInvalidInput)
+	return s.ln.Start(addr, s.mux, debugReadTimeout, s.rec)
+}
+
+// Addr returns the bound listen address ("" before Start).
+func (s *Server) Addr() string { return s.ln.Addr() }
+
+// Shutdown gracefully stops the server: in-flight requests get until ctx
+// expires, live span subscribers are disconnected, and the serve goroutine
+// is reaped. Safe to call without a prior Start and safe to call twice.
+func (s *Server) Shutdown(ctx context.Context) error {
+	s.feed.close() // wakes /debug/spans streamers so Shutdown is not stuck on them
+	return s.ln.Shutdown(ctx)
+}
+
+// Listener runs one handler on its own TCP listener behind a hardened
+// http.Server: header and body read timeouts bound slowloris clients, idle
+// keep-alive connections are reaped, and request headers are capped. The
+// zero value is ready to Start, and it may be started again after
+// Shutdown.
+type Listener struct {
+	mu   sync.Mutex
+	srv  *http.Server  // guarded by mu
+	ln   net.Listener  // guarded by mu
+	done chan struct{} // guarded by mu
+}
+
+// Start listens on addr (port 0 picks a free port) and serves h in a
+// background goroutine until Shutdown. readTimeout bounds how long one
+// request may spend sending its headers and body; serve errors are logged
+// through rec's logger.
+func (l *Listener) Start(addr string, h http.Handler, readTimeout time.Duration, rec *telemetry.Recorder) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.ln != nil {
+		return fmt.Errorf("live: already serving on %s: %w", l.ln.Addr(), resilience.ErrInvalidInput)
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("live: listen %s: %w", addr, err)
 	}
-	s.ln = ln
-	s.srv = &http.Server{Handler: s.mux}
-	s.done = make(chan struct{})
+	l.ln = ln
+	l.srv = &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       60 * time.Second,
+		MaxHeaderBytes:    1 << 20,
+	}
+	l.done = make(chan struct{})
 	go func(srv *http.Server, ln net.Listener, done chan struct{}) {
 		defer close(done)
 		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			if l := s.rec.Logger(); l != nil {
-				l.Error("live server exited", "err", err.Error())
+			if lg := rec.Logger(); lg != nil {
+				lg.Error("http server exited", "addr", ln.Addr().String(), "err", err.Error())
 			}
 		}
-	}(s.srv, ln, s.done)
+	}(l.srv, ln, l.done)
 	return nil
 }
 
 // Addr returns the bound listen address ("" before Start).
-func (s *Server) Addr() string {
-	s.lifeMu.Lock()
-	defer s.lifeMu.Unlock()
-	if s.ln == nil {
+func (l *Listener) Addr() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.ln == nil {
 		return ""
 	}
-	return s.ln.Addr().String()
+	return l.ln.Addr().String()
 }
 
-// Shutdown gracefully stops the server: in-flight requests get until ctx
-// expires, live span subscribers are disconnected, and the serve goroutine
-// is reaped. Safe to call without a prior Start (no-op) and safe to call
-// twice.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.lifeMu.Lock()
-	srv, done := s.srv, s.done
-	s.srv, s.ln = nil, nil
-	s.lifeMu.Unlock()
-	s.feed.close() // wakes /debug/spans streamers so Shutdown is not stuck on them
+// Shutdown closes the listener after in-flight requests finish or ctx
+// expires, and waits for the serve goroutine. Safe without Start and safe
+// to call twice.
+func (l *Listener) Shutdown(ctx context.Context) error {
+	l.mu.Lock()
+	srv, done := l.srv, l.done
+	l.srv, l.ln = nil, nil
+	l.mu.Unlock()
 	if srv == nil {
 		return nil
 	}
@@ -215,75 +211,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.runChecks(w, r, s.snapshotChecks(true), true)
-}
-
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	s.runChecks(w, r, s.snapshotChecks(false), s.ready.Load())
-}
-
-// snapshotChecks copies the health (or, for health=false, readiness) check
-// map under the lock so probes run unlocked.
-func (s *Server) snapshotChecks(health bool) map[string]Check {
-	s.checkMu.Lock()
-	defer s.checkMu.Unlock()
-	m := s.readyChecks
-	if health {
-		m = s.healthChecks
-	}
-	out := make(map[string]Check, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-// runChecks executes the probes with the request context and writes a
-// plain-text verdict: 200 "ok" plus one line per check, or 503 when the
-// base condition is false or any check fails.
-func (s *Server) runChecks(w http.ResponseWriter, r *http.Request, checks map[string]Check, base bool) {
-	ctx := r.Context()
-	type result struct {
-		name string
-		err  error
-	}
-	results := make([]result, 0, len(checks))
-	failed := !base
-	for _, name := range sortedCheckNames(checks) {
-		err := checks[name](ctx)
-		if err != nil {
-			failed = true
-		}
-		results = append(results, result{name, err})
-	}
+// handleHealthz answers liveness: a process that serves HTTP is alive.
+func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if failed {
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}
-	if !base {
-		fmt.Fprintln(w, "not ready")
-	} else if failed {
-		fmt.Fprintln(w, "unhealthy")
-	} else {
-		fmt.Fprintln(w, "ok")
-	}
-	for _, res := range results {
-		if res.err != nil {
-			fmt.Fprintf(w, "fail %s: %s\n", res.name, res.err)
-		} else {
-			fmt.Fprintf(w, "ok   %s\n", res.name)
-		}
-	}
+	fmt.Fprintln(w, "ok")
 }
 
-func sortedCheckNames(m map[string]Check) []string {
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
+// handleReadyz answers 200 "ok" while the ready flag is set and 503 "not
+// ready" otherwise.
+func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	if !s.ready.Load() {
+		http.Error(w, "not ready", http.StatusServiceUnavailable)
+		return
 	}
-	sort.Strings(names)
-	return names
+	s.handleHealthz(w, r)
 }
 
 // handleVars serves an expvar-style JSON document: process identity, memory

@@ -30,7 +30,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	rec := telemetry.New()
 	rec.Counter("batch.flushes").Add(3)
 	rec.Histogram("matvec.latency_ms").Observe(2.5)
-	s := New(rec)
+	s := New(rec, nil)
 
 	rr := get(s, http.MethodGet, "/metrics")
 	if rr.Code != http.StatusOK {
@@ -63,7 +63,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // for the snapshot/exposition path.
 func TestConcurrentRegistrationDuringScrape(t *testing.T) {
 	rec := telemetry.New()
-	s := New(rec)
+	s := New(rec, nil)
 	const goroutines = 64
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -110,13 +110,12 @@ func TestConcurrentRegistrationDuringScrape(t *testing.T) {
 }
 
 func TestHealthzReadyz(t *testing.T) {
-	s := New(telemetry.New())
-	if rr := get(s, http.MethodGet, "/healthz"); rr.Code != http.StatusOK ||
-		!strings.HasPrefix(rr.Body.String(), "ok") {
+	s := New(telemetry.New(), nil)
+	if rr := get(s, http.MethodGet, "/healthz"); rr.Code != http.StatusOK || rr.Body.String() != "ok\n" {
 		t.Fatalf("healthz = %d %q", rr.Code, rr.Body.String())
 	}
-	if rr := get(s, http.MethodGet, "/readyz"); rr.Code != http.StatusOK {
-		t.Fatalf("readyz = %d", rr.Code)
+	if rr := get(s, http.MethodGet, "/readyz"); rr.Code != http.StatusOK || rr.Body.String() != "ok\n" {
+		t.Fatalf("readyz = %d %q", rr.Code, rr.Body.String())
 	}
 
 	s.SetReady(false)
@@ -124,36 +123,20 @@ func TestHealthzReadyz(t *testing.T) {
 		!strings.HasPrefix(rr.Body.String(), "not ready") {
 		t.Fatalf("readyz after SetReady(false) = %d %q", rr.Code, rr.Body.String())
 	}
+	// Liveness does not follow the ready flag.
+	if rr := get(s, http.MethodGet, "/healthz"); rr.Code != http.StatusOK {
+		t.Fatalf("healthz while not ready = %d", rr.Code)
+	}
 	s.SetReady(true)
-
-	s.AddHealthCheck("disk", func(ctx context.Context) error { return nil })
-	s.AddHealthCheck("oracle", func(ctx context.Context) error {
-		return fmt.Errorf("%w: oracle poisoned", resilience.ErrTolerance)
-	})
-	rr := get(s, http.MethodGet, "/healthz")
-	if rr.Code != http.StatusServiceUnavailable {
-		t.Fatalf("failing check → %d", rr.Code)
-	}
-	body := rr.Body.String()
-	if !strings.Contains(body, "fail oracle") || !strings.Contains(body, "ok   disk") {
-		t.Fatalf("per-check lines missing:\n%s", body)
-	}
-	// Checks receive the request context.
-	s.AddReadyCheck("ctx", func(ctx context.Context) error {
-		if ctx == nil {
-			return errors.New("nil ctx")
-		}
-		return nil
-	})
 	if rr := get(s, http.MethodGet, "/readyz"); rr.Code != http.StatusOK {
-		t.Fatalf("readyz with ctx check = %d %q", rr.Code, rr.Body.String())
+		t.Fatalf("readyz after SetReady(true) = %d", rr.Code)
 	}
 }
 
 func TestSpansReplayNDJSON(t *testing.T) {
 	rec := telemetry.New()
 	flight := telemetry.NewFlightRecorder(rec, 32)
-	s := New(rec, WithFlightRecorder(flight))
+	s := New(rec, flight)
 
 	for i := 0; i < 5; i++ {
 		sp := rec.StartSpan(fmt.Sprintf("op%d", i))
@@ -190,7 +173,7 @@ func TestSpansReplayNDJSON(t *testing.T) {
 
 func TestSpansLiveStream(t *testing.T) {
 	rec := telemetry.New()
-	s := New(rec)
+	s := New(rec, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
@@ -238,7 +221,7 @@ func (s *streamRecorder) Flush()                      {}
 func TestFlightRecordEndpoint(t *testing.T) {
 	rec := telemetry.New()
 	flight := telemetry.NewFlightRecorder(rec, 16)
-	s := New(rec, WithFlightRecorder(flight))
+	s := New(rec, flight)
 
 	rec.StartSpan("before").End()
 	rr := httptest.NewRecorder()
@@ -272,13 +255,13 @@ func TestFlightRecordEndpoint(t *testing.T) {
 	if rr := get(s, http.MethodGet, "/debug/flightrecord"); rr.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET → %d", rr.Code)
 	}
-	if rr := get(New(telemetry.New()), http.MethodPost, "/debug/flightrecord"); rr.Code != http.StatusNotFound {
+	if rr := get(New(telemetry.New(), nil), http.MethodPost, "/debug/flightrecord"); rr.Code != http.StatusNotFound {
 		t.Fatalf("no recorder → %d", rr.Code)
 	}
 }
 
 func TestIndexAndVars(t *testing.T) {
-	s := New(telemetry.New())
+	s := New(telemetry.New(), nil)
 	rr := get(s, http.MethodGet, "/")
 	if rr.Code != http.StatusOK || !strings.Contains(rr.Body.String(), "/metrics") {
 		t.Fatalf("index = %d %q", rr.Code, rr.Body.String())
@@ -304,7 +287,7 @@ func TestIndexAndVars(t *testing.T) {
 
 func TestStartShutdownLifecycle(t *testing.T) {
 	rec := telemetry.New()
-	s := New(rec)
+	s := New(rec, nil)
 	if err := s.Start("127.0.0.1:0"); err != nil {
 		t.Skipf("cannot bind localhost in this environment: %v", err)
 	}
@@ -334,6 +317,25 @@ func TestStartShutdownLifecycle(t *testing.T) {
 	}
 	if _, err := http.Get("http://" + addr + "/healthz"); err == nil {
 		t.Fatal("server still answering after Shutdown")
+	}
+}
+
+// A started debug server carries the serving layer's limits: a client that
+// trickles its headers or body, idles on a keep-alive connection or sends
+// oversized headers cannot hold the port.
+func TestStartedServerIsHardened(t *testing.T) {
+	s := New(telemetry.New(), nil)
+	if err := s.Start("127.0.0.1:0"); err != nil {
+		t.Skipf("cannot bind localhost in this environment: %v", err)
+	}
+	defer s.Shutdown(context.Background())
+	s.ln.mu.Lock()
+	srv := s.ln.srv
+	s.ln.mu.Unlock()
+	if srv.ReadHeaderTimeout != 10*time.Second || srv.ReadTimeout != debugReadTimeout ||
+		srv.IdleTimeout != 60*time.Second || srv.MaxHeaderBytes != 1<<20 {
+		t.Fatalf("http.Server limits: header %v, read %v, idle %v, max header %d bytes",
+			srv.ReadHeaderTimeout, srv.ReadTimeout, srv.IdleTimeout, srv.MaxHeaderBytes)
 	}
 }
 

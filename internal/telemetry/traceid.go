@@ -57,14 +57,3 @@ func NewTraceID() string {
 	}
 	return hex.EncodeToString(b[:])
 }
-
-// EnsureTraceID returns ctx carrying a trace ID and the ID itself, minting
-// a fresh one only when the context has none — the idiom for request entry
-// points that must be traceable but accept untagged callers.
-func EnsureTraceID(ctx context.Context) (context.Context, string) {
-	if id, ok := TraceIDFrom(ctx); ok {
-		return ctx, id
-	}
-	id := NewTraceID()
-	return ContextWithTraceID(ctx, id), id
-}
