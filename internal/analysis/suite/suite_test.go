@@ -5,6 +5,9 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"gofmm/internal/analysis/framework"
@@ -140,5 +143,25 @@ func TestServeInsideBehavioralAnalyzers(t *testing.T) {
 		if !ok {
 			t.Errorf("%s does not apply to gofmm/internal/serve", name)
 		}
+	}
+}
+
+// TestRegisteredAnalyzers holds suite.All to ci/analyzers.txt, the list CI's
+// "Registered analyzer sanity" step checks gofmmlint's SARIF rules against:
+// a dropped registration fails both.
+func TestRegisteredAnalyzers(t *testing.T) {
+	raw, err := os.ReadFile("../../../ci/analyzers.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Fields(string(raw))
+	var got []string
+	for _, e := range suite.All() {
+		got = append(got, e.Analyzer.Name)
+	}
+	slices.Sort(want)
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("suite.All registers %v, ci/analyzers.txt lists %v", got, want)
 	}
 }

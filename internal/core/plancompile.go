@@ -52,8 +52,10 @@ func (h *Hierarchical) CompilePlanCtx(ctx context.Context) (*plan.Plan, error) {
 		sp.SetAttr("error", err.Error())
 		return nil, err
 	}
-	sp.SetAttr("plan.digest", p.DigestHex())
-	sp.SetAttr("plan.ops", fmt.Sprintf("%d", p.NumOps()))
+	if rec != nil { // the digest is hashed only for a trace that records it
+		sp.SetAttr("plan.digest", p.DigestHex())
+		sp.SetAttr("plan.ops", fmt.Sprintf("%d", p.NumOps()))
+	}
 	if d := sp.End(); d > 0 {
 		h.Stats.PlanTime = d.Seconds()
 	} else {

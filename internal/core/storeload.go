@@ -25,7 +25,7 @@ import (
 //     that buffer; otherwise (big-endian hosts) it decodes by copy.
 //
 // In both cases the container is validated section-by-section (magic,
-// bounds, alignment, sha256 checksums) by internal/store before a byte of
+// bounds, alignment, SHA-256 digest trees) by internal/store before a byte of
 // payload is parsed, and the payload parser treats its input as untrusted:
 // every length is bounded by the bytes actually present, every index is
 // range-checked, and the permutation is verified to be a permutation before
@@ -150,8 +150,10 @@ func increasing(xs []int) bool {
 // indices, or in [l̃; r̃]), then the remaining positions ascending. It
 // fails on a skeleton index outside the candidates or repeated, a root
 // with a basis, and a stored T that is not s×(c−s), present where no
-// column is redundant or missing where one is.
-func (h *Hierarchical) basisOrder(id int) ([]int, error) {
+// column is redundant or missing where one is. where is n-length scratch
+// shared across nodes: an interior node writes 1 + the candidate position
+// of each index of [l̃; r̃] into it and zeroes them again before returning.
+func (h *Hierarchical) basisOrder(id int, where []int) ([]int, error) {
 	t := h.Tree
 	nd := &h.nodes[id]
 	s := len(nd.skel)
@@ -171,16 +173,22 @@ func (h *Hierarchical) basisOrder(id int) ([]int, error) {
 			return p, p >= 0 && p < c
 		}
 	} else {
-		where := make(map[int]int)
-		for _, child := range []int{t.Left(id), t.Right(id)} {
-			for _, x := range h.nodes[child].skel {
-				where[x] = c
+		kids := [2][]int{h.nodes[t.Left(id)].skel, h.nodes[t.Right(id)].skel}
+		for _, skel := range kids {
+			for _, x := range skel {
 				c++
+				where[x] = c
 			}
 		}
+		defer func() {
+			for _, skel := range kids {
+				for _, x := range skel {
+					where[x] = 0
+				}
+			}
+		}()
 		at = func(x int) (int, bool) {
-			p, ok := where[x]
-			return p, ok
+			return where[x] - 1, where[x] > 0
 		}
 	}
 	var pos []int
@@ -421,11 +429,12 @@ func decodeStore(f *store.File, opts LoadOptions) (*Hierarchical, *StoreInfo, er
 	}
 	// The bases' column order is derived, not stored, and checked against
 	// the stored T blocks.
+	where := make([]int, n)
 	for id := range h.nodes {
 		if tr.err() != nil {
 			break
 		}
-		pos, err := h.basisOrder(id)
+		pos, err := h.basisOrder(id, where)
 		if err != nil {
 			tr.failf("node %d: %v", id, err)
 		}

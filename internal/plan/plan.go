@@ -344,8 +344,8 @@ func (b *Builder) fail(format string, args ...any) {
 	}
 }
 
-// Build validates the lowered schedule, seals the digest and returns the
-// immutable Plan.
+// Build validates the lowered schedule and returns the immutable Plan. The
+// digest is left to the first DigestHex call.
 func (b *Builder) Build() (*Plan, error) {
 	b.closeTask()
 	if b.err != nil {
@@ -376,7 +376,6 @@ func (b *Builder) Build() (*Plan, error) {
 	for i := range p.ops {
 		p.flopsPerCol += p.ops[i].flopsPerCol()
 	}
-	p.digest = p.computeDigest()
 	return p, nil
 }
 
@@ -483,7 +482,8 @@ type Plan struct {
 	stages    []Stage
 
 	flopsPerCol float64
-	digest      [sha256.Size]byte
+	digestOnce  sync.Once
+	digest      [sha256.Size]byte // set by digestOnce
 
 	// states caches replay bindings per RHS width (see replay.go).
 	statesMu sync.Mutex
@@ -533,10 +533,11 @@ func (p *Plan) Ops() []Op { return p.ops }
 // shapes, arena offsets, permutations, stage and task boundaries —
 // everything that determines the replay schedule, and nothing that depends
 // on block values. Two compressions with the same seed and configuration
-// produce identical digests.
+// produce identical digests. It hashes the op stream on its first call;
+// later calls, from any goroutine, return the same string.
 func (p *Plan) DigestHex() string {
-	d := p.digest
-	return hex.EncodeToString(d[:])
+	p.digestOnce.Do(func() { p.digest = p.computeDigest() })
+	return hex.EncodeToString(p.digest[:])
 }
 
 // String summarizes the plan for logs and debug output.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"gofmm/internal/linalg"
@@ -240,6 +241,33 @@ func TestDigestStableAndStructureSensitive(t *testing.T) {
 	}
 	if !strings.Contains(p1.String(), "ops=3") {
 		t.Fatalf("String() = %q", p1.String())
+	}
+}
+
+// TestDigestConcurrentFirstCalls: the digest is computed on the first
+// DigestHex call, so goroutines racing to make it must all read the value
+// of a plan whose digest was computed alone (run it with -race).
+func TestDigestConcurrentFirstCalls(t *testing.T) {
+	A := linalg.GaussianMatrix(rand.New(rand.NewSource(5)), 7, 7)
+	want := buildDense(t, A).DigestHex()
+	p := buildDense(t, A)
+	got := make([]string, 8)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[g] = p.DigestHex()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for g, d := range got {
+		if d != want {
+			t.Errorf("goroutine %d read digest %s, want %s", g, d, want)
+		}
 	}
 }
 

@@ -33,6 +33,9 @@ func FuzzStoreOpen(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)-1] ^= 0x80
 	f.Add(flipped)
+	v1 := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint32(v1[8:12], 1) // a version-1 header
+	f.Add(v1)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		file, err := Decode(data)

@@ -10,8 +10,9 @@ import (
 
 // OpenMmap maps a store file read-only and validates it in place. The
 // returned File's sections are views into the shared mapping: loading costs
-// one page-table setup plus the checksum pass (which doubles as page-cache
-// warmup), and the float arenas are served zero-copy until Close unmaps.
+// one page-table setup plus the digest pass on every core (which doubles as
+// page-cache warmup), and the float arenas are served zero-copy until Close
+// unmaps.
 // Validation failures unmap before returning, so an error never leaks a
 // mapping.
 func OpenMmap(path string) (*File, error) {

@@ -1,11 +1,18 @@
 // Package store implements gofmm.store/v1: a versioned on-disk container
 // for compressed operators with a flat, pointer-free layout. A store file
-// is a 64-byte header, a sha256-protected section table, and a sequence of
+// is a 64-byte header, a digest-protected section table, and a sequence of
 // 64-byte-aligned sections. The numeric payload (every skeleton basis,
 // projection and cached near/far block, packed column-major) lives in one
 // contiguous arena section per precision, so a loaded operator's matrices
 // are views into a single byte range — the MatRox storage thesis: loading
 // is mapping, not parsing.
+//
+// Every digest the file holds (the table's and each section's) is the root
+// of a SHA-256 tree over fixed ChunkSize chunks (container version 2), so
+// a load verifies every byte on all cores. The digests are unkeyed and
+// live in the same file as what they cover: they catch bit rot and torn
+// writes, not tampering, since whoever can rewrite a section can rewrite
+// its digest too.
 //
 // Two load paths share one validator:
 //
@@ -33,8 +40,10 @@ import (
 const (
 	// Magic opens every store file: "GOFMSTOR".
 	Magic = 0x524F54534D464F47 // little-endian "GOFMSTOR"
-	// Version is the current container version.
-	Version = 1
+	// Version is the current container version. A file of any other,
+	// such as version 1 with its flat SHA-256 digests, fails with
+	// ErrBadStore.
+	Version = 2
 	// Align is the section alignment: every section offset is a multiple
 	// of 64 bytes, so a page-aligned mapping yields cache-line-aligned
 	// (and a fortiori 8-byte-aligned) float arenas.
@@ -92,8 +101,10 @@ var (
 	// gofmm.store/v1 file: bad magic, impossible lengths, overlapping or
 	// misaligned sections, truncation.
 	ErrBadStore = fmt.Errorf("%w: store: malformed operator store", resilience.ErrInvalidInput)
-	// ErrChecksum is returned when a section's payload does not match its
-	// recorded sha256 (bit rot, torn writes, tampering).
+	// ErrChecksum is returned when the section table or a section's
+	// payload does not match its recorded digest. It detects bit rot and
+	// torn writes, not tampering: the digests are unkeyed and live in the
+	// same file, so whoever can rewrite a section can rewrite its digest.
 	ErrChecksum = fmt.Errorf("%w: store: section checksum mismatch", resilience.ErrInvalidInput)
 	// ErrMmapUnsupported is returned by OpenMmap on platforms without mmap
 	// support; callers fall back to the copying Open path.
@@ -161,8 +172,11 @@ func (f *File) Close() error {
 // File whose sections alias it. It is the single validator behind Open and
 // OpenMmap and the fuzz target's entry point: arbitrary input must produce a
 // typed error, never a panic, and never an allocation sized by an
-// unvalidated field (the only length-driven allocation is the section
-// table, bounded by maxSections).
+// unvalidated field (the section table is bounded by maxSections, the
+// digest pass's leaves by the bytes actually present). Every section's
+// geometry is checked before any payload is hashed; the hashing runs on
+// up to GOMAXPROCS goroutines, all of which have returned when Decode
+// does.
 func Decode(data []byte) (*File, error) {
 	if len(data) < headerSize {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than the %d-byte header",
@@ -173,7 +187,8 @@ func Decode(data []byte) (*File, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadStore)
 	}
 	if v := le.Uint32(data[8:12]); v != Version {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadStore, v)
+		return nil, fmt.Errorf("%w: container version %d, this build reads version %d (compress and save the operator again)",
+			ErrBadStore, v, Version)
 	}
 	count := int64(le.Uint32(data[12:16]))
 	fileSize := le.Uint64(data[16:24])
@@ -193,10 +208,11 @@ func Decode(data []byte) (*File, error) {
 		return nil, fmt.Errorf("%w: section table overruns the file", ErrBadStore)
 	}
 	table := data[headerSize : headerSize+tableLen]
-	if sha256.Sum256(table) != [sha256.Size]byte(data[32:64]) {
+	if digests(table)[0] != [sha256.Size]byte(data[32:64]) {
 		return nil, fmt.Errorf("%w: section table", ErrChecksum)
 	}
 	f := &File{data: data, sections: make([]section, 0, count)}
+	payloads := make([][]byte, 0, count)
 	prevEnd := int64(headerSize) + tableLen
 	seen := make(map[SectionKind]bool, count)
 	for i := int64(0); i < count; i++ {
@@ -226,11 +242,15 @@ func Decode(data []byte) (*File, error) {
 				ErrBadStore, kind, off)
 		}
 		prevEnd = int64(off) + int64(sz)
-		payload := data[off : off+sz]
-		if sha256.Sum256(payload) != [sha256.Size]byte(e[24:56]) {
-			return nil, fmt.Errorf("%w: section %s", ErrChecksum, kind)
-		}
 		f.sections = append(f.sections, section{kind: kind, off: int64(off), len: int64(sz)})
+		payloads = append(payloads, data[off:off+sz])
+	}
+	// Every section's chunks are hashed at once, and the roots compared in
+	// table order, so the first mismatching section is the one reported.
+	for i, sum := range digests(payloads...) {
+		if sum != [sha256.Size]byte(table[i*entrySize+24:(i+1)*entrySize]) {
+			return nil, fmt.Errorf("%w: section %s", ErrChecksum, f.sections[i].kind)
+		}
 	}
 	return f, nil
 }

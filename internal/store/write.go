@@ -2,7 +2,6 @@ package store
 
 import (
 	"bufio"
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -46,14 +45,18 @@ func Write(w io.Writer, sections []Section) (int64, error) {
 	if n := len(sections); n > 0 {
 		fileSize = offs[n-1] + int64(len(sections[n-1].Data))
 	}
+	payloads := make([][]byte, len(sections))
+	for i, s := range sections {
+		payloads[i] = s.Data
+	}
+	sums := digests(payloads...)
 	table := make([]byte, tableLen)
 	for i, s := range sections {
 		e := table[i*entrySize : (i+1)*entrySize]
 		le.PutUint32(e[0:4], uint32(s.Kind))
 		le.PutUint64(e[8:16], uint64(offs[i]))
 		le.PutUint64(e[16:24], uint64(len(s.Data)))
-		sum := sha256.Sum256(s.Data)
-		copy(e[24:56], sum[:])
+		copy(e[24:56], sums[i][:])
 	}
 	var hdr [headerSize]byte
 	le.PutUint64(hdr[0:8], Magic)
@@ -61,7 +64,7 @@ func Write(w io.Writer, sections []Section) (int64, error) {
 	le.PutUint32(hdr[12:16], uint32(len(sections)))
 	le.PutUint64(hdr[16:24], uint64(fileSize))
 	le.PutUint64(hdr[24:32], headerSize)
-	tsum := sha256.Sum256(table)
+	tsum := digests(table)[0]
 	copy(hdr[32:64], tsum[:])
 
 	bw := bufio.NewWriterSize(w, 1<<20)
