@@ -228,8 +228,8 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if *storeFile != "" {
-		// Compile first so the store carries every block the plan reads,
-		// and a load lowers the same plan again without the oracle.
+		// Compile first so this run evaluates through the same plan that a
+		// -load of the file lowers, and both runs report the same ε₂.
 		if _, err := h.CompilePlanCtx(ctx); err != nil {
 			return err
 		}

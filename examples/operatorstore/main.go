@@ -32,9 +32,9 @@ func main() {
 	fmt.Printf("problem: %s (N = %d)\n", p.Name, p.K.Dim())
 
 	// Compress from the entry oracle and compile the evaluation plan — the
-	// slow path a store file exists to amortize. CacheBlocks is what makes
-	// the operator self-contained: the near/far blocks land in the file, so
-	// loading needs no oracle at all.
+	// slow path a store file exists to amortize. Every store carries the
+	// near/far blocks, so loading needs no oracle at all; CacheBlocks keeps
+	// them from the compression instead of gathering them again at save.
 	t0 := time.Now()
 	H, err := gofmm.Compress(p.K, gofmm.Config{
 		LeafSize: 128, MaxRank: 128, Tol: 1e-5, Budget: 0.03,

@@ -323,13 +323,13 @@ type LoadOptions = core.LoadOptions
 type StoreInfo = core.StoreInfo
 
 // LoadOperator opens a gofmm.store/v1 operator store written by
-// (*Hierarchical).SaveTo and returns an oracle-free operator: compiled and
-// ready to serve when the store carries its blocks, else evaluable after
-// AttachOracle (see core.LoadFrom). With opts.Mmap set the arena is mapped
-// read-only and matvecs run zero-copy straight out of the page cache;
-// otherwise (or when mapping is unsupported) the file is read and verified
-// portably. Call ReleaseStore (or keep the operator for the process
-// lifetime) to unmap.
+// (*Hierarchical).SaveTo and returns an oracle-free operator, compiled and
+// ready to serve from the blocks the store carries; AttachOracle restores
+// the paths that read fresh entries (see core.LoadFrom). With opts.Mmap
+// set the arena is mapped read-only and matvecs run zero-copy straight out
+// of the page cache; otherwise (or when mapping is unsupported) the file
+// is read and verified portably. Call ReleaseStore (or keep the operator
+// for the process lifetime) to unmap.
 func LoadOperator(path string, opts LoadOptions) (*Hierarchical, *StoreInfo, error) {
 	return core.LoadFrom(path, opts)
 }

@@ -46,6 +46,19 @@ func planFixtures() []struct {
 // planCompress compresses, compiles the plan and verifies it installed.
 func planCompress(t *testing.T, K *Matrix, dist core.Distance, tol float64, fixedRank bool) *Hierarchical {
 	t.Helper()
+	h := planOperator(t, K, dist, tol, fixedRank)
+	if _, err := h.CompilePlan(); err != nil {
+		t.Fatal(err)
+	}
+	if h.Plan() == nil {
+		t.Fatal("CompilePlan did not install a plan")
+	}
+	return h
+}
+
+// planOperator compresses a fixture of the wall without compiling it.
+func planOperator(t *testing.T, K *Matrix, dist core.Distance, tol float64, fixedRank bool) *Hierarchical {
+	t.Helper()
 	cfg := Config{
 		LeafSize: 32, MaxRank: 48, Kappa: 8, Budget: 0.05,
 		Distance: dist, Exec: core.Sequential, Seed: 3, CacheBlocks: true,
@@ -61,12 +74,6 @@ func planCompress(t *testing.T, K *Matrix, dist core.Distance, tol float64, fixe
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.CompilePlan(); err != nil {
-		t.Fatal(err)
-	}
-	if h.Plan() == nil {
-		t.Fatal("CompilePlan did not install a plan")
-	}
 	return h
 }
 
@@ -80,7 +87,23 @@ func TestPlanMatchesInterpreter(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range planFixtures() {
 		t.Run(tc.name, func(t *testing.T) {
-			h := planCompress(t, K, tc.dist, tc.tol, tc.fixedRank)
+			// Until it compiles, the public path IS the interpreter.
+			h := planOperator(t, K, tc.dist, tc.tol, tc.fixedRank)
+			X := linalg.GaussianMatrix(rng, n, 2)
+			ref, err := h.InterpMatmatCtx(ctx, X)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := h.MatmatCtx(ctx, X)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h.Plan() != nil || !bitIdentical(got, ref) {
+				t.Error("before CompilePlan, Matmat is not the interpreter path")
+			}
+			if _, err := h.CompilePlan(); err != nil {
+				t.Fatal(err)
+			}
 			for _, r := range []int{1, 6} {
 				X := linalg.GaussianMatrix(rng, n, r)
 				ref, err := h.InterpMatmatCtx(ctx, X)
@@ -94,23 +117,6 @@ func TestPlanMatchesInterpreter(t *testing.T) {
 				if d := linalg.RelFrobDiff(got, ref); d > 1e-13 {
 					t.Errorf("r=%d: plan vs interpreter differ by %.3e", r, d)
 				}
-			}
-			// After DropPlan the public path IS the interpreter again.
-			h.DropPlan()
-			if h.Plan() != nil {
-				t.Fatal("DropPlan left a plan installed")
-			}
-			X := linalg.GaussianMatrix(rng, n, 2)
-			ref, err := h.InterpMatmatCtx(ctx, X)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := h.MatmatCtx(ctx, X)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bitIdentical(got, ref) {
-				t.Error("after DropPlan, Matmat is not the interpreter path")
 			}
 		})
 	}

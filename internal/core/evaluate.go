@@ -115,11 +115,6 @@ func (h *Hierarchical) evalInto(ctx context.Context, p *plan.Plan, W, U *linalg.
 			err = perr
 		}
 	}()
-	if p == nil {
-		if err := h.requireEvalOracle(op); err != nil {
-			return err
-		}
-	}
 	if err := resilience.FromContext(ctx); err != nil {
 		return err
 	}

@@ -156,18 +156,3 @@ func (h *Hierarchical) contributes(kind listKind, id int) bool {
 	}
 	return len(h.nodes[id].skel) > 0
 }
-
-// uncached reports whether a contributing slot of node id's list lacks a
-// cached block, so that evaluating it must gather from the oracle.
-func (h *Hierarchical) uncached(kind listKind, id int) bool {
-	if !h.contributes(kind, id) {
-		return false
-	}
-	lst, _ := h.list(kind, id)
-	for k := range lst {
-		if blk, _ := h.slotBlock(kind, id, k); !blk.ok() {
-			return true
-		}
-	}
-	return false
-}

@@ -279,7 +279,7 @@ func topoNodes(t testing.TB, topo []byte) []topoNode {
 // columns, 2 or 1), a ref list that stores a block its partner owns and a
 // ref list that omits a block its node owns each fail with ErrBadFormat.
 func TestStoreV3RejectsOldAndMisownedPayloads(t *testing.T) {
-	f := newPayloadFixture(t, payloadConfig, false)
+	f := newPayloadFixture(t, payloadConfig)
 	for _, v := range []uint64{1, 2, 3, 4} {
 		f.requireBadPayload(t, fmt.Sprintf("v%d payload", v), store.SecMeta, patch64(f.meta, 0, v))
 	}
@@ -320,7 +320,7 @@ func TestStoreV3RejectsOldAndMisownedPayloads(t *testing.T) {
 // each fail with ErrBadFormat. The cases edit node 1, a child of the root: no other
 // node's candidates hold its skeleton, so only its own check can fire.
 func TestStoreRejectsBadBases(t *testing.T) {
-	f := newPayloadFixture(t, payloadConfig, false)
+	f := newPayloadFixture(t, payloadConfig)
 	nd := &f.h.nodes[1]
 	node := topoNodes(t, f.topo)[1]
 	if f.h.Tree.IsLeaf(1) || len(nd.skel) < 2 || !nd.coef.ok() {

@@ -20,8 +20,7 @@ func (h *Hierarchical) CompilePlan() (*plan.Plan, error) {
 // MatvecInto calls (and BatchEvaluator traffic) replay the plan instead of
 // re-walking the tree. Compilation is idempotent — the first call builds,
 // later calls return the installed plan. The tree interpreter remains
-// available as the reference path through InterpMatvecCtx/InterpMatmatCtx
-// (and again after DropPlan).
+// available as the reference path through InterpMatvecCtx/InterpMatmatCtx.
 //
 // When the compression did not cache its near/far blocks, compilation
 // gathers them now and the plan owns them — compiling implies caching, at
@@ -37,11 +36,6 @@ func (h *Hierarchical) CompilePlanCtx(ctx context.Context) (*plan.Plan, error) {
 	defer h.planMu.Unlock()
 	if p := h.evalPlan.Load(); p != nil {
 		return p, nil
-	}
-	// Compiling implies caching: lowering gathers every uncached block, so
-	// an oracle-free operator can only compile when nothing needs gathering.
-	if !h.HasOracle() && h.interpNeedsOracle() {
-		return nil, fmt.Errorf("core: plan compilation needs uncached blocks: %w", ErrNoOracle)
 	}
 	rec := h.Cfg.Telemetry
 	sp := rec.StartSpan("plan.compile")
@@ -74,10 +68,6 @@ func (h *Hierarchical) CompilePlanCtx(ctx context.Context) (*plan.Plan, error) {
 // Plan returns the installed compiled plan, or nil when evaluation still
 // runs through the tree interpreter.
 func (h *Hierarchical) Plan() *plan.Plan { return h.evalPlan.Load() }
-
-// DropPlan uninstalls the compiled plan, returning evaluation to the tree
-// interpreter (used by tests and by benchmarks that compare the paths).
-func (h *Hierarchical) DropPlan() { h.evalPlan.Store(nil) }
 
 // lowerPlan performs the symbolic traversal once and emits the flat
 // schedule. The emitted op sequence reproduces the interpreter's kernel

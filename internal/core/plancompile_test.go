@@ -129,22 +129,33 @@ func TestCompiledPlanParallelReplayBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCompileViaConfigAndDropPlan covers compiling after Compress and the
-// DropPlan escape hatch.
-func TestCompileViaConfigAndDropPlan(t *testing.T) {
+// TestCompileInstallsPlan covers compiling after Compress: until then the
+// public path is the tree interpreter, bit for bit, and CompilePlan
+// installs the plan the public path then replays.
+func TestCompileInstallsPlan(t *testing.T) {
 	h, _ := compressGauss(t, 256, planConfig())
-	if _, err := h.CompilePlan(); err != nil {
+	ctx := context.Background()
+	W := linalg.GaussianMatrix(rand.New(rand.NewSource(8)), 256, 3)
+	ref, err := h.InterpMatmatCtx(ctx, W)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Plan() == nil {
-		t.Fatal("CompilePlan did not install a plan")
+	got, err := h.MatmatCtx(ctx, W)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Plan() != nil || !linalg.EqualApprox(got, ref, 0) {
+		t.Fatal("an uncompiled operator's Matmat is not the interpreter")
+	}
+	p, err := h.CompilePlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Plan() != p {
+		t.Fatal("CompilePlan did not install its plan")
 	}
 	if h.Stats.PlanTime < 0 {
 		t.Fatal("negative PlanTime")
-	}
-	h.DropPlan()
-	if h.Plan() != nil {
-		t.Fatal("DropPlan left the plan installed")
 	}
 }
 

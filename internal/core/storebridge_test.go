@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -22,10 +23,9 @@ import (
 // cache precisions, SaveTo → LoadFrom (both the portable and the mmap path)
 // reproduces the in-memory operator bit for bit — identical Matvec and
 // Matmat results, identical plan digest of the plan the load lowers — with
-// no oracle attached to the loaded side. The uncached HSS variant is the
-// operator a plan compiled by gathering: the store must carry the blocks
-// the plan gathered, so the loaded side lowers, replays and interprets
-// oracle-free.
+// no oracle attached to the loaded side. The uncached HSS variant's store
+// carries the blocks SaveTo gathered, so the loaded side lowers, replays
+// and interprets oracle-free.
 // Its loaded interpreter applies each pair's stored block transposed where
 // the in-memory one gathers K(β, α) afresh, so those two agree to rounding,
 // and the two loads bit for bit.
@@ -147,8 +147,11 @@ func TestStoreRoundTripProperty(t *testing.T) {
 	}
 }
 
-// A loaded operator without caches for some blocks must refuse evaluation
-// with ErrNoOracle rather than panic or fabricate entries.
+// An uncached operator's store loads without its oracle and evaluates from
+// the blocks SaveTo gathered; only the paths that read fresh entries need
+// the oracle back. AttachOracle refuses a nil or mis-sized oracle with
+// ErrNoOracle and leaves the operator bare; the right one restores
+// SampleRelErr and leaves the products bit for bit as they were.
 func TestStoreLoadWithoutCachesNeedsOracle(t *testing.T) {
 	h, K := compressGauss(t, 200, Config{
 		LeafSize: 32, MaxRank: 24, Tol: 1e-5, Kappa: 8, Budget: 0.1,
@@ -163,24 +166,47 @@ func TestStoreLoadWithoutCachesNeedsOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h2.ReleaseStore()
-	if _, err := h2.MatvecCtx(context.Background(), linalg.NewMatrix(200, 1)); !errors.Is(err, ErrNoOracle) {
-		t.Fatalf("uncached matvec: got %v, want ErrNoOracle", err)
+	if h2.HasOracle() {
+		t.Fatal("uncached load claims an oracle")
 	}
-	if _, err := h2.CompilePlanCtx(context.Background()); !errors.Is(err, ErrNoOracle) {
-		t.Fatalf("plan compile: got %v, want ErrNoOracle", err)
+	compileSource(t, h)
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(10))
+	W := linalg.GaussianMatrix(rng, 200, 2)
+	bare, err := h2.MatvecCtx(ctx, W)
+	if err != nil {
+		t.Fatalf("oracle-free matvec: %v", err)
 	}
-	// Attaching the oracle restores evaluation.
+	want := h.Matvec(W)
+	if !linalg.EqualApprox(want, bare, 0) {
+		t.Fatalf("oracle-free matvec differs (max |Δ| = %g)", maxAbsDiff(want, bare))
+	}
+	if err := h2.AttachOracle(nil); !errors.Is(err, ErrNoOracle) {
+		t.Fatalf("AttachOracle(nil): got %v, want ErrNoOracle", err)
+	}
+	err = h2.AttachOracle(denseSPD{linalg.NewMatrix(199, 199)})
+	if !errors.Is(err, ErrNoOracle) || !errors.Is(err, resilience.ErrInvalidInput) {
+		t.Fatalf("mis-sized AttachOracle: got %v, want ErrNoOracle and ErrInvalidInput", err)
+	}
+	if h2.HasOracle() {
+		t.Fatal("a refused AttachOracle installed an oracle")
+	}
+	// Attaching the oracle restores the sampled error.
 	if err := h2.AttachOracle(denseSPD{K}); err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(10))
-	W := linalg.GaussianMatrix(rng, 200, 2)
-	got, err := h2.MatvecCtx(context.Background(), W)
+	if !h2.HasOracle() {
+		t.Fatal("AttachOracle left the operator bare")
+	}
+	got, err := h2.MatvecCtx(ctx, W)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !linalg.EqualApprox(h.Matvec(W), got, 0) {
+	if !linalg.EqualApprox(bare, got, 0) {
 		t.Fatal("post-attach matvec differs")
+	}
+	if a, b := h2.SampleRelErr(W, got, 50, 11), h.SampleRelErr(W, want, 50, 11); a != b {
+		t.Fatalf("post-attach sampled error %g, want the source's %g", a, b)
 	}
 }
 
@@ -292,21 +318,50 @@ func TestSerializeRoundTrip(t *testing.T) {
 	}
 }
 
-// An uncached operator loads uncompiled and needs its oracle back to
-// evaluate: with K reattached, the products are bit-identical.
+// An uncached, uncompiled operator's store carries the blocks SaveTo
+// gathers, so it loads compiled, mapped or portable, and evaluates without
+// an oracle. Once the source compiles, the loaded plan is the source's,
+// with the same digest and bit-identical replays at r = 1 and 16.
 func TestSerializeWithoutCaches(t *testing.T) {
-	h, data, K := storeImage(t, 200, Config{
-		LeafSize: 32, MaxRank: 24, Tol: 1e-6, Kappa: 8, Budget: 0.1,
-		Distance: Angle, Exec: Sequential, Seed: 103, CacheBlocks: false,
+	h, _ := compressGauss(t, 200, Config{
+		LeafSize: 32, MaxRank: 24, Tol: 1e-5, Kappa: 8, Budget: 0.1,
+		Distance: Kernel, Exec: Sequential, Seed: 9, CacheBlocks: false,
 	})
-	h2, err := readImage(data, K)
-	if err != nil {
+	path := filepath.Join(t.TempDir(), "nocache.store")
+	if _, err := h.SaveTo(path); err != nil {
 		t.Fatal(err)
 	}
-	if h2.Plan() != nil {
-		t.Fatal("a store without blocks loaded compiled")
+	if h.Plan() != nil {
+		t.Fatal("SaveTo compiled the source")
 	}
-	requireSameMatvec(t, h, h2, 104)
+	compileSource(t, h)
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(10))
+	Ws := []*linalg.Matrix{linalg.GaussianMatrix(rng, 200, 1), linalg.GaussianMatrix(rng, 200, 16)}
+	for _, mm := range []bool{false, true} {
+		h2, _, err := LoadFrom(path, LoadOptions{Mmap: mm})
+		if err != nil {
+			t.Fatalf("mmap=%v: %v", mm, err)
+		}
+		if h2.HasOracle() || h2.Plan() == nil {
+			t.Fatalf("mmap=%v: loaded with oracle %v and plan %v, want none and one", mm, h2.HasOracle(), h2.Plan() != nil)
+		}
+		if a, b := h2.Plan().DigestHex(), h.Plan().DigestHex(); a != b {
+			t.Fatalf("mmap=%v: loaded plan digest %s, want the source's %s", mm, a, b)
+		}
+		for _, W := range Ws {
+			got, err := h2.MatvecCtx(ctx, W)
+			if err != nil {
+				t.Fatalf("mmap=%v: oracle-free matvec: %v", mm, err)
+			}
+			if want := h.Matvec(W); !linalg.EqualApprox(want, got, 0) {
+				t.Fatalf("mmap=%v r=%d: replay not bit-identical (max |Δ| = %g)", mm, W.Cols, maxAbsDiff(want, got))
+			}
+		}
+		if err := h2.ReleaseStore(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // The store persists fp32 caches as fp32, so a single-precision operator
@@ -439,16 +494,11 @@ var payloadConfig = Config{
 	Exec: Sequential, Seed: 112, Tol: 1e-5, CacheBlocks: true,
 }
 
-// newPayloadFixture compresses a payloadN-point operator with cfg,
-// compiles its plan when compiled is set, and splits its store sections.
-func newPayloadFixture(t *testing.T, cfg Config, compiled bool) payloadFixture {
+// newPayloadFixture compresses a payloadN-point operator with cfg and
+// splits its store sections.
+func newPayloadFixture(t *testing.T, cfg Config) payloadFixture {
 	t.Helper()
 	h, K := compressGauss(t, payloadN, cfg)
-	if compiled {
-		if _, err := h.CompilePlan(); err != nil {
-			t.Fatal(err)
-		}
-	}
 	sections, err := h.storeSections()
 	if err != nil {
 		t.Fatal(err)
@@ -509,7 +559,7 @@ func (f payloadFixture) requireBadPayload(t *testing.T, name string, kind store.
 // Out-of-range header fields and permutation lengths or entries in an
 // otherwise valid store must fail with ErrBadFormat and never panic.
 func TestReadFromAdversarialHeaders(t *testing.T) {
-	f := newPayloadFixture(t, payloadConfig, false)
+	f := newPayloadFixture(t, payloadConfig)
 	i64 := func(v int64) uint64 { return uint64(v) }
 	cases := []struct {
 		name string
@@ -538,7 +588,7 @@ func TestReadFromAdversarialHeaders(t *testing.T) {
 // A permutation whose entries are all in range but repeat one another is
 // not a permutation.
 func TestReadFromRejectsNonPermutation(t *testing.T) {
-	f := newPayloadFixture(t, payloadConfig, false)
+	f := newPayloadFixture(t, payloadConfig)
 	perm0 := binary.LittleEndian.Uint64(f.topo[f.topoPerm0:])
 	f.requireBadPayload(t, "duplicate perm entry", store.SecTopo, patch64(f.topo, f.topoPerm0+8, perm0))
 }
@@ -548,31 +598,59 @@ func TestReadFromRejectsNonPermutation(t *testing.T) {
 // operator holds no data but is no constant of it either: lowering would
 // size the plan arena from its rows.
 func TestReadFromHugeMatrixClaim(t *testing.T) {
-	f := newPayloadFixture(t, payloadConfig, false)
+	f := newPayloadFixture(t, payloadConfig)
 	f.requireBadPayload(t, "huge matrix record", store.SecTopo,
 		patch64(patch64(f.topo, 16, 1<<30), 24, 1<<30))
 	f.requireBadPayload(t, "empty matrix record taller than n", store.SecTopo,
 		patch64(patch64(f.topo, 16, payloadN+1), 24, 0))
 }
 
-// A store carries the blocks of every contributing list, and loads
-// compiled, or of none. A topo section with one leaf's ref lists removed
-// is neither and fails with ErrBadFormat, not with ErrNoOracle. A store
-// that still carries the plan section of payload versions up to 4 fails
-// with ErrBadStore.
+// allNodes returns the node ids 0, …, n−1.
+func allNodes(n int) []int {
+	ids := make([]int, n)
+	for id := range ids {
+		ids[id] = id
+	}
+	return ids
+}
+
+// withoutRefs returns a copy of a topo payload in which the nodes ids,
+// ascending, carry no blocks: each of their non-empty ref lists loses its
+// refs and its presence byte reads 0.
+func withoutRefs(t testing.TB, topo []byte, ids ...int) []byte {
+	t.Helper()
+	nodes := topoNodes(t, topo)
+	var out []byte
+	at := 0
+	for _, id := range ids {
+		for _, refs := range nodes[id].refs {
+			if len(refs) > 0 {
+				out = append(append(out, topo[at:refs[0]-1]...), 0)
+				at = refs[len(refs)-1] + 8
+			}
+		}
+	}
+	return append(out, topo[at:]...)
+}
+
+// Every store carries the blocks of every contributing list and loads
+// compiled. A topo section with one leaf's ref lists removed, or with
+// every node's, fails with ErrBadFormat naming the list, not with
+// ErrNoOracle. A store that still carries the plan section of payload
+// versions up to 4 fails with ErrBadStore.
 func TestStoreRejectsPartlyCarriedLists(t *testing.T) {
-	f := newPayloadFixture(t, payloadConfig, false)
-	leaf := f.h.Tree.Leaves()[0]
-	refs := topoNodes(t, f.topo)[leaf].refs
-	// The near list holds the leaf itself, so its ref list is present and
-	// not empty; the far list's presence byte follows its last ref.
-	near := refs[0]
-	farFlag := near[len(near)-1] + 8
-	topo := append(append(append([]byte(nil), f.topo[:near[0]-1]...), 0, 0),
-		f.topo[farFlag+1+8*len(refs[1]):]...)
-	err := f.requireBadPayload(t, "one leaf's ref lists removed", store.SecTopo, topo)
-	if errors.Is(err, ErrNoOracle) || err != nil && !strings.Contains(err.Error(), "contributing lists") {
-		t.Errorf("one leaf's ref lists removed: got %v, want the load rule's ErrBadFormat", err)
+	f := newPayloadFixture(t, payloadConfig)
+	for _, tc := range []struct {
+		name string
+		ids  []int
+	}{
+		{"one leaf's ref lists removed", f.h.Tree.Leaves()[:1]},
+		{"every ref list removed", allNodes(len(f.h.nodes))},
+	} {
+		err := f.requireBadPayload(t, tc.name, store.SecTopo, withoutRefs(t, f.topo, tc.ids...))
+		if errors.Is(err, ErrNoOracle) || err != nil && !strings.Contains(err.Error(), "list carries no blocks") {
+			t.Errorf("%s: got %v, want the load rule's ErrBadFormat", tc.name, err)
+		}
 	}
 
 	var buf bytes.Buffer
@@ -674,6 +752,51 @@ func TestStoreLoadRejectsCorruptPayload(t *testing.T) {
 	}
 	if _, _, err := LoadFrom(path, LoadOptions{}); err == nil {
 		t.Fatal("store without arenas loaded successfully")
+	}
+}
+
+// A mapped load of a store that fails validation returns that error at
+// once: it neither reads the file into memory nor hashes it a second time
+// on the portable path. A corrupt store of a few MB fails with ErrChecksum
+// after allocating less than half its size.
+func TestMmapLoadValidatesOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "corrupt.store")
+	size, err := store.WriteFile(path, []store.Section{
+		{Kind: store.SecMeta, Data: make([]byte, 8)},
+		{Kind: store.SecArena64, Data: make([]byte, 4<<20)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := store.OpenMmap(path)
+	if errors.Is(err, store.ErrMmapUnsupported) {
+		t.Skipf("no mapped loads here: %v", err)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[size/2] ^= 1 // one bit of the arena
+	if err := os.WriteFile(path, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	data = nil
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, _, err = LoadFrom(path, LoadOptions{Mmap: true})
+	runtime.ReadMemStats(&m1)
+	if !errors.Is(err, store.ErrChecksum) {
+		t.Fatalf("corrupt store: got %v, want ErrChecksum", err)
+	}
+	if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc >= uint64(size)/2 {
+		t.Fatalf("the failed mapped load allocated %d bytes of a %d-byte store", alloc, size)
 	}
 }
 

@@ -11,16 +11,17 @@ import (
 	"gofmm/internal/store"
 )
 
-// FuzzReadStore mutates one payload section (meta or topo) of a compiled
-// store and re-wraps the sections with fresh checksums, so every mutation
-// reaches the payload decoder and, through it, the plan lowering that the
-// load runs on untrusted nodes. The seeds are a small operator cached in
+// FuzzReadStore mutates one payload section (meta or topo) of a store and
+// re-wraps the sections with fresh checksums, so every mutation reaches
+// the payload decoder and, through it, the plan lowering that the load
+// runs on untrusted nodes. The seeds are a small operator cached in
 // float64, cached in float32 with float32 bases, the same under
 // NoSymmetrize lists, uncached HSS (Budget 0), whose store carries the
-// blocks its plan gathered, and one whose dense-fallback nodes keep every
-// candidate (s = c, no T block). A load without an oracle must either fail
-// with ErrBadFormat or return an operator whose replay and interpreter
-// return without a panic, recovered or not.
+// blocks SaveTo gathered, one whose dense-fallback nodes keep every
+// candidate (s = c, no T block), and the first seed's store with the
+// blocks of every list removed. A load without an oracle must either fail
+// with ErrBadFormat or return a compiled operator whose replay and
+// interpreter return without a panic, recovered or not.
 func FuzzReadStore(f *testing.F) {
 	base := Config{
 		LeafSize: 16, MaxRank: 12, Tol: 1e-5, Kappa: 8, Budget: 0.1,
@@ -37,9 +38,6 @@ func FuzzReadStore(f *testing.F) {
 		h, _ := compressGauss(f, 128, cfg)
 		if cfg.Degrade == DegradeDense && len(h.DenseFallbacks()) == 0 {
 			f.Fatal("the dense-fallback image has no s = c node")
-		}
-		if _, err := h.CompilePlan(); err != nil {
-			f.Fatal(err)
 		}
 		sections, err := h.storeSections()
 		if err != nil {
@@ -68,6 +66,15 @@ func FuzzReadStore(f *testing.F) {
 		}
 	}
 	f.Add(uint8(4), uint8(1), uint8(0), uint32(700), []byte{0x04}) // flip a bit of an s = c operator
+	bare := make([]store.Section, len(images[0]))
+	for i, sec := range images[0] {
+		if sec.Kind == store.SecTopo {
+			sec.Data = withoutRefs(f, sec.Data, allNodes(len(topoNodes(f, sec.Data)))...)
+		}
+		bare[i] = sec
+	}
+	images = append(images, bare)
+	f.Add(uint8(5), uint8(1), uint8(0), uint32(0), []byte{}) // the store without blocks, unchanged
 	f.Fuzz(func(t *testing.T, image, section, mode uint8, pos uint32, data []byte) {
 		sections := images[int(image)%len(images)]
 		kind := kinds[int(section)%len(kinds)]
@@ -99,6 +106,9 @@ func FuzzReadStore(f *testing.F) {
 				t.Fatalf("load failed with %v, want ErrBadFormat", err)
 			}
 			return
+		}
+		if h.Plan() == nil {
+			t.Fatal("the load accepted a store and left it uncompiled")
 		}
 		ctx := context.Background()
 		for _, eval := range []func(context.Context, *linalg.Matrix) (*linalg.Matrix, error){

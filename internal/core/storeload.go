@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -18,8 +19,9 @@ import (
 //   - With Mmap it maps the file read-only and binds every constant
 //     matrix as a column-major view straight into the mapping — zero copies
 //     of arena data, first matvec limited by page faults, the mapping held
-//     until ReleaseStore. Any mmap failure (unsupported platform, filesystem
-//     without mmap, misaligned file) falls back to the portable path.
+//     until ReleaseStore. When the mapping itself fails (unsupported
+//     platform, filesystem without mmap) the load falls back to the
+//     portable path; a file that fails validation fails at once.
 //   - The portable path reads the file into memory and, when the host can
 //     reinterpret little-endian IEEE floats in place, still binds views into
 //     that buffer; otherwise (big-endian hosts) it decodes by copy.
@@ -29,8 +31,8 @@ import (
 // payload is parsed, and the payload parser treats its input as untrusted:
 // every length is bounded by the bytes actually present, every index is
 // range-checked, and the permutation is verified to be a permutation before
-// the tree is rebuilt. The store holds no schedule: when it carries the
-// blocks of every contributing list, the loader lowers the decoded
+// the tree is rebuilt. The store holds no schedule, but it carries the
+// blocks of every contributing list: the loader lowers the decoded
 // operator with CompilePlan, so the Builder validates the schedule on the
 // load path exactly as on the compile path. Malformed payloads yield
 // ErrBadFormat, never a panic.
@@ -38,9 +40,9 @@ import (
 // LoadOptions configures LoadFrom. The zero value is a sequentialish
 // portable load: no mmap, Dynamic executor with one worker, no telemetry.
 type LoadOptions struct {
-	// Mmap requests the zero-copy mapped load. On failure of any kind the
-	// load silently falls back to the portable path; StoreInfo.Mapped reports
-	// which one served.
+	// Mmap requests the zero-copy mapped load. Where the file cannot be
+	// mapped the load falls back to the portable path; StoreInfo.Mapped
+	// reports which one served.
 	Mmap bool
 	// Exec and NumWorkers seed the returned operator's executor config.
 	Exec       ExecMode
@@ -62,22 +64,18 @@ type StoreInfo struct {
 }
 
 // LoadFrom opens an operator store written by SaveTo and reconstructs the
-// operator. The result carries no entry oracle (HasOracle is false). A
-// store that carries the blocks of every contributing near and far list,
-// as every compiled or cached operator's does, loads with its plan lowered
-// and evaluates at once; one that carries none evaluates after
-// AttachOracle provides the entries to gather. Paths that must sample
-// fresh entries return ErrNoOracle until then. Close the returned
-// operator's backing file with ReleaseStore when it leaves service.
+// operator with its plan lowered, so it evaluates at once from the blocks
+// the store carries. The result carries no entry oracle (HasOracle is
+// false): paths that must sample fresh entries return ErrNoOracle until
+// AttachOracle provides one. Close the returned operator's backing file
+// with ReleaseStore when it leaves service.
 func LoadFrom(path string, opts LoadOptions) (*Hierarchical, *StoreInfo, error) {
 	var f *store.File
 	var err error
 	if opts.Mmap {
 		f, err = store.OpenMmap(path)
-		if err != nil {
-			f, err = store.Open(path)
-		}
-	} else {
+	}
+	if !opts.Mmap || errors.Is(err, store.ErrMmapUnsupported) {
 		f, err = store.Open(path)
 	}
 	if err != nil {
@@ -405,11 +403,17 @@ func decodeStore(f *store.File, opts LoadOptions) (*Hierarchical, *StoreInfo, er
 	}
 	// Ownership depends on every node's lists, so the caches resolve once
 	// they are all read: a ref list must hold exactly the blocks its node
-	// owns.
+	// owns, and every list that enters the evaluation must carry one.
 	for id := range h.nodes {
 		for i, kind := range []listKind{nearList, farList} {
 			refs := lists[id][i]
-			if refs == nil || tr.err() != nil {
+			if tr.err() != nil {
+				break
+			}
+			if refs == nil {
+				if lst, _ := h.list(kind, id); len(lst) > 0 && h.contributes(kind, id) {
+					tr.failf("node %d: contributing %s list carries no blocks", id, [...]string{"near", "far"}[kind])
+				}
 				continue
 			}
 			cache := make([]block, len(refs))
@@ -444,30 +448,10 @@ func decodeStore(f *store.File, opts LoadOptions) (*Hierarchical, *StoreInfo, er
 		return nil, nil, err
 	}
 
-	// A store carries the blocks of every contributing list, as a compiled
-	// or cached operator saves them, and loads compiled; or of none, and
-	// waits for AttachOracle. No operator saves a store between the two.
-	var carried, bare int
-	for id := range h.nodes {
-		for i, kind := range []listKind{nearList, farList} {
-			if lst, _ := h.list(kind, id); len(lst) == 0 || !h.contributes(kind, id) {
-				continue
-			}
-			if lists[id][i] != nil {
-				carried++
-			} else {
-				bare++
-			}
-		}
-	}
-	if carried > 0 && bare > 0 {
-		return nil, nil, fmt.Errorf("%w: store carries the blocks of %d of %d contributing lists",
-			ErrBadFormat, carried, carried+bare)
-	}
-	if bare == 0 {
-		if _, err := h.CompilePlan(); err != nil {
-			return nil, nil, fmt.Errorf("%w: stored operator does not lower: %v", ErrBadFormat, err)
-		}
+	// Every block the lowering reads belongs to a contributing list, so it
+	// never gathers from the absent oracle.
+	if _, err := h.CompilePlan(); err != nil {
+		return nil, nil, fmt.Errorf("%w: stored operator does not lower: %v", ErrBadFormat, err)
 	}
 
 	h.backing = f

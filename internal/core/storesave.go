@@ -92,11 +92,10 @@ func (h *Hierarchical) storeSections() ([]store.Section, error) {
 		return nil, fmt.Errorf("%w: cannot save an uncompressed operator", resilience.ErrInvalidInput)
 	}
 	n := h.K.Dim()
-	p := h.evalPlan.Load()
-	// A compiled operator must reload oracle-free and compiled, so it
-	// persists every block its plan reads. Blocks the compression did not
-	// cache were gathered for the plan alone; gather the owned ones again
-	// here, in float64 as the plan holds them, into the saved lists only.
+	// Every store reloads oracle-free and compiled, so it persists every
+	// block a plan reads. Where the compression cached none, gather the
+	// owned ones here, in float64 as a plan gathers them, into the saved
+	// lists only.
 	var mt matTable
 
 	// Walk nodes in id order so arena layout is deterministic: T first,
@@ -113,7 +112,7 @@ func (h *Hierarchical) storeSections() ([]store.Section, error) {
 		for i, kind := range []listKind{nearList, farList} {
 			lst, cache := h.list(kind, id)
 			blocks := *cache
-			if blocks == nil && p != nil && len(lst) > 0 {
+			if blocks == nil && len(lst) > 0 {
 				blocks = h.ownedBlocks(kind, id, false)
 			}
 			if blocks == nil {
@@ -180,8 +179,8 @@ func (h *Hierarchical) storeSections() ([]store.Section, error) {
 
 // SaveTo atomically writes the operator to path in store format
 // (gofmm.store/v1) and returns the file size: the compressed
-// representation and its blocks, but not the entry oracle. LoadFrom reads
-// it back.
+// representation and the blocks of every list, but not the entry oracle.
+// LoadFrom reads it back compiled.
 func (h *Hierarchical) SaveTo(path string) (int64, error) {
 	sections, err := h.storeSections()
 	if err != nil {

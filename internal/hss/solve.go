@@ -29,10 +29,10 @@ type Factorization struct {
 	h *HSS
 	// Per-leaf Cholesky factor of D.
 	chol []*linalg.Matrix
-	// Per-node reduced Schur complement S and the LU of the coupled system.
+	// Per-node reduced Schur complement S and the LU of the coupled system
+	// (the root's included).
 	schur []*linalg.Matrix
 	lu    []*linalg.LU
-	luRt  *linalg.LU // root coupled system
 
 	// Jitter is the largest diagonal regularization λ that had to be added
 	// to recover a failed factorization (0 when everything factored clean);
@@ -185,11 +185,10 @@ func (h *HSS) FactorCtx(ctx context.Context) (*Factorization, error) {
 			return
 		}
 		f.recordJitter(lam)
+		f.lu[id] = lu
 		if id == 0 {
-			f.luRt = lu
 			return
 		}
-		f.lu[id] = lu
 		// S_α = E_αᵀ · diag(S) · M⁻¹ · E_α.
 		E := h.nodes[id].E
 		MinvE := E.Clone()
@@ -323,11 +322,7 @@ func (f *Factorization) SolveCtx(ctx context.Context, B *linalg.Matrix) (*linalg
 		if id != 0 && y[id] != nil {
 			linalg.Gemm(false, false, 1, h.nodes[id].E, y[id], 1, rhs)
 		}
-		if id == 0 {
-			f.luRt.Solve(rhs)
-		} else {
-			f.lu[id].Solve(rhs)
-		}
+		f.lu[id].Solve(rhs)
 		nl := g[l].Rows
 		y[l] = rhs.View(0, 0, nl, r).Clone()
 		y[rr] = rhs.View(nl, 0, rhs.Rows-nl, r).Clone()
@@ -356,11 +351,7 @@ func (f *Factorization) SolveCtx(ctx context.Context, B *linalg.Matrix) (*linalg
 // reduceDown computes M⁻¹·C·g for node id.
 func (f *Factorization) reduceDown(id int, glr *linalg.Matrix) *linalg.Matrix {
 	rhs := applyCoupling(f.h.nodes[id].B, glr)
-	if id == 0 {
-		f.luRt.Solve(rhs)
-	} else {
-		f.lu[id].Solve(rhs)
-	}
+	f.lu[id].Solve(rhs)
 	return rhs
 }
 
@@ -408,13 +399,7 @@ func (f *Factorization) LogDet() float64 {
 		if t.IsLeaf(id) {
 			continue
 		}
-		var lu *linalg.LU
-		if id == 0 {
-			lu = f.luRt
-		} else {
-			lu = f.lu[id]
-		}
-		la, _ := lu.LogAbsDet()
+		la, _ := f.lu[id].LogAbsDet()
 		logdet += la
 	}
 	return logdet

@@ -19,15 +19,17 @@ import (
 //	POST   /admin/operators/{name}   load (or hot-swap) {name} from <StoreDir>/{name}.store
 //	DELETE /admin/operators/{name}   deregister {name}
 //
-// Loads go through core.LoadFrom (mmap when Mmap is set, with transparent
-// fallback) and install via Registry.SwapHierarchical, so a reload replaces
-// a serving operator without failing a single in-flight request. Loading is
-// restricted to StoreDir by construction: the operator name is validated as
-// a bare file stem, never a path.
+// Loads go through core.LoadFrom (mmap when Mmap is set, with a portable
+// fallback where the file cannot be mapped) and install via
+// Registry.SwapHierarchical, so a reload replaces a serving operator
+// without failing a single in-flight request. Loading is restricted to
+// StoreDir by construction: the operator name is validated as a bare file
+// stem, never a path.
 type AdminConfig struct {
 	// StoreDir is the only directory operators may be loaded from (required).
 	StoreDir string
-	// Mmap requests zero-copy mapped loads (portable fallback on failure).
+	// Mmap requests zero-copy mapped loads (portable fallback where the
+	// file cannot be mapped).
 	Mmap bool
 	// EvalCtx scopes the lifetime of swapped-in batch evaluators. It must
 	// outlive individual requests — typically the daemon's evaluator
@@ -95,15 +97,12 @@ func (s *Server) handleAdminLoad(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err, "")
 		return
 	}
-	// The swap compiled the operator unless its load already had.
-	p, digest := h.Plan(), ""
-	if p != nil {
-		digest = p.DigestHex()
-	}
+	// Every load lowers the operator's plan.
+	digest := h.Plan().DigestHex()
 	if l := s.rec.Logger(); l != nil {
 		l.Info("serve: operator loaded from store",
 			"operator", name, "bytes", info.Bytes, "mapped", info.Mapped,
-			"plan", p != nil)
+			"plan_digest", digest)
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	resp := map[string]any{
@@ -111,7 +110,7 @@ func (s *Server) handleAdminLoad(w http.ResponseWriter, r *http.Request) {
 		"dim":         op.Dim(),
 		"bytes":       info.Bytes,
 		"mapped":      info.Mapped,
-		"plan":        p != nil,
+		"plan":        true,
 		"plan_digest": digest,
 		"solve":       op.CanSolve(),
 	}

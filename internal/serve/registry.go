@@ -197,8 +197,8 @@ func (r *Registry) Deregister(name string) error {
 func (r *Registry) hierarchicalSpec(ctx context.Context, name string, h *core.Hierarchical, opts core.BatchOptions) (OperatorSpec, error) {
 	// Compile the flat evaluation plan up front so every served matvec and
 	// matmat replays the compiled schedule instead of re-walking the tree
-	// (idempotent: a no-op when a plan is already installed, including one
-	// reinstalled by core.LoadFrom).
+	// (idempotent: a no-op when a plan is already installed, as on every
+	// operator core.LoadFrom returns).
 	if _, err := h.CompilePlanCtx(ctx); err != nil {
 		return OperatorSpec{}, fmt.Errorf("serve: operator %q: %w", name, err)
 	}

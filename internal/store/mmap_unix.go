@@ -13,6 +13,7 @@ import (
 // one page-table setup plus the digest pass on every core (which doubles as
 // page-cache warmup), and the float arenas are served zero-copy until Close
 // unmaps.
+// A failing mmap call returns its error wrapped in ErrMmapUnsupported.
 // Validation failures unmap before returning, so an error never leaks a
 // mapping.
 func OpenMmap(path string) (*File, error) {
@@ -35,7 +36,7 @@ func OpenMmap(path string) (*File, error) {
 	}
 	data, err := syscall.Mmap(int(fd.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
 	if err != nil {
-		return nil, fmt.Errorf("store: mmap %s: %w", path, err)
+		return nil, fmt.Errorf("%w: %s: %w", ErrMmapUnsupported, path, err)
 	}
 	f, err := Decode(data)
 	if err != nil {

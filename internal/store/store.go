@@ -20,8 +20,9 @@
 //     untrusted-stream discipline (every length bounded by the actual file
 //     size before any allocation, every section checksummed).
 //   - OpenMmap (unix) maps the file read-only and serves straight out of
-//     the mapping; on unsupported platforms it returns ErrMmapUnsupported
-//     and callers fall back to Open.
+//     the mapping; where the file cannot be mapped (an unsupported
+//     platform, or the mmap call fails) it returns ErrMmapUnsupported and
+//     callers fall back to Open.
 //
 // The package knows nothing about trees or plans: it stores opaque
 // sections keyed by kind. internal/core owns the section payloads.
@@ -106,9 +107,10 @@ var (
 	// torn writes, not tampering: the digests are unkeyed and live in the
 	// same file, so whoever can rewrite a section can rewrite its digest.
 	ErrChecksum = fmt.Errorf("%w: store: section checksum mismatch", resilience.ErrInvalidInput)
-	// ErrMmapUnsupported is returned by OpenMmap on platforms without mmap
-	// support; callers fall back to the copying Open path.
-	ErrMmapUnsupported = errors.New("store: mmap not supported on this platform")
+	// ErrMmapUnsupported is returned by OpenMmap when the file cannot be
+	// mapped: on platforms without mmap, or wrapping the mmap call's error.
+	// Callers fall back to the copying Open path.
+	ErrMmapUnsupported = errors.New("store: mmap unsupported")
 )
 
 // Section is one payload handed to Write, or one parsed range inside an
