@@ -26,6 +26,7 @@
 //	})
 //	U := H.Matvec(W)                           // ≈ K·W in O(N·r) time
 //	eps := H.SampleRelErr(W, U, 100, 0)        // sampled relative error
+//	                                           // (NaN without the oracle)
 //
 // See the examples directory for runnable programs and DESIGN.md for the
 // mapping between this library and the paper.

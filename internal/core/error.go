@@ -43,8 +43,12 @@ func ExactMatvec(K SPD, W *linalg.Matrix) *linalg.Matrix {
 //
 // on a random sample of rows (the paper samples 100 rows to avoid the
 // O(rN²) cost of the exact metric). U must be a previously computed
-// Matvec(W) result.
+// Matvec(W) result. It reads K's rows, so on an operator without its entry
+// oracle (LoadFrom's, until AttachOracle) it returns NaN.
 func (h *Hierarchical) SampleRelErr(W, U *linalg.Matrix, nSamples int, seed int64) float64 {
+	if !h.HasOracle() {
+		return math.NaN()
+	}
 	n := h.K.Dim()
 	if nSamples <= 0 || nSamples > n {
 		nSamples = min(100, n)
@@ -61,8 +65,12 @@ func (h *Hierarchical) SampleRelErr(W, U *linalg.Matrix, nSamples int, seed int6
 	return approx.FrobeniusNorm() / den
 }
 
-// RelErr computes ε₂ exactly (all rows); use only on small problems.
+// RelErr computes ε₂ exactly (all rows); use only on small problems. Like
+// SampleRelErr it returns NaN on an operator without its entry oracle.
 func (h *Hierarchical) RelErr(W, U *linalg.Matrix) float64 {
+	if !h.HasOracle() {
+		return math.NaN()
+	}
 	exact := ExactMatvec(h.K, W)
 	diff := U.Clone()
 	diff.AddScaled(-1, exact)
@@ -75,8 +83,12 @@ func (h *Hierarchical) RelErr(W, U *linalg.Matrix) float64 {
 
 // EntryErrors reports the per-entry relative errors of the first k entries
 // of the first right-hand side — matching the artifact output format of the
-// paper ("the error of the first 10 entries").
+// paper ("the error of the first 10 entries"). It returns nil on an
+// operator without its entry oracle.
 func (h *Hierarchical) EntryErrors(W, U *linalg.Matrix, k int) []float64 {
+	if !h.HasOracle() {
+		return nil
+	}
 	if k > h.K.Dim() {
 		k = h.K.Dim()
 	}

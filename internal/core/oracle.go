@@ -13,8 +13,9 @@ import (
 // so neither its compiled plan nor the interpreter touches K's entries.
 // Paths that read fresh entries need the oracle back (AttachOracle): an
 // HSS conversion fails fast with ErrNoOracle instead of computing
-// garbage, serving offers a solve only with HasOracle, and SampleRelErr
-// reads K's rows.
+// garbage, serving offers a solve only with HasOracle, and the errors
+// against K's rows read NaN (SampleRelErr, RelErr) or nil (EntryErrors)
+// without it.
 
 // ErrNoOracle is returned by oracle-requiring paths of an operator that was
 // loaded without its entry oracle. Recompressing against a live SPD (or
@@ -28,9 +29,9 @@ func (o noOracle) Dim() int { return o.n }
 
 // At is unreachable through evaluation, which reads stored blocks only,
 // and through the paths that check HasOracle first. The panic is the
-// backstop for code that bypasses those guards, such as SampleRelErr on a
-// loaded operator, and the eval entry points' recover would surface it as
-// a typed *resilience.PanicError rather than crash.
+// backstop for code that bypasses those guards, and the eval entry points'
+// recover would surface it as a typed *resilience.PanicError rather than
+// crash.
 func (o noOracle) At(i, j int) float64 {
 	panic(fmt.Sprintf("core: entry oracle unavailable for K[%d,%d] (operator loaded from store)", i, j))
 }

@@ -66,6 +66,16 @@ func (b block) emit(pb *plan.Builder, trans bool, src, dst plan.Ref, beta float6
 	pb.Gemm(trans, b.m, src, dst, beta)
 }
 
+// emitPair appends the plan record that applies b both ways, dst =
+// b·src + beta·dst and tdst = bᵀ·tsrc: the two halves of a stored pair.
+func (b block) emitPair(pb *plan.Builder, src, dst plan.Ref, beta float64, tsrc, tdst plan.Ref) {
+	if b.m32 != nil {
+		pb.GemmMixedPair(b.m32, src, dst, beta, tsrc, tdst)
+		return
+	}
+	pb.GemmPair(b.m, src, dst, beta, tsrc, tdst)
+}
+
 // storeBlock rounds m to float32 under Config.CacheSingle.
 func (h *Hierarchical) storeBlock(m *linalg.Matrix) block {
 	if h.Cfg.CacheSingle {

@@ -72,9 +72,9 @@ func (h *Hierarchical) Plan() *plan.Plan { return h.evalPlan.Load() }
 // lowerPlan performs the symbolic traversal once and emits the flat
 // schedule. The emitted op sequence reproduces the interpreter's kernel
 // calls on the same operands — each symmetric pair's one stored block,
-// applied forward for its owner and transposed for its partner — so
-// compiled results agree with the reference path to rounding (and
-// replay-to-replay is bit-identical; see internal/plan).
+// applied forward for its owner and transposed for its partner by one
+// pair record — so compiled results agree with the reference path to
+// rounding (and replay-to-replay is bit-identical; see internal/plan).
 //
 // Arena layout: Wt, Unear, Ufar (n rows each, tree order), then per
 // interior node one stacked region [w̃l; w̃r] whose halves ARE the
@@ -305,10 +305,13 @@ type pairPass struct {
 // stages that all the passes share:
 //
 //   - Stage one has one task per node. It applies each block the node
-//     owns, in list order, twice in a row: first forward, out(owner) +=
-//     K·w(partner), then, when the partner lists the owner back,
-//     transposed into the pair's own region, t = Kᵀ·w(owner), while the
-//     block is still in cache. So a replay streams each stored block once.
+//     owns, in list order: forward, out(owner) += K·w(partner), and, when
+//     the partner lists the owner back, transposed into the pair's own
+//     region, t = Kᵀ·w(owner). A slot with both halves is one pair record
+//     (OpGemmPair), whose replay at widths 1 and 2 reads the block once
+//     for both; a slot with one half (a diagonal block, a block its
+//     partner does not list back, or a half whose input or output is
+//     absent) is one OpGemm. So a replay streams each stored block once.
 //     The first record into out(owner) overwrites it.
 //   - Stage two has one task per node. It adds the node's incoming pair
 //     regions to out(node) in list order, copying the first one when stage
@@ -377,17 +380,19 @@ func (h *Hierarchical) lowerPairs(b *plan.Builder, passes []*pairPass) {
 				if !blk.ok() {
 					blk = block{m: h.gather(ps.kind, id, alpha)}
 				}
-				if fwd {
-					var beta float64
-					if wrote[i][id] {
-						beta = 1
-					}
-					blk.emit(b, false, ps.w(alpha), dst, beta)
-					wrote[i][id] = true
+				var beta float64
+				if wrote[i][id] {
+					beta = 1
 				}
-				if t.Rows > 0 {
+				switch {
+				case fwd && t.Rows > 0:
+					blk.emitPair(b, ps.w(alpha), dst, beta, ps.w(id), t)
+				case fwd:
+					blk.emit(b, false, ps.w(alpha), dst, beta)
+				default:
 					blk.emit(b, true, ps.w(id), t, 0)
 				}
+				wrote[i][id] = wrote[i][id] || fwd
 			}
 		}
 	}

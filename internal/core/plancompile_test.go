@@ -28,8 +28,9 @@ func planConfig() Config {
 // block, and NoSymmetrize, where one-sided pairs keep their own) and RHS
 // widths. The cached cases also run every kernel-choice edge of the
 // constant-operand entries (the GEMV-to-micro-kernel crossovers, ragged
-// 6-column panels and 3-column dot tiles, transposed S2N and mirror
-// records), and the fixed-rank cases have records with k > 256, so the
+// 6-column panels and 3-column dot tiles, transposed S2N records, and pair
+// records on the fused kernels at widths 1 and 2 and as two calls from
+// width 3), and the fixed-rank cases have records with k > 256, so the
 // micro-kernel splits k into blocks.
 func TestCompiledPlanMatchesInterpreter(t *testing.T) {
 	narrow := []int{1, 3, 8}
@@ -87,11 +88,12 @@ func TestCompiledPlanMatchesInterpreter(t *testing.T) {
 	}
 }
 
-// maxGemmK returns the largest inner dimension of the plan's GEMM records.
+// maxGemmK returns the largest inner dimension of the plan's GEMM and
+// pair records (a pair record's forward product).
 func maxGemmK(p *plan.Plan) int {
 	k := 0
 	for _, op := range p.Ops() {
-		if op.Kind == plan.OpGemm {
+		if op.Kind == plan.OpGemm || op.Kind == plan.OpGemmPair {
 			k = max(k, op.B.Rows)
 		}
 	}

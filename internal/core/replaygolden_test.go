@@ -31,14 +31,14 @@ func TestReplayBitsGolden(t *testing.T) {
 		digest string
 		out    [3]string // r = 1, 2, 16
 	}{
-		{"f64", false, "861598f23126ca650f3052df3bc4668a8ac093065f897849328033a837e9c014", [3]string{
-			"fdb851eed7a6042575e07dc7079fe73e2542c44a0e240efc2393978001589b6d",
-			"7e835a3519fb7a2c2d33326f503ad48033caa477087a298133eeb97df79d3013",
+		{"f64", false, "d7ffcfc2981170b391c9ad00fcb7c6d3855e8999efc6923bb32517c8e778eb88", [3]string{
+			"58daf32fa2a179d5ab70c9b00b337df825f8cce538b1ad025234d9624b89ea58",
+			"c7103154aac2f39ba5204290ae3c71cf5294c5cbc4a62815531c12859827fcf6",
 			"da2782f2409bed292fdd86abbbb24d3dba6808bdea76497fe998a9db2fb5f900",
 		}},
-		{"f32", true, "8ed2eb3686fff87c864d640b810cd4099112a75166d705e5aabcf70dbbf8dab2", [3]string{
-			"bec4b141919e90f6a26ed7c9311361c4cb2a73824fec51fc3f54f91848e9138d",
-			"9b1963fa9187f50a04961c8fcbdcb988231e5f8873e31b9d843ca6acf4265b3f",
+		{"f32", true, "3399e40bb2ce3356242961ad2e5276353ec4a08c81ee5c07f6e266126abdb579", [3]string{
+			"0be06395a24d9a46adb460299299b5a68d74544c9470302b907758d6c12a0650",
+			"6de4ce92323a9f3663f37bad0a0b0d3af4905b6209fda40515c6c0401f8c7f8b",
 			"933c34e222bf73a91906067b826fca12e50068e204cc951baa31fafe38d4564f",
 		}},
 	} {

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -207,6 +208,49 @@ func TestStoreLoadWithoutCachesNeedsOracle(t *testing.T) {
 	}
 	if a, b := h2.SampleRelErr(W, got, 50, 11), h.SampleRelErr(W, want, 50, 11); a != b {
 		t.Fatalf("post-attach sampled error %g, want the source's %g", a, b)
+	}
+}
+
+// TestLoadedOperatorErrorsWithoutOracle: the errors against K's rows read
+// NaN (SampleRelErr, RelErr) and nil (EntryErrors) on a saved and reloaded
+// operator instead of panicking in the bare oracle, and, once AttachOracle
+// restores it, the source's values on the same product.
+func TestLoadedOperatorErrorsWithoutOracle(t *testing.T) {
+	h, K := compressGauss(t, 200, Config{
+		LeafSize: 32, MaxRank: 24, Tol: 1e-5, Kappa: 8, Budget: 0.1,
+		Distance: Kernel, Exec: Sequential, Seed: 9, CacheBlocks: true,
+	})
+	path := filepath.Join(t.TempDir(), "errors.store")
+	if _, err := h.SaveTo(path); err != nil {
+		t.Fatal(err)
+	}
+	h2, _, err := LoadFrom(path, LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h2.ReleaseStore()
+	W := linalg.GaussianMatrix(rand.New(rand.NewSource(12)), 200, 1)
+	U := h2.Matvec(W)
+	if e := h2.SampleRelErr(W, U, 50, 13); !math.IsNaN(e) {
+		t.Errorf("SampleRelErr without the oracle = %g, want NaN", e)
+	}
+	if e := h2.RelErr(W, U); !math.IsNaN(e) {
+		t.Errorf("RelErr without the oracle = %g, want NaN", e)
+	}
+	if e := h2.EntryErrors(W, U, 10); e != nil {
+		t.Errorf("EntryErrors without the oracle = %v, want nil", e)
+	}
+	if err := h2.AttachOracle(denseSPD{K}); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := h2.SampleRelErr(W, U, 50, 13), h.SampleRelErr(W, U, 50, 13); a != b || math.IsNaN(a) {
+		t.Errorf("post-attach SampleRelErr %g, want the source's %g", a, b)
+	}
+	if a, b := h2.RelErr(W, U), h.RelErr(W, U); a != b || math.IsNaN(a) {
+		t.Errorf("post-attach RelErr %g, want the source's %g", a, b)
+	}
+	if a, b := h2.EntryErrors(W, U, 10), h.EntryErrors(W, U, 10); len(a) != 10 || !slices.Equal(a, b) {
+		t.Errorf("post-attach EntryErrors %v, want the source's %v", a, b)
 	}
 }
 

@@ -205,34 +205,46 @@ func TestIdxMax(t *testing.T) {
 	}
 }
 
-// TestGemvPrefetchStaysInsideBlock walks the panel loops of the four GEMV
-// micro-kernels' callers (8-column forward panels, 4-column transposed
-// ones) and replays each call's prefetch hints as the kernels issue them:
-// one cache line per 64 bytes an 8-row step loads, consecutive from the
-// target gemvNextPanel names, none in the 4-row tail. Every hinted span
-// must lie inside the block's backing array, contiguous or a view whose
-// array ends with the block; each panel followed by a full one must
-// target it, and the last must target itself.
+// TestGemvPrefetchStaysInsideBlock walks the panel loops of the six GEMV
+// micro-kernels' callers (8-column forward panels, 4-column transposed and
+// pair ones) and replays each call's prefetch hints as the kernels issue
+// them: one cache line per 64 bytes an 8-row step loads, consecutive from
+// the target gemvNextPanel (gemvPairPanel for the pair kernels) names,
+// none in the 4-row tail. Every hinted span must lie inside the block's
+// backing array, contiguous or a view whose array ends with the block;
+// each panel must target the one its kernel's distance ahead (one panel,
+// two for the pair kernels), or the last full panel where fewer follow.
 func TestGemvPrefetchStaysInsideBlock(t *testing.T) {
+	kernels := []struct {
+		name  string
+		width int // columns per call
+		ahead int // panels from the one read to the one hinted
+		next  func(j, k int) int
+	}{
+		// Gemv and GemvMixed, forward and transposed.
+		{"gemvCols8", 8, 1, func(j, k int) int { return gemvNextPanel(j, 8, k) }},
+		{"gemvDots4", 4, 1, func(j, k int) int { return gemvNextPanel(j, 4, k) }},
+		// GemmConstPair and GemmMixedPair below gemmConstMinWidthT.
+		{"gemvPair4", 4, 2, gemvPairPanel},
+	}
 	for _, m := range []int{4, 13, 113, 128, 129} {
-		for _, k := range []int{8, 9, 16, 113, 128} {
+		for _, k := range []int{8, 9, 12, 16, 113, 128} {
 			for _, stride := range []int{m, m + 3} {
 				n := (k-1)*stride + m // A.Data ends with the block
 				for _, es := range []int{4, 8} {
-					for _, width := range []int{8, 4} {
+					for _, kern := range kernels {
+						width := kern.width
 						steps := (m &^ 3) / 8
 						hints := steps * width * 8 * es / 64
-						for j := 0; j+width <= k; j += width {
-							next := gemvNextPanel(j, width, k)
-							switch last := j+2*width > k; {
-							case last && next != j:
-								t.Fatalf("m=%d k=%d width=%d j=%d: last panel targets column %d, want itself", m, k, width, j, next)
-							case !last && next != j+width:
-								t.Fatalf("m=%d k=%d width=%d j=%d: targets column %d, want the next panel %d", m, k, width, j, next, j+width)
+						last := (k/width - 1) * width // the last full panel
+						for j := 0; j <= last; j += width {
+							next := kern.next(j, k)
+							if want := min(j+kern.ahead*width, last); next != want {
+								t.Fatalf("%s m=%d k=%d j=%d: targets column %d, want %d", kern.name, m, k, j, next, want)
 							}
 							start := next * stride * es
 							if end := start + 64*hints; hints > 0 && end > n*es {
-								t.Fatalf("m=%d k=%d stride=%d es=%d width=%d j=%d: hints bytes [%d, %d) of a %d-byte block", m, k, stride, es, width, j, start, end, n*es)
+								t.Fatalf("%s m=%d k=%d stride=%d es=%d j=%d: hints bytes [%d, %d) of a %d-byte block", kern.name, m, k, stride, es, j, start, end, n*es)
 							}
 						}
 					}

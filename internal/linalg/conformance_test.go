@@ -229,6 +229,106 @@ func constOperandGrid(t *testing.T, rng *rand.Rand, strided bool) {
 	}
 }
 
+// TestGemmPairConformance checks the pair entries, GemmConstPair and
+// GemmMixedPair, which apply one stored block both ways: C = A·B + beta·C
+// and Ct = Aᵀ·Bt. m and k straddle the fused kernel's 4-row steps and
+// 4-column panels (every value to 9) and the 8-row steps of a full block;
+// r covers the fused path (1, 2) and the two separate calls (3 and up).
+func TestGemmPairConformance(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	ms := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 113, 128, 129}
+	ks := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 113, 128}
+	for _, mixed := range []bool{false, true} {
+		for _, m := range ms {
+			for _, k := range ks {
+				t.Run(fmt.Sprintf("mixed%v_m%d_k%d", mixed, m, k), func(t *testing.T) {
+					for _, r := range []int{1, 2, 3, 5, 16} {
+						checkPairEntry(t, rng, mixed, m, k, r)
+					}
+				})
+			}
+		}
+	}
+}
+
+// pairBlock returns an m×k block as a strided float64 view and, when mixed
+// is set, as a strided float32 block whose widened values the float64 view
+// then holds.
+func pairBlock(rng *rand.Rand, mixed bool, m, k, pad int) (*Matrix, *Matrix32) {
+	A := randMatrix(rng, m+pad, k+1).View(pad, 1, m, k)
+	if !mixed {
+		return A, nil
+	}
+	A32 := &Matrix32{Rows: m, Cols: k, Stride: m + pad, Data: make([]float32, (m+pad)*k)}
+	for j := 0; j < k; j++ {
+		for i := 0; i < m; i++ {
+			A32.Data[j*A32.Stride+i] = float32(A.At(i, j))
+		}
+	}
+	return A32.ToMatrix(), A32
+}
+
+// pairProduct runs the pair entry for whichever of A and A32 is meant:
+// GemmMixedPair when A32 is set, else GemmConstPair.
+func pairProduct(A *Matrix, A32 *Matrix32, B *Matrix, beta float64, C, Bt, Ct *Matrix) {
+	if A32 != nil {
+		GemmMixedPair(A32, B, beta, C, Bt, Ct)
+	} else {
+		GemmConstPair(A, B, beta, C, Bt, Ct)
+	}
+}
+
+// checkPairEntry runs one pair entry on an m×k block at width r, with every
+// operand a strided view, at beta 0 and 1. Both products must agree with
+// refGemm to 1e-13 per unit of inner dimension; Ct, and C at beta = 0,
+// start NaN and must be overwritten; from gemmConstMinWidthT columns on,
+// the results must be those of the two separate calls bit for bit.
+func checkPairEntry(t *testing.T, rng *rand.Rand, mixed bool, m, k, r int) {
+	t.Helper()
+	const pad = 2
+	A, A32 := pairBlock(rng, mixed, m, k, pad)
+	for _, beta := range []float64{0, 1} {
+		B := randMatrix(rng, k+2*pad, r+pad).View(pad, pad, k, r)
+		Bt := randMatrix(rng, m+2*pad, r+pad).View(pad, pad, m, r)
+		C := randMatrix(rng, m+pad, r+2*pad).View(pad, pad, m, r)
+		Ct := randMatrix(rng, k+pad, r+2*pad).View(pad, pad, k, r)
+		want, wantT := C.Clone(), NewMatrix(k, r)
+		refGemm(false, false, 1, A, B, beta, want)
+		refGemm(true, false, 1, A, Bt, 0, wantT)
+		if beta == 0 {
+			C.Fill(math.NaN())
+		}
+		Ct.Fill(math.NaN())
+		sepC, sepCt := C.Clone(), Ct.Clone()
+		pairProduct(A, A32, B, beta, C, Bt, Ct)
+		if d := maxAbsDiff(C, want); !(d <= 1e-13*float64(k+1)) {
+			t.Fatalf("r=%d beta=%g: C deviates from reference by %g", r, beta, d)
+		}
+		if d := maxAbsDiff(Ct, wantT); !(d <= 1e-13*float64(m+1)) {
+			t.Fatalf("r=%d beta=%g: Ct deviates from reference by %g", r, beta, d)
+		}
+		if r < gemmConstMinWidthT {
+			continue
+		}
+		if A32 != nil {
+			GemmMixed(false, 1, A32, B, beta, sepC)
+			GemmMixed(true, 1, A32, Bt, 0, sepCt)
+		} else {
+			GemmConst(false, 1, A, B, beta, sepC)
+			GemmConst(true, 1, A, Bt, 0, sepCt)
+		}
+		for _, c := range []struct{ got, want *Matrix }{{C, sepC}, {Ct, sepCt}} {
+			for j := 0; j < r; j++ {
+				for i, v := range c.got.Col(j) {
+					if w := c.want.At(i, j); math.Float64bits(v) != math.Float64bits(w) {
+						t.Fatalf("r=%d beta=%g: [%d,%d] = %g, the separate calls give %g", r, beta, i, j, v, w)
+					}
+				}
+			}
+		}
+	}
+}
+
 // refTrsm solves op(T)·X = B by explicit forward/back substitution, one
 // column at a time, straight from the textbook formulas.
 func refTrsm(upper, trans bool, T, B *Matrix) {

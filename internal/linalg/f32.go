@@ -99,6 +99,22 @@ func GemmMixed(transA bool, alpha float64, A *Matrix32, B *Matrix, beta float64,
 	}
 }
 
+// GemmMixedPair is GemmConstPair for a block stored in float32, products
+// and accumulation in float64: C = A·B + beta·C and Ct = Aᵀ·Bt, read once
+// per column below gemmConstMinWidthT columns with the AVX2+FMA kernels,
+// and otherwise the two GemmMixed calls, forward first.
+func GemmMixedPair(A *Matrix32, B *Matrix, beta float64, C, Bt, Ct *Matrix) {
+	checkPair("GemmMixedPair", A.Rows, A.Cols, B, C, Bt, Ct)
+	if !pairFused(B.Cols) {
+		GemmMixed(false, 1, A, B, beta, C)
+		GemmMixed(true, 1, A, Bt, 0, Ct)
+		return
+	}
+	for j := 0; j < B.Cols; j++ {
+		gemvPair(nil, A, B.Col(j), beta, C.Col(j), Bt.Col(j), Ct.Col(j))
+	}
+}
+
 // GemvMixed computes y = alpha·op(A)·x + beta·y with A stored in float32
 // and float64 accumulation. GemmMixed runs it once per column of narrow
 // blocks, so it serves every width-1 mixed-precision record of a plan

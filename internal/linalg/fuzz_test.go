@@ -181,6 +181,76 @@ func FuzzGemmMixed(f *testing.F) {
 	})
 }
 
+// FuzzGemmPair drives the pair entries, GemmMixedPair on a float32 A or
+// GemmConstPair when wide is set, over random shapes, betas, view offsets
+// (random strides on every operand) and NaN/Inf poisoning, against the
+// naive reference for both products: C = A·B + beta·C and Ct = Aᵀ·Bt.
+// Widths 1 and 2 run the fused kernels, with ragged rows and 4-column
+// panels; wider ones the two separate calls. Its seeds are FuzzGemmMixed's
+// shapes, offsets and poison flags.
+func FuzzGemmPair(f *testing.F) {
+	f.Add(int64(1), 128, 128, 16, false, 0.0, 0, false)
+	f.Add(int64(2), 9, 5, 7, false, 1.0, 1, true)
+	f.Add(int64(3), 33, 257, 6, true, 0.25, 2, false)
+	f.Add(int64(4), 17, 40, 17, true, 1.0, 3, true)
+	f.Add(int64(-112), 7, -95, -49, false, 6.638065714285714e+06, 108, false)
+	f.Add(int64(-112), -54, 69, 1, true, 3.982839428571428e+06, 12, false)
+	f.Fuzz(func(t *testing.T, seed int64, m, k, n int, wide bool, beta float64, off int, poison bool) {
+		m, k, n = absInt(m)%70, absInt(k)%300, absInt(n)%5
+		if !isFinite(beta) {
+			return
+		}
+		rng := rand.New(rand.NewSource(seed))
+		oa, ob, oc := absInt(off)%3, absInt(off/3)%3, absInt(off/9)%3
+		A := GaussianMatrix(rng, m+oa+1, k+2).View(oa, 1, m, k)
+		B := GaussianMatrix(rng, k+ob+2, n+1).View(ob, 0, k, n)
+		Bt := GaussianMatrix(rng, m+oc+2, n+2).View(oc, 1, m, n)
+		C := GaussianMatrix(rng, m+oc+1, n+2).View(oc, 1, m, n)
+		Ct := GaussianMatrix(rng, k+ob+1, n+2).View(ob, 1, k, n)
+		var A32 *Matrix32
+		if !wide {
+			A32 = &Matrix32{Rows: m, Cols: k, Stride: m + oa, Data: make([]float32, (m+oa)*k)}
+			for j := 0; j < k; j++ {
+				for i := 0; i < m; i++ {
+					A32.Data[j*A32.Stride+i] = float32(A.At(i, j))
+				}
+			}
+		}
+		if poison && m*k > 0 && n > 0 {
+			i, j := absInt(int(seed))%m, absInt(int(seed/5))%k
+			A.Set(i, j, math.NaN())
+			if A32 != nil {
+				A32.Data[j*A32.Stride+i] = float32(math.NaN())
+			}
+			B.Set(absInt(int(seed/7))%k, 0, math.Inf(1))
+			Bt.Set(absInt(int(seed/11))%m, n-1, math.Inf(-1))
+		}
+		if A32 != nil {
+			A = A32.ToMatrix() // the exact widened values the kernels see
+		}
+		C0 := C.Clone()
+		want, wantT := C.Clone(), NewMatrix(k, n)
+		refGemm(false, false, 1, A, B, beta, want)
+		refGemm(true, false, 1, A, Bt, 0, wantT)
+		pairProduct(A, A32, B, beta, C, Bt, Ct)
+		for j := 0; j < n; j++ {
+			for i := 0; i < m; i++ {
+				g, w := C.At(i, j), want.At(i, j)
+				tol := 2e-11*float64(k+1) + betaCRounding(pairRoundings(i, m, k, n), beta, C0.At(i, j))
+				if g != w && !(math.IsNaN(g) && math.IsNaN(w)) && !(math.Abs(g-w) <= tol) {
+					t.Fatalf("C[%d,%d] = %g, want %g (m=%d k=%d n=%d wide=%v)", i, j, g, w, m, k, n, wide)
+				}
+			}
+			for i := 0; i < k; i++ {
+				g, w := Ct.At(i, j), wantT.At(i, j)
+				if g != w && !(math.IsNaN(g) && math.IsNaN(w)) && !(math.Abs(g-w) <= 2e-11*float64(m+1)) {
+					t.Fatalf("Ct[%d,%d] = %g, want %g (m=%d k=%d n=%d wide=%v)", i, j, g, w, m, k, n, wide)
+				}
+			}
+		}
+	})
+}
+
 // FuzzHouseholderKernels drives the kernels of the pivoted-QR update over
 // random lengths, strides and special-value densities: Axpy against its
 // scalar loop, dot4 against Dot on each column, and QRColumnPivot against
@@ -262,6 +332,17 @@ func constRoundings(transA bool, i, m, k, n int) int {
 		}
 	}
 	return refRoundings + 1 + k/8*per8 + k%8/4 + k%4
+}
+
+// pairRoundings counts the roundings at |beta·c0| on row i of the pair
+// entries' m×n forward product with inner dimension k: those of the two
+// separate calls from gemmConstMinWidthT columns on, and below it scaleC
+// and one add per column of A, in the fused kernel's chain or in Go.
+func pairRoundings(i, m, k, n int) int {
+	if !pairFused(n) {
+		return constRoundings(false, i, m, k, n)
+	}
+	return refRoundings + 1 + k
 }
 
 // TestGemmAssociativity is the testing/quick identity (A·B)·x == A·(B·x):

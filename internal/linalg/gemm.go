@@ -352,6 +352,114 @@ func constWide(transA bool, r int) bool {
 	return r >= gemmConstMinWidth
 }
 
+// GemmConstPair applies one stored block of a symmetric pair both ways:
+// C = A·B + beta·C for the owner and Ct = Aᵀ·Bt for the partner, with A
+// m×k, B and Ct k×r, C and Bt m×r. Below gemmConstMinWidthT columns, on
+// builds with the AVX2+FMA kernels, it reads A once per column for both
+// products (gemvPair); otherwise it makes the two GemmConst calls, forward
+// first, so its results are theirs bit for bit. Ct is overwritten, so its
+// contents never reach the result, nor do C's at beta = 0. The outputs
+// must overlap neither input nor each other. It starts no goroutines and,
+// once the panel pool is warm, allocates nothing.
+func GemmConstPair(A, B *Matrix, beta float64, C, Bt, Ct *Matrix) {
+	checkPair("GemmConstPair", A.Rows, A.Cols, B, C, Bt, Ct)
+	if !pairFused(B.Cols) {
+		GemmConst(false, 1, A, B, beta, C)
+		GemmConst(true, 1, A, Bt, 0, Ct)
+		return
+	}
+	for j := 0; j < B.Cols; j++ {
+		gemvPair(A, nil, B.Col(j), beta, C.Col(j), Bt.Col(j), Ct.Col(j))
+	}
+}
+
+// checkPair panics unless B, C, Bt and Ct fit an m×k block applied both
+// ways to B's columns.
+func checkPair(name string, m, k int, B, C, Bt, Ct *Matrix) {
+	r := B.Cols
+	if B.Rows != k || C.Rows != m || Bt.Rows != m || Ct.Rows != k ||
+		C.Cols != r || Bt.Cols != r || Ct.Cols != r {
+		panic("linalg: " + name + " dimension mismatch")
+	}
+}
+
+// pairFused reports whether a pair product of width r runs the fused
+// kernels once per column rather than the two constant-operand calls.
+func pairFused(r int) bool { return haveFMAKernel && r < gemmConstMinWidthT }
+
+// gemvPairPanel returns the first column of the panel the pair kernels
+// hint while they read the 4-column panel at column j of a k-column block:
+// two panels ahead, or the last full panel when fewer follow
+// (gemvNextPanel twice, so the span hinted stays inside the block). Two
+// 4-column panels are as many bytes as the forward kernels' one 8-column
+// panel. The pair kernels run more instructions per byte than gemvDots4*,
+// and with one panel of distance they streamed float32 blocks from memory
+// 10–15% slower (BenchmarkGemvStream, f32P rows).
+func gemvPairPanel(j, k int) int { return gemvNextPanel(gemvNextPanel(j, 4, k), 4, k) }
+
+// gemvPair computes y = A·x + beta·y and t = Aᵀ·w for whichever of A
+// (float64) and A32 (float32) is set, m×k, reading each 4-column panel of
+// the block once over the 4-aligned row prefix (gemvPair4F64,
+// gemvPair4F32) and prefetching the one gemvPairPanel names. The m mod 4
+// ragged rows and the k mod 4 ragged columns are finished in Go, so no
+// load reaches past the block's last element. Requires haveFMAKernel.
+func gemvPair(A *Matrix, A32 *Matrix32, x []float64, beta float64, y, w, t []float64) {
+	var m, k, lda int
+	if A32 != nil {
+		m, k, lda = A32.Rows, A32.Cols, A32.Stride
+	} else {
+		m, k, lda = A.Rows, A.Cols, A.Stride
+	}
+	switch beta {
+	case 1:
+	case 0:
+		clear(y)
+	default:
+		Scal(beta, y)
+	}
+	j := 0
+	if m >= 4 {
+		mm := m &^ 3
+		var d [4]float64
+		for ; j+4 <= k; j += 4 {
+			pf := gemvPairPanel(j, k) * lda
+			if A32 != nil {
+				gemvPair4F32(mm, &A32.Data[j*lda], lda, &x[j], &y[0], &w[0], &d[0], &A32.Data[pf])
+			} else {
+				gemvPair4F64(mm, &A.Data[j*lda], lda, &x[j], &y[0], &w[0], &d[0], &A.Data[pf])
+			}
+			for q, s := range d {
+				if mm < m {
+					s = pairRows(A, A32, j+q, mm, x[j+q], y, w, s)
+				}
+				t[j+q] = s
+			}
+		}
+	}
+	for ; j < k; j++ {
+		t[j] = pairRows(A, A32, j, 0, x[j], y, w, 0)
+	}
+}
+
+// pairRows applies rows lo and on of column j of whichever of A and A32 is
+// set both ways, y[i] += c·a_ij, and returns s + Σ a_ij·w[i], summed in
+// row order.
+func pairRows(A *Matrix, A32 *Matrix32, j, lo int, c float64, y, w []float64, s float64) float64 {
+	if A32 != nil {
+		for i, v := range A32.Col(j)[lo:] {
+			a := float64(v)
+			y[lo+i] += c * a
+			s += a * w[lo+i]
+		}
+		return s
+	}
+	for i, a := range A.Col(j)[lo:] {
+		y[lo+i] += c * a
+		s += a * w[lo+i]
+	}
+	return s
+}
+
 // scaleC applies the beta half of C = alpha·op(A)·B + beta·C; beta = 0
 // overwrites, so non-finite contents of C never reach the result.
 func scaleC(beta float64, C *Matrix) {

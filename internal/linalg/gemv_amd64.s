@@ -434,6 +434,248 @@ d32reduce:
 	VZEROUPPER
 	RET
 
+// func gemvPair4F64(m int, a *float64, lda int, coef *float64, y *float64, x *float64, dst *float64, pf *float64)
+//
+// Both halves of a stored symmetric pair over one 4-column panel, reading
+// each column slice once: y[0:m] += Σ_{j<4} coef[j]·col_j (the forward
+// GEMV) and dst[j] = col_j · x[0:m] (the transposed one), col_j starting
+// at a + j·lda. The four coefficients live broadcast in Y12–Y15. The dot
+// sums keep gemvDots4F64's eight accumulators (Y0–Y3 for even 4-row
+// groups, Y4–Y7 for odd) and its reduction, so dst gets the bits
+// gemvDots4F64 computes. Each 8-row step loads x into Y8/Y9 and then, per
+// 4-row half, y into Y10, and runs every column load in Y11 through two
+// FMAs: one into its dot sum, one into y, which is stored back before the
+// next half. So y's update is one four-deep chain per half, and the
+// sixteen registers hold it all. y must not overlap x, a or dst. m must be
+// a multiple of 4. Each 8-row step loads 256 bytes of the panel and hints
+// the four cache lines at R8 = pf, as gemvDots4F64 does.
+TEXT ·gemvPair4F64(SB), NOSPLIT, $0-64
+	MOVQ m+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ lda+16(FP), R9
+	SHLQ $3, R9
+	MOVQ coef+24(FP), DX
+	MOVQ y+32(FP), DI
+	MOVQ x+40(FP), BX
+	MOVQ pf+56(FP), R8
+	LEAQ (R9)(R9*2), R10
+
+	VBROADCASTSD (DX), Y12
+	VBROADCASTSD 8(DX), Y13
+	VBROADCASTSD 16(DX), Y14
+	VBROADCASTSD 24(DX), Y15
+
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+
+	CMPQ CX, $8
+	JLT  ptail4
+
+ploop8:
+	VMOVUPD     (BX), Y8
+	VMOVUPD     32(BX), Y9
+	VMOVUPD     (DI), Y10
+	PREFETCHT0  (R8)
+	VMOVUPD     (SI), Y11
+	VFMADD231PD Y8, Y11, Y0
+	VFMADD231PD Y12, Y11, Y10
+	PREFETCHT0  64(R8)
+	VMOVUPD     (SI)(R9*1), Y11
+	VFMADD231PD Y8, Y11, Y1
+	VFMADD231PD Y13, Y11, Y10
+	VMOVUPD     (SI)(R9*2), Y11
+	VFMADD231PD Y8, Y11, Y2
+	VFMADD231PD Y14, Y11, Y10
+	VMOVUPD     (SI)(R10*1), Y11
+	VFMADD231PD Y8, Y11, Y3
+	VFMADD231PD Y15, Y11, Y10
+	VMOVUPD     Y10, (DI)
+
+	VMOVUPD     32(DI), Y10
+	PREFETCHT0  128(R8)
+	VMOVUPD     32(SI), Y11
+	VFMADD231PD Y9, Y11, Y4
+	VFMADD231PD Y12, Y11, Y10
+	PREFETCHT0  192(R8)
+	VMOVUPD     32(SI)(R9*1), Y11
+	VFMADD231PD Y9, Y11, Y5
+	VFMADD231PD Y13, Y11, Y10
+	VMOVUPD     32(SI)(R9*2), Y11
+	VFMADD231PD Y9, Y11, Y6
+	VFMADD231PD Y14, Y11, Y10
+	VMOVUPD     32(SI)(R10*1), Y11
+	VFMADD231PD Y9, Y11, Y7
+	VFMADD231PD Y15, Y11, Y10
+	VMOVUPD     Y10, 32(DI)
+
+	ADDQ $64, SI
+	ADDQ $64, DI
+	ADDQ $64, BX
+	ADDQ $256, R8
+	SUBQ $8, CX
+	CMPQ CX, $8
+	JGE  ploop8
+
+ptail4:
+	CMPQ CX, $4
+	JLT  preduce
+
+	VMOVUPD     (BX), Y8
+	VMOVUPD     (DI), Y10
+	VMOVUPD     (SI), Y11
+	VFMADD231PD Y8, Y11, Y0
+	VFMADD231PD Y12, Y11, Y10
+	VMOVUPD     (SI)(R9*1), Y11
+	VFMADD231PD Y8, Y11, Y1
+	VFMADD231PD Y13, Y11, Y10
+	VMOVUPD     (SI)(R9*2), Y11
+	VFMADD231PD Y8, Y11, Y2
+	VFMADD231PD Y14, Y11, Y10
+	VMOVUPD     (SI)(R10*1), Y11
+	VFMADD231PD Y8, Y11, Y3
+	VFMADD231PD Y15, Y11, Y10
+	VMOVUPD     Y10, (DI)
+
+preduce:
+	MOVQ dst+48(FP), DI
+	VADDPD Y4, Y0, Y0
+	VADDPD Y5, Y1, Y1
+	VADDPD Y6, Y2, Y2
+	VADDPD Y7, Y3, Y3
+
+	VHADDPD    Y1, Y0, Y0
+	VHADDPD    Y3, Y2, Y2
+	VPERM2F128 $0x20, Y2, Y0, Y4
+	VPERM2F128 $0x31, Y2, Y0, Y5
+	VADDPD     Y5, Y4, Y0
+	VMOVUPD    Y0, (DI)
+
+	VZEROUPPER
+	RET
+
+// func gemvPair4F32(m int, a *float32, lda int, coef *float64, y *float64, x *float64, dst *float64, pf *float32)
+//
+// Mixed-precision variant of gemvPair4F64: the columns hold float32, so
+// every 4-lane load is a VCVTPS2PD widening into Y11, which then feeds
+// both FMAs. Structure, accumulators and reduction are identical, so dst
+// gets the bits gemvDots4F32 computes; the stride scale is 4 bytes and the
+// A pointer advances 32 bytes per 8 rows. Each 8-row step loads 128 bytes
+// of the panel and hints the two cache lines at R8 = pf, as gemvDots4F32
+// does.
+TEXT ·gemvPair4F32(SB), NOSPLIT, $0-64
+	MOVQ m+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ lda+16(FP), R9
+	SHLQ $2, R9
+	MOVQ coef+24(FP), DX
+	MOVQ y+32(FP), DI
+	MOVQ x+40(FP), BX
+	MOVQ pf+56(FP), R8
+	LEAQ (R9)(R9*2), R10
+
+	VBROADCASTSD (DX), Y12
+	VBROADCASTSD 8(DX), Y13
+	VBROADCASTSD 16(DX), Y14
+	VBROADCASTSD 24(DX), Y15
+
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+
+	CMPQ CX, $8
+	JLT  p32tail4
+
+p32loop8:
+	VMOVUPD     (BX), Y8
+	VMOVUPD     32(BX), Y9
+	VMOVUPD     (DI), Y10
+	PREFETCHT0  (R8)
+	VCVTPS2PD   (SI), Y11
+	VFMADD231PD Y8, Y11, Y0
+	VFMADD231PD Y12, Y11, Y10
+	VCVTPS2PD   (SI)(R9*1), Y11
+	VFMADD231PD Y8, Y11, Y1
+	VFMADD231PD Y13, Y11, Y10
+	VCVTPS2PD   (SI)(R9*2), Y11
+	VFMADD231PD Y8, Y11, Y2
+	VFMADD231PD Y14, Y11, Y10
+	VCVTPS2PD   (SI)(R10*1), Y11
+	VFMADD231PD Y8, Y11, Y3
+	VFMADD231PD Y15, Y11, Y10
+	VMOVUPD     Y10, (DI)
+
+	VMOVUPD     32(DI), Y10
+	PREFETCHT0  64(R8)
+	VCVTPS2PD   16(SI), Y11
+	VFMADD231PD Y9, Y11, Y4
+	VFMADD231PD Y12, Y11, Y10
+	VCVTPS2PD   16(SI)(R9*1), Y11
+	VFMADD231PD Y9, Y11, Y5
+	VFMADD231PD Y13, Y11, Y10
+	VCVTPS2PD   16(SI)(R9*2), Y11
+	VFMADD231PD Y9, Y11, Y6
+	VFMADD231PD Y14, Y11, Y10
+	VCVTPS2PD   16(SI)(R10*1), Y11
+	VFMADD231PD Y9, Y11, Y7
+	VFMADD231PD Y15, Y11, Y10
+	VMOVUPD     Y10, 32(DI)
+
+	ADDQ $32, SI
+	ADDQ $64, DI
+	ADDQ $64, BX
+	ADDQ $128, R8
+	SUBQ $8, CX
+	CMPQ CX, $8
+	JGE  p32loop8
+
+p32tail4:
+	CMPQ CX, $4
+	JLT  p32reduce
+
+	VMOVUPD     (BX), Y8
+	VMOVUPD     (DI), Y10
+	VCVTPS2PD   (SI), Y11
+	VFMADD231PD Y8, Y11, Y0
+	VFMADD231PD Y12, Y11, Y10
+	VCVTPS2PD   (SI)(R9*1), Y11
+	VFMADD231PD Y8, Y11, Y1
+	VFMADD231PD Y13, Y11, Y10
+	VCVTPS2PD   (SI)(R9*2), Y11
+	VFMADD231PD Y8, Y11, Y2
+	VFMADD231PD Y14, Y11, Y10
+	VCVTPS2PD   (SI)(R10*1), Y11
+	VFMADD231PD Y8, Y11, Y3
+	VFMADD231PD Y15, Y11, Y10
+	VMOVUPD     Y10, (DI)
+
+p32reduce:
+	MOVQ dst+48(FP), DI
+	VADDPD Y4, Y0, Y0
+	VADDPD Y5, Y1, Y1
+	VADDPD Y6, Y2, Y2
+	VADDPD Y7, Y3, Y3
+
+	VHADDPD    Y1, Y0, Y0
+	VHADDPD    Y3, Y2, Y2
+	VPERM2F128 $0x20, Y2, Y0, Y4
+	VPERM2F128 $0x31, Y2, Y0, Y5
+	VADDPD     Y5, Y4, Y0
+	VMOVUPD    Y0, (DI)
+
+	VZEROUPPER
+	RET
+
 // func readStream(n int, p *byte)
 //
 // Reads n bytes from p, 128 per iteration, OR-ing each 32-byte load into

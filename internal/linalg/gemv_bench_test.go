@@ -95,12 +95,15 @@ func streamSetBytes() int {
 	return 4 * n * unit
 }
 
-// BenchmarkGemvStream streams the four width-1 GEMV micro-kernels over a
+// BenchmarkGemvStream streams the six width-1 GEMV micro-kernels over a
 // set of 128×128 blocks too large for the cache (streamSetBytes), as a
 // width-1 replay of a large operator meets them: each block is read once
 // per pass, from DRAM. Every row runs through a public entry point —
-// GemvMixed for f32, Gemv for f64, transposed in the T rows — on one
-// goroutine (g1) or two (g2), each streaming its half of the set. The read
+// GemvMixed for f32, Gemv for f64, transposed in the T rows, and in the P
+// rows the pair entries GemmMixedPair and GemmConstPair at width 1, which
+// produce the forward and the transposed product from one read of each
+// block — on one goroutine (g1) or two (g2), each streaming its half of
+// the set. The read
 // rows time a plain AVX2 read of the same bytes (readStream; a Go loop
 // where the kernels are unavailable), the ceiling of a memory-bound
 // kernel. Each row reports GB/s of block bytes and, when the read rows
@@ -175,11 +178,13 @@ func BenchmarkGemvStream(b *testing.B) {
 	}
 	x := make([][]float64, 2)
 	y := make([][]float64, 2)
+	var X, Y, T [2]*Matrix // one-column views of x and y, and the P rows' Aᵀ·x
 	for w := range x {
 		x[w], y[w] = make([]float64, dim), make([]float64, dim)
 		for i := range x[w] {
 			x[w][i] = rng.NormFloat64()
 		}
+		X[w], Y[w], T[w] = FromColumnMajor(dim, 1, x[w]), FromColumnMajor(dim, 1, y[w]), NewMatrix(dim, 1)
 	}
 	for _, row := range []struct {
 		name string
@@ -196,6 +201,12 @@ func BenchmarkGemvStream(b *testing.B) {
 		}},
 		{"f32T", func(blk, w int) {
 			GemvMixed(true, 1, FromColumnMajor32(dim, dim, set32[blk*dim*dim:]), x[w], 0, y[w])
+		}},
+		{"f64P", func(blk, w int) {
+			GemmConstPair(FromColumnMajor(dim, dim, set[blk*dim*dim:]), X[w], 1, Y[w], X[w], T[w])
+		}},
+		{"f32P", func(blk, w int) {
+			GemmMixedPair(FromColumnMajor32(dim, dim, set32[blk*dim*dim:]), X[w], 1, Y[w], X[w], T[w])
 		}},
 	} {
 		prec := row.name[:3]

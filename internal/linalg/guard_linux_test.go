@@ -53,7 +53,9 @@ func guardedFloat64s(t *testing.T, n int) []float64 {
 // the 128×128 and 16×8 blocks have the width-1 GEMV kernels run every
 // 8-row step, prefetch hints included, up to the guard page. A hint cannot
 // fault, so the page cannot catch one past the block; the callers keep them
-// inside anyway (TestGemvPrefetchStaysInsideBlock).
+// inside anyway (TestGemvPrefetchStaysInsideBlock). The pair entries
+// (GemmConstPair, GemmMixedPair) run on the same blocks, so the fused
+// kernels and their ragged rows and columns meet the guard page too.
 func TestConstOperandStaysInsideBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	for _, sh := range [][2]int{{13, 37}, {5, 300}, {129, 9}, {12, 8}, {128, 128}, {16, 8}} {
@@ -83,6 +85,17 @@ func TestConstOperandStaysInsideBlock(t *testing.T) {
 				}
 				if d := maxAbsDiff(C, want); d > 1e-13*float64(inner+1) {
 					t.Fatalf("%s m=%d k=%d r=%d: deviates from reference by %g", e.name, m, k, r, d)
+				}
+			}
+			B, Bt := randMatrix(rng, k, r), randMatrix(rng, m, r)
+			want, wantT := NewMatrix(m, r), NewMatrix(k, r)
+			refGemm(false, false, 1, A, B, 0, want)
+			refGemm(true, false, 1, A, Bt, 0, wantT)
+			for _, A32 := range []*Matrix32{nil, A32} {
+				C, Ct := NewMatrix(m, r), NewMatrix(k, r)
+				pairProduct(A, A32, B, 0, C, Bt, Ct)
+				if d := max(maxAbsDiff(C, want), maxAbsDiff(Ct, wantT)); d > 1e-13*float64(max(m, k)+1) {
+					t.Fatalf("pair mixed=%v m=%d k=%d r=%d: deviates from reference by %g", A32 != nil, m, k, r, d)
 				}
 			}
 		}

@@ -86,6 +86,10 @@ const (
 	// region C that Idx names: C[Idx[k],:] = B[k,:]. Idx holds no index
 	// twice.
 	OpScatter
+	// OpGemmPair applies the stored block of a symmetric pair both ways in
+	// one record: C = A·B + Beta·C for the owner, as OpGemm with TransA
+	// unset, and Ct = Aᵀ·Bt for the partner's mirror region, overwritten.
+	OpGemmPair
 )
 
 func (k OpKind) String() string {
@@ -102,32 +106,43 @@ func (k OpKind) String() string {
 		return "zero"
 	case OpScatter:
 		return "scatter"
+	case OpGemmPair:
+		return "gemmpair"
 	}
 	return fmt.Sprintf("OpKind(%d)", int(k))
 }
 
 // Op is one replayable operation record. Exactly one of A/A32 is set for
-// OpGemm; Idx is set for OpGather/OpScatter.
+// OpGemm and OpGemmPair; Bt and Ct are set for OpGemmPair; Idx is set for
+// OpGather/OpScatter.
 type Op struct {
 	Kind   OpKind
 	TransA bool
 	Beta   float64
-	A      *linalg.Matrix   // constant float64 operand (OpGemm)
-	A32    *linalg.Matrix32 // constant float32 operand (OpGemm, mixed precision)
+	A      *linalg.Matrix   // constant float64 operand (OpGemm, OpGemmPair)
+	A32    *linalg.Matrix32 // constant float32 operand (mixed precision)
 	B, C   Ref
+	Bt, Ct Ref   // the mirror's input and output (OpGemmPair)
 	Idx    []int // row indices (OpGather/OpScatter)
 }
 
 // flopsPerCol returns the op's flop cost per RHS column, matching the
-// interpreter's accounting (2·m·k per GEMM column; moves are free).
+// interpreter's accounting (2·m·k per GEMM column, twice that for the two
+// products of a pair record; moves are free).
 func (o *Op) flopsPerCol() float64 {
-	if o.Kind != OpGemm {
+	var products float64
+	switch o.Kind {
+	case OpGemm:
+		products = 1
+	case OpGemmPair:
+		products = 2
+	default:
 		return 0
 	}
 	if o.A32 != nil {
-		return 2 * float64(o.A32.Rows) * float64(o.A32.Cols)
+		return 2 * products * float64(o.A32.Rows) * float64(o.A32.Cols)
 	}
-	return 2 * float64(o.A.Rows) * float64(o.A.Cols)
+	return 2 * products * float64(o.A.Rows) * float64(o.A.Cols)
 }
 
 // task is a contiguous op range [Lo, Hi) executed in order by one worker.
@@ -314,6 +329,45 @@ func (b *Builder) GemmMixed(transA bool, A *linalg.Matrix32, src, dst Ref, beta 
 	b.emit(Op{Kind: OpGemm, TransA: transA, A32: A, B: src, C: dst, Beta: beta})
 }
 
+// GemmPair emits one record for both halves of a stored symmetric pair
+// with a constant float64 block A: arena[dst] = A·arena[src] +
+// beta·arena[dst] for the owner and arena[tdst] = Aᵀ·arena[tsrc] for the
+// partner's mirror region. beta must be 0 or 1. Replay runs it through
+// linalg.GemmConstPair, which reads A once per column at narrow widths.
+func (b *Builder) GemmPair(A *linalg.Matrix, src, dst Ref, beta float64, tsrc, tdst Ref) {
+	if A == nil {
+		b.fail("GemmPair: nil constant operand")
+		return
+	}
+	if b.pairShape("GemmPair", A.Rows, A.Cols, src, dst, beta, tsrc, tdst) {
+		b.emit(Op{Kind: OpGemmPair, A: A, B: src, C: dst, Beta: beta, Bt: tsrc, Ct: tdst})
+	}
+}
+
+// GemmMixedPair is GemmPair for a float32 block, replayed through
+// linalg.GemmMixedPair.
+func (b *Builder) GemmMixedPair(A *linalg.Matrix32, src, dst Ref, beta float64, tsrc, tdst Ref) {
+	if A == nil {
+		b.fail("GemmMixedPair: nil constant operand")
+		return
+	}
+	if b.pairShape("GemmMixedPair", A.Rows, A.Cols, src, dst, beta, tsrc, tdst) {
+		b.emit(Op{Kind: OpGemmPair, A32: A, B: src, C: dst, Beta: beta, Bt: tsrc, Ct: tdst})
+	}
+}
+
+// pairShape reports whether the refs of a pair record fit an m×k block:
+// src and tdst k rows, dst and tsrc m rows, beta 0 or 1. It records the
+// failure when not.
+func (b *Builder) pairShape(op string, m, k int, src, dst Ref, beta float64, tsrc, tdst Ref) bool {
+	if src.Rows != k || dst.Rows != m || tsrc.Rows != m || tdst.Rows != k || (beta != 0 && beta != 1) {
+		b.fail("%s: %d×%d block with B %d rows, C %d rows, beta %g, mirror B %d rows, C %d rows",
+			op, m, k, src.Rows, dst.Rows, beta, tsrc.Rows, tdst.Rows)
+		return false
+	}
+	return true
+}
+
 // Copy emits arena[dst] = arena[src].
 func (b *Builder) Copy(src, dst Ref) {
 	if src.Rows != dst.Rows {
@@ -363,6 +417,10 @@ func (b *Builder) Build() (*Plan, error) {
 			return nil, fmt.Errorf("%w: plan: op %d (%s) writes invalid ref %+v",
 				resilience.ErrInvalidInput, i, op.Kind, op.C)
 		}
+		if op.Kind == OpGemmPair && (!op.Bt.valid(b.arenaRows) || !op.Ct.valid(b.arenaRows)) {
+			return nil, fmt.Errorf("%w: plan: op %d (%s) has invalid mirror refs %+v, %+v",
+				resilience.ErrInvalidInput, i, op.Kind, op.Bt, op.Ct)
+		}
 	}
 	if err := b.checkDataflow(); err != nil {
 		return nil, err
@@ -380,10 +438,12 @@ func (b *Builder) Build() (*Plan, error) {
 }
 
 // checkDataflow sweeps the ops in schedule order and holds the lowering
-// to the replay guarantees: every arena row an op reads (B, and C where it
-// accumulates) was written by an earlier stage or earlier in the op's own
-// task, and a row one task of a parallel stage writes is touched by no
-// other task of that stage. A gather reads, and a scatter writes, only the
+// to the replay guarantees: every arena row an op reads (B, C where it
+// accumulates, and a pair record's Bt) was written by an earlier stage or
+// earlier in the op's own task, and a row one task of a parallel stage
+// writes (C, and a pair record's Ct) is touched by no other task of that
+// stage. An op's reads are checked before its writes, since a pair record
+// runs both halves at once. A gather reads, and a scatter writes, only the
 // rows its indices name.
 func (b *Builder) checkDataflow() error {
 	// For arena row x, rows[x].w is 1 + the schedule-order index of the
@@ -453,15 +513,22 @@ func (b *Builder) checkDataflow() error {
 				case OpScatter:
 					writeIdx = op.Idx
 				}
+				pair := op.Kind == OpGemmPair
 				var err error
 				if op.Kind != OpZero {
 					err = visit(op.B, readIdx, read)
 				}
-				if err == nil && (op.Kind == OpAdd || (op.Kind == OpGemm && op.Beta != 0)) {
+				if err == nil && (op.Kind == OpAdd || ((op.Kind == OpGemm || pair) && op.Beta != 0)) {
 					err = visit(op.C, nil, read)
+				}
+				if err == nil && pair {
+					err = visit(op.Bt, nil, read)
 				}
 				if err == nil {
 					err = visit(op.C, writeIdx, write)
+				}
+				if err == nil && pair {
+					err = visit(op.Ct, nil, write)
 				}
 				if err != nil {
 					return err
@@ -591,6 +658,16 @@ func (p *Plan) computeDigest() [sha256.Size]byte {
 		wi(op.C.Sub)
 		wi(op.C.Rows)
 		wi(op.C.Span)
+		if op.Kind == OpGemmPair {
+			wi(op.Bt.Base)
+			wi(op.Bt.Sub)
+			wi(op.Bt.Rows)
+			wi(op.Bt.Span)
+			wi(op.Ct.Base)
+			wi(op.Ct.Sub)
+			wi(op.Ct.Rows)
+			wi(op.Ct.Span)
+		}
 		wi(len(op.Idx))
 		for _, v := range op.Idx {
 			wi(v)

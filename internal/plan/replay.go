@@ -40,8 +40,7 @@ type ExecOptions struct {
 type replayState struct {
 	r     int
 	arena []float64
-	bview []*linalg.Matrix // per-op B operand header (nil where unused or External)
-	cview []*linalg.Matrix // per-op C operand header (nil where External)
+	views []opViews // per-op operand headers
 
 	// levels holds the parallel replay closures, one level per stage,
 	// built lazily on first parallel Execute and rebound through W/U below.
@@ -51,6 +50,12 @@ type replayState struct {
 	// ops run and cleared after: the input and the output of External
 	// gathers.
 	W, U *linalg.Matrix
+}
+
+// opViews holds one op's operand headers: B and C (nil where unused or
+// External) and, for a pair record, Bt and Ct.
+type opViews struct {
+	b, c, bt, ct *linalg.Matrix
 }
 
 // bind returns a matrix header over ref's slice of the arena. The slice's
@@ -67,16 +72,18 @@ func (p *Plan) newState(r int, pool *workspace.Pool) *replayState {
 	st := &replayState{
 		r:     r,
 		arena: pool.Get(p.ArenaFloats(r)),
-		bview: make([]*linalg.Matrix, len(p.ops)),
-		cview: make([]*linalg.Matrix, len(p.ops)),
+		views: make([]opViews, len(p.ops)),
 	}
 	for i := range p.ops {
-		op := &p.ops[i]
+		op, v := &p.ops[i], &st.views[i]
 		if op.Kind != OpZero && op.B != External {
-			st.bview[i] = st.bind(op.B)
+			v.b = st.bind(op.B)
 		}
 		if op.C != External {
-			st.cview[i] = st.bind(op.C)
+			v.c = st.bind(op.C)
+		}
+		if op.Kind == OpGemmPair {
+			v.bt, v.ct = st.bind(op.Bt), st.bind(op.Ct)
 		}
 	}
 	return st
@@ -189,10 +196,10 @@ func (st *replayState) buildLevels(p *Plan) {
 // runTask executes ops [lo, hi) in order.
 func (p *Plan) runTask(st *replayState, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		op := &p.ops[i]
+		op, v := &p.ops[i], &st.views[i]
 		switch op.Kind {
 		case OpGather:
-			src, dst := st.bview[i], st.cview[i]
+			src, dst := v.b, v.c
 			if op.B == External {
 				src = st.W
 			}
@@ -203,21 +210,29 @@ func (p *Plan) runTask(st *replayState, lo, hi int) {
 		case OpGemm:
 			// One call per precision: the linalg entry picks the kernel from
 			// the record's orientation and the replay width alone, so width-1
-			// replays reach the fused GEMV kernels and repeated replays stay
+			// replays reach the GEMV kernels and repeated replays stay
 			// bit-identical.
 			if op.A32 != nil {
-				linalg.GemmMixed(op.TransA, 1, op.A32, st.bview[i], op.Beta, st.cview[i])
+				linalg.GemmMixed(op.TransA, 1, op.A32, v.b, op.Beta, v.c)
 			} else {
-				linalg.GemmConst(op.TransA, 1, op.A, st.bview[i], op.Beta, st.cview[i])
+				linalg.GemmConst(op.TransA, 1, op.A, v.b, op.Beta, v.c)
+			}
+		case OpGemmPair:
+			// The pair entry reads the block once per column at widths 1
+			// and 2, and makes the two OpGemm calls from width 3.
+			if op.A32 != nil {
+				linalg.GemmMixedPair(op.A32, v.b, op.Beta, v.c, v.bt, v.ct)
+			} else {
+				linalg.GemmConstPair(op.A, v.b, op.Beta, v.c, v.bt, v.ct)
 			}
 		case OpCopy:
-			st.cview[i].CopyFrom(st.bview[i])
+			v.c.CopyFrom(v.b)
 		case OpAdd:
-			st.cview[i].AddScaled(1, st.bview[i])
+			v.c.AddScaled(1, v.b)
 		case OpZero:
-			st.cview[i].Zero()
+			v.c.Zero()
 		case OpScatter:
-			st.cview[i].RowsScatter(op.Idx, st.bview[i])
+			v.c.RowsScatter(op.Idx, v.b)
 		}
 	}
 }
